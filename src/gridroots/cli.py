@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import formats
 from .errors import BudgetExceeded, HypothesisViolated, InternalInvariantBroken, MalformedInput
-from .extraction import ExtractionProblem, extract
+from .extraction import ExtractionProblem, _full_rows, extract
 from .formats import canonical_json, read_json, write_json
 from .grid import grid_graph
 from .instances import InstanceRecipe, generate_instance
@@ -62,19 +62,12 @@ def _load_model(path, host):
     return model, n
 
 
-def _full_pattern_rows(n, pattern):
-    from .grid import row_vertices
-
-    return [
-        row for i in range(1, n + 1)
-        if set(row := row_vertices(n, i)) <= pattern.vertices
-    ]
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_gen_grid(args) -> int:
+    if args.n < 1:
+        raise MalformedInput(f"grid side must be at least 1, got --n {args.n}")
     doc = formats.graph_to_dict(grid_graph(args.n))
     if args.out:
         write_json(args.out, doc)
@@ -121,7 +114,7 @@ def _cmd_find_separation(args) -> int:
     host = _load_graph(args.graph)
     roots = _load_vertex_set(args.roots)
     model, n = _load_model(args.model, host)
-    rows = _full_pattern_rows(n, model.pattern)
+    rows = _full_rows(n, model.pattern)
     block = find_row_blocking_separation(host, roots, model, rows, args.max_order)
     if block is None:
         _print({"found": False})

@@ -39,7 +39,7 @@ from .models import (
     image_of_vertices,
     validate_pseudomodel,
 )
-from .separations import Separation, find_row_blocking_separation, menger
+from .separations import Separation, find_row_blocking_separation, find_row_cut, menger
 from .validation import ValidationReport
 
 
@@ -757,16 +757,17 @@ def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:
     from the roots to the row's branch image.  A cut below k vertices is
     exactly a violating separation (max-flow equals min-cut, and cuts
     correspond to separations), so the verdict is a proof either way.
-    This check does not require the full size preconditions of
-    ``extract``; it is meaningful on arbitrarily small hosts.
+    The cut returned is the sink-side minimum cut, the same for every
+    maximum flow.  This check does not require the full size
+    preconditions of ``extract``; it is meaningful on arbitrarily small
+    hosts.
     """
     model = problem.model
-    for row in _full_rows(problem.n, model.pattern):
-        targets = image_of_vertices(model, row)
-        result = menger(problem.host, problem.roots, targets, problem.k)
-        if not result.found_paths:
-            return HypothesisCheck(False, result.separation, tuple(row))
-    return HypothesisCheck(True, None, None)
+    rows = _full_rows(problem.n, model.pattern)
+    block = find_row_cut(problem.host, problem.roots, model, rows, problem.k)
+    if block is None:
+        return HypothesisCheck(True, None, None)
+    return HypothesisCheck(False, block.separation, block.row)
 
 
 def extract_via_tangle_statement(

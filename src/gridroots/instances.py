@@ -35,9 +35,15 @@ class InstanceRecipe:
     def __post_init__(self):
         if self.kind not in RECIPE_KINDS:
             raise MalformedInput(f"unknown recipe kind {self.kind!r}")
+        if self.n < 1:
+            raise MalformedInput(f"grid side must be at least 1, got n={self.n}")
         if self.degree < self.k:
             raise MalformedInput(
                 f"attachment degree {self.degree} must be at least k={self.k}"
+            )
+        if self.degree > self.n:
+            raise MalformedInput(
+                f"attachment degree {self.degree} exceeds the {self.n} row-1 columns"
             )
 
 

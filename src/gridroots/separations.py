@@ -6,11 +6,13 @@ Tangles are explicit separation sets checked against the three tangle
 axioms at desk scale.  ``menger`` is a deterministic vertex-capacity
 max-flow: it returns either ``k`` vertex-disjoint source-target paths or
 a cut of fewer than ``k`` vertices together with the separation that cut
-induces.
+induces.  It shares one flow engine with the row scans
+(``find_row_blocking_separation`` and ``find_row_cut``): the vertex-split
+network stays implicit, as arrays over neighbour lists built once per
+graph.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Sequence
@@ -20,8 +22,6 @@ from .graph import Graph, Subgraph, reachable_from
 from .grid import row_vertices
 from .models import Pseudomodel, image_of_vertices
 from .validation import ValidationReport
-
-_INF = 10 ** 9
 
 
 class Separation:
@@ -120,6 +120,172 @@ def _trim_path(path: Sequence[int], sources: frozenset[int], targets: frozenset[
     return tuple(head[start:])
 
 
+_FREE = -1  # the vertex carries no flow
+_END = -2  # the flow enters from the super source / leaves to the super sink
+
+
+class _FlowNetwork:
+    """Unit-capacity vertex-split flow network of one graph, kept implicit.
+
+    The split network gives vertex i (the i-th smallest id) an in-node
+    2i and an out-node 2i + 1 joined by an arc of capacity 1, two
+    uncapacitated arcs out(x) -> in(y) and out(y) -> in(x) per edge x-y
+    (loops and parallel copies add nothing), and uncapacitated arcs from
+    a super source to the in-nodes of the sources and from the out-nodes
+    of the targets to a super sink.  Only each vertex's neighbours are
+    stored, itself included, in ascending order, and built once per
+    graph.  Every vertex carries at most one unit, so the current flow
+    is two arrays: ``prev[i]`` is the vertex feeding i (``_END`` for the
+    super source, ``_FREE`` when i carries nothing) and ``nxt[i]`` the
+    vertex i feeds (``_END`` for the super sink).
+    """
+
+    __slots__ = ("vertices", "index", "around", "prev", "nxt", "value")
+
+    def __init__(self, g: Graph):
+        self.vertices = sorted(g.vertices)
+        self.index = index = {v: i for i, v in enumerate(self.vertices)}
+        adj = [{i} for i in range(len(self.vertices))]
+        for _eid, x, y in g.edges():
+            adj[index[x]].add(index[y])
+            adj[index[y]].add(index[x])
+        self.around = [sorted(a) for a in adj]
+        self.prev: list[int] = []
+        self.nxt: list[int] = []
+        self.value = 0
+
+    def max_flow(self, sources: frozenset[int], targets: frozenset[int], limit: int) -> int:
+        """Augment until the flow value reaches ``limit`` or is maximum.
+
+        The value never exceeds the number of sources or of targets, so
+        reaching either also ends the search.  Each augmenting path is a
+        shortest one in the residual network, ties broken by ascending
+        node id, which fixes the flow and with it the paths.
+        """
+        index, around = self.index, self.around
+        nv = len(around)
+        starts = [2 * index[z] for z in sorted(sources)]
+        is_target = bytearray(nv)
+        for t in targets:
+            is_target[index[t]] = 1
+        prev = self.prev = [_FREE] * nv
+        nxt = self.nxt = [_FREE] * nv
+        top = 2 * nv  # the super source
+        limit = min(limit, len(sources), len(targets))
+        total = 0
+        while total < limit:
+            parent = [-1] * top
+            for u in starts:
+                parent[u] = top
+            queue = list(starts)
+            end = -1
+            for u in queue:
+                i = u >> 1
+                if u & 1:
+                    if is_target[i]:
+                        end = i
+                        break
+                    # every in(j) next to out(i) is open; in(i) is open
+                    # only when i carries flow, and is already queued when
+                    # it does not, since out(i) was then reached from it
+                    for j in around[i]:
+                        w = 2 * j
+                        if parent[w] < 0:
+                            parent[w] = u
+                            queue.append(w)
+                else:
+                    # in(i) leads to out(i) when i is free, else back
+                    # along the edge that feeds it
+                    j = prev[i]
+                    if j == _END:
+                        continue
+                    w = u + 1 if j == _FREE else 2 * j + 1
+                    if parent[w] < 0:
+                        parent[w] = u
+                        queue.append(w)
+            if end < 0:
+                break
+            nxt[end] = _END
+            w = 2 * end + 1
+            while w != top:
+                u = parent[w]
+                if u == top:
+                    prev[w >> 1] = _END
+                elif u ^ w == 1:
+                    pass  # the arc inside vertex i: prev[i] says if i is used
+                elif u & 1:  # out(x) -> in(y): the edge now carries the unit
+                    nxt[u >> 1] = w >> 1
+                    prev[w >> 1] = u >> 1
+                else:  # in(y) -> out(x): the unit on x -> y is cancelled
+                    y, x = u >> 1, w >> 1
+                    if nxt[x] == y:
+                        nxt[x] = _FREE
+                    if prev[y] == x:
+                        prev[y] = _FREE
+                w = u
+            total += 1
+        self.value = total
+        return total
+
+    def paths(self) -> list[list[int]]:
+        """The flow's vertex paths, in ascending order of their sources."""
+        verts, prev, nxt = self.vertices, self.prev, self.nxt
+        out = []
+        for i, p in enumerate(prev):
+            if p != _END:
+                continue
+            path = [verts[i]]
+            while nxt[i] != _END:
+                i = nxt[i]
+                path.append(verts[i])
+            out.append(path)
+        return out
+
+    def sink_cut(self, targets: frozenset[int]) -> tuple[frozenset[int], int]:
+        """The sink-side minimum cut of a maximum flow, and what lies beyond it.
+
+        A vertex is in the cut when its out-node reaches the super sink
+        in the residual network and its in-node does not.  The nodes that
+        reach the sink are the same for every maximum flow, so the cut
+        does not depend on the order of augmentation.  The second value
+        counts the vertices whose in-node reaches the sink: exactly the
+        vertices reachable from the targets in the graph minus the cut.
+        """
+        index, around, prev, nxt = self.index, self.around, self.prev, self.nxt
+        nv = len(around)
+        in_seen = bytearray(nv)
+        out_seen = bytearray(nv)
+        heads = [index[t] for t in targets]  # the out-nodes next to the sink
+        stack = [-1]  # -1 stands for the super sink
+        while stack:
+            i = stack.pop()
+            # every out(j) next to in(i) reaches it; out(i) too when i
+            # carries flow (when it does not, out(i) was seen first)
+            for j in heads if i < 0 else around[i]:
+                if out_seen[j]:
+                    continue
+                out_seen[j] = 1
+                # the residual arc into out(j) comes from in(j) when j is
+                # free, else from the in-node of the vertex j feeds
+                p = j if prev[j] == _FREE else nxt[j]
+                if p >= 0 and not in_seen[p]:
+                    in_seen[p] = 1
+                    stack.append(p)
+        # a free vertex whose out-node is seen has its in-node seen too,
+        # so only vertices that carry flow can be in the cut
+        cut = frozenset(
+            self.vertices[j]
+            for j, p in enumerate(prev)
+            if p != _FREE and out_seen[j] and not in_seen[j]
+        )
+        if len(cut) != self.value:
+            raise InternalInvariantBroken(
+                f"min-cut extraction produced {len(cut)} vertices for flow {self.value}",
+                payload={"cut": sorted(cut)},
+            )
+        return cut, in_seen.count(1)
+
+
 def menger(
     g: Graph,
     sources: Iterable[int],
@@ -136,8 +302,9 @@ def menger(
     trimmed to meet the targets only at their final vertex and the
     sources only at their first; a source that is also a target yields a
     single-vertex path.  In the cut case the cut is the sink-side
-    minimum cut and the returned separation puts the cut plus everything
-    reachable from the sources on the A side.
+    minimum cut, which is the same for every maximum flow, and the
+    returned separation puts the cut plus everything reachable from the
+    sources on the A side.
     """
     src = frozenset(sources)
     tgt = frozenset(targets)
@@ -157,95 +324,12 @@ def menger(
         raise MalformedInput("bad menger query", problems)
 
     searched = g.remove_vertices(fbd) if fbd else g
-    verts = sorted(searched.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    nv = len(verts)
-    s_node, t_node = 2 * nv, 2 * nv + 1
-
-    cap: dict[tuple[int, int], int] = {}
-    adj: list[set[int]] = [set() for _ in range(2 * nv + 2)]
-
-    def add_arc(u: int, w: int, c: int) -> None:
-        cap[(u, w)] = cap.get((u, w), 0) + c
-        cap.setdefault((w, u), 0)
-        adj[u].add(w)
-        adj[w].add(u)
-
-    for v in verts:
-        add_arc(2 * index[v], 2 * index[v] + 1, 1)
-    for e in sorted(searched.edge_ids):
-        x, y = searched.endpoints(e)
-        if x == y:
-            continue
-        add_arc(2 * index[x] + 1, 2 * index[y], _INF)
-        add_arc(2 * index[y] + 1, 2 * index[x], _INF)
-    for z in sorted(src):
-        add_arc(s_node, 2 * index[z], _INF)
-    for t in sorted(tgt):
-        add_arc(2 * index[t] + 1, t_node, _INF)
-    neighbors = [sorted(s) for s in adj]
-
-    flow: dict[tuple[int, int], int] = {}
-
-    def residual(u: int, w: int) -> int:
-        return cap.get((u, w), 0) - flow.get((u, w), 0)
-
-    total = 0
-    while total < k:
-        parent: dict[int, int] = {s_node: -1}
-        queue: deque[int] = deque([s_node])
-        while queue and t_node not in parent:
-            u = queue.popleft()
-            for w in neighbors[u]:
-                if w not in parent and residual(u, w) > 0:
-                    parent[w] = u
-                    if w == t_node:
-                        break
-                    queue.append(w)
-        if t_node not in parent:
-            break
-        hops = []
-        u = t_node
-        while u != s_node:
-            hops.append((parent[u], u))
-            u = parent[u]
-        hops.reverse()
-        push = min(residual(u, w) for u, w in hops)
-        for u, w in hops:
-            flow[(u, w)] = flow.get((u, w), 0) + push
-            flow[(w, u)] = flow.get((w, u), 0) - push
-        total += push
-
-    if total >= k:
-        remaining = {arc: f for arc, f in flow.items() if f > 0 and cap.get(arc, 0) > 0}
-        paths = []
-        for _ in range(k):
-            node_path = [s_node]
-            while node_path[-1] != t_node:
-                u = node_path[-1]
-                w = next(w for w in neighbors[u] if remaining.get((u, w), 0) > 0)
-                remaining[(u, w)] -= 1
-                node_path.append(w)
-            vertex_path = [verts[node // 2] for node in node_path[1:-1] if node % 2 == 0]
-            paths.append(_trim_path(vertex_path, src, tgt))
-        return CutResult(paths=tuple(paths), cut=None, separation=None)
-
-    reach_t = {t_node}
-    queue = deque([t_node])
-    while queue:
-        w = queue.popleft()
-        for u in neighbors[w]:
-            if u not in reach_t and residual(u, w) > 0:
-                reach_t.add(u)
-                queue.append(u)
-    cut = frozenset(verts[i] for i in range(nv) if 2 * i + 1 in reach_t and 2 * i not in reach_t)
-    if len(cut) != total:
-        raise InternalInvariantBroken(
-            f"min-cut extraction produced {len(cut)} vertices for flow {total}",
-            payload={"cut": sorted(cut)},
-        )
-    separation = _cut_separation(searched, cut, src)
-    return CutResult(paths=None, cut=cut, separation=separation)
+    net = _FlowNetwork(searched)
+    if net.max_flow(src, tgt, k) == k:
+        paths = tuple(_trim_path(p, src, tgt) for p in net.paths())
+        return CutResult(paths=paths, cut=None, separation=None)
+    cut, _beyond = net.sink_cut(tgt)
+    return CutResult(paths=None, cut=cut, separation=_cut_separation(searched, cut, src))
 
 
 def _cut_separation(g: Graph, cut: frozenset[int], sources: frozenset[int]) -> Separation:
@@ -314,6 +398,44 @@ class RowBlock:
     kind: str  # "strict" (order < k) or "reducible" (order = k, B != G)
 
 
+def _row_cuts(
+    g: Graph,
+    roots: frozenset[int],
+    p: Pseudomodel,
+    rows: Sequence[Sequence[int]],
+    limit: int,
+):
+    """Yield ``(row, image, cut, beyond)`` for each row that ``limit`` paths miss.
+
+    Rows go in the order given.  A row is yielded when fewer than
+    ``limit`` disjoint paths join the roots to its branch image; ``cut``
+    is then the sink-side minimum cut and ``beyond`` the number of
+    vertices the image reaches in g minus the cut.  The flow network is
+    built once for all rows.
+    """
+    problems = []
+    if not roots:
+        problems.append("empty root set")
+    if not roots <= g.vertices:
+        problems.append("roots must be vertices of the graph")
+    if problems:
+        raise MalformedInput("bad row scan", problems)
+    net = _FlowNetwork(g)
+    for row in rows:
+        image = image_of_vertices(p, row)
+        if not image or not image <= g.vertices:
+            raise MalformedInput(
+                "bad row scan", [f"the image of row {list(row)} is empty or not in the graph"]
+            )
+        if net.max_flow(roots, image, limit) < limit:
+            yield (tuple(row), image, *net.sink_cut(image))
+
+
+def _has_edge_inside(g: Graph, cut: frozenset[int]) -> bool:
+    """True when some edge, a loop included, has both ends in ``cut``."""
+    return any(set(g.endpoints(e)) <= cut for v in cut for e in g.incident_edges(v))
+
+
 def find_row_blocking_separation(
     g: Graph,
     roots: Iterable[int],
@@ -323,25 +445,52 @@ def find_row_blocking_separation(
 ) -> RowBlock | None:
     """Scan rows for a separation pinching the roots off from a row image.
 
-    For each row (in the order given) this asks for ``max_order + 1``
-    disjoint paths from the roots to the row's branch image.  A cut of
-    fewer than ``max_order`` vertices is a strict blocker (the
-    root-connectivity hypothesis fails).  A cut of exactly ``max_order``
-    vertices blocks reducibly when the induced separation can be
-    arranged with B a proper subgraph; cuts whose every arrangement has
-    B = G are not blockers.  Returns the first blocker or None.
+    For each row (in the order given) this runs the flow from the roots
+    to the row's branch image up to ``max_order + 1`` units.  Short of
+    that, the sink-side minimum cut decides, and it is the same for
+    every maximum flow.  A cut of fewer than ``max_order`` vertices is a
+    strict blocker (the root-connectivity hypothesis fails).  A cut of
+    exactly ``max_order`` vertices blocks reducibly when the separation
+    of ``blocking_separation`` has B a proper subgraph of g, which holds
+    iff some root lies outside the cut, some vertex outside the cut is
+    unreachable from the row image in g minus the cut, or some edge
+    (a loop included) has both ends in the cut; otherwise it is not a
+    blocker.  A root outside the cut is never reachable from the image
+    in g minus the cut (the flow would not be maximum), so the first
+    condition is part of the second.  Returns the first blocker or
+    None.  Raises MalformedInput for a negative ``max_order``, an empty
+    root set or row image, and roots or images outside g.
     """
+    if max_order < 0:
+        raise MalformedInput("bad row scan", [f"max_order must be non-negative, got {max_order}"])
     root_set = frozenset(roots)
-    for row in rows:
-        targets = image_of_vertices(p, row)
-        result = menger(g, root_set, targets, max_order + 1)
-        if result.found_paths:
-            continue
-        if len(result.cut) < max_order:
-            return RowBlock(result.separation, tuple(row), "strict")
-        extended = blocking_separation(g, result.cut, root_set, targets)
-        if extended.b.vertices != g.vertices or extended.b.edge_ids != g.edge_ids:
-            return RowBlock(extended, tuple(row), "reducible")
+    for row, image, cut, beyond in _row_cuts(g, root_set, p, rows, max_order + 1):
+        if len(cut) < max_order:
+            return RowBlock(_cut_separation(g, cut, root_set), row, "strict")
+        if len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
+            return RowBlock(blocking_separation(g, cut, root_set, image), row, "reducible")
+    return None
+
+
+def find_row_cut(
+    g: Graph,
+    roots: Iterable[int],
+    p: Pseudomodel,
+    rows: Sequence[Sequence[int]],
+    k: int,
+) -> RowBlock | None:
+    """First row whose image fewer than ``k`` vertices cut off from the roots.
+
+    The cut is the sink-side minimum cut of the row's maximum flow (the
+    same for every maximum flow), returned as a strict RowBlock with the
+    separation ``menger`` gives for it.  None when every row is joined
+    to the roots by ``k`` disjoint paths.
+    """
+    if k < 1:
+        raise MalformedInput("bad row scan", [f"k must be positive, got {k}"])
+    root_set = frozenset(roots)
+    for row, _image, cut, _beyond in _row_cuts(g, root_set, p, rows, k):
+        return RowBlock(_cut_separation(g, cut, root_set), row, "strict")
     return None
 
 

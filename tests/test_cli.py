@@ -39,6 +39,24 @@ def test_gen_grid_stdout_and_file(tmp_path, capsys):
     assert read_json(target) == doc
 
 
+def test_gen_grid_rejects_empty_side(capsys):
+    code, out, err = run(capsys, "gen-grid", "--n", 0)
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+def test_gen_instance_rejects_degree_above_side(tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        "gen-instance",
+        "--kind", "grid-plus-roots", "--n", 13, "--g", 2, "--k", 2, "--degree", 99,
+        "--out", tmp_path / "inst",
+    )
+    assert code == 64
+    assert "degree" in json.loads(err)["message"]
+
+
 def test_gen_instance_then_extract_then_validate(tmp_path, capsys):
     inst = tmp_path / "inst"
     code, out, _ = run(
@@ -173,6 +191,24 @@ def test_find_separation_exit_codes(tmp_path, capsys):
     assert doc["found"] is True
     assert doc["kind"] in ("strict", "reducible")
     assert doc["order"] <= 2
+
+
+def test_find_separation_rejects_bad_roots_and_order(tmp_path, capsys):
+    clean = generate_instance(
+        InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=1, degree=2)
+    )
+    cp = write_instance(clean, tmp_path / "clean")
+    stray = tmp_path / "stray-roots.json"
+    write_json(stray, {"vertices": [10**6]})
+    for roots, max_order in ((stray, 2), (cp["roots"], -1)):
+        code, _, err = run(
+            capsys,
+            "find-separation",
+            "--graph", cp["graph"], "--roots", roots, "--model", cp["model"],
+            "--max-order", max_order,
+        )
+        assert code == 64
+        assert json.loads(err)["error"] == "malformed-input"
 
 
 def test_menger_paths_and_cut(tmp_path, capsys):

@@ -22,6 +22,10 @@ def test_recipe_rejects_bad_fields():
         InstanceRecipe(kind="moebius", n=8, g=2, k=1)
     with pytest.raises(MalformedInput):
         InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, degree=1)
+    with pytest.raises(MalformedInput):
+        InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, degree=14)
+    with pytest.raises(MalformedInput):
+        InstanceRecipe(kind="identity-grid", n=0, g=2, k=1, degree=1)
     assert "identity-grid" in RECIPE_KINDS
     assert BREAK_MODES == ("detach", "hang")
 

@@ -1,5 +1,9 @@
 """Separations, disjoint-path search, row blockers, and tangle axioms."""
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridroots import (
     Graph,
@@ -169,6 +173,115 @@ def test_row_scan_passes_well_connected_root():
     ident = identity_grid_model(3)
     rows = [row_vertices(3, i) for i in (1, 2, 3)]
     assert find_row_blocking_separation(g3, [1], ident, rows, 1) is None
+
+
+def test_row_scan_rejects_malformed_queries():
+    g3 = grid_graph(3)
+    ident = identity_grid_model(3)
+    rows = [row_vertices(3, 1)]
+    for roots, max_order in (([1], -1), ([], 1), ([99], 1)):
+        with pytest.raises(MalformedInput) as exc:
+            find_row_blocking_separation(g3, roots, ident, rows, max_order)
+        assert exc.value.problems
+    empty_row = Pseudomodel(g3, ident.pattern, {v: null_subgraph(g3) for v in range(1, 10)}, {})
+    with pytest.raises(MalformedInput):
+        find_row_blocking_separation(g3, [1], empty_row, rows, 1)
+
+
+def test_row_scan_edge_inside_cut_is_reducible():
+    # roots 1 and 2 form the cut of row 1; everything else hangs off
+    # vertex 3, so edge 1-2 is the only thing private to side A
+    g3 = grid_graph(3)
+    rows = [row_vertices(3, i) for i in (1, 2, 3)]
+    rb = find_row_blocking_separation(g3, [1, 2], identity_grid_model(3), rows, 2)
+    assert rb.kind == "reducible"
+    assert rb.row == (1, 2, 3)
+    edge_12 = next(e for e, u, v in g3.edges() if (u, v) == (1, 2))
+    assert rb.separation.a.vertices == frozenset({1, 2})
+    assert rb.separation.a.edge_ids == frozenset({edge_12})
+    assert rb.separation.b.vertices == g3.vertices
+    assert rb.separation.b.edge_ids == g3.edge_ids - {edge_12}
+
+
+def test_row_scan_loop_inside_cut_is_reducible():
+    g3 = grid_graph(3)
+    ident = identity_grid_model(3)
+    rows = [row_vertices(3, i) for i in (1, 2, 3)]
+    # roots 1 and 3 cut every row off and share no edge: not a blocker
+    assert find_row_blocking_separation(g3, [1, 3], ident, rows, 2) is None
+    host = Graph(g3.vertices, list(g3.edges()) + [(13, 1, 1)])
+    model = Pseudomodel(
+        host, ident.pattern, {v: Subgraph(host, {v}) for v in range(1, 10)}, dict(ident.edge_images)
+    )
+    rb = find_row_blocking_separation(host, [1, 3], model, rows, 2)
+    assert rb.kind == "reducible"
+    assert rb.separation.a.vertices == frozenset({1, 3})
+    assert rb.separation.a.edge_ids == frozenset({13})
+    assert rb.separation.b.vertices == host.vertices
+
+
+def test_row_scan_cut_with_targets_on_every_side_is_no_blocker():
+    # root 11 sits between the two branch vertices of the only row:
+    # both sides of the order-1 cut hold a target, and no edge lies in it
+    host = Graph([10, 11, 12], [(1, 10, 11), (2, 11, 12)])
+    pattern = Graph([1, 2], [])
+    model = Pseudomodel(host, pattern, {1: Subgraph(host, {10}), 2: Subgraph(host, {12})}, {})
+    assert find_row_blocking_separation(host, [11], model, [(1, 2)], 1) is None
+    s = blocking_separation(host, frozenset({11}), frozenset({11}), frozenset({10, 12}))
+    assert s.b.vertices == host.vertices and s.b.edge_ids == host.edge_ids
+
+
+def reference_row_scan(g, roots, p, rows, max_order):
+    """The row scan spelled out from public pieces, one menger call a row."""
+    roots = frozenset(roots)
+    for row in rows:
+        targets = frozenset().union(*(p.branches[v].vertices for v in row))
+        result = menger(g, roots, targets, max_order + 1)
+        if result.found_paths:
+            continue
+        if len(result.cut) < max_order:
+            return "strict", tuple(row), result.separation
+        s = blocking_separation(g, result.cut, roots, targets)
+        if s.b.vertices != g.vertices or s.b.edge_ids != g.edge_ids:
+            return "reducible", tuple(row), s
+    return None
+
+
+def random_scan_case(seed):
+    """A seeded multigraph (loops and parallel edges included) with a
+    pseudomodel of the 2x2 or 3x3 grid on random disjoint vertex sets."""
+    rng = random.Random(f"row-scan:{seed}")
+    side = rng.choice((2, 3))
+    nv = rng.randint(side * side, 16)
+    verts = list(range(1, nv + 1))
+    edges = []
+    for eid in range(1, rng.randint(nv - 1, 3 * nv) + 1):
+        u = rng.choice(verts)
+        v = u if rng.random() < 0.05 else rng.choice(verts)
+        edges.append((eid, u, v))
+    host = Graph(verts, edges)
+    pool = verts[:]
+    rng.shuffle(pool)
+    branches = {}
+    for pv in range(1, side * side + 1):
+        size = 1 if len(pool) <= side * side - pv + 1 else rng.randint(1, 2)
+        branches[pv] = Subgraph(host, {pool.pop() for _ in range(size)})
+    model = Pseudomodel(host, grid_graph(side), branches, {})
+    roots = rng.sample(verts, rng.randint(1, 3))
+    rows = [row_vertices(side, i) for i in range(1, side + 1)]
+    return host, roots, model, rows, rng.randint(0, 3)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_row_scan_matches_per_row_menger_reference(seed):
+    host, roots, model, rows, max_order = random_scan_case(seed)
+    block = find_row_blocking_separation(host, roots, model, rows, max_order)
+    expected = reference_row_scan(host, roots, model, rows, max_order)
+    if expected is None:
+        assert block is None
+    else:
+        assert (block.kind, block.row, block.separation) == expected
 
 
 def two_point_separations():
