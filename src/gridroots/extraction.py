@@ -11,9 +11,19 @@ The procedure is the inductive argument run forward: scan for blocking
 separations row by row; recurse into the big side of a reducible one;
 otherwise delete or contract reducible edges until the model saturates;
 then pick a clean band of rows, drop the inner window except a k-vertex
-column stub, and connect the roots to the stub by disjoint paths.  All
-host surgery is journaled so the delivered witness lives in the caller's
-original graph, and every step appends a replayable trace record.
+column stub, and connect the roots to the stub by disjoint paths.  Every
+step appends a replayable trace record.
+
+Each recursion level shrinks one mutable working graph
+(``graph.WorkingGraph``) in place, an O(degree) edge deletion or
+contraction at a time, and holds its branches and roots as plain id
+sets.  Its journal keeps only the endpoints of each step,
+``(kind, eid, u, v)``.  The witness is unwound by replaying the
+contractions backwards on id sets, a certificate is lifted back through
+deletions, contractions and the frames of enclosing recursions the same
+way, and both are built once, in the caller's original graph.  A
+``Graph`` is frozen from the working graph only where one is kept: a
+blocker's separation, the B side recursed into, and the band step.
 """
 from __future__ import annotations
 
@@ -25,6 +35,7 @@ from .errors import HypothesisViolated, InternalInvariantBroken, MalformedInput
 from .graph import (
     Graph,
     Subgraph,
+    WorkingGraph,
     boundary,
     subgraph_components,
     subgraph_is_connected,
@@ -36,7 +47,6 @@ from .models import (
     Pseudomodel,
     apply_augmentation,
     check_augmentation,
-    image_of_vertices,
     validate_pseudomodel,
 )
 from .separations import Separation, find_row_blocking_separation, find_row_cut, menger
@@ -135,13 +145,15 @@ def _json_rows(problems: ValidationReport) -> list[str]:
 
 
 # -- shared mechanics ------------------------------------------------------
+#
+# Branch maps inside a run are plain id sets: pattern vertex ->
+# (branch vertex ids, branch edge ids).  A journal entry is
+# (kind, eid, u, v): "delete" or "contract", the edge, and its endpoints
+# u <= v just before the step; a contraction's survivor is u.
 
 
-def _rehost_model(model: Pseudomodel, host: Graph) -> Pseudomodel:
-    branches = {
-        pv: Subgraph(host, br.vertices, br.edge_ids) for pv, br in model.branches.items()
-    }
-    return Pseudomodel(host, model.pattern, branches, model.edge_images)
+def _branch_sets(model: Pseudomodel) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
+    return {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
 
 
 def _full_rows(n: int, pattern: Graph) -> list[tuple[int, ...]]:
@@ -151,26 +163,30 @@ def _full_rows(n: int, pattern: Graph) -> list[tuple[int, ...]]:
     ]
 
 
-def _find_edge_reduction(roots: frozenset[int], model: Pseudomodel) -> tuple[str, int, int | None] | None:
+def _find_edge_reduction(
+    work: WorkingGraph,
+    roots: set[int],
+    branches: dict,
+    images: dict[int, int],
+) -> tuple[str, int, int | None] | None:
     """Least-id edge reducible by deletion or contraction, with its rule.
 
     Rule order: plain deletion (edge in no branch and no image), branch
     edge deletion (loop, or both ends rooted), branch edge contraction
     (everything else inside a branch).
     """
-    host = model.host
-    images = set(model.edge_images.values())
+    image_set = set(images.values())
     owner: dict[int, int] = {}
-    for pv, br in model.branches.items():
-        for e in br.edge_ids:
+    for pv, (_vs, es) in branches.items():
+        for e in es:
             owner[e] = pv
-    plain = [e for e in host.edge_ids if e not in images and e not in owner]
+    plain = [e for e in work.edge_ids if e not in image_set and e not in owner]
     if plain:
         return ("edge-delete", min(plain), None)
     removable = []
     contractible = []
     for e, pv in owner.items():
-        x, y = host.endpoints(e)
+        x, y = work.endpoints(e)
         if x == y or {x, y} <= roots:
             removable.append((e, pv))
         else:
@@ -185,184 +201,148 @@ def _find_edge_reduction(roots: frozenset[int], model: Pseudomodel) -> tuple[str
 
 
 def _apply_edge_reduction(
-    host: Graph,
-    roots: frozenset[int],
-    model: Pseudomodel,
+    work: WorkingGraph,
+    roots: set[int],
+    branches: dict,
     kind: str,
     eid: int,
     branch_key: int | None,
-) -> tuple[Graph, frozenset[int], Pseudomodel, tuple]:
-    """Apply one edge reduction; returns new state plus a journal entry."""
-    if kind in ("edge-delete", "branch-edge-delete"):
-        new_host = host.delete_edge(eid)
-        branches = {}
-        for pv, br in model.branches.items():
-            edges = br.edge_ids - {eid} if pv == branch_key else br.edge_ids
-            branches[pv] = Subgraph(new_host, br.vertices, edges)
-        new_model = Pseudomodel(new_host, model.pattern, branches, model.edge_images)
-        return new_host, roots, new_model, ("delete", eid, host)
-    u, v = host.endpoints(eid)
-    new_host, rename = host.contract_edge(eid)
-    new_roots = frozenset(rename[z] for z in roots)
-    branches = {}
-    for pv, br in model.branches.items():
-        verts = {rename[w] for w in br.vertices}
-        branches[pv] = Subgraph(new_host, verts, br.edge_ids - {eid})
-    new_model = Pseudomodel(new_host, model.pattern, branches, model.edge_images)
-    return new_host, new_roots, new_model, ("contract", eid, u, v, host)
+) -> tuple[str, int, int, int]:
+    """Apply one edge reduction in place; returns its journal entry."""
+    u, v = work.endpoints(eid)
+    if kind == "branch-edge-contract":
+        work.contract_edge(eid)
+        vs, es = branches[branch_key]
+        vs.discard(v)
+        es.discard(eid)
+        if v in roots:
+            roots.discard(v)
+            roots.add(u)
+        return ("contract", eid, u, v)
+    work.delete_edge(eid)
+    if branch_key is not None:
+        branches[branch_key][1].discard(eid)
+    return ("delete", eid, u, v)
 
 
-def _derive_subproblem(
-    model: Pseudomodel,
-    separation: Separation,
-) -> tuple[Graph, frozenset[int], Pseudomodel]:
+def _derive_subproblem(pattern: Graph, branches: dict, images: dict[int, int], separation: Separation):
     """Shrink the problem into the B side of a reducible separation.
 
     New roots are the separator; the pattern keeps the vertices whose
     branches still meet B, and the edges all of whose other-side escape
     is impossible (some end's branch lies entirely outside A).
     """
-    b_side = separation.b
-    sub_host = b_side.to_graph()
-    sub_roots = frozenset(separation.separator)
+    b_verts, b_edges = separation.b.vertices, separation.b.edge_ids
     a_verts = separation.a.vertices
-    pattern = model.pattern
-    keep_vertices = [
-        pv for pv in sorted(pattern.vertices)
-        if model.branches[pv].vertices & b_side.vertices
-    ]
+    keep_vertices = [pv for pv in sorted(pattern.vertices) if branches[pv][0] & b_verts]
     kept = set(keep_vertices)
     keep_edges = []
     for e in sorted(pattern.edge_ids):
         x, y = pattern.endpoints(e)
         if x not in kept or y not in kept:
             continue
-        if not model.branches[x].vertices & a_verts or not model.branches[y].vertices & a_verts:
+        if not branches[x][0] & a_verts or not branches[y][0] & a_verts:
             keep_edges.append(e)
     sub_pattern = Graph(keep_vertices, [(e, *pattern.endpoints(e)) for e in keep_edges])
-    branches = {}
-    for pv in keep_vertices:
-        br = model.branches[pv]
-        branches[pv] = Subgraph(
-            sub_host,
-            br.vertices & b_side.vertices,
-            br.edge_ids & b_side.edge_ids,
-        )
-    images = {e: model.edge_images[e] for e in keep_edges}
-    sub_model = Pseudomodel(sub_host, sub_pattern, branches, images)
-    return sub_host, sub_roots, sub_model
-
-
-def _expand_branch(br: Subgraph, host_before: Graph, s: int, u: int, v: int, f: int) -> Subgraph:
-    if s not in br.vertices:
-        return Subgraph(host_before, br.vertices, br.edge_ids)
-    verts = (br.vertices - {s}) | {u, v}
-    return Subgraph(host_before, verts, br.edge_ids | {f})
-
-
-def _unwind_model(model: Pseudomodel, entry: tuple) -> Pseudomodel:
-    if entry[0] == "delete":
-        return _rehost_model(model, entry[2])
-    _, f, u, v, host_before = entry
-    s = min(u, v)
-    branches = {
-        pv: _expand_branch(br, host_before, s, u, v, f)
-        for pv, br in model.branches.items()
+    sub_branches = {
+        pv: (branches[pv][0] & b_verts, branches[pv][1] & b_edges) for pv in keep_vertices
     }
-    return Pseudomodel(host_before, model.pattern, branches, model.edge_images)
+    sub_images = {e: images[e] for e in keep_edges}
+    return separation.b.to_graph(), separation.separator, sub_pattern, sub_branches, sub_images
 
 
-def _unwind_journal(
-    journal: Sequence[tuple],
-    base: Pseudomodel,
-    augmented: Pseudomodel,
-) -> tuple[Pseudomodel, Pseudomodel]:
-    for entry in reversed(journal):
-        base = _unwind_model(base, entry)
-        augmented = _unwind_model(augmented, entry)
-    return base, augmented
+def _unwind_journal(journal: Sequence[tuple], branches: dict) -> dict:
+    """Undo a level's contractions on witness branches, newest first.
+
+    The branch holding a contraction's survivor regains both ends and
+    the edge; deletions change no branch.
+    """
+    branches = dict(branches)
+    for kind, f, u, v in reversed(journal):
+        if kind != "contract":
+            continue
+        for pv, (vs, es) in branches.items():
+            if u in vs:
+                branches[pv] = (vs | {v}, es | {f})
+    return branches
 
 
-def _lift_certificate(sep: Separation, entry: tuple, k: int) -> Separation:
-    """Pull a certificate separation back through one journal entry."""
-    if entry[0] == "delete":
-        _, f, host_before = entry
-        x, y = host_before.endpoints(f)
-        va, vb = sep.a.vertices, sep.b.vertices
-        ea, eb = set(sep.a.edge_ids), set(sep.b.edge_ids)
-        if x in va and y in va:
-            ea.add(f)
-        elif x in vb and y in vb:
-            eb.add(f)
-        else:
-            far = y if x in va else x
-            if sep.order + 1 >= k:
-                raise InternalInvariantBroken(
-                    "certificate lifting over an edge deletion lost strictness",
-                    payload={"edge": f, "order": sep.order},
-                )
-            va = va | {far}
-            ea.add(f)
-        return Separation(
-            Subgraph(host_before, va, ea), Subgraph(host_before, vb, eb)
-        )
-    _, f, u, v, host_before = entry
-    s = min(u, v)
-    va, vb = set(sep.a.vertices), set(sep.b.vertices)
-    ea, eb = set(sep.a.edge_ids), set(sep.b.edge_ids)
-    in_a, in_b = s in va, s in vb
-    if in_a and in_b and sep.order + 1 >= k:
+def _lost_strictness(va: set[int], vb: set[int], k: int, step: str, f: int) -> None:
+    order = len(va & vb)
+    if order + 1 >= k:
         raise InternalInvariantBroken(
-            "certificate lifting over a contraction lost strictness",
-            payload={"edge": f, "order": sep.order},
+            f"certificate lifting over {step} lost strictness",
+            payload={"edge": f, "order": order},
         )
-    if in_a:
-        va.discard(s)
-        va |= {u, v}
-        ea.add(f)
-    if in_b:
-        vb.discard(s)
-        vb |= {u, v}
-        if not in_a:
-            eb.add(f)
-    return Separation(Subgraph(host_before, va, ea), Subgraph(host_before, vb, eb))
 
 
-def _lift_certificate_through_journal(sep: Separation, journal: Sequence[tuple], k: int) -> Separation:
-    for entry in reversed(journal):
-        sep = _lift_certificate(sep, entry, k)
-    return sep
+def _lift_certificate_through_journal(sides: tuple, journal: Sequence[tuple], k: int) -> tuple:
+    """Pull certificate sides ``(VA, EA, VB, EB)`` back through a journal.
+
+    Entries go newest first.  A deleted edge joins the side holding both
+    its ends; one straddling the sides takes its far end into A.  A
+    contracted edge's ends replace the survivor on every side holding
+    it, the edge going to A if the survivor is there, else to B.  Both
+    rules raise the order by one in the straddling case, which must keep
+    it below k.
+    """
+    va, ea, vb, eb = (set(side) for side in sides)
+    for kind, f, u, v in reversed(journal):
+        if kind == "delete":
+            if u in va and v in va:
+                ea.add(f)
+            elif u in vb and v in vb:
+                eb.add(f)
+            else:
+                _lost_strictness(va, vb, k, "an edge deletion", f)
+                va.add(v if u in va else u)
+                ea.add(f)
+            continue
+        in_a, in_b = u in va, u in vb
+        if in_a and in_b:
+            _lost_strictness(va, vb, k, "a contraction", f)
+        if in_a:
+            va.add(v)
+            ea.add(f)
+        if in_b:
+            vb.add(v)
+            if not in_a:
+                eb.add(f)
+    return va, ea, vb, eb
 
 
-def _lift_certificate_through_frame(sub: Separation, frame: Separation) -> Separation:
-    """Glue a sub-level certificate onto the A side of the frame separation."""
-    host = frame.host
-    lifted = Separation(
-        Subgraph(
-            host,
-            frame.a.vertices | sub.a.vertices,
-            frame.a.edge_ids | sub.a.edge_ids,
-        ),
-        Subgraph(host, sub.b.vertices, sub.b.edge_ids),
-    )
-    if lifted.order != sub.order:
+def _lift_certificate_through_frame(sides: tuple, frame: Separation) -> tuple:
+    """Glue sub-level certificate sides onto the A side of the frame separation."""
+    va, ea, vb, eb = sides
+    lifted_a = frame.a.vertices | va
+    sub_order, lifted_order = len(va & vb), len(lifted_a & vb)
+    if lifted_order != sub_order:
         raise InternalInvariantBroken(
             "certificate order changed while lifting through a separation",
-            payload={"sub_order": sub.order, "lifted_order": lifted.order},
+            payload={"sub_order": sub_order, "lifted_order": lifted_order},
         )
-    return lifted
+    return lifted_a, frame.a.edge_ids | ea, vb, eb
 
 
-def _path_edges(host: Graph, path: Sequence[int], pool: frozenset[int] | None = None) -> list[int]:
-    """Least-id host edges along consecutive path vertices."""
+class _Pinched(Exception):
+    """A strict blocker found at ``depth``; ``sides`` are lifted level by level."""
+
+    def __init__(self, sides: tuple, row: tuple[int, ...], depth: int):
+        super().__init__()
+        self.sides = sides
+        self.row = row
+        self.depth = depth
+
+
+def _path_edges(host: WorkingGraph, path: Sequence[int], pool: frozenset[int]) -> list[int]:
+    """Least-id non-loop host edges of ``pool`` along consecutive path vertices."""
     out = []
     for a, b in zip(path, path[1:]):
-        eids = [
-            e for e in host.incident_edges(a)
-            if not host.is_loop(e)
-            and b in host.endpoints(e)
-            and (pool is None or e in pool)
-        ]
+        eids = []
+        for e in host.incident_edges(a):
+            x, y = host.endpoints(e)
+            if x != y and b in (x, y) and e in pool:
+                eids.append(e)
         if not eids:
             raise InternalInvariantBroken(f"path step {a}~{b} is not a host edge")
         out.append(min(eids))
@@ -370,34 +350,32 @@ def _path_edges(host: Graph, path: Sequence[int], pool: frozenset[int] | None = 
 
 
 def _splice_witness(
-    host: Graph,
-    base: Pseudomodel,
-    augmented: Pseudomodel,
+    host: WorkingGraph,
+    augmented: dict,
     z_prime: frozenset[int],
     paths: Sequence[Sequence[int]],
     a_edges: frozenset[int],
     g: int,
     k: int,
-) -> tuple[Pseudomodel, Pseudomodel]:
+) -> dict:
     """Extend the first-column branches by root-to-separator paths.
 
     Each augmented first-column branch contains exactly one separator
     vertex; the path ending there is grafted on, carrying the branch's
     root coverage up one recursion level.
     """
-    base = _rehost_model(base, host)
-    augmented = _rehost_model(augmented, host)
     by_terminal = {path[-1]: tuple(path) for path in paths}
     if len(by_terminal) != len(paths):
         raise InternalInvariantBroken("splice paths do not have distinct terminals")
-    branches = dict(augmented.branches)
+    branches = dict(augmented)
     for a in range(1, k + 1):
         key = vertex_id(g, a, 1)
-        hits = branches[key].vertices & z_prime
+        vs, es = branches[key]
+        hits = vs & z_prime
         if len(hits) != 1:
             raise InternalInvariantBroken(
                 f"first-column branch {a} meets the separator {len(hits)} times",
-                payload={"branch": sorted(branches[key].vertices)},
+                payload={"branch": sorted(vs)},
             )
         terminal = next(iter(hits))
         if terminal not in by_terminal:
@@ -405,36 +383,27 @@ def _splice_witness(
                 f"no splice path ends at separator vertex {terminal}"
             )
         path = by_terminal[terminal]
-        edges = _path_edges(host, path, a_edges)
-        branches[key] = Subgraph(
-            host,
-            branches[key].vertices | set(path),
-            branches[key].edge_ids | set(edges),
-        )
-    spliced = Pseudomodel(host, augmented.pattern, branches, augmented.edge_images)
-    return base, spliced
+        branches[key] = (vs | set(path), es | set(_path_edges(host, path, a_edges)))
+    return branches
 
 
 def _saturated_state(
-    host: Graph,
-    roots: frozenset[int],
-    model: Pseudomodel,
+    roots: set[int],
+    pattern: Graph,
+    branches: dict,
     n: int,
     g: int,
     k: int,
 ) -> tuple[GridAtlas, frozenset[int]]:
     """Band selection once no reduction applies, with consequence checks."""
-    pattern = model.pattern
     for pv in sorted(pattern.vertices):
-        br = model.branches[pv]
-        if len(br.vertices) > 1 and not br.vertices <= roots:
+        vs = branches[pv][0]
+        if len(vs) > 1 and not vs <= roots:
             raise InternalInvariantBroken(
                 f"saturated branch of {pv} is neither a singleton nor root-contained",
-                payload={"branch": sorted(br.vertices)},
+                payload={"branch": sorted(vs)},
             )
-    z_prime = frozenset(
-        pv for pv in pattern.vertices if model.branches[pv].vertices & roots
-    )
+    z_prime = frozenset(pv for pv in pattern.vertices if branches[pv][0] & roots)
     if len(z_prime) > k:
         raise InternalInvariantBroken(
             f"{len(z_prime)} branches meet the {k} roots", payload=sorted(z_prime)
@@ -457,10 +426,10 @@ def _saturated_state(
             raise InternalInvariantBroken(f"band row {i} is not fully inside the pattern")
     window = atlas.window_vertices(0)
     for pv in sorted(window):
-        if len(model.branches[pv].vertices) != 1:
+        if len(branches[pv][0]) != 1:
             raise InternalInvariantBroken(
                 f"window branch of {pv} is not a singleton",
-                payload={"branch": sorted(model.branches[pv].vertices)},
+                payload={"branch": sorted(branches[pv][0])},
             )
     lo_i, hi_i = atlas.window_rows()[0], atlas.window_rows()[-1]
     lo_j, hi_j = atlas.window_columns()[0], atlas.window_columns()[-1]
@@ -480,22 +449,28 @@ def _saturated_state(
 
 def _window_witness(
     host: Graph,
-    roots: frozenset[int],
-    model: Pseudomodel,
+    roots: set[int],
+    branches: dict,
+    images: dict[int, int],
     atlas: GridAtlas,
     n: int,
     g: int,
     k: int,
     paths: Sequence[Sequence[int]],
-) -> tuple[Pseudomodel, Pseudomodel]:
-    """Build the g x g witness pair from the window and augmentation paths."""
+) -> tuple[dict[int, int], dict, dict]:
+    """The g x g witness pair from the window and augmentation paths.
+
+    Returns the small grid's edge images and the base and augmented
+    branch sets, all in ``host``, the frozen saturated graph.
+    """
     labeling = GridLabeling(n, atlas.i0, atlas.j0, g)
     small = grid_graph(g)
-    branches = {}
-    images = {}
+    base_branches = {}
+    small_images = {}
     for a in range(1, g + 1):
         for b in range(1, g + 1):
-            branches[labeling.small_vertex(a, b)] = model.branches[labeling.big_vertex(a, b)]
+            vs, es = branches[labeling.big_vertex(a, b)]
+            base_branches[labeling.small_vertex(a, b)] = Subgraph(host, vs, es)
     for e in sorted(small.edge_ids):
         su, sv = small.endpoints(e)
         ai, aj = divmod(su - 1, g)
@@ -505,11 +480,11 @@ def _window_witness(
             labeling.big_vertex(ai + 1, aj + 1),
             labeling.big_vertex(bi + 1, bj + 1),
         )
-        images[e] = model.edge_images[big_e]
-    base = Pseudomodel(host, small, branches, images)
+        small_images[e] = images[big_e]
+    base = Pseudomodel(host, small, base_branches, small_images)
     ordered = []
     for pv in atlas.root_segment():
-        target = next(iter(model.branches[pv].vertices))
+        target = next(iter(branches[pv][0]))
         match = [p for p in paths if p[-1] == target]
         if len(match) != 1:
             raise InternalInvariantBroken(
@@ -517,7 +492,7 @@ def _window_witness(
             )
         ordered.append(match[0])
     augmented = apply_augmentation(base, ordered, roots, labeling)
-    return base, augmented
+    return small_images, _branch_sets(base), _branch_sets(augmented)
 
 
 class _Runner:
@@ -557,21 +532,48 @@ class _Runner:
 
     # -- the recursive procedure --------------------------------------------
 
+    def start(self, problem: ExtractionProblem):
+        """Run from depth 0; a certificate is built in the problem's host."""
+        model = problem.model
+        try:
+            return self.run(
+                problem.host, problem.roots, model.pattern, _branch_sets(model),
+                model.edge_images, 0,
+            )
+        except _Pinched as exc:
+            va, ea, vb, eb = exc.sides
+            host = problem.host
+            separation = Separation(Subgraph(host, va, ea), Subgraph(host, vb, eb))
+            raise HypothesisViolated(separation, exc.row, exc.depth) from None
+
     def run(
         self,
         host: Graph,
         roots: frozenset[int],
-        model: Pseudomodel,
+        pattern: Graph,
+        branches: dict,
+        images: dict[int, int],
         depth: int,
-    ) -> tuple[GridAtlas, Pseudomodel, Pseudomodel]:
+    ) -> tuple[GridAtlas, dict[int, int], dict, dict]:
+        """One recursion level on a working copy of ``host``.
+
+        Returns the atlas, the small grid's edge images and the base and
+        augmented witness branch sets, unwound into ``host``.
+        """
         n, g, k = self.n, self.g, self.k
-        rows = _full_rows(n, model.pattern)
+        work = WorkingGraph(host)
+        roots = set(roots)
+        branches = {pv: (set(vs), set(es)) for pv, (vs, es) in branches.items()}
+        rows = _full_rows(n, pattern)
         journal: list[tuple] = []
         while True:
-            block = find_row_blocking_separation(host, roots, model, rows, k)
+            row_images = {pv: vs for pv, (vs, _es) in branches.items()}
+            block = find_row_blocking_separation(work, roots, row_images, rows, k)
             if block is not None and block.kind == "strict":
-                lifted = _lift_certificate_through_journal(block.separation, journal, k)
-                raise HypothesisViolated(lifted, block.row, depth)
+                sep = block.separation
+                sides = (sep.a.vertices, sep.a.edge_ids, sep.b.vertices, sep.b.edge_ids)
+                lifted = _lift_certificate_through_journal(sides, journal, k)
+                raise _Pinched(lifted, block.row, depth)
             if block is not None:
                 sep = block.separation
                 record = self._emit({
@@ -586,14 +588,15 @@ class _Runner:
                     "bEdges": sorted(sep.b.edge_ids),
                     "measure": len(sep.b.vertices) + len(sep.b.edge_ids),
                 })
-                sub_host, sub_roots, sub_model = _derive_subproblem(model, sep)
+                sub_roots = sep.separator
                 try:
-                    atlas, base, augmented = self.run(sub_host, sub_roots, sub_model, depth + 1)
-                except HypothesisViolated as exc:
-                    merged = _lift_certificate_through_frame(exc.separation, sep)
-                    merged = _lift_certificate_through_journal(merged, journal, k)
-                    raise HypothesisViolated(merged, exc.row, exc.depth) from None
-                a_edges = frozenset(sep.a.edge_ids)
+                    atlas, small_images, base, augmented = self.run(
+                        *_derive_subproblem(pattern, branches, images, sep), depth + 1
+                    )
+                except _Pinched as exc:
+                    framed = _lift_certificate_through_frame(exc.sides, sep)
+                    exc.sides = _lift_certificate_through_journal(framed, journal, k)
+                    raise
                 if self.script is None:
                     splice = menger(sep.a.to_graph(), roots, sub_roots, k)
                     if not splice.found_paths:
@@ -610,39 +613,36 @@ class _Runner:
                             raise InternalInvariantBroken(
                                 "recorded splice path has bad endpoints", payload=list(p)
                             )
-                base, augmented = _splice_witness(
-                    host, base, augmented, sub_roots, paths, a_edges, g, k
+                augmented = _splice_witness(
+                    work, augmented, sub_roots, paths, sep.a.edge_ids, g, k
                 )
-                base, augmented = _unwind_journal(journal, base, augmented)
-                return atlas, base, augmented
+                return (atlas, small_images, _unwind_journal(journal, base),
+                        _unwind_journal(journal, augmented))
             if self.script is None:
-                reduction = _find_edge_reduction(roots, model)
+                reduction = _find_edge_reduction(work, roots, branches, images)
             else:
                 kind = self._scripted_kind()
                 if kind in ("edge-delete", "branch-edge-delete", "branch-edge-contract"):
-                    reduction = self._scripted_reduction(roots, model)
+                    reduction = self._scripted_reduction(work, roots, branches, images)
                 else:
                     reduction = None
             if reduction is None:
                 break
             kind, eid, branch_key = reduction
-            u, v = host.endpoints(eid)
-            host, roots, model, entry = _apply_edge_reduction(
-                host, roots, model, kind, eid, branch_key
-            )
+            entry = _apply_edge_reduction(work, roots, branches, kind, eid, branch_key)
             journal.append(entry)
             record = {
                 "kind": kind,
                 "depth": depth,
                 "edge": eid,
-                "measure": host.measure,
+                "measure": work.measure,
             }
             if kind == "branch-edge-contract":
-                record["survivor"] = min(u, v)
+                record["survivor"] = entry[2]
             if branch_key is not None:
                 record["branch"] = branch_key
             self._emit(record)
-        atlas, z_prime = _saturated_state(host, roots, model, n, g, k)
+        atlas, z_prime = _saturated_state(roots, pattern, branches, n, g, k)
         self._emit({
             "kind": "band-selected",
             "depth": depth,
@@ -652,11 +652,10 @@ class _Runner:
             "forbidden": sorted(z_prime),
         })
         stub = atlas.root_segment()
-        removed = image_of_vertices(model, atlas.central_vertices() - set(stub))
-        g_star = host.remove_vertices(removed)
-        targets = frozenset(
-            next(iter(model.branches[pv].vertices)) for pv in stub
-        )
+        saturated = work.freeze()
+        removed = set().union(*(branches[pv][0] for pv in atlas.central_vertices() - set(stub)))
+        g_star = saturated.remove_vertices(removed)
+        targets = frozenset(next(iter(branches[pv][0])) for pv in stub)
         if self.script is None:
             search = menger(g_star, roots, targets, k)
             if not search.found_paths:
@@ -674,13 +673,16 @@ class _Runner:
             "targets": sorted(targets),
             "paths": [list(p) for p in paths],
         })
-        base, augmented = _window_witness(host, roots, model, atlas, n, g, k, paths)
-        base, augmented = _unwind_journal(journal, base, augmented)
-        return atlas, base, augmented
+        small_images, base, augmented = _window_witness(
+            saturated, roots, branches, images, atlas, n, g, k, paths
+        )
+        return (atlas, small_images, _unwind_journal(journal, base),
+                _unwind_journal(journal, augmented))
 
-    def _scripted_reduction(self, roots: frozenset[int], model: Pseudomodel) -> tuple[str, int, int | None]:
+    def _scripted_reduction(self, work: WorkingGraph, roots: set[int], branches: dict,
+                            images: dict[int, int]) -> tuple[str, int, int | None]:
         record = self.script[self.cursor]
-        expected = _find_edge_reduction(roots, model)
+        expected = _find_edge_reduction(work, roots, branches, images)
         if expected is None or expected[0] != record["kind"] or expected[1] != record["edge"]:
             raise InternalInvariantBroken(
                 "recorded reduction is not applicable to the replayed state",
@@ -689,18 +691,26 @@ class _Runner:
         return expected
 
 
-def _finish(problem: ExtractionProblem, atlas: GridAtlas, base: Pseudomodel,
-            augmented: Pseudomodel, trace: list[dict]) -> ExtractionResult:
+def _finish(problem: ExtractionProblem, atlas: GridAtlas, images: dict[int, int],
+            base: dict, augmented: dict, trace: list[dict]) -> ExtractionResult:
+    """Build the witness once, in the problem's host, and check it."""
+    host = problem.host
+    small = grid_graph(problem.g)
+
+    def in_host(branches: dict) -> Pseudomodel:
+        subgraphs = {pv: Subgraph(host, vs, es) for pv, (vs, es) in branches.items()}
+        return Pseudomodel(host, small, subgraphs, images)
+
     labeling = GridLabeling(problem.n, atlas.i0, atlas.j0, problem.g)
     witness = AugmentationWitness(
-        base=base, augmented=augmented, roots=problem.roots, labeling=labeling
+        base=in_host(base), augmented=in_host(augmented), roots=problem.roots, labeling=labeling
     )
     report = check_augmentation(witness)
     if not report.ok:
         raise InternalInvariantBroken(
             "delivered witness failed its own validation", payload=report.as_dict()
         )
-    for pv, br in base.branches.items():
+    for pv, br in witness.base.branches.items():
         if br.vertices & problem.roots:
             raise InternalInvariantBroken(
                 f"base branch of {pv} touches the root set",
@@ -723,8 +733,7 @@ def extract(problem: ExtractionProblem) -> ExtractionResult:
     trace: list[dict] = []
     runner = _Runner(problem.n, problem.g, problem.k, trace)
     try:
-        atlas, base, augmented = runner.run(problem.host, problem.roots, problem.model, 0)
-        return _finish(problem, atlas, base, augmented, trace)
+        return _finish(problem, *runner.start(problem), trace)
     except (HypothesisViolated, InternalInvariantBroken) as exc:
         exc.trace = tuple(trace)
         raise
@@ -742,12 +751,12 @@ def replay(problem: ExtractionProblem, trace: Sequence[dict]) -> ExtractionResul
         raise MalformedInput("extraction problem rejected", _json_rows(report))
     out: list[dict] = []
     runner = _Runner(problem.n, problem.g, problem.k, out, script=list(trace))
-    atlas, base, augmented = runner.run(problem.host, problem.roots, problem.model, 0)
+    witness = runner.start(problem)
     if runner.cursor != len(runner.script):
         raise InternalInvariantBroken(
             f"{len(runner.script) - runner.cursor} trace records were never consumed"
         )
-    return _finish(problem, atlas, base, augmented, out)
+    return _finish(problem, *witness, out)
 
 
 def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:

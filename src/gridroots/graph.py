@@ -1,9 +1,12 @@
-"""Immutable finite multigraphs and the subgraph algebra built on them.
+"""Finite multigraphs and the subgraph algebra built on them.
 
 Graphs are multigraphs: every edge has a distinct integer id, endpoints
 may coincide (loops), and parallel edges are allowed.  Both arise
 naturally under edge contraction, which this package performs a lot of,
 so they are first class rather than an error.
+
+A :class:`WorkingGraph` is the one mutable exception: a copy that the
+extraction loop deletes and contracts edges in, one at a time.
 
 A :class:`Subgraph` is an incidence-closed selection of vertices and
 edge ids from a fixed host graph.  The null subgraph (no vertices, no
@@ -156,28 +159,87 @@ class Graph:
         edges = [(e, u, v) for e, (u, v) in self._edges.items() if e != eid]
         return Graph(self._vertices, edges)
 
-    def contract_edge(self, eid: int) -> tuple["Graph", dict[int, int]]:
-        """Contract non-loop edge ``eid``; survivor is the smaller endpoint.
+    def freeze(self) -> "Graph":
+        """The graph itself: it is already immutable (see WorkingGraph.freeze)."""
+        return self
 
-        Returns the contracted graph and a total rename map from old
-        vertices to new ones (identity away from the contracted edge).
-        Other edges between the two endpoints become loops at the
-        survivor; parallel edges elsewhere are retained.
+
+class WorkingGraph:
+    """A mutable multigraph copy that one extraction level shrinks in place.
+
+    It reads like a :class:`Graph` (``vertices``, ``edge_ids``,
+    ``edges()``, ``endpoints``, ``incident_edges``, ``num_vertices``,
+    ``measure``), but deleting or contracting an edge costs O(degree)
+    instead of a rebuild.  ``freeze`` snapshots it as a ``Graph`` for
+    anything that must outlive the next edit.
+    """
+
+    __slots__ = ("vertices", "_edges", "_incidence")
+
+    def __init__(self, g: Graph):
+        self.vertices = set(g.vertices)
+        self._edges = {eid: (u, v) for eid, u, v in g.edges()}
+        self._incidence = {v: set(g.incident_edges(v)) for v in g.vertices}
+
+    @property
+    def edge_ids(self):
+        return self._edges.keys()
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(eid, u, v)`` triples in ascending edge id order."""
+        for eid in sorted(self._edges):
+            u, v = self._edges[eid]
+            yield eid, u, v
+
+    def endpoints(self, eid: int) -> tuple[int, int]:
+        return self._edges[eid]
+
+    def incident_edges(self, v: int) -> set[int]:
+        """Edge ids incident to ``v``, unordered; do not modify the result."""
+        return self._incidence[v]
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def measure(self) -> int:
+        return len(self.vertices) + len(self._edges)
+
+    def delete_edge(self, eid: int) -> None:
+        if eid not in self._edges:
+            raise ValueError(f"no edge with id {eid}")
+        u, v = self._edges.pop(eid)
+        self._incidence[u].discard(eid)
+        self._incidence[v].discard(eid)
+
+    def contract_edge(self, eid: int) -> tuple[int, int]:
+        """Contract non-loop edge ``eid`` into its smaller endpoint.
+
+        Returns ``(survivor, gone)``.  The gone vertex's other edges move
+        to the survivor; those between the two endpoints become loops,
+        parallel edges elsewhere are retained.
         """
         if eid not in self._edges:
             raise ValueError(f"no edge with id {eid}")
-        u, v = self._edges[eid]
-        if u == v:
+        survivor, gone = self._edges[eid]
+        if survivor == gone:
             raise ValueError(f"edge {eid} is a loop and cannot be contracted")
-        survivor, gone = (u, v) if u < v else (v, u)
-        rename = {w: w for w in self._vertices}
-        rename[gone] = survivor
-        edges = [
-            (e, rename[a], rename[b])
-            for e, (a, b) in self._edges.items()
-            if e != eid
-        ]
-        return Graph(self._vertices - {gone}, edges), rename
+        del self._edges[eid]
+        moved = self._incidence.pop(gone)
+        moved.discard(eid)
+        self._incidence[survivor].discard(eid)
+        for e in moved:
+            a, b = self._edges[e]
+            a = survivor if a == gone else a
+            b = survivor if b == gone else b
+            self._edges[e] = (min(a, b), max(a, b))
+        self._incidence[survivor] |= moved
+        self.vertices.discard(gone)
+        return survivor, gone
+
+    def freeze(self) -> Graph:
+        return Graph(self.vertices, [(e, u, v) for e, (u, v) in self._edges.items()])
 
 
 class Subgraph:
@@ -241,24 +303,6 @@ def null_subgraph(g: Graph) -> Subgraph:
 
 
 # -- subgraph algebra ------------------------------------------------------
-
-
-def _require_same_host(a: Subgraph, b: Subgraph) -> Graph:
-    if a.host != b.host:
-        raise ValueError("subgraph operation across different hosts")
-    return a.host
-
-
-def union(a: Subgraph, b: Subgraph) -> Subgraph:
-    """Componentwise union of two subgraphs of the same host."""
-    host = _require_same_host(a, b)
-    return Subgraph(host, a.vertices | b.vertices, a.edge_ids | b.edge_ids)
-
-
-def intersection(a: Subgraph, b: Subgraph) -> Subgraph:
-    """Componentwise intersection of two subgraphs of the same host."""
-    host = _require_same_host(a, b)
-    return Subgraph(host, a.vertices & b.vertices, a.edge_ids & b.edge_ids)
 
 
 def subgraph_components(h: Subgraph) -> list[Subgraph]:
@@ -357,15 +401,3 @@ def reachable_from(g: Graph, starts: Iterable[int], forbidden: Iterable[int] = (
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def edge_ids_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> list[int]:
-    """Ids of non-loop edges with one endpoint in ``xs``, the other in ``ys``."""
-    xset, yset = set(xs), set(ys)
-    out = []
-    for eid, u, v in g.edges():
-        if u == v:
-            continue
-        if (u in xset and v in yset) or (u in yset and v in xset):
-            out.append(eid)
-    return out

@@ -8,9 +8,8 @@ any two grids of the same size agree on ids.
 
 A :class:`GridAtlas` fixes a ``(g + 2k) x (g + 2k)`` window inside the
 grid: a central ``g x g`` block padded by ``k`` layers on every side.
-The algebra of nested windows, peel cycles and rings below is what the
-extraction step uses to carve a clean subgrid out of a model and wire it
-to the root set.
+The algebra of nested windows below is what the extraction step uses
+to carve a clean subgrid out of a model and wire it to the root set.
 """
 from __future__ import annotations
 
@@ -124,37 +123,6 @@ class GridAtlas:
             for i in range(lo_i, hi_i + 1)
             for j in range(lo_j, hi_j + 1)
         )
-
-    def peel_cycle(self, s: int) -> frozenset[int]:
-        """The boundary layer stripped between ``H_s`` and ``H_{s+1}``.
-
-        Valid for ``0 <= s <= k - 1``.
-        """
-        if not (0 <= s <= self.k - 1):
-            raise ValueError(f"peel layer {s} outside 0..{self.k - 1}")
-        return self.window_vertices(s) - self.window_vertices(s + 1)
-
-    def ring(self, s: int) -> frozenset[int]:
-        """The four-segment ring through depth ``s``, for ``1 <= s <= k``.
-
-        The ring consists of the top and bottom rows at depth ``s - 1``
-        inside the window and the left and right columns at depth
-        ``s - 1``, restricted to the rows strictly between those two;
-        together these coincide with the peel cycle at layer ``s - 1``.
-        """
-        if not (1 <= s <= self.k):
-            raise ValueError(f"ring index {s} outside 1..{self.k}")
-        d = s - 1
-        lo_i, lo_j = self.i0 - self.k + d, self.j0 - self.k + d
-        hi_i, hi_j = self.i0 + self.g - 1 + self.k - d, self.j0 + self.g - 1 + self.k - d
-        out = set()
-        for j in range(lo_j, hi_j + 1):
-            out.add(vertex_id(self.n, lo_i, j))
-            out.add(vertex_id(self.n, hi_i, j))
-        for i in range(lo_i + 1, hi_i):
-            out.add(vertex_id(self.n, i, lo_j))
-            out.add(vertex_id(self.n, i, hi_j))
-        return frozenset(out)
 
     def root_segment(self) -> tuple[int, ...]:
         """The k-vertex column stub the extracted subgrid hangs from.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .extraction import ExtractionProblem, check_hypothesis
 from .graph import Graph, Subgraph
@@ -44,6 +45,20 @@ class InstanceRecipe:
         if self.degree > self.n:
             raise MalformedInput(
                 f"attachment degree {self.degree} exceeds the {self.n} row-1 columns"
+            )
+        if self.kind == "identity-grid":
+            return
+        column_sets = comb(self.n, self.degree) if self.degree >= 0 else 0
+        if column_sets < self.k:
+            raise MalformedInput(
+                f"only {column_sets} distinct sets of {self.degree} row-1 columns "
+                f"exist for k={self.k} roots"
+            )
+        pairs = comb(self.n * self.n, 2) - 2 * self.n * (self.n - 1)
+        if self.kind == "random-attachment" and pairs < self.degree:
+            raise MalformedInput(
+                f"the {self.n}x{self.n} grid has {pairs} non-adjacent vertex pairs, "
+                f"fewer than the {self.degree} chords asked for"
             )
 
 

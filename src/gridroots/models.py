@@ -50,9 +50,6 @@ class Pseudomodel:
     def __setattr__(self, name, value):
         raise AttributeError("Pseudomodel is immutable")
 
-    def branch(self, v: int) -> Subgraph:
-        return self.branches[v]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pseudomodel):
             return NotImplemented
@@ -164,37 +161,6 @@ def image_of_vertices(p: Pseudomodel, vertices: Iterable[int]) -> frozenset[int]
             raise KeyError(f"unknown pattern vertex {v}")
         out |= p.branches[v].vertices
     return frozenset(out)
-
-
-def image_of_subgraph(p: Pseudomodel, f: Subgraph) -> Subgraph:
-    """Host subgraph formed by branch subgraphs and edge images over ``f``."""
-    if f.host != p.pattern:
-        raise ValueError("pattern subgraph does not live in the model's pattern")
-    verts: set[int] = set()
-    eids: set[int] = set()
-    for v in f.vertices:
-        if v not in p.branches:
-            raise KeyError(f"unknown pattern vertex {v}")
-        verts |= p.branches[v].vertices
-        eids |= p.branches[v].edge_ids
-    for e in f.edge_ids:
-        if e not in p.edge_images:
-            raise KeyError(f"unknown pattern edge {e}")
-        host_edge = p.edge_images[e]
-        x, y = p.host.endpoints(host_edge)
-        verts.update((x, y))
-        eids.add(host_edge)
-    return Subgraph(p.host, verts, eids)
-
-
-def restrict(p: Pseudomodel, h: Subgraph) -> Pseudomodel:
-    """Restriction of ``p`` to a subgraph of its pattern."""
-    if h.host != p.pattern:
-        raise ValueError("restriction target is not a subgraph of the pattern")
-    pattern = h.to_graph()
-    branches = {v: p.branches[v] for v in pattern.vertices if v in p.branches}
-    images = {e: p.edge_images[e] for e in pattern.edge_ids if e in p.edge_images}
-    return Pseudomodel(p.host, pattern, branches, images)
 
 
 def identity_grid_model(n: int) -> Pseudomodel:

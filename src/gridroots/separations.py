@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantBroken, MalformedInput
-from .graph import Graph, Subgraph, reachable_from
+from .graph import Graph, Subgraph, WorkingGraph, reachable_from
 from .grid import row_vertices
 from .models import Pseudomodel, image_of_vertices
 from .validation import ValidationReport
@@ -142,7 +142,7 @@ class _FlowNetwork:
 
     __slots__ = ("vertices", "index", "around", "prev", "nxt", "value")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph | WorkingGraph):
         self.vertices = sorted(g.vertices)
         self.index = index = {v: i for i, v in enumerate(self.vertices)}
         adj = [{i} for i in range(len(self.vertices))]
@@ -398,10 +398,17 @@ class RowBlock:
     kind: str  # "strict" (order < k) or "reducible" (order = k, B != G)
 
 
+def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
+    """Pattern vertex -> branch vertex set, from a pseudomodel or such a mapping."""
+    if isinstance(p, Pseudomodel):
+        return {v: br.vertices for v, br in p.branches.items()}
+    return p
+
+
 def _row_cuts(
-    g: Graph,
+    g: Graph | WorkingGraph,
     roots: frozenset[int],
-    p: Pseudomodel,
+    branch_vertices: Mapping[int, AbstractSet[int]],
     rows: Sequence[Sequence[int]],
     limit: int,
 ):
@@ -422,7 +429,7 @@ def _row_cuts(
         raise MalformedInput("bad row scan", problems)
     net = _FlowNetwork(g)
     for row in rows:
-        image = image_of_vertices(p, row)
+        image = frozenset().union(*(branch_vertices[v] for v in row))
         if not image or not image <= g.vertices:
             raise MalformedInput(
                 "bad row scan", [f"the image of row {list(row)} is empty or not in the graph"]
@@ -431,15 +438,15 @@ def _row_cuts(
             yield (tuple(row), image, *net.sink_cut(image))
 
 
-def _has_edge_inside(g: Graph, cut: frozenset[int]) -> bool:
+def _has_edge_inside(g: Graph | WorkingGraph, cut: frozenset[int]) -> bool:
     """True when some edge, a loop included, has both ends in ``cut``."""
     return any(set(g.endpoints(e)) <= cut for v in cut for e in g.incident_edges(v))
 
 
 def find_row_blocking_separation(
-    g: Graph,
+    g: Graph | WorkingGraph,
     roots: Iterable[int],
-    p: Pseudomodel,
+    p: Pseudomodel | Mapping[int, AbstractSet[int]],
     rows: Sequence[Sequence[int]],
     max_order: int,
 ) -> RowBlock | None:
@@ -458,17 +465,20 @@ def find_row_blocking_separation(
     blocker.  A root outside the cut is never reachable from the image
     in g minus the cut (the flow would not be maximum), so the first
     condition is part of the second.  Returns the first blocker or
-    None.  Raises MalformedInput for a negative ``max_order``, an empty
+    None; its separation lives in ``g.freeze()``.  ``p`` gives the row
+    images: a pseudomodel, or a mapping from pattern vertex to branch
+    vertex set (what the extraction loop passes with its working graph).
+    Raises MalformedInput for a negative ``max_order``, an empty
     root set or row image, and roots or images outside g.
     """
     if max_order < 0:
         raise MalformedInput("bad row scan", [f"max_order must be non-negative, got {max_order}"])
     root_set = frozenset(roots)
-    for row, image, cut, beyond in _row_cuts(g, root_set, p, rows, max_order + 1):
+    for row, image, cut, beyond in _row_cuts(g, root_set, _branch_vertices(p), rows, max_order + 1):
         if len(cut) < max_order:
-            return RowBlock(_cut_separation(g, cut, root_set), row, "strict")
+            return RowBlock(_cut_separation(g.freeze(), cut, root_set), row, "strict")
         if len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
-            return RowBlock(blocking_separation(g, cut, root_set, image), row, "reducible")
+            return RowBlock(blocking_separation(g.freeze(), cut, root_set, image), row, "reducible")
     return None
 
 
@@ -489,7 +499,7 @@ def find_row_cut(
     if k < 1:
         raise MalformedInput("bad row scan", [f"k must be positive, got {k}"])
     root_set = frozenset(roots)
-    for row, _image, cut, _beyond in _row_cuts(g, root_set, p, rows, k):
+    for row, _image, cut, _beyond in _row_cuts(g, root_set, _branch_vertices(p), rows, k):
         return RowBlock(_cut_separation(g, cut, root_set), row, "strict")
     return None
 

@@ -41,6 +41,3 @@ class ValidationReport:
             "findings": [f.as_dict() for f in self.findings],
         }
 
-    def raise_if_failed(self, exc_type, message: str) -> None:
-        if not self.ok:
-            raise exc_type(message, problems=[f"{f.code}: {f.message}" for f in self.findings])

@@ -1,5 +1,9 @@
 """Command-line interface: exit codes, files written, stdout documents."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,25 @@ def test_gen_instance_rejects_degree_above_side(tmp_path, capsys):
     )
     assert code == 64
     assert "degree" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("kind,n,g,k", [
+    ("grid-plus-roots", 2, 2, 2),  # one 2-column set for two roots
+    ("random-attachment", 1, 1, 1),  # no vertex pair for a chord
+])
+def test_gen_instance_rejects_unsatisfiable_recipe(tmp_path, kind, n, g, k):
+    # a separate process with a timeout, so a generator that never returns
+    # fails the test instead of hanging the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridroots", "gen-instance", "--kind", kind, "--n", str(n),
+         "--g", str(g), "--k", str(k), "--out", str(tmp_path / "inst")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 64, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "malformed-input"
+    assert "Traceback" not in proc.stderr
 
 
 def test_gen_instance_then_extract_then_validate(tmp_path, capsys):

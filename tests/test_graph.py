@@ -8,15 +8,14 @@ from gridroots import (
     Subgraph,
     boundary,
     components,
-    intersection,
     is_connected,
     null_subgraph,
     reachable_from,
     subgraph_components,
     subgraph_is_connected,
-    union,
     whole_subgraph,
 )
+from gridroots.graph import WorkingGraph
 
 
 def triangle():
@@ -60,27 +59,55 @@ def test_delete_edge():
         g.delete_edge(99)
 
 
+def test_working_graph_reads_like_its_graph():
+    g = Graph([1, 2, 3, 4], [(1, 1, 2), (2, 2, 3), (3, 3, 3), (4, 1, 2)])
+    w = WorkingGraph(g)
+    assert w.vertices == g.vertices
+    assert set(w.edge_ids) == g.edge_ids
+    assert list(w.edges()) == list(g.edges())
+    assert all(w.incident_edges(v) == set(g.incident_edges(v)) for v in g.vertices)
+    assert (w.num_vertices, w.measure) == (g.num_vertices, g.measure)
+    assert w.freeze() == g
+    assert g.freeze() is g
+
+
+def test_working_graph_delete_edge():
+    g = triangle()
+    w = WorkingGraph(g)
+    w.delete_edge(2)
+    assert w.freeze() == g.delete_edge(2)
+    assert w.incident_edges(3) == {3}
+    assert w.measure == g.measure - 1
+    with pytest.raises(ValueError):
+        w.delete_edge(2)
+    assert g == triangle()  # the source graph is untouched
+
+
 def test_contract_edge_survivor_and_rename():
     g = triangle()
-    h, rename = g.contract_edge(2)  # contracts 2-3, survivor 2
-    assert rename == {1: 1, 2: 2, 3: 2}
-    assert h.vertices == frozenset({1, 2})
+    w = WorkingGraph(g)
+    assert w.contract_edge(2) == (2, 3)  # contracts 2-3, survivor 2
+    assert w.vertices == {1, 2}
     # former 1-3 edge now runs 1-2, parallel to edge 1
-    assert h.endpoints(3) == (1, 2)
-    assert h.measure == g.measure - 2
+    assert w.endpoints(3) == (1, 2)
+    assert w.incident_edges(2) == {1, 3}
+    assert w.measure == g.measure - 2
+    assert w.freeze() == Graph([1, 2], [(1, 1, 2), (3, 1, 2)])
 
 
 def test_contract_parallel_makes_loop():
-    g = Graph([1, 2], [(1, 1, 2), (2, 1, 2)])
-    h, _ = g.contract_edge(1)
-    assert h.vertices == frozenset({1})
-    assert h.is_loop(2)
+    w = WorkingGraph(Graph([1, 2, 3], [(1, 1, 2), (2, 1, 2), (3, 2, 2), (4, 2, 3)]))
+    assert w.contract_edge(1) == (1, 2)
+    assert w.freeze() == Graph([1, 3], [(2, 1, 1), (3, 1, 1), (4, 1, 3)])
+    assert w.incident_edges(1) == {2, 3, 4}
 
 
 def test_contract_loop_rejected():
-    g = Graph([1], [(1, 1, 1)])
+    w = WorkingGraph(Graph([1], [(1, 1, 1)]))
     with pytest.raises(ValueError):
-        g.contract_edge(1)
+        w.contract_edge(1)
+    with pytest.raises(ValueError):
+        w.contract_edge(2)
 
 
 def test_induced_and_remove_vertices():
@@ -106,16 +133,6 @@ def test_subgraph_incidence_closure():
     assert h.to_graph() == Graph([1, 2], [(1, 1, 2)])
     assert null_subgraph(g).is_null()
     assert not h.is_null()
-
-
-def test_union_intersection():
-    g = triangle()
-    a = Subgraph(g, {1, 2}, {1})
-    b = Subgraph(g, {2, 3}, {2})
-    assert union(a, b) == Subgraph(g, {1, 2, 3}, {1, 2})
-    assert intersection(a, b) == Subgraph(g, {2}, set())
-    assert union(a, null_subgraph(g)) == a
-    assert intersection(whole_subgraph(g), b) == b
 
 
 def test_subgraph_components_sorted_by_least_vertex():
@@ -171,9 +188,21 @@ def test_components_partition_vertices(g):
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_contraction_shrinks_measure_by_two(g):
-    non_loops = [e for e in sorted(g.edge_ids) if not g.is_loop(e)]
-    for e in non_loops[:3]:
-        h, rename = g.contract_edge(e)
-        assert h.measure == g.measure - 2
-        assert set(rename) == g.vertices
-        assert h.vertices == {rename[v] for v in g.vertices}
+    w = WorkingGraph(g)
+    rename = {v: v for v in g.vertices}
+    for _ in range(3):
+        non_loops = [e for e, u, v in w.edges() if u != v]
+        if not non_loops:
+            break
+        before = w.measure
+        e = non_loops[0]
+        u, v = w.endpoints(e)
+        assert w.contract_edge(e) == (u, v)
+        rename = {x: u if y == v else y for x, y in rename.items()}
+        assert w.measure == before - 2
+        assert w.vertices == set(rename.values())
+        h = w.freeze()  # every edge's ends follow the rename; incidence is consistent
+        for eid, a, b in h.edges():
+            x, y = g.endpoints(eid)
+            assert (a, b) == tuple(sorted((rename[x], rename[y])))
+        assert all(w.incident_edges(x) == set(h.incident_edges(x)) for x in h.vertices)

@@ -88,22 +88,20 @@ def test_atlas_window_algebra():
     assert len(h0) == 16 and len(h1) == 4
     assert h1 < h0
     assert h1 == {26, 27, 34, 35}
-    assert at.peel_cycle(0) == at.ring(1)
-    assert len(at.ring(1)) == 12
-    assert at.ring(1) == h0 - h1
+    assert len(h0 - h1) == 12
     assert at.central_vertices() == h1
     assert at.root_segment() == (26,)
     with pytest.raises(ValueError):
-        at.ring(0)
+        at.window_vertices(-1)
     with pytest.raises(ValueError):
-        at.ring(2)
+        at.window_vertices(2)
 
 
 def test_atlas_nesting_depth():
     at = GridAtlas(12, 4, 4, 3, 3)
     sizes = [len(at.window_vertices(s)) for s in range(at.k + 1)]
     assert sizes == [81, 49, 25, 9]
-    rings = [at.ring(s) for s in range(1, at.k + 1)]
+    rings = [at.window_vertices(s - 1) - at.window_vertices(s) for s in range(1, at.k + 1)]
     assert all(rings[i] & rings[i + 1] == set() for i in range(len(rings) - 1))
     assert set().union(*rings) | at.central_vertices() == at.window_vertices(0)
     assert at.root_segment() == tuple(

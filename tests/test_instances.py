@@ -26,6 +26,17 @@ def test_recipe_rejects_bad_fields():
         InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, degree=14)
     with pytest.raises(MalformedInput):
         InstanceRecipe(kind="identity-grid", n=0, g=2, k=1, degree=1)
+    # C(2, 2) = 1 column set cannot give k = 2 roots distinct attachments
+    with pytest.raises(MalformedInput, match="distinct sets"):
+        InstanceRecipe(kind="grid-plus-roots", n=2, g=2, k=2, degree=2)
+    # the 1x1 grid has no vertex pair to draw a chord between
+    with pytest.raises(MalformedInput, match="non-adjacent"):
+        InstanceRecipe(kind="random-attachment", n=1, g=1, k=1, degree=1)
+    # at the limits the recipes are accepted and the generators finish
+    InstanceRecipe(kind="identity-grid", n=2, g=2, k=2, degree=2)  # degree unused
+    InstanceRecipe(kind="grid-plus-roots", n=3, g=2, k=2, degree=2)  # C(3, 2) = 3 sets
+    tiny = generate_instance(InstanceRecipe("random-attachment", 2, 1, 1, 0, 2))
+    assert tiny.host.num_edges == 4 + 2 + 2  # both diagonals are the only chords
     assert "identity-grid" in RECIPE_KINDS
     assert BREAK_MODES == ("detach", "hang")
 

@@ -1,4 +1,4 @@
-"""Pseudomodel validation, restriction, and root augmentation."""
+"""Pseudomodel validation, row images, and root augmentation."""
 import pytest
 
 from gridroots import (
@@ -12,12 +12,9 @@ from gridroots import (
     grid_edge_id,
     grid_graph,
     identity_grid_model,
-    image_of_subgraph,
     image_of_vertices,
-    restrict,
     validate_model,
     validate_pseudomodel,
-    whole_subgraph,
 )
 
 
@@ -119,26 +116,11 @@ def test_disconnected_branch_is_a_model_failure_only():
     assert report.codes() == ["branch-disconnected"]
 
 
-def test_image_of_vertices_and_subgraph():
+def test_image_of_vertices():
     m = identity_grid_model(2)
     assert image_of_vertices(m, [1, 4]) == frozenset({1, 4})
     with pytest.raises(KeyError):
         image_of_vertices(m, [9])
-    f = Subgraph(m.pattern, {1, 2}, {1})
-    img = image_of_subgraph(m, f)
-    assert img.vertices == frozenset({1, 2})
-    assert img.edge_ids == frozenset({1})
-
-
-def test_restrict_drops_outside_pattern():
-    m = identity_grid_model(2)
-    h = Subgraph(m.pattern, {1, 2}, {1})
-    r = restrict(m, h)
-    assert set(r.branches) == {1, 2}
-    assert set(r.edge_images) == {1}
-    assert r.host == m.host
-    with pytest.raises(ValueError):
-        restrict(m, whole_subgraph(m.host.delete_edge(1)))
 
 
 def test_grid_labeling_maps_block():

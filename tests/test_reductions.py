@@ -6,6 +6,9 @@ runs delete plain edges, delete branch edges, contract branch edges and
 recurse into the B side of a reducible separation.  Each run is replayed
 and its canonical bundle hashed, so a change to reductions, journal
 unwinding or splicing that alters any delivered byte fails here.
+
+The lifting tests below pull a certificate back through one journal
+entry or one recursion frame on hosts of at most eight vertices.
 """
 import hashlib
 
@@ -13,7 +16,10 @@ import pytest
 
 from gridroots import (
     ExtractionProblem,
+    Graph,
+    InternalInvariantBroken,
     Pseudomodel,
+    Separation,
     Subgraph,
     canonical_json,
     check_hypothesis,
@@ -28,6 +34,11 @@ from gridroots import (
     vertex_coord,
     vertex_id,
 )
+from gridroots.extraction import (
+    _lift_certificate_through_frame,
+    _lift_certificate_through_journal,
+)
+from gridroots.graph import WorkingGraph
 
 CORNERS = {
     "top-left": lambda side: (1, 1),
@@ -112,3 +123,101 @@ def test_coarse_run_reaches_every_reduction_and_replays(n, corner):
     assert again.trace == res.trace
     assert result_to_dict(again) == result_to_dict(res)
     assert bundle_digest(again) == bundle_digest(res) == CASES[(n, corner)]
+
+
+# -- certificate lifting ----------------------------------------------------
+
+
+def path5(*extra):
+    """The path 1-2-3-4-5 (edges 1..4) plus extra ``(eid, u, v)`` edges."""
+    return Graph(range(1, 6), [(1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 5), *extra])
+
+
+def step(host, kind, eid):
+    """Apply one journal step to a working copy; the smaller host and the entry."""
+    work = WorkingGraph(host)
+    u, v = work.endpoints(eid)
+    (work.delete_edge if kind == "delete" else work.contract_edge)(eid)
+    return work.freeze(), [(kind, eid, u, v)]
+
+
+def lifted(host, sides, journal, k, roots=frozenset({1})):
+    """Lift ``sides`` and check the result is a separation of ``host`` with the roots on A."""
+    va, ea, vb, eb = _lift_certificate_through_journal(sides, journal, k)
+    sep = Separation(Subgraph(host, va, ea), Subgraph(host, vb, eb))
+    assert roots <= sep.a.vertices
+    return sep
+
+
+def test_lift_deletion_inside_a():
+    host = path5((5, 1, 3))
+    small, journal = step(host, "delete", 5)
+    sep = lifted(host, ({1, 2, 3}, {1, 2}, {3, 4, 5}, {3, 4}), journal, 2)
+    assert sep.order == 1
+    assert 5 in sep.a.edge_ids
+    assert small.measure == host.measure - 1
+
+
+def test_lift_deletion_inside_b():
+    host = path5((5, 3, 5))
+    _small, journal = step(host, "delete", 5)
+    sep = lifted(host, ({1, 2, 3}, {1, 2}, {3, 4, 5}, {3, 4}), journal, 2)
+    assert sep.order == 1
+    assert 5 in sep.b.edge_ids
+
+
+def test_lift_deletion_straddling_takes_far_end_into_a():
+    host = path5((5, 2, 4))
+    _small, journal = step(host, "delete", 5)
+    sides = ({1, 2, 3}, {1, 2}, {3, 4, 5}, {3, 4})
+    sep = lifted(host, sides, journal, 3)
+    assert sep.order == 2
+    assert sep.separator == {3, 4}
+    assert 5 in sep.a.edge_ids
+    with pytest.raises(InternalInvariantBroken, match="edge deletion lost strictness"):
+        _lift_certificate_through_journal(sides, journal, 2)  # order k - 1 = 1
+
+
+def test_lift_contraction_survivor_in_a_only():
+    host = path5()
+    small, journal = step(host, "contract", 1)  # 1-2 into 1
+    assert small.vertices == {1, 3, 4, 5}
+    sep = lifted(host, ({1, 3}, {2}, {3, 4, 5}, {3, 4}), journal, 2)
+    assert sep.order == 1
+    assert sep.a.vertices == {1, 2, 3} and sep.a.edge_ids == {1, 2}
+
+
+def test_lift_contraction_survivor_in_b_only():
+    host = path5()
+    small, journal = step(host, "contract", 4)  # 4-5 into 4
+    assert small.vertices == {1, 2, 3, 4}
+    sep = lifted(host, ({1, 2, 3}, {1, 2}, {3, 4}, {3}), journal, 2)
+    assert sep.order == 1
+    assert sep.b.vertices == {3, 4, 5} and sep.b.edge_ids == {3, 4}
+
+
+def test_lift_contraction_survivor_in_both():
+    host = path5((5, 3, 4))  # a parallel copy of 3-4 becomes a loop at 3
+    small, journal = step(host, "contract", 3)
+    assert small.endpoints(5) == (3, 3)
+    sides = ({1, 2, 3}, {1, 2, 5}, {3, 5}, {4})
+    sep = lifted(host, sides, journal, 3)
+    assert sep.order == 2
+    assert sep.separator == {3, 4}
+    assert 3 in sep.a.edge_ids and 5 in sep.a.edge_ids
+    with pytest.raises(InternalInvariantBroken, match="contraction lost strictness"):
+        _lift_certificate_through_journal(sides, journal, 2)
+
+
+def test_lift_through_frame_glues_the_a_side():
+    host = Graph(range(1, 7), [(e, e, e + 1) for e in range(1, 6)])  # path 1-...-6
+    frame = Separation(Subgraph(host, {1, 2, 3}, {1, 2}), Subgraph(host, {3, 4, 5, 6}, {3, 4, 5}))
+    # a certificate of the B side, rooted at the frame's separator {3}
+    va, ea, vb, eb = _lift_certificate_through_frame(({3, 4}, {3}, {4, 5, 6}, {4, 5}), frame)
+    sep = Separation(Subgraph(host, va, ea), Subgraph(host, vb, eb))
+    assert sep.order == 1
+    assert sep.a.vertices == {1, 2, 3, 4} and sep.b.vertices == {4, 5, 6}
+    assert 1 in sep.a.vertices
+    # a sub-certificate whose A side misses the frame's separator gains order
+    with pytest.raises(InternalInvariantBroken, match="order changed"):
+        _lift_certificate_through_frame(({5, 6}, {5}, {3, 4, 5}, {3, 4}), frame)
