@@ -164,7 +164,7 @@ def _full_rows(n: int, pattern: Graph) -> list[tuple[int, ...]]:
 
 
 def _find_edge_reduction(
-    work: WorkingGraph,
+    work: Graph | WorkingGraph,
     roots: set[int],
     branches: dict,
     images: dict[int, int],
@@ -210,18 +210,16 @@ def _apply_edge_reduction(
 ) -> tuple[str, int, int, int]:
     """Apply one edge reduction in place; returns its journal entry."""
     u, v = work.endpoints(eid)
+    if branch_key is not None:
+        vs, es = branches[branch_key]
+        branches[branch_key] = (vs - {v} if kind == "branch-edge-contract" else vs, es - {eid})
     if kind == "branch-edge-contract":
         work.contract_edge(eid)
-        vs, es = branches[branch_key]
-        vs.discard(v)
-        es.discard(eid)
         if v in roots:
             roots.discard(v)
             roots.add(u)
         return ("contract", eid, u, v)
     work.delete_edge(eid)
-    if branch_key is not None:
-        branches[branch_key][1].discard(eid)
     return ("delete", eid, u, v)
 
 
@@ -334,7 +332,7 @@ class _Pinched(Exception):
         self.depth = depth
 
 
-def _path_edges(host: WorkingGraph, path: Sequence[int], pool: frozenset[int]) -> list[int]:
+def _path_edges(host: Graph | WorkingGraph, path: Sequence[int], pool: frozenset[int]) -> list[int]:
     """Least-id non-loop host edges of ``pool`` along consecutive path vertices."""
     out = []
     for a, b in zip(path, path[1:]):
@@ -350,7 +348,7 @@ def _path_edges(host: WorkingGraph, path: Sequence[int], pool: frozenset[int]) -
 
 
 def _splice_witness(
-    host: WorkingGraph,
+    host: Graph | WorkingGraph,
     augmented: dict,
     z_prime: frozenset[int],
     paths: Sequence[Sequence[int]],
@@ -557,13 +555,15 @@ class _Runner:
     ) -> tuple[GridAtlas, dict[int, int], dict, dict]:
         """One recursion level on a working copy of ``host``.
 
+        The copy is made at the level's first reduction, so a level that
+        is refuted or recursed from at its first scan copies nothing.
         Returns the atlas, the small grid's edge images and the base and
         augmented witness branch sets, unwound into ``host``.
         """
         n, g, k = self.n, self.g, self.k
-        work = WorkingGraph(host)
+        work: Graph | WorkingGraph = host
         roots = set(roots)
-        branches = {pv: (set(vs), set(es)) for pv, (vs, es) in branches.items()}
+        branches = dict(branches)
         rows = _full_rows(n, pattern)
         journal: list[tuple] = []
         while True:
@@ -629,6 +629,8 @@ class _Runner:
             if reduction is None:
                 break
             kind, eid, branch_key = reduction
+            if work is host:
+                work = WorkingGraph(host)
             entry = _apply_edge_reduction(work, roots, branches, kind, eid, branch_key)
             journal.append(entry)
             record = {
@@ -679,7 +681,7 @@ class _Runner:
         return (atlas, small_images, _unwind_journal(journal, base),
                 _unwind_journal(journal, augmented))
 
-    def _scripted_reduction(self, work: WorkingGraph, roots: set[int], branches: dict,
+    def _scripted_reduction(self, work: Graph | WorkingGraph, roots: set[int], branches: dict,
                             images: dict[int, int]) -> tuple[str, int, int | None]:
         record = self.script[self.cursor]
         expected = _find_edge_reduction(work, roots, branches, images)
