@@ -494,39 +494,17 @@ def _window_witness(
 
 
 class _Runner:
-    """One extraction run: search-driven, or trace-driven for replay."""
+    """One deterministic extraction run; ``trace`` collects its records.
 
-    def __init__(self, n: int, g: int, k: int, trace: list[dict], script: list[dict] | None = None):
+    ``replay`` checks a recorded trace by running this again, through
+    ``extract``, and comparing the two record for record.
+    """
+
+    def __init__(self, n: int, g: int, k: int):
         self.n = n
         self.g = g
         self.k = k
-        self.trace = trace
-        self.script = script
-        self.cursor = 0
-
-    # -- trace plumbing ----------------------------------------------------
-
-    def _emit(self, record: dict) -> dict:
-        if self.script is None:
-            self.trace.append(record)
-            return record
-        if self.cursor >= len(self.script):
-            raise InternalInvariantBroken("trace ended before the run finished")
-        expected = self.script[self.cursor]
-        self.cursor += 1
-        keys = [key for key in record if key != "splicePaths"]
-        if any(expected.get(key) != record[key] for key in keys):
-            raise InternalInvariantBroken(
-                "trace record does not match the state it is replayed against",
-                payload={"expected": expected, "recomputed": record},
-            )
-        self.trace.append(expected)
-        return expected
-
-    def _scripted_kind(self) -> str | None:
-        if self.script is None or self.cursor >= len(self.script):
-            return None
-        return self.script[self.cursor].get("kind")
+        self.trace: list[dict] = []
 
     # -- the recursive procedure --------------------------------------------
 
@@ -576,7 +554,7 @@ class _Runner:
                 raise _Pinched(lifted, block.row, depth)
             if block is not None:
                 sep = block.separation
-                record = self._emit({
+                record = {
                     "kind": "separation-recursion",
                     "depth": depth,
                     "row": list(block.row),
@@ -587,7 +565,8 @@ class _Runner:
                     "bVertices": sorted(sep.b.vertices),
                     "bEdges": sorted(sep.b.edge_ids),
                     "measure": len(sep.b.vertices) + len(sep.b.edge_ids),
-                })
+                }
+                self.trace.append(record)
                 sub_roots = sep.separator
                 try:
                     atlas, small_images, base, augmented = self.run(
@@ -597,35 +576,19 @@ class _Runner:
                     framed = _lift_certificate_through_frame(exc.sides, sep)
                     exc.sides = _lift_certificate_through_journal(framed, journal, k)
                     raise
-                if self.script is None:
-                    splice = menger(sep.a.to_graph(), roots, sub_roots, k)
-                    if not splice.found_paths:
-                        raise InternalInvariantBroken(
-                            "the guaranteed root splice paths do not exist",
-                            payload={"cut": sorted(splice.cut)},
-                        )
-                    paths = splice.paths
-                    record["splicePaths"] = [list(p) for p in paths]
-                else:
-                    paths = [tuple(p) for p in record.get("splicePaths", ())]
-                    for p in paths:
-                        if not p or p[0] not in roots or p[-1] not in sub_roots:
-                            raise InternalInvariantBroken(
-                                "recorded splice path has bad endpoints", payload=list(p)
-                            )
+                splice = menger(sep.a.to_graph(), roots, sub_roots, k)
+                if not splice.found_paths:
+                    raise InternalInvariantBroken(
+                        "the guaranteed root splice paths do not exist",
+                        payload={"cut": sorted(splice.cut)},
+                    )
+                record["splicePaths"] = [list(p) for p in splice.paths]
                 augmented = _splice_witness(
-                    work, augmented, sub_roots, paths, sep.a.edge_ids, g, k
+                    work, augmented, sub_roots, splice.paths, sep.a.edge_ids, g, k
                 )
                 return (atlas, small_images, _unwind_journal(journal, base),
                         _unwind_journal(journal, augmented))
-            if self.script is None:
-                reduction = _find_edge_reduction(work, roots, branches, images)
-            else:
-                kind = self._scripted_kind()
-                if kind in ("edge-delete", "branch-edge-delete", "branch-edge-contract"):
-                    reduction = self._scripted_reduction(work, roots, branches, images)
-                else:
-                    reduction = None
+            reduction = _find_edge_reduction(work, roots, branches, images)
             if reduction is None:
                 break
             kind, eid, branch_key = reduction
@@ -643,9 +606,9 @@ class _Runner:
                 record["survivor"] = entry[2]
             if branch_key is not None:
                 record["branch"] = branch_key
-            self._emit(record)
+            self.trace.append(record)
         atlas, z_prime = _saturated_state(roots, pattern, branches, n, g, k)
-        self._emit({
+        self.trace.append({
             "kind": "band-selected",
             "depth": depth,
             "top": atlas.i0 - atlas.k,
@@ -658,39 +621,23 @@ class _Runner:
         removed = set().union(*(branches[pv][0] for pv in atlas.central_vertices() - set(stub)))
         g_star = saturated.remove_vertices(removed)
         targets = frozenset(next(iter(branches[pv][0])) for pv in stub)
-        if self.script is None:
-            search = menger(g_star, roots, targets, k)
-            if not search.found_paths:
-                raise InternalInvariantBroken(
-                    "the final disjoint-paths search returned a cut",
-                    payload={"cut": sorted(search.cut), "targets": sorted(targets)},
-                )
-            paths = search.paths
-        else:
-            record = self.script[self.cursor] if self.cursor < len(self.script) else {}
-            paths = tuple(tuple(p) for p in record.get("paths", ()))
-        self._emit({
+        search = menger(g_star, roots, targets, k)
+        if not search.found_paths:
+            raise InternalInvariantBroken(
+                "the final disjoint-paths search returned a cut",
+                payload={"cut": sorted(search.cut), "targets": sorted(targets)},
+            )
+        self.trace.append({
             "kind": "menger-augment",
             "depth": depth,
             "targets": sorted(targets),
-            "paths": [list(p) for p in paths],
+            "paths": [list(p) for p in search.paths],
         })
         small_images, base, augmented = _window_witness(
-            saturated, roots, branches, images, atlas, n, g, k, paths
+            saturated, roots, branches, images, atlas, n, g, k, search.paths
         )
         return (atlas, small_images, _unwind_journal(journal, base),
                 _unwind_journal(journal, augmented))
-
-    def _scripted_reduction(self, work: Graph | WorkingGraph, roots: set[int], branches: dict,
-                            images: dict[int, int]) -> tuple[str, int, int | None]:
-        record = self.script[self.cursor]
-        expected = _find_edge_reduction(work, roots, branches, images)
-        if expected is None or expected[0] != record["kind"] or expected[1] != record["edge"]:
-            raise InternalInvariantBroken(
-                "recorded reduction is not applicable to the replayed state",
-                payload={"record": record},
-            )
-        return expected
 
 
 def _finish(problem: ExtractionProblem, atlas: GridAtlas, images: dict[int, int],
@@ -732,33 +679,49 @@ def extract(problem: ExtractionProblem) -> ExtractionResult:
     report = validate_problem(problem)
     if not report.ok:
         raise MalformedInput("extraction problem rejected", _json_rows(report))
-    trace: list[dict] = []
-    runner = _Runner(problem.n, problem.g, problem.k, trace)
+    runner = _Runner(problem.n, problem.g, problem.k)
     try:
-        return _finish(problem, *runner.start(problem), trace)
+        return _finish(problem, *runner.start(problem), runner.trace)
     except (HypothesisViolated, InternalInvariantBroken) as exc:
-        exc.trace = tuple(trace)
+        exc.trace = tuple(runner.trace)
         raise
 
 
 def replay(problem: ExtractionProblem, trace: Sequence[dict]) -> ExtractionResult:
-    """Re-execute a recorded trace without searching.
+    """Re-run ``extract`` on ``problem`` and check it against a recorded trace.
 
-    Every record is verified against the state it is applied to, so a
-    successful replay certifies that the trace is an honest account of a
-    deterministic run on this problem.
+    The recorded trace must equal the re-run's record for record, so
+    exactly the trace the deterministic run emits is accepted.  Then the
+    result is returned, or the certificate re-raised as HypothesisViolated;
+    otherwise InternalInvariantBroken is raised, its payload holding the
+    first differing index and the expected (recorded) and recomputed
+    records, None past the end of either trace.
     """
-    report = validate_problem(problem)
-    if not report.ok:
-        raise MalformedInput("extraction problem rejected", _json_rows(report))
-    out: list[dict] = []
-    runner = _Runner(problem.n, problem.g, problem.k, out, script=list(trace))
-    witness = runner.start(problem)
-    if runner.cursor != len(runner.script):
-        raise InternalInvariantBroken(
-            f"{len(runner.script) - runner.cursor} trace records were never consumed"
-        )
-    return _finish(problem, *witness, out)
+    try:
+        result = extract(problem)
+    except HypothesisViolated as exc:
+        _require_equal_traces(trace, exc.trace)
+        raise
+    _require_equal_traces(trace, result.trace)
+    return result
+
+
+def _require_equal_traces(recorded: Sequence[dict], rerun: Sequence[dict]) -> None:
+    recorded, rerun = list(recorded), list(rerun)
+    if recorded == rerun:
+        return
+    index = next(
+        (i for i, (a, b) in enumerate(zip(recorded, rerun)) if a != b),
+        min(len(recorded), len(rerun)),
+    )
+    raise InternalInvariantBroken(
+        "recorded trace differs from the re-run of extract",
+        payload={
+            "index": index,
+            "expected": recorded[index] if index < len(recorded) else None,
+            "recomputed": rerun[index] if index < len(rerun) else None,
+        },
+    )
 
 
 def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:

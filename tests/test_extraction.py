@@ -228,11 +228,55 @@ def test_replay_rejects_tampered_trace():
     with pytest.raises(InternalInvariantBroken):
         replay(problem, extra)
 
+    def tampered_record(kind, change):
+        records = [dict(t) for t in result.trace]
+        index = next(i for i, t in enumerate(records) if t["kind"] == kind)
+        change(records[index])
+        return records, index
+
+    for kind, change in (
+        ("menger-augment", lambda t: t.update(paths=t["paths"][::-1])),
+        ("separation-recursion", lambda t: t.update(splicePaths=t["splicePaths"][::-1])),
+        ("edge-delete", lambda t: t.pop("edge")),
+    ):
+        records, index = tampered_record(kind, change)
+        with pytest.raises(InternalInvariantBroken) as exc:
+            replay(problem, records)
+        assert exc.value.payload["index"] == index
+        assert exc.value.payload["expected"] == records[index]
+        assert exc.value.payload["recomputed"] == result.trace[index]
+
+    with pytest.raises(InternalInvariantBroken) as exc:
+        replay(problem, result.trace[:-1])
+    assert exc.value.payload == {
+        "index": len(result.trace) - 1, "expected": None, "recomputed": result.trace[-1],
+    }
+
+    refuted = _detached_13_2_2()
+    invented = {"kind": "edge-delete", "depth": 0, "edge": 1, "measure": 1}
+    with pytest.raises(InternalInvariantBroken) as exc:
+        replay(refuted, [invented])
+    assert exc.value.payload == {"index": 0, "expected": invented, "recomputed": None}
+
+
+def _detached_13_2_2() -> ExtractionProblem:
+    recipe = InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=5, degree=3)
+    return break_instance(generate_instance(recipe), "detach", 5)
+
+
+def test_replay_of_refuted_run_reraises_the_certificate():
+    broken = _detached_13_2_2()
+    with pytest.raises(HypothesisViolated) as first:
+        extract(broken)
+    assert first.value.trace == ()
+    with pytest.raises(HypothesisViolated) as again:
+        replay(broken, first.value.trace)
+    assert again.value.separation == first.value.separation
+    assert (again.value.row, again.value.depth) == (first.value.row, first.value.depth)
+
 
 def test_detached_root_yields_certificate():
-    recipe = InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=5, degree=3)
-    problem = generate_instance(recipe)
-    broken = break_instance(problem, "detach", 5)
+    broken = _detached_13_2_2()
     with pytest.raises(HypothesisViolated) as exc:
         extract(broken)
     cert = exc.value
