@@ -79,7 +79,7 @@ def _coord_key(n: int, v: int) -> str:
 def _parse_coord(n: int, key: str) -> int:
     try:
         i, j = (int(part) for part in key.split(","))
-    except ValueError:
+    except (AttributeError, ValueError):
         raise MalformedInput(f"bad grid coordinate {key!r}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise MalformedInput(f"coordinate {key!r} is outside the {n}x{n} grid")
@@ -105,22 +105,19 @@ def model_to_dict(m: Pseudomodel, n: int) -> dict:
 def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
     try:
         n = int(d["pattern"]["n"])
-        coord_pairs = d["pattern"]["coords"]
-        branch_docs = d["branches"]
-        image_docs = d["edgeImages"]
-    except (KeyError, TypeError) as exc:
+        coords = [(int(i), int(j)) for i, j in d["pattern"]["coords"]]
+        branch_docs = list(d["branches"].items())
+        image_docs = [(key, int(value)) for key, value in d["edgeImages"].items()]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad model document: {exc}")
     vertices = []
-    for pair in coord_pairs:
-        if len(pair) != 2:
-            raise MalformedInput(f"bad coordinate pair {pair!r}")
-        i, j = int(pair[0]), int(pair[1])
+    for i, j in coords:
         if not (1 <= i <= n and 1 <= j <= n):
-            raise MalformedInput(f"coordinate {pair!r} is outside the {n}x{n} grid")
+            raise MalformedInput(f"coordinate [{i}, {j}] is outside the {n}x{n} grid")
         vertices.append(vertex_id(n, i, j))
     triples = []
     images = {}
-    for key in image_docs:
+    for key, image in image_docs:
         parts = key.split("|")
         if len(parts) != 2:
             raise MalformedInput(f"bad pattern edge key {key!r}")
@@ -130,15 +127,14 @@ def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
         except ValueError:
             raise MalformedInput(f"pattern edge {key!r} is not a grid edge")
         triples.append((eid, min(u, v), max(u, v)))
-        images[eid] = int(image_docs[key])
+        images[eid] = image
     try:
         pattern = Graph(vertices, triples)
     except ValueError as exc:
         raise MalformedInput(f"bad model pattern: {exc}")
     branches = {}
-    for key in branch_docs:
+    for key, doc in branch_docs:
         pv = _parse_coord(n, key)
-        doc = branch_docs[key]
         try:
             branches[pv] = Subgraph(
                 host,

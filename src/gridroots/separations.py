@@ -429,7 +429,12 @@ def _row_cuts(
         raise MalformedInput("bad row scan", problems)
     net = _FlowNetwork(g)
     for row in rows:
-        image = frozenset().union(*(branch_vertices[v] for v in row))
+        try:
+            image = frozenset().union(*(branch_vertices[v] for v in row))
+        except KeyError as exc:
+            raise MalformedInput(
+                "bad row scan", [f"pattern vertex {exc.args[0]} of row {list(row)} has no branch"]
+            ) from None
         if not image or not image <= g.vertices:
             raise MalformedInput(
                 "bad row scan", [f"the image of row {list(row)} is empty or not in the graph"]
@@ -469,7 +474,8 @@ def find_row_blocking_separation(
     images: a pseudomodel, or a mapping from pattern vertex to branch
     vertex set (what the extraction loop passes with its working graph).
     Raises MalformedInput for a negative ``max_order``, an empty
-    root set or row image, and roots or images outside g.
+    root set or row image, roots or images outside g, and a row vertex
+    with no branch.
     """
     if max_order < 0:
         raise MalformedInput("bad row scan", [f"max_order must be non-negative, got {max_order}"])

@@ -14,6 +14,7 @@ from gridroots import (
     generate_instance,
     graph_from_dict,
     graph_to_dict,
+    identity_problem,
     model_from_dict,
     read_json,
     separation_from_dict,
@@ -229,6 +230,22 @@ def test_find_separation_rejects_bad_roots_and_order(tmp_path, capsys):
             "find-separation",
             "--graph", cp["graph"], "--roots", roots, "--model", cp["model"],
             "--max-order", max_order,
+        )
+        assert code == 64
+        assert json.loads(err)["error"] == "malformed-input"
+
+
+def test_malformed_model_exits_64(tmp_path, capsys):
+    paths = write_instance(identity_problem(3, 1, 1), tmp_path)
+    good = read_json(paths["model"])
+    lacking = {**good, "branches": {k: v for k, v in good["branches"].items() if k != "1,1"}}
+    listed = {**good, "branches": list(good["branches"].values())}
+    cases = [("find-separation", lacking), ("find-separation", listed), ("validate-model", listed)]
+    for command, doc in cases:
+        write_json(tmp_path / "bad-model.json", doc)
+        extra = ["--roots", paths["roots"], "--max-order", 1] if command == "find-separation" else []
+        code, _, err = run(
+            capsys, command, "--graph", paths["graph"], "--model", tmp_path / "bad-model.json", *extra
         )
         assert code == 64
         assert json.loads(err)["error"] == "malformed-input"

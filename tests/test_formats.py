@@ -98,6 +98,19 @@ def test_model_from_dict_rejects_malformed():
     with pytest.raises(MalformedInput):
         model_from_dict({"pattern": {"n": 5}}, p.host)
 
+    # a bad coordinate pair, a pair that is not a list, a bad edge image,
+    # branches given as a list
+    pattern = good["pattern"]
+    first_edge = next(iter(good["edgeImages"]))
+    for doc in (
+        {**good, "pattern": {**pattern, "coords": [["a", 1], *pattern["coords"][1:]]}},
+        {**good, "pattern": {**pattern, "coords": [5, *pattern["coords"][1:]]}},
+        {**good, "edgeImages": {**good["edgeImages"], first_edge: "x"}},
+        {**good, "branches": list(good["branches"].values())},
+    ):
+        with pytest.raises(MalformedInput):
+            model_from_dict(doc, p.host)
+
 
 def test_separation_round_trip():
     g = Graph([1, 2, 3], [(1, 1, 2), (2, 2, 3)])

@@ -186,6 +186,11 @@ def test_row_scan_rejects_malformed_queries():
     empty_row = Pseudomodel(g3, ident.pattern, {v: null_subgraph(g3) for v in range(1, 10)}, {})
     with pytest.raises(MalformedInput):
         find_row_blocking_separation(g3, [1], empty_row, rows, 1)
+    no_branch = {v: br for v, br in ident.branches.items() if v != 2}
+    lacking = Pseudomodel(g3, ident.pattern, no_branch, ident.edge_images)
+    with pytest.raises(MalformedInput) as exc:
+        find_row_blocking_separation(g3, [1], lacking, rows, 1)
+    assert exc.value.problems == ["pattern vertex 2 of row [1, 2, 3] has no branch"]
 
 
 def test_row_scan_edge_inside_cut_is_reducible():
