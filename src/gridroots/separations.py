@@ -334,20 +334,22 @@ def menger(
 
 def _cut_separation(g: Graph, cut: frozenset[int], sources: frozenset[int]) -> Separation:
     """Separation induced by a cut: A = cut plus the source-reachable part."""
-    reach_a = frozenset(reachable_from(g, sorted(sources), cut))
-    a_verts = reach_a | cut
-    b_only = g.vertices - a_verts
-    b_verts = b_only | cut
+    return _split_at_cut(g, cut, frozenset(reachable_from(g, sorted(sources), cut)))
+
+
+def _split_at_cut(g: Graph, cut: frozenset[int], a_only: AbstractSet[int]) -> Separation:
+    """The separation with A = cut plus ``a_only`` and B = cut plus the rest.
+
+    ``a_only`` must be a union of components of g minus the cut, so no
+    edge joins it to the rest: edges touching a B-only vertex go to B,
+    all others (those inside the cut included) to A.
+    """
+    b_only = g.vertices - cut - a_only
     a_edges, b_edges = set(), set()
     for e in g.edge_ids:
         x, y = g.endpoints(e)
-        if x in reach_a or y in reach_a:
-            a_edges.add(e)
-        elif x in b_only or y in b_only:
-            b_edges.add(e)
-        else:
-            a_edges.add(e)
-    return Separation(Subgraph(g, a_verts, a_edges), Subgraph(g, b_verts, b_edges))
+        (b_edges if x in b_only or y in b_only else a_edges).add(e)
+    return Separation(Subgraph(g, a_only | cut, a_edges), Subgraph(g, b_only | cut, b_edges))
 
 
 def blocking_separation(
@@ -363,30 +365,16 @@ def blocking_separation(
     target go to the B side; edges inside the cut go to A.  This makes
     B as small as possible, which is what the reducibility test needs.
     """
-    a_extra: set[int] = set()
-    b_extra: set[int] = set()
+    a_only: set[int] = set()
     seen: set[int] = set(cut)
     for start in sorted(g.vertices - cut):
         if start in seen:
             continue
         comp = reachable_from(g, [start], cut)
         seen |= comp
-        if comp & targets and not comp & sources:
-            b_extra |= comp
-        else:
-            a_extra |= comp
-    a_verts = a_extra | cut
-    b_verts = b_extra | cut
-    a_edges, b_edges = set(), set()
-    for e in g.edge_ids:
-        x, y = g.endpoints(e)
-        if x in a_extra or y in a_extra:
-            a_edges.add(e)
-        elif x in b_extra or y in b_extra:
-            b_edges.add(e)
-        else:
-            a_edges.add(e)
-    return Separation(Subgraph(g, a_verts, a_edges), Subgraph(g, b_verts, b_edges))
+        if comp & sources or not comp & targets:
+            a_only |= comp
+    return _split_at_cut(g, cut, a_only)
 
 
 @dataclass(frozen=True)
