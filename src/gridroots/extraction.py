@@ -688,12 +688,12 @@ def extract(problem: ExtractionProblem) -> ExtractionResult:
 
 
 def replay(problem: ExtractionProblem, trace: Sequence[dict]) -> ExtractionResult:
-    """Re-run ``extract`` on ``problem`` and check it against a recorded trace.
+    """Re-run ``extract`` on ``problem`` and check a recorded trace against it.
 
-    The recorded trace must equal the re-run's record for record, so
-    exactly the trace the deterministic run emits is accepted.  Then the
-    result is returned, or the certificate re-raised as HypothesisViolated;
-    otherwise InternalInvariantBroken is raised, its payload holding the
+    Only the exact trace the deterministic run emits is accepted: when
+    the recorded trace equals the re-run's record for record, the result
+    is returned or the certificate re-raised as HypothesisViolated.
+    Otherwise InternalInvariantBroken is raised; its payload gives the
     first differing index and the expected (recorded) and recomputed
     records, None past the end of either trace.
     """

@@ -79,7 +79,7 @@ def _coord_key(n: int, v: int) -> str:
 def _parse_coord(n: int, key: str) -> int:
     try:
         i, j = (int(part) for part in key.split(","))
-    except (AttributeError, ValueError):
+    except ValueError:
         raise MalformedInput(f"bad grid coordinate {key!r}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise MalformedInput(f"coordinate {key!r} is outside the {n}x{n} grid")
