@@ -54,12 +54,8 @@ def _load_vertex_set(path):
 
 def _load_model(path, host):
     doc = read_json(path)
-    model = formats.model_from_dict(doc, host)
-    try:
-        n = int(doc["pattern"]["n"])
-    except (KeyError, TypeError, ValueError):
-        raise MalformedInput(f"{path} has no pattern side")
-    return model, n
+    # model_from_dict accepts only documents whose pattern side is an integer
+    return formats.model_from_dict(doc, host), doc["pattern"]["n"]
 
 
 # -- subcommands --------------------------------------------------------------

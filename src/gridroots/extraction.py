@@ -38,7 +38,6 @@ from .graph import (
     WorkingGraph,
     boundary,
     subgraph_components,
-    subgraph_is_connected,
 )
 from .grid import GridAtlas, choose_band, grid_edge_id, grid_graph, row_vertices, vertex_id
 from .models import (
@@ -127,10 +126,10 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
         return report.merged(sub_report)
     bnd = boundary(grid, Subgraph(grid, pattern.vertices, pattern.edge_ids))
     for pv in sorted(pattern.vertices):
-        br = problem.model.branches[pv]
-        if subgraph_is_connected(br) and pv not in bnd:
+        comps = subgraph_components(problem.model.branches[pv])
+        if len(comps) == 1 and pv not in bnd:
             continue
-        if all(comp.vertices & problem.roots for comp in subgraph_components(br)):
+        if all(comp.vertices & problem.roots for comp in comps):
             continue
         report.add(
             "hypothesis-i",

@@ -41,6 +41,13 @@ def read_json(path: str | Path) -> Any:
 # -- graphs and vertex sets -------------------------------------------------
 
 
+def _int(x: Any) -> int:
+    """``x`` if it is a JSON integer; a bool, float or string is malformed."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def graph_to_dict(g: Graph) -> dict:
     return {
         "vertices": sorted(g.vertices),
@@ -50,8 +57,8 @@ def graph_to_dict(g: Graph) -> dict:
 
 def graph_from_dict(d: Any) -> Graph:
     try:
-        vertices = [int(v) for v in d["vertices"]]
-        edges = [(int(e), int(u), int(v)) for e, u, v in d["edges"]]
+        vertices = [_int(v) for v in d["vertices"]]
+        edges = [(_int(e), _int(u), _int(v)) for e, u, v in d["edges"]]
         return Graph(vertices, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad graph document: {exc}")
@@ -63,7 +70,7 @@ def vertex_set_to_dict(vs) -> dict:
 
 def vertex_set_from_dict(d: Any) -> frozenset[int]:
     try:
-        return frozenset(int(v) for v in d["vertices"])
+        return frozenset(_int(v) for v in d["vertices"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad vertex set document: {exc}")
 
@@ -104,10 +111,10 @@ def model_to_dict(m: Pseudomodel, n: int) -> dict:
 
 def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
     try:
-        n = int(d["pattern"]["n"])
-        coords = [(int(i), int(j)) for i, j in d["pattern"]["coords"]]
+        n = _int(d["pattern"]["n"])
+        coords = [(_int(i), _int(j)) for i, j in d["pattern"]["coords"]]
         branch_docs = list(d["branches"].items())
-        image_docs = [(key, int(value)) for key, value in d["edgeImages"].items()]
+        image_docs = [(key, _int(value)) for key, value in d["edgeImages"].items()]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad model document: {exc}")
     vertices = []
@@ -138,8 +145,8 @@ def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
         try:
             branches[pv] = Subgraph(
                 host,
-                frozenset(int(x) for x in doc["vertices"]),
-                frozenset(int(x) for x in doc["edges"]),
+                frozenset(_int(x) for x in doc["vertices"]),
+                frozenset(_int(x) for x in doc["edges"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad branch {key!r}: {exc}")
@@ -163,13 +170,13 @@ def separation_from_dict(d: Any, host: Graph) -> Separation:
     try:
         a = Subgraph(
             host,
-            frozenset(int(x) for x in d["A"]["vertices"]),
-            frozenset(int(x) for x in d["A"]["edges"]),
+            frozenset(_int(x) for x in d["A"]["vertices"]),
+            frozenset(_int(x) for x in d["A"]["edges"]),
         )
         b = Subgraph(
             host,
-            frozenset(int(x) for x in d["B"]["vertices"]),
-            frozenset(int(x) for x in d["B"]["edges"]),
+            frozenset(_int(x) for x in d["B"]["vertices"]),
+            frozenset(_int(x) for x in d["B"]["edges"]),
         )
         return Separation(a, b)
     except (KeyError, TypeError, ValueError) as exc:

@@ -120,6 +120,8 @@ class Graph:
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return self._vertices == other._vertices and self._edges == other._edges
@@ -331,6 +333,8 @@ def subgraph_components(h: Subgraph) -> list[Subgraph]:
                 if w not in comp:
                     comp.add(w)
                     stack.append(w)
+        if len(comp) == len(h.vertices):
+            return [h]  # connected: the one piece is h itself
         seen |= comp
         eids = [
             e for e in h.edge_ids

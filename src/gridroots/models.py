@@ -74,6 +74,11 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
     ``branch-overlap``, ``edge-image-missing``, ``edge-image-unknown``,
     ``edge-image-absent``, ``edge-image-duplicate``,
     ``edge-image-in-branch``, ``edge-ends``.
+
+    The work is linear in the pattern, the edge images and the total
+    branch size (plus the overlaps reported): overlaps and branch edges
+    are found through vertex and edge owner maps, not by comparing
+    branches pairwise.
     """
     report = ValidationReport()
     pattern = p.pattern
@@ -85,22 +90,33 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
             report.add("branch-unknown", f"branch key {v} is not a pattern vertex")
         elif p.branches[v].is_null():
             report.add("branch-null", f"branch of pattern vertex {v} is null")
-    keys = sorted(v for v in p.branches if v in pattern.vertices)
-    for idx, v in enumerate(keys):
-        bv = p.branches[v].vertices
-        for w in keys[idx + 1:]:
-            shared = bv & p.branches[w].vertices
-            if shared:
-                report.add(
-                    "branch-overlap",
-                    f"branches of {v} and {w} share vertices {sorted(shared)}",
-                )
+    # Owners are appended in ascending key order, so each list is sorted.
+    vertex_owners: dict[int, list[int]] = {}
+    for v in sorted(v for v in p.branches if v in pattern.vertices):
+        for x in p.branches[v].vertices:
+            vertex_owners.setdefault(x, []).append(v)
+    shared_by: dict[tuple[int, int], list[int]] = {}
+    for x, owners in vertex_owners.items():
+        for idx, v in enumerate(owners):
+            for w in owners[idx + 1:]:
+                shared_by.setdefault((v, w), []).append(x)
+    for v, w in sorted(shared_by):
+        report.add(
+            "branch-overlap",
+            f"branches of {v} and {w} share vertices {sorted(shared_by[v, w])}",
+        )
+    # Every branch counts here, unknown keys included, in insertion order.
+    edge_owners: dict[int, list[int]] = {}
+    for v, br in p.branches.items():
+        for f in br.edge_ids:
+            edge_owners.setdefault(f, []).append(v)
+    pattern_edges = pattern.edge_ids
     seen_hosts: dict[int, int] = {}
-    for e in sorted(pattern.edge_ids):
+    for e in sorted(pattern_edges):
         if e not in p.edge_images:
             report.add("edge-image-missing", f"pattern edge {e} has no host edge")
     for e in sorted(p.edge_images):
-        if e not in pattern.edge_ids:
+        if e not in pattern_edges:
             report.add("edge-image-unknown", f"edge image key {e} is not a pattern edge")
             continue
         f = p.edge_images[e]
@@ -114,12 +130,11 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
             )
         else:
             seen_hosts[f] = e
-        for v, br in p.branches.items():
-            if f in br.edge_ids:
-                report.add(
-                    "edge-image-in-branch",
-                    f"host edge {f} (image of pattern edge {e}) lies inside branch {v}",
-                )
+        for v in edge_owners.get(f, ()):
+            report.add(
+                "edge-image-in-branch",
+                f"host edge {f} (image of pattern edge {e}) lies inside branch {v}",
+            )
         u, v = pattern.endpoints(e)
         x, y = p.host.endpoints(f)
         bu = p.branches.get(u)

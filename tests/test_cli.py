@@ -240,7 +240,18 @@ def test_malformed_model_exits_64(tmp_path, capsys):
     good = read_json(paths["model"])
     lacking = {**good, "branches": {k: v for k, v in good["branches"].items() if k != "1,1"}}
     listed = {**good, "branches": list(good["branches"].values())}
-    cases = [("find-separation", lacking), ("find-separation", listed), ("validate-model", listed)]
+    # the pair [1, 1] written as the string "11", and a fractional edge image
+    pattern, images = good["pattern"], good["edgeImages"]
+    stringly = {**good, "pattern": {**pattern, "coords": ["11", *pattern["coords"][1:]]}}
+    first_edge = next(iter(images))
+    fractional = {**good, "edgeImages": {**images, first_edge: images[first_edge] + 0.7}}
+    cases = [
+        ("find-separation", lacking),
+        ("find-separation", listed),
+        ("validate-model", listed),
+        ("validate-model", stringly),
+        ("validate-model", fractional),
+    ]
     for command, doc in cases:
         write_json(tmp_path / "bad-model.json", doc)
         extra = ["--roots", paths["roots"], "--max-order", 1] if command == "find-separation" else []

@@ -48,7 +48,11 @@ def test_graph_round_trip_with_loops_and_parallels():
 
 def test_graph_from_dict_rejects_malformed():
     for doc in ({}, {"vertices": [1]}, {"vertices": [1], "edges": [[1, 1]]},
-                {"vertices": "xy", "edges": []}):
+                {"vertices": "xy", "edges": []},
+                {"vertices": "12", "edges": []},
+                {"vertices": [1, 2], "edges": ["112"]},
+                {"vertices": [1, 2], "edges": [[1, 1, 2.0]]},
+                {"vertices": [1, True], "edges": []}):
         with pytest.raises(MalformedInput):
             graph_from_dict(doc)
 
@@ -57,8 +61,10 @@ def test_vertex_set_round_trip():
     doc = vertex_set_to_dict({5, 3, 8})
     assert doc == {"vertices": [3, 5, 8]}
     assert vertex_set_from_dict(doc) == frozenset({3, 5, 8})
-    with pytest.raises(MalformedInput):
-        vertex_set_from_dict({"nope": []})
+    for doc in ({"nope": []}, {"vertices": "35"}, {"vertices": [3, 5.5]},
+                {"vertices": [False]}):
+        with pytest.raises(MalformedInput):
+            vertex_set_from_dict(doc)
 
 
 def test_model_round_trip_identity():
@@ -98,14 +104,25 @@ def test_model_from_dict_rejects_malformed():
     with pytest.raises(MalformedInput):
         model_from_dict({"pattern": {"n": 5}}, p.host)
 
-    # a bad coordinate pair, a pair that is not a list, a bad edge image,
-    # branches given as a list
+    # a bad coordinate pair, a pair that is not a list, a pair given as
+    # the string "11", bad edge images (a string, a float, a bool), a
+    # non-integer side or branch id, branches given as a list
     pattern = good["pattern"]
     first_edge = next(iter(good["edgeImages"]))
+    first_branch = next(iter(good["branches"]))
+    image = good["edgeImages"][first_edge]
+    branch = good["branches"][first_branch]
     for doc in (
         {**good, "pattern": {**pattern, "coords": [["a", 1], *pattern["coords"][1:]]}},
         {**good, "pattern": {**pattern, "coords": [5, *pattern["coords"][1:]]}},
+        {**good, "pattern": {**pattern, "coords": ["11", *pattern["coords"][1:]]}},
+        {**good, "pattern": {**pattern, "n": "5"}},
+        {**good, "pattern": {**pattern, "n": 5.0}},
         {**good, "edgeImages": {**good["edgeImages"], first_edge: "x"}},
+        {**good, "edgeImages": {**good["edgeImages"], first_edge: image + 0.7}},
+        {**good, "edgeImages": {**good["edgeImages"], first_edge: True}},
+        {**good, "branches": {**good["branches"], first_branch: {
+            **branch, "vertices": [str(x) for x in branch["vertices"]]}}},
         {**good, "branches": list(good["branches"].values())},
     ):
         with pytest.raises(MalformedInput):
@@ -120,6 +137,8 @@ def test_separation_round_trip():
     assert back == s
     with pytest.raises(MalformedInput):
         separation_from_dict({"A": doc["A"]}, g)
+    with pytest.raises(MalformedInput):
+        separation_from_dict({**doc, "A": {**doc["A"], "vertices": ["1"]}}, g)
     # sides that do not cover the host are rejected through Separation
     with pytest.raises(MalformedInput):
         separation_from_dict(

@@ -120,9 +120,13 @@ def test_induced_and_remove_vertices():
 
 
 def test_graph_equality_is_structural():
-    assert triangle() == triangle()
-    assert hash(triangle()) == hash(triangle())
-    assert triangle() != triangle().delete_edge(1)
+    g = triangle()
+    assert g == g and not g != g
+    assert g == triangle() and g is not triangle()
+    assert hash(g) == hash(triangle())
+    assert g != triangle().delete_edge(1)
+    assert g != Graph([1, 2, 3], [(1, 1, 2), (2, 2, 3), (3, 1, 1)])
+    assert g != "triangle"
 
 
 def test_subgraph_incidence_closure():
@@ -142,6 +146,10 @@ def test_subgraph_components_sorted_by_least_vertex():
     assert [sorted(c.vertices) for c in comps] == [[1, 2], [3], [4, 5]]
     assert subgraph_is_connected(comps[0])
     assert not subgraph_is_connected(h)
+    # a connected subgraph, loops included, is its own single piece
+    loops = Graph([1, 2], [(1, 1, 2), (2, 2, 2)])
+    whole = Subgraph(loops, {1, 2}, {1, 2})
+    assert subgraph_components(whole) == [whole]
 
 
 def test_boundary():

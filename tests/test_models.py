@@ -1,4 +1,6 @@
 """Pseudomodel validation, row images, and root augmentation."""
+import random
+
 import pytest
 
 from gridroots import (
@@ -16,6 +18,7 @@ from gridroots import (
     validate_model,
     validate_pseudomodel,
 )
+from gridroots.validation import ValidationReport
 
 
 def path_host():
@@ -114,6 +117,150 @@ def test_disconnected_branch_is_a_model_failure_only():
     report = validate_model(p)
     assert not report.ok
     assert report.codes() == ["branch-disconnected"]
+
+
+def pairwise_reference(p):
+    """The quadratic validator ``validate_pseudomodel`` replaced, kept as its oracle.
+
+    It compares every pair of branches and scans every branch for every
+    edge image; the findings, their messages and their order define the
+    contract.
+    """
+    report = ValidationReport()
+    pattern = p.pattern
+    for v in sorted(pattern.vertices):
+        if v not in p.branches:
+            report.add("branch-missing", f"pattern vertex {v} has no branch")
+    for v in sorted(p.branches):
+        if v not in pattern.vertices:
+            report.add("branch-unknown", f"branch key {v} is not a pattern vertex")
+        elif p.branches[v].is_null():
+            report.add("branch-null", f"branch of pattern vertex {v} is null")
+    keys = sorted(v for v in p.branches if v in pattern.vertices)
+    for idx, v in enumerate(keys):
+        bv = p.branches[v].vertices
+        for w in keys[idx + 1:]:
+            shared = bv & p.branches[w].vertices
+            if shared:
+                report.add(
+                    "branch-overlap",
+                    f"branches of {v} and {w} share vertices {sorted(shared)}",
+                )
+    seen_hosts = {}
+    for e in sorted(pattern.edge_ids):
+        if e not in p.edge_images:
+            report.add("edge-image-missing", f"pattern edge {e} has no host edge")
+    for e in sorted(p.edge_images):
+        if e not in pattern.edge_ids:
+            report.add("edge-image-unknown", f"edge image key {e} is not a pattern edge")
+            continue
+        f = p.edge_images[e]
+        if not p.host.has_edge_id(f):
+            report.add("edge-image-absent", f"host edge {f} for pattern edge {e} does not exist")
+            continue
+        if f in seen_hosts:
+            report.add(
+                "edge-image-duplicate",
+                f"host edge {f} images both pattern edges {seen_hosts[f]} and {e}",
+            )
+        else:
+            seen_hosts[f] = e
+        for v, br in p.branches.items():
+            if f in br.edge_ids:
+                report.add(
+                    "edge-image-in-branch",
+                    f"host edge {f} (image of pattern edge {e}) lies inside branch {v}",
+                )
+        u, v = pattern.endpoints(e)
+        x, y = p.host.endpoints(f)
+        bu = p.branches.get(u)
+        bv = p.branches.get(v)
+        if bu is None or bv is None:
+            continue
+        if u == v:
+            if not (x in bu.vertices and y in bu.vertices):
+                report.add(
+                    "edge-ends",
+                    f"loop image {f} of pattern edge {e} has an end outside branch {u}",
+                )
+        elif not (
+            (x in bu.vertices and y in bv.vertices)
+            or (x in bv.vertices and y in bu.vertices)
+        ):
+            report.add(
+                "edge-ends",
+                f"host edge {f} does not join the branches of pattern edge {e}={u}~{v}",
+            )
+    return report
+
+
+def random_multigraph(rng, num_vertices, num_edges):
+    """Vertices 1..num_vertices; sparse edge ids, loops and parallel edges."""
+    vertices = range(1, num_vertices + 1)
+    eids = rng.sample(range(1, 3 * num_edges + 2), num_edges)
+    return Graph(vertices, [(e, rng.choice(vertices), rng.choice(vertices)) for e in eids])
+
+
+def random_pseudomodel(rng):
+    """A small, usually broken pseudomodel: branch keys and image keys may be
+    unknown or missing, branches null or overlapping (often three at a
+    vertex), images absent, duplicated or inside branches.  Branch keys are
+    inserted in random order."""
+    host = random_multigraph(rng, rng.randint(1, 7), rng.randint(0, 9))
+    pattern = random_multigraph(rng, rng.randint(1, 5), rng.randint(0, 6))
+    keys = rng.sample(range(0, 8), rng.randint(0, 7))
+    branches = {}
+    for key in keys:
+        vs = set(rng.sample(sorted(host.vertices), rng.randint(0, min(3, host.num_vertices))))
+        inside = [e for e in host.edge_ids if set(host.endpoints(e)) <= vs]
+        branches[key] = Subgraph(host, vs, rng.sample(inside, rng.randint(0, len(inside))))
+    image_keys = [e for e in pattern.edge_ids if rng.random() < 0.85]
+    image_keys += rng.sample(range(0, 30), rng.randint(0, 2))
+    targets = sorted(host.edge_ids) + [97, 98]
+    images = {e: rng.choice(targets) for e in image_keys}
+    return Pseudomodel(host, pattern, branches, images)
+
+
+def test_validate_pseudomodel_matches_pairwise_reference():
+    rng = random.Random(20240607)
+    codes = set()
+    for case in range(3000):
+        p = random_pseudomodel(rng)
+        expected = pairwise_reference(p).as_dict()
+        assert validate_pseudomodel(p).as_dict() == expected, case
+        codes.update(f["code"] for f in expected["findings"])
+    assert codes == {
+        "branch-missing", "branch-unknown", "branch-null", "branch-overlap",
+        "edge-image-missing", "edge-image-unknown", "edge-image-absent",
+        "edge-image-duplicate", "edge-image-in-branch", "edge-ends",
+    }
+
+
+def test_overlap_and_in_branch_findings_keep_their_order():
+    # branches 5, 2 and 3 all hold vertex 1; host edge 1 lies in 5 and 2
+    g = Graph([1, 2, 3], [(1, 1, 2), (2, 2, 3)])
+    pat = Graph([2, 3, 5], [(1, 2, 3)])
+    branches = {
+        5: Subgraph(g, {1, 2}, {1}),
+        2: Subgraph(g, {1, 2}, {1}),
+        3: Subgraph(g, {1, 3}),
+    }
+    p = Pseudomodel(g, pat, branches, {1: 1})
+    messages = [f.message for f in validate_pseudomodel(p).findings]
+    assert messages == [
+        "branches of 2 and 3 share vertices [1]",
+        "branches of 2 and 5 share vertices [1, 2]",
+        "branches of 3 and 5 share vertices [1]",
+        "host edge 1 (image of pattern edge 1) lies inside branch 5",
+        "host edge 1 (image of pattern edge 1) lies inside branch 2",
+    ]
+    assert validate_pseudomodel(p).as_dict() == pairwise_reference(p).as_dict()
+
+
+def test_large_identity_model_is_valid():
+    m = identity_grid_model(60)
+    assert validate_pseudomodel(m).ok
+    assert validate_model(m).ok
 
 
 def test_image_of_vertices():
