@@ -38,14 +38,14 @@ def read_json(path: str | Path) -> Any:
         raise MalformedInput(f"{path} is not valid JSON: {exc}")
 
 
-# -- graphs and vertex sets -------------------------------------------------
-
-
 def _int(x: Any) -> int:
     """``x`` if it is a JSON integer; a bool, float or string is malformed."""
     if type(x) is not int:
         raise TypeError(f"expected an integer, got {x!r}")
     return x
+
+
+# -- graphs and vertex sets -------------------------------------------------
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -210,11 +210,11 @@ def recipe_from_dict(d: Any) -> InstanceRecipe:
     try:
         return InstanceRecipe(
             kind=str(d["kind"]),
-            n=int(d["n"]),
-            g=int(d["g"]),
-            k=int(d["k"]),
-            seed=int(d.get("seed", 0)),
-            degree=int(d.get("degree", d.get("k", 1))),
+            n=_int(d["n"]),
+            g=_int(d["g"]),
+            k=_int(d["k"]),
+            seed=_int(d.get("seed", 0)),
+            degree=_int(d.get("degree", d.get("k", 1))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad recipe document: {exc}")

@@ -168,6 +168,9 @@ def test_recipe_round_trip():
         recipe_from_dict({"kind": "identity-grid"})
     with pytest.raises(MalformedInput):
         recipe_from_dict({"kind": "nope", "n": 8, "g": 2, "k": 1})
+    for field, value in (("n", "8"), ("g", 2.9), ("k", True), ("seed", "9")):
+        with pytest.raises(MalformedInput):
+            recipe_from_dict({"kind": "identity-grid", "n": 8, "g": 2, "k": 1, field: value})
 
 
 def test_write_instance_and_read_back(tmp_path):
