@@ -9,6 +9,7 @@ from gridroots import (
     GridLabeling,
     Pseudomodel,
     Subgraph,
+    ValidationReport,
     apply_augmentation,
     check_augmentation,
     grid_edge_id,
@@ -18,7 +19,6 @@ from gridroots import (
     validate_model,
     validate_pseudomodel,
 )
-from gridroots.validation import ValidationReport
 
 
 def path_host():
