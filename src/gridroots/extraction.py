@@ -18,28 +18,37 @@ Each recursion level shrinks one mutable working graph
 (``graph.WorkingGraph``) in place, an O(degree) edge deletion or
 contraction at a time, and holds its branches and roots as plain id
 sets.  Its journal keeps only the endpoints of each step,
-``(kind, eid, u, v)``.  The witness is unwound by replaying the
+``(kind, eid, u, v)``.  The level's row scanner
+(``separations._RowScanner``) and reduction picker are built once and
+fed every journal entry: the scan after a step evaluates afresh only
+the rows whose flow or sink-reach certificate the step may have
+broken, and the picker classifies again only the edges at a
+contraction's survivor.  The witness is unwound by replaying the
 contractions backwards on id sets, a certificate is lifted back through
 deletions, contractions and the frames of enclosing recursions the same
 way, and both are built once, in the caller's original graph.  A
-``Graph`` is frozen from the working graph only where one is kept: a
-blocker's separation, the B side recursed into, and the band step.
+blocker comes back from the scan as id sets, so a ``Graph`` is frozen
+from the working graph only where one is kept: a reducible blocker's
+separation, the B side recursed into, and the band step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop
 from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import HypothesisViolated, InternalInvariantBroken, MalformedInput
-from .graph import (
-    Graph,
-    Subgraph,
-    WorkingGraph,
-    boundary,
-    subgraph_components,
+from .graph import Graph, Subgraph, WorkingGraph, subgraph_components
+from .grid import (
+    GridAtlas,
+    choose_band,
+    grid_edge_id,
+    grid_graph,
+    row_vertices,
+    vertex_coord,
+    vertex_id,
 )
-from .grid import GridAtlas, choose_band, grid_edge_id, grid_graph, row_vertices, vertex_id
 from .models import (
     AugmentationWitness,
     GridLabeling,
@@ -48,7 +57,14 @@ from .models import (
     check_augmentation,
     validate_pseudomodel,
 )
-from .separations import Separation, find_row_blocking_separation, find_row_cut, menger
+from .separations import (
+    Separation,
+    _RowScanner,
+    _split_at_cut,
+    _split_sides,
+    find_row_cut,
+    menger,
+)
 from .validation import ValidationReport
 
 
@@ -110,13 +126,16 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
         report.add("model-host", "model does not live in the problem host")
         return report
     pattern = problem.model.pattern
-    grid = grid_graph(n)
     for pv in sorted(pattern.vertices):
         if not 1 <= pv <= n * n:
             report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
             return report
     for pe in sorted(pattern.edge_ids):
-        if not grid.has_edge_id(pe) or grid.endpoints(pe) != pattern.endpoints(pe):
+        try:
+            matches = grid_edge_id(n, *pattern.endpoints(pe)) == pe
+        except ValueError:  # a loop, or ends that are not grid neighbours
+            matches = False
+        if not matches:
             report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
             return report
     if not any(set(row_vertices(n, i)) <= pattern.vertices for i in range(1, n + 1)):
@@ -124,7 +143,7 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
     sub_report = validate_pseudomodel(problem.model)
     if not sub_report.ok:
         return report.merged(sub_report)
-    bnd = boundary(grid, Subgraph(grid, pattern.vertices, pattern.edge_ids))
+    bnd = _pattern_boundary(n, pattern)
     for pv in sorted(pattern.vertices):
         comps = subgraph_components(problem.model.branches[pv])
         if len(comps) == 1 and pv not in bnd:
@@ -137,6 +156,23 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
             "without every component meeting the roots",
         )
     return report
+
+
+def _pattern_boundary(n: int, pattern: Graph) -> frozenset[int]:
+    """Pattern vertices at which some edge of the n x n grid is missing from the pattern.
+
+    This is ``boundary(grid_graph(n), pattern)`` for a pattern whose
+    edges are grid edges with their grid ids, read from coordinates: the
+    pattern edges at a vertex are some of its grid edges, so one is
+    missing exactly when they are fewer than the vertex's grid degree.
+    """
+    out = []
+    for pv in pattern.vertices:
+        i, j = vertex_coord(n, pv)
+        degree = (i > 1) + (i < n) + (j > 1) + (j < n)
+        if len(pattern.incident_edges(pv)) < degree:
+            out.append(pv)
+    return frozenset(out)
 
 
 def _json_rows(problems: ValidationReport) -> list[str]:
@@ -162,41 +198,60 @@ def _full_rows(n: int, pattern: Graph) -> list[tuple[int, ...]]:
     ]
 
 
-def _find_edge_reduction(
-    work: Graph | WorkingGraph,
-    roots: set[int],
-    branches: dict,
-    images: dict[int, int],
-) -> tuple[str, int, int | None] | None:
-    """Least-id edge reducible by deletion or contraction, with its rule.
+class _ReductionPicker:
+    """The least-id edge reducible by deletion or contraction, kept for one level.
 
     Rule order: plain deletion (edge in no branch and no image), branch
     edge deletion (loop, or both ends rooted), branch edge contraction
-    (everything else inside a branch).
+    (everything else inside a branch).  The edge images and the branch
+    edges' owners are read once per level.  Plain edges only ever leave
+    the graph, least first, so they are a sorted list read from a
+    cursor.  A branch edge changes rule only when a contraction moves
+    one of its ends, so after each contraction only the survivor's edges
+    are classified again.
     """
-    image_set = set(images.values())
-    owner: dict[int, int] = {}
-    for pv, (_vs, es) in branches.items():
-        for e in es:
-            owner[e] = pv
-    plain = [e for e in work.edge_ids if e not in image_set and e not in owner]
-    if plain:
-        return ("edge-delete", min(plain), None)
-    removable = []
-    contractible = []
-    for e, pv in owner.items():
-        x, y = work.endpoints(e)
-        if x == y or {x, y} <= roots:
-            removable.append((e, pv))
-        else:
-            contractible.append((e, pv))
-    if removable:
-        e, pv = min(removable)
-        return ("branch-edge-delete", e, pv)
-    if contractible:
-        e, pv = min(contractible)
-        return ("branch-edge-contract", e, pv)
-    return None
+
+    def __init__(self, g: Graph | WorkingGraph, roots: set[int], branches: dict, images: dict[int, int]):
+        image_set = set(images.values())
+        self.owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
+        self.plain = sorted(e for e in g.edge_ids if e not in image_set and e not in self.owner)
+        self.cursor = 0
+        self.removable = {e for e in self.owner if self._removable(g, roots, e)}
+        # a heap (sorted lists are heaps); edges that left it or became
+        # removable are dropped when they reach its top
+        self.contractible = sorted(e for e in self.owner if e not in self.removable)
+
+    @staticmethod
+    def _removable(g: Graph | WorkingGraph, roots: set[int], e: int) -> bool:
+        x, y = g.endpoints(e)
+        return x == y or (x in roots and y in roots)
+
+    def next(self) -> tuple[str, int, int | None] | None:
+        """The next reduction as ``(rule, edge, branch)``, or None when none applies."""
+        if self.cursor < len(self.plain):
+            return ("edge-delete", self.plain[self.cursor], None)
+        if self.removable:
+            e = min(self.removable)
+            return ("branch-edge-delete", e, self.owner[e])
+        heap = self.contractible
+        while heap and (heap[0] not in self.owner or heap[0] in self.removable):
+            heappop(heap)
+        if heap:
+            return ("branch-edge-contract", heap[0], self.owner[heap[0]])
+        return None
+
+    def feed(self, g: WorkingGraph, roots: set[int], entry: tuple[str, int, int, int]) -> None:
+        """Account for one applied reduction; ``g`` and ``roots`` are as after it."""
+        kind, eid, u, _v = entry
+        if eid not in self.owner:
+            self.cursor += 1
+            return
+        del self.owner[eid]
+        self.removable.discard(eid)
+        if kind == "contract":
+            for e in g.incident_edges(u):
+                if e in self.owner and self._removable(g, roots, e):
+                    self.removable.add(e)
 
 
 def _apply_edge_reduction(
@@ -405,8 +460,7 @@ def _saturated_state(
         raise InternalInvariantBroken(
             f"{len(z_prime)} branches meet the {k} roots", payload=sorted(z_prime)
         )
-    grid = grid_graph(n)
-    bnd = boundary(grid, Subgraph(grid, pattern.vertices, pattern.edge_ids))
+    bnd = _pattern_boundary(n, pattern)
     if not bnd <= z_prime:
         raise InternalInvariantBroken(
             "pattern boundary escapes the root-touching vertices",
@@ -534,8 +588,10 @@ class _Runner:
 
         The copy is made at the level's first reduction, so a level that
         is refuted or recursed from at its first scan copies nothing.
-        Returns the atlas, the small grid's edge images and the base and
-        augmented witness branch sets, unwound into ``host``.
+        The level's row scanner and reduction picker are fed every
+        journal entry instead of being rebuilt.  Returns the atlas, the
+        small grid's edge images and the base and augmented witness
+        branch sets, unwound into ``host``.
         """
         n, g, k = self.n, self.g, self.k
         work: Graph | WorkingGraph = host
@@ -543,16 +599,16 @@ class _Runner:
         branches = dict(branches)
         rows = _full_rows(n, pattern)
         journal: list[tuple] = []
+        scanner = _RowScanner(host, roots, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k)
+        picker = None
         while True:
-            row_images = {pv: vs for pv, (vs, _es) in branches.items()}
-            block = find_row_blocking_separation(work, roots, row_images, rows, k)
+            block = scanner.scan(work)
             if block is not None and block.kind == "strict":
-                sep = block.separation
-                sides = (sep.a.vertices, sep.a.edge_ids, sep.b.vertices, sep.b.edge_ids)
+                sides = _split_sides(work, block.cut, block.a_only)
                 lifted = _lift_certificate_through_journal(sides, journal, k)
                 raise _Pinched(lifted, block.row, depth)
             if block is not None:
-                sep = block.separation
+                sep = _split_at_cut(work.freeze(), block.cut, block.a_only)
                 record = {
                     "kind": "separation-recursion",
                     "depth": depth,
@@ -587,7 +643,9 @@ class _Runner:
                 )
                 return (atlas, small_images, _unwind_journal(journal, base),
                         _unwind_journal(journal, augmented))
-            reduction = _find_edge_reduction(work, roots, branches, images)
+            if picker is None:
+                picker = _ReductionPicker(host, roots, branches, images)
+            reduction = picker.next()
             if reduction is None:
                 break
             kind, eid, branch_key = reduction
@@ -595,6 +653,8 @@ class _Runner:
                 work = WorkingGraph(host)
             entry = _apply_edge_reduction(work, roots, branches, kind, eid, branch_key)
             journal.append(entry)
+            scanner.feed(entry)
+            picker.feed(work, roots, entry)
             record = {
                 "kind": kind,
                 "depth": depth,

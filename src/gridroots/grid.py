@@ -58,18 +58,21 @@ def grid_edge_id(n: int, u: int, v: int) -> int:
     Recomputes the row-major numbering without building the graph: each
     cell emits its right edge (when one exists) and then its down edge.
     """
-    a, b = min(u, v), max(u, v)
-    i, j = vertex_coord(n, a)
-    ic, jc = vertex_coord(n, b)
-    if (ic, jc) not in ((i, j + 1), (i + 1, j)):
+    a, b = (u, v) if u < v else (v, u)
+    for vid in (a, b):
+        if not 1 <= vid <= n * n:
+            raise ValueError(f"vertex id {vid} outside the {n}x{n} grid")
+    i, j = divmod(a - 1, n)  # 0-based row and column of a
+    right = b == a + 1 and j < n - 1
+    if not right and b != a + n:
         raise ValueError(f"vertices {u} and {v} are not grid-adjacent")
     # Rows above row i each emit n - 1 right edges and n down edges;
     # earlier cells in row i emit one right edge each plus a down edge
     # when row i is not the last row.
-    count = (i - 1) * (2 * n - 1) + (j - 1) * (2 if i < n else 1)
-    if (ic, jc) == (i, j + 1):
+    count = i * (2 * n - 1) + j * (2 if i < n - 1 else 1)
+    if right:
         return count + 1
-    return count + (2 if j < n else 1)
+    return count + (2 if j < n - 1 else 1)
 
 
 def row_vertices(n: int, i: int) -> tuple[int, ...]:

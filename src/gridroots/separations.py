@@ -9,7 +9,9 @@ a cut of fewer than ``k`` vertices together with the separation that cut
 induces.  It shares one flow engine with the row scans
 (``find_row_blocking_separation`` and ``find_row_cut``): the vertex-split
 network stays implicit, as arrays over neighbour lists built once per
-graph.
+graph.  ``_RowScanner`` is the row scan kept across the edge deletions
+and contractions of one extraction level: it edits its neighbour lists
+in place and re-checks only the rows a step can change.
 """
 from __future__ import annotations
 
@@ -133,46 +135,68 @@ class _FlowNetwork:
     (loops and parallel copies add nothing), and uncapacitated arcs from
     a super source to the in-nodes of the sources and from the out-nodes
     of the targets to a super sink.  Only each vertex's neighbours are
-    stored, itself included, in ascending order, and built once per
-    graph.  Every vertex carries at most one unit, so the current flow
-    is two arrays: ``prev[i]`` is the vertex feeding i (``_END`` for the
-    super source, ``_FREE`` when i carries nothing) and ``nxt[i]`` the
-    vertex i feeds (``_END`` for the super sink).
+    stored, itself included, built once per graph: ``around[i]`` lists
+    them in ascending order, or, when ``counted``, maps each to the
+    number of edges joining them (0 for i itself) in no set order, so
+    that edits can keep it up to date.  Every vertex carries at most one
+    unit, so the current flow is two arrays: ``prev[i]`` is the vertex
+    feeding i (``_END`` for the super source, ``_FREE`` when i carries
+    nothing) and ``nxt[i]`` the vertex i feeds (``_END`` for the super
+    sink).
     """
 
-    __slots__ = ("vertices", "index", "around", "prev", "nxt", "value")
+    __slots__ = ("vertices", "index", "around", "prev", "nxt", "value", "level")
 
-    def __init__(self, g: Graph | WorkingGraph):
+    def __init__(self, g: Graph | WorkingGraph, counted: bool = False):
         self.vertices = sorted(g.vertices)
         self.index = index = {v: i for i, v in enumerate(self.vertices)}
-        adj = [{i} for i in range(len(self.vertices))]
-        for _eid, x, y in g.edges():
-            adj[index[x]].add(index[y])
-            adj[index[y]].add(index[x])
-        self.around = [sorted(a) for a in adj]
+        if counted:
+            around = [{i: 0} for i in range(len(self.vertices))]
+            for _eid, x, y in g.edges():
+                if x != y:
+                    a, b = index[x], index[y]
+                    around[a][b] = around[b][a] = around[a].get(b, 0) + 1
+            self.around = around
+        else:
+            adj = [{i} for i in range(len(self.vertices))]
+            for _eid, x, y in g.edges():
+                adj[index[x]].add(index[y])
+                adj[index[y]].add(index[x])
+            self.around = [sorted(a) for a in adj]
         self.prev: list[int] = []
         self.nxt: list[int] = []
         self.value = 0
+        self.level: list[int] = []
 
     def max_flow(self, sources: frozenset[int], targets: frozenset[int], limit: int) -> int:
-        """Augment until the flow value reaches ``limit`` or is maximum.
+        """A maximum flow from scratch, stopped once its value reaches ``limit``.
 
         The value never exceeds the number of sources or of targets, so
-        reaching either also ends the search.  Each augmenting path is a
-        shortest one in the residual network, ties broken by ascending
-        node id, which fixes the flow and with it the paths.
+        reaching either also ends the search.
         """
-        index, around = self.index, self.around
-        nv = len(around)
-        starts = [2 * index[z] for z in sorted(sources)]
+        index = self.index
+        nv = len(self.around)
         is_target = bytearray(nv)
         for t in targets:
             is_target[index[t]] = 1
-        prev = self.prev = [_FREE] * nv
-        nxt = self.nxt = [_FREE] * nv
-        top = 2 * nv  # the super source
-        limit = min(limit, len(sources), len(targets))
-        total = 0
+        self.prev = [_FREE] * nv
+        self.nxt = [_FREE] * nv
+        self.value = 0
+        starts = [2 * index[z] for z in sorted(sources)]
+        return self.augment(starts, is_target, min(limit, len(sources), len(targets)))
+
+    def augment(self, starts: Sequence[int], is_target: bytearray, limit: int) -> int:
+        """Augment the current flow until its value reaches ``limit`` or is maximum.
+
+        ``starts`` are the in-nodes of the sources and ``is_target`` marks
+        the targets by vertex index.  Each augmenting path is a shortest
+        one in the residual network, ties broken by ascending node id in
+        a network built from a graph, which fixes the flow and with it
+        the paths.
+        """
+        around, prev, nxt = self.around, self.prev, self.nxt
+        top = 2 * len(around)  # the super source
+        total = self.value
         while total < limit:
             parent = [-1] * top
             for u in starts:
@@ -241,42 +265,56 @@ class _FlowNetwork:
             out.append(path)
         return out
 
-    def sink_cut(self, targets: frozenset[int]) -> tuple[frozenset[int], int]:
+    def sink_cut(self, heads: Iterable[int]) -> tuple[frozenset[int], int]:
         """The sink-side minimum cut of a maximum flow, and what lies beyond it.
 
-        A vertex is in the cut when its out-node reaches the super sink
-        in the residual network and its in-node does not.  The nodes that
-        reach the sink are the same for every maximum flow, so the cut
-        does not depend on the order of augmentation.  The second value
-        counts the vertices whose in-node reaches the sink: exactly the
-        vertices reachable from the targets in the graph minus the cut.
+        ``heads`` are the indices of the targets.  A vertex is in the cut
+        when its out-node reaches the super sink in the residual network
+        and its in-node does not.  The nodes that reach the sink are the
+        same for every maximum flow, so the cut does not depend on the
+        order of augmentation.  The second value counts the vertices
+        whose in-node reaches the sink: exactly the vertices reachable
+        from the targets in the graph minus the cut.
+
+        The search runs breadth-first back from the sink and leaves
+        ``level``, a certificate of what reaches it: ``level[j]`` is the
+        distance of out(j) from the sink counted in out-nodes, -1 when
+        out(j) does not reach it.  Every reached out-node but a target's
+        has a residual successor in(i) that leads on to a lower one:
+        in(i) leads to out(i) when i is free, else to out(prev[i]).
         """
-        index, around, prev, nxt = self.index, self.around, self.prev, self.nxt
+        around, prev, nxt = self.around, self.prev, self.nxt
         nv = len(around)
+        level = self.level = [-1] * nv
         in_seen = bytearray(nv)
-        out_seen = bytearray(nv)
-        heads = [index[t] for t in targets]  # the out-nodes next to the sink
-        stack = [-1]  # -1 stands for the super sink
-        while stack:
-            i = stack.pop()
+        queue = []
+        for j in heads:  # the out-nodes next to the sink
+            level[j] = 0
+            # the residual arc into out(j) comes from in(j) when j is
+            # free, else from the in-node of the vertex j feeds
+            p = j if prev[j] == _FREE else nxt[j]
+            if p >= 0 and not in_seen[p]:
+                in_seen[p] = 1
+                queue.append(p)
+        for i in queue:
+            p = prev[i]
+            d = level[i if p == _FREE else p] + 1
             # every out(j) next to in(i) reaches it; out(i) too when i
             # carries flow (when it does not, out(i) was seen first)
-            for j in heads if i < 0 else around[i]:
-                if out_seen[j]:
+            for j in around[i]:
+                if level[j] >= 0:
                     continue
-                out_seen[j] = 1
-                # the residual arc into out(j) comes from in(j) when j is
-                # free, else from the in-node of the vertex j feeds
+                level[j] = d
                 p = j if prev[j] == _FREE else nxt[j]
                 if p >= 0 and not in_seen[p]:
                     in_seen[p] = 1
-                    stack.append(p)
+                    queue.append(p)
         # a free vertex whose out-node is seen has its in-node seen too,
         # so only vertices that carry flow can be in the cut
         cut = frozenset(
             self.vertices[j]
             for j, p in enumerate(prev)
-            if p != _FREE and out_seen[j] and not in_seen[j]
+            if p != _FREE and level[j] >= 0 and not in_seen[j]
         )
         if len(cut) != self.value:
             raise InternalInvariantBroken(
@@ -284,6 +322,18 @@ class _FlowNetwork:
                 payload={"cut": sorted(cut)},
             )
         return cut, in_seen.count(1)
+
+    def reach(self, starts: Iterable[int], blocked: AbstractSet[int]) -> set[int]:
+        """Vertices reachable from ``starts`` without entering ``blocked`` (all by index)."""
+        around = self.around
+        seen = {s for s in starts if s not in blocked}
+        stack = list(seen)
+        while stack:
+            for j in around[stack.pop()]:
+                if j not in seen and j not in blocked:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
 
 
 def menger(
@@ -328,7 +378,7 @@ def menger(
     if net.max_flow(src, tgt, k) == k:
         paths = tuple(_trim_path(p, src, tgt) for p in net.paths())
         return CutResult(paths=paths, cut=None, separation=None)
-    cut, _beyond = net.sink_cut(tgt)
+    cut, _beyond = net.sink_cut([net.index[t] for t in tgt])
     return CutResult(paths=None, cut=cut, separation=_cut_separation(searched, cut, src))
 
 
@@ -337,8 +387,8 @@ def _cut_separation(g: Graph, cut: frozenset[int], sources: frozenset[int]) -> S
     return _split_at_cut(g, cut, frozenset(reachable_from(g, sorted(sources), cut)))
 
 
-def _split_at_cut(g: Graph, cut: frozenset[int], a_only: AbstractSet[int]) -> Separation:
-    """The separation with A = cut plus ``a_only`` and B = cut plus the rest.
+def _split_sides(g: Graph | WorkingGraph, cut: frozenset[int], a_only: AbstractSet[int]):
+    """Sides ``(VA, EA, VB, EB)`` as id sets, A = cut plus ``a_only``, B = cut plus the rest.
 
     ``a_only`` must be a union of components of g minus the cut, so no
     edge joins it to the rest: edges touching a B-only vertex go to B,
@@ -349,7 +399,13 @@ def _split_at_cut(g: Graph, cut: frozenset[int], a_only: AbstractSet[int]) -> Se
     for e in g.edge_ids:
         x, y = g.endpoints(e)
         (b_edges if x in b_only or y in b_only else a_edges).add(e)
-    return Separation(Subgraph(g, a_only | cut, a_edges), Subgraph(g, b_only | cut, b_edges))
+    return a_only | cut, a_edges, b_only | cut, b_edges
+
+
+def _split_at_cut(g: Graph, cut: frozenset[int], a_only: AbstractSet[int]) -> Separation:
+    """The separation of ``_split_sides``, built in g."""
+    va, ea, vb, eb = _split_sides(g, cut, a_only)
+    return Separation(Subgraph(g, va, ea), Subgraph(g, vb, eb))
 
 
 def blocking_separation(
@@ -386,6 +442,16 @@ class RowBlock:
     kind: str  # "strict" (order < k) or "reducible" (order = k, B != G)
 
 
+@dataclass(frozen=True)
+class _Blocker:
+    """A row scan's first blocker, as ids: its sides are ``_split_sides(g, cut, a_only)``."""
+
+    kind: str  # "strict" or "reducible", as in RowBlock
+    row: tuple[int, ...]
+    cut: frozenset[int]
+    a_only: frozenset[int]
+
+
 def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
     """Pattern vertex -> branch vertex set, from a pseudomodel or such a mapping."""
     if isinstance(p, Pseudomodel):
@@ -393,21 +459,7 @@ def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
     return p
 
 
-def _row_cuts(
-    g: Graph | WorkingGraph,
-    roots: frozenset[int],
-    branch_vertices: Mapping[int, AbstractSet[int]],
-    rows: Sequence[Sequence[int]],
-    limit: int,
-):
-    """Yield ``(row, image, cut, beyond)`` for each row that ``limit`` paths miss.
-
-    Rows go in the order given.  A row is yielded when fewer than
-    ``limit`` disjoint paths join the roots to its branch image; ``cut``
-    is then the sink-side minimum cut and ``beyond`` the number of
-    vertices the image reaches in g minus the cut.  The flow network is
-    built once for all rows.
-    """
+def _check_roots(g: Graph | WorkingGraph, roots: frozenset[int]) -> None:
     problems = []
     if not roots:
         problems.append("empty root set")
@@ -415,25 +467,283 @@ def _row_cuts(
         problems.append("roots must be vertices of the graph")
     if problems:
         raise MalformedInput("bad row scan", problems)
-    net = _FlowNetwork(g)
-    for row in rows:
-        try:
-            image = frozenset().union(*(branch_vertices[v] for v in row))
-        except KeyError as exc:
-            raise MalformedInput(
-                "bad row scan", [f"pattern vertex {exc.args[0]} of row {list(row)} has no branch"]
-            ) from None
-        if not image or not image <= g.vertices:
-            raise MalformedInput(
-                "bad row scan", [f"the image of row {list(row)} is empty or not in the graph"]
-            )
-        if net.max_flow(roots, image, limit) < limit:
-            yield (tuple(row), image, *net.sink_cut(image))
 
 
-def _has_edge_inside(g: Graph | WorkingGraph, cut: frozenset[int]) -> bool:
+def _row_image(
+    g: Graph | WorkingGraph,
+    branch_vertices: Mapping[int, AbstractSet[int]],
+    row: Sequence[int],
+) -> frozenset[int]:
+    """The union of the row's branches; MalformedInput when it is not a vertex set of g."""
+    try:
+        image = frozenset().union(*(branch_vertices[v] for v in row))
+    except KeyError as exc:
+        raise MalformedInput(
+            "bad row scan", [f"pattern vertex {exc.args[0]} of row {list(row)} has no branch"]
+        ) from None
+    if not image or not image <= g.vertices:
+        raise MalformedInput(
+            "bad row scan", [f"the image of row {list(row)} is empty or not in the graph"]
+        )
+    return image
+
+
+def _has_edge_inside(g: Graph | WorkingGraph, cut: AbstractSet[int]) -> bool:
     """True when some edge, a loop included, has both ends in ``cut``."""
     return any(set(g.endpoints(e)) <= cut for v in cut for e in g.incident_edges(v))
+
+
+class _RowState:
+    """One row's flow and, once it is proven no blocker, the proof.
+
+    ``prev``, ``nxt`` and ``value`` are a valid flow from the roots to
+    the row's image.  ``level`` is None, or the certificate
+    ``_FlowNetwork.sink_cut`` leaves for a flow of value k with the
+    roots' in-nodes the only nodes that miss the sink.
+    """
+
+    __slots__ = ("prev", "nxt", "value", "level")
+
+    def __init__(self, net: _FlowNetwork):
+        self.prev, self.nxt, self.value, self.level = net.prev, net.nxt, net.value, net.level
+
+
+class _RowScanner:
+    """The row scan of one recursion level, kept across its edge reductions.
+
+    ``scan`` answers what ``find_row_blocking_separation`` would answer
+    for the current graph; ``feed`` takes each journal entry
+    ``(kind, eid, u, v)`` of the level (a contraction's survivor is u,
+    and a branch holding v holds u) and updates the flow network's
+    neighbour counts in O(degree) instead of rebuilding it.
+
+    With |Z| = k roots (``max_order``) the flow never exceeds k units,
+    and a row is no blocker exactly when its flow is k, every residual
+    node except the roots' in-nodes reaches the sink, and no edge (a
+    loop included) lies inside Z.  For such a row the scanner keeps the
+    flow and a sink-reach certificate: levels under which every
+    out-node but a target's has a residual successor leading to a
+    strictly lower one (see ``sink_cut``).  Per entry and row:
+
+    - a loop or a parallel copy changes nothing;
+    - deleting an edge the flow does not use leaves the flow maximum,
+      and only out(u) and out(v) can lose their lower successor; they
+      look for another one, raising levels as in Even and Shiloach ("An
+      on-line edge-deletion problem", J. ACM 28(1), 1981) within a work
+      budget;
+    - contracting an edge whose ends are free of flow merges the two
+      out-nodes under the lower level;
+    - deleting an edge the flow uses cancels that path, and the row is
+      re-augmented from the rest of its flow at the next scan;
+    - anything else leaves the row to be evaluated afresh.
+
+    An edge inside Z can only appear when a contraction moves a root,
+    which carries flow in every certified row, so certified rows need no
+    check for it.  A scan evaluates every uncertified row in full, from
+    its kept flow when it has one, which gives the verdict a fresh scan
+    gives; those evaluations count as ``cold``, and ``reused`` counts the
+    rows a scan took from their certificate.
+    """
+
+    # out-nodes one row may re-examine while repairing its certificate
+    # after one deletion, before it is evaluated afresh instead
+    REPAIR_BUDGET = 64
+
+    def __init__(
+        self,
+        g: Graph | WorkingGraph,
+        roots: Iterable[int],
+        branch_vertices: Mapping[int, AbstractSet[int]],
+        rows: Sequence[Sequence[int]],
+        max_order: int,
+    ):
+        self.roots = set(roots)
+        _check_roots(g, frozenset(self.roots))
+        self.net = net = _FlowNetwork(g, counted=True)
+        self.k = max_order
+        self.rows = [tuple(row) for row in rows]
+        # per row: the image's vertex indices and a target mark per index,
+        # or the MalformedInput to raise when the scan reaches the row
+        self.images: list = []
+        self.marks: list[bytearray | None] = []
+        for row in self.rows:
+            try:
+                image = {net.index[v] for v in _row_image(g, branch_vertices, row)}
+            except MalformedInput as exc:
+                self.images.append(exc)
+                self.marks.append(None)
+                continue
+            marks = bytearray(len(net.vertices))
+            for i in image:
+                marks[i] = 1
+            self.images.append(image)
+            self.marks.append(marks)
+        self.states: list[_RowState | None] = [None] * len(self.rows)
+        self.cold = 0
+        self.reused = 0
+
+    # -- scanning ---------------------------------------------------------
+
+    def scan(self, g: Graph | WorkingGraph) -> _Blocker | None:
+        """The first row, in order, that a separation blocks; None if none does.
+
+        ``g`` is the graph as of the last entry fed.
+        """
+        net, k = self.net, self.k
+        keep = len(self.roots) == k
+        starts = [2 * net.index[z] for z in sorted(self.roots)]
+        nv = len(net.around)
+        for r, row in enumerate(self.rows):
+            image = self.images[r]
+            if isinstance(image, MalformedInput):
+                raise image
+            state = self.states[r]
+            if state is not None and state.level is not None:
+                self.reused += 1
+                continue
+            self.cold += 1
+            if state is None:
+                net.prev, net.nxt, net.value = [_FREE] * nv, [_FREE] * nv, 0
+            else:
+                net.prev, net.nxt, net.value = state.prev, state.nxt, state.value
+            limit = min(k + 1, len(starts), len(image))
+            if net.augment(starts, self.marks[r], limit) > k:
+                self.states[r] = None
+                continue
+            cut, beyond = net.sink_cut(image)
+            if len(cut) < k:
+                a_only = net.reach([net.index[z] for z in self.roots], self._indices(cut))
+                return self._blocker("strict", r, cut, a_only)
+            if len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
+                b_only = net.reach(image, self._indices(cut))
+                a_only = {net.index[v] for v in g.vertices} - b_only - self._indices(cut)
+                return self._blocker("reducible", r, cut, a_only)
+            self.states[r] = _RowState(net) if keep else None
+        return None
+
+    def _indices(self, vertices: Iterable[int]) -> set[int]:
+        index = self.net.index
+        return {index[v] for v in vertices}
+
+    def _blocker(self, kind: str, r: int, cut: frozenset[int], a_only: set[int]) -> _Blocker:
+        self.states[r] = None
+        verts = self.net.vertices
+        return _Blocker(kind, self.rows[r], cut, frozenset(verts[i] for i in a_only))
+
+    # -- journal entries ----------------------------------------------------
+
+    def feed(self, entry: tuple[str, int, int, int]) -> None:
+        """Bring the network and every row's state past one journal entry."""
+        kind, _eid, u, v = entry
+        i, j = self.net.index[u], self.net.index[v]
+        if kind == "delete":
+            self._delete(i, j)
+        else:
+            self._contract(i, j)
+            if v in self.roots:
+                self.roots.discard(v)
+                self.roots.add(u)
+
+    def _delete(self, i: int, j: int) -> None:
+        around = self.net.around
+        if i == j:
+            return  # a loop is not in the network
+        left = around[i][j] - 1
+        if left:
+            around[i][j] = around[j][i] = left
+            return
+        del around[i][j], around[j][i]
+        for state in self.states:
+            if state is None:
+                continue
+            nxt = state.nxt
+            if nxt[i] == j or nxt[j] == i:
+                self._cancel(state, i if nxt[i] == j else j)
+            elif state.level is not None and not self._repair(state, [i, j]):
+                state.level = None
+
+    @staticmethod
+    def _cancel(state: _RowState, a: int) -> None:
+        """Take away the unit of flow whose path runs from a to ``nxt[a]``."""
+        prev, nxt = state.prev, state.nxt
+        for w, step in ((a, prev), (nxt[a], nxt)):
+            while w >= 0:
+                after = step[w]
+                prev[w] = nxt[w] = _FREE
+                w = after
+        state.value -= 1
+        state.level = None
+
+    def _repair(self, state: _RowState, suspects: list[int]) -> bool:
+        """Give each out-node in ``suspects``, and whatever that moves, a lower successor.
+
+        An out-node keeps its level when some residual successor leads
+        to a lower one; otherwise it rises to one above its lowest
+        successor, and the out-nodes with an arc into the in-node that
+        leads to it are examined in turn.  False when an out-node has no
+        successor left, rises past the number of vertices (it no longer
+        reaches the sink), or the budget runs out.
+        """
+        around = self.net.around
+        prev, nxt, level = state.prev, state.nxt, state.level
+        top = len(around)
+        budget = self.REPAIR_BUDGET
+        for a in suspects:  # grows while it is read
+            mine = level[a]
+            if mine == 0:
+                continue  # a target: its arc to the sink stays
+            budget -= 1
+            if budget < 0:
+                return False
+            low = top
+            for j in around[a]:
+                # out(a) enters in(j) for every neighbour j, and in(a)
+                # when a carries flow; in(j) leads on to out(j) when j is
+                # free, else to out(prev[j]), and nowhere from a root
+                p = prev[j]
+                if j == a and p == _FREE:
+                    continue
+                w = j if p == _FREE else p
+                if w >= 0 and level[w] < low:
+                    low = level[w]
+                    if low < mine:
+                        break
+            if low < mine:
+                continue
+            if low + 1 >= top:
+                return False
+            level[a] = low + 1
+            # in(h) leads to out(a): h is a itself when free, else nxt[a]
+            h = a if prev[a] == _FREE else nxt[a]
+            suspects.extend(c for c in around[h] if level[c] <= level[a])
+        return True
+
+    def _contract(self, i: int, j: int) -> None:
+        """Merge vertex j into its neighbour i."""
+        around = self.net.around
+        for r, state in enumerate(self.states):
+            if state is None:
+                continue
+            marks = self.marks[r]
+            if state.prev[i] != _FREE or state.prev[j] != _FREE or marks[i] != marks[j]:
+                self.states[r] = None
+                continue
+            level = state.level
+            if level is not None and level[j] < level[i]:
+                level[i] = level[j]
+        gone = around[j]
+        del gone[j], gone[i]
+        del around[i][j]
+        for b, c in gone.items():
+            del around[b][j]
+            around[b][i] = around[i][b] = around[i].get(b, 0) + c
+        around[j] = {}
+        for image, marks in zip(self.images, self.marks):
+            if marks is not None and marks[j]:
+                marks[j] = 0
+                image.discard(j)
+                marks[i] = 1
+                image.add(i)
 
 
 def find_row_blocking_separation(
@@ -460,20 +770,20 @@ def find_row_blocking_separation(
     condition is part of the second.  Returns the first blocker or
     None; its separation lives in ``g.freeze()``.  ``p`` gives the row
     images: a pseudomodel, or a mapping from pattern vertex to branch
-    vertex set (what the extraction loop passes with its working graph).
-    Raises MalformedInput for a negative ``max_order``, an empty
-    root set or row image, roots or images outside g, and a row vertex
-    with no branch.
+    vertex set.  Raises MalformedInput for a negative ``max_order``, an
+    empty root set or roots outside g, and, once the scan reaches the
+    row, a row vertex with no branch or a row image that is empty or
+    not in g.
+
+    This is one scan of a fresh ``_RowScanner``, which the extraction
+    loop keeps for a whole recursion level instead.
     """
     if max_order < 0:
         raise MalformedInput("bad row scan", [f"max_order must be non-negative, got {max_order}"])
-    root_set = frozenset(roots)
-    for row, image, cut, beyond in _row_cuts(g, root_set, _branch_vertices(p), rows, max_order + 1):
-        if len(cut) < max_order:
-            return RowBlock(_cut_separation(g.freeze(), cut, root_set), row, "strict")
-        if len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
-            return RowBlock(blocking_separation(g.freeze(), cut, root_set, image), row, "reducible")
-    return None
+    block = _RowScanner(g, roots, _branch_vertices(p), rows, max_order).scan(g)
+    if block is None:
+        return None
+    return RowBlock(_split_at_cut(g.freeze(), block.cut, block.a_only), block.row, block.kind)
 
 
 def find_row_cut(
@@ -488,13 +798,20 @@ def find_row_cut(
     The cut is the sink-side minimum cut of the row's maximum flow (the
     same for every maximum flow), returned as a strict RowBlock with the
     separation ``menger`` gives for it.  None when every row is joined
-    to the roots by ``k`` disjoint paths.
+    to the roots by ``k`` disjoint paths.  The flow network is built
+    once for all rows.
     """
     if k < 1:
         raise MalformedInput("bad row scan", [f"k must be positive, got {k}"])
     root_set = frozenset(roots)
-    for row, _image, cut, _beyond in _row_cuts(g, root_set, _branch_vertices(p), rows, k):
-        return RowBlock(_cut_separation(g, cut, root_set), row, "strict")
+    _check_roots(g, root_set)
+    branch_vertices = _branch_vertices(p)
+    net = _FlowNetwork(g)
+    for row in rows:
+        image = _row_image(g, branch_vertices, row)
+        if net.max_flow(root_set, image, k) < k:
+            cut, _beyond = net.sink_cut([net.index[t] for t in image])
+            return RowBlock(_cut_separation(g, cut, root_set), tuple(row), "strict")
     return None
 
 

@@ -1,4 +1,6 @@
 """End-to-end extraction: validation, frozen runs, certificates, replay."""
+import random
+
 import pytest
 
 from gridroots import (
@@ -26,6 +28,8 @@ from gridroots import (
     validate_model,
     validate_problem,
 )
+from gridroots.extraction import _pattern_boundary
+from gridroots.graph import boundary
 
 
 def test_validate_problem_parameter_codes():
@@ -95,6 +99,29 @@ def test_validate_problem_model_codes():
         host=host, roots=frozenset({1}), model=model2, n=8, g=2, k=1
     )
     assert "pattern-row" in validate_problem(rowless).codes()
+
+
+def test_validate_problem_rejects_loops_and_non_grid_pairs_as_pattern_edges():
+    host = grid_graph(8)
+    for pat in (Graph([1], [(1, 1, 1)]), Graph([1, 10], [(2, 1, 10)])):
+        model = Pseudomodel(host, pat, {v: Subgraph(host, {v}) for v in pat.vertices}, {})
+        problem = ExtractionProblem(host=host, roots=frozenset({1}), model=model, n=8, g=2, k=1)
+        assert validate_problem(problem).codes() == ["pattern-grid"]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pattern_boundary_from_coordinates_matches_the_grid_boundary(seed):
+    rng = random.Random(f"pattern-boundary:{seed}")
+    n = rng.randint(1, 7)
+    grid = grid_graph(n)
+    vertices = {v for v in grid.vertices if rng.random() < 0.85}
+    edges = [
+        (e, u, v) for e, u, v in grid.edges()
+        if u in vertices and v in vertices and rng.random() < 0.8
+    ]
+    pattern = Graph(vertices, edges)
+    expected = boundary(grid, Subgraph(grid, pattern.vertices, pattern.edge_ids))
+    assert _pattern_boundary(n, pattern) == expected
 
 
 def test_validate_problem_merges_pseudomodel_findings():

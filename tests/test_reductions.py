@@ -34,6 +34,7 @@ from gridroots import (
     vertex_coord,
     vertex_id,
 )
+from gridroots import extraction
 from gridroots.extraction import (
     _lift_certificate_through_frame,
     _lift_certificate_through_journal,
@@ -107,6 +108,20 @@ CASES = {
         "4dd4a58c30911921ef935fc933eebdd20e610c8b8c0b9afbe5d566deedab2d82",
     (7, "top-left"):
         "2ae04e0491667ea74978dd35fba3fd83507fe276c1516f96b2d36737c8acf466",
+    (7, "top-right"):
+        "69694726c4bda730b7bb8888c2f3c9fa941093503816b49d83d76ff61cb3eaca",
+    (7, "bottom-left"):
+        "952d0a14c83d51ec9c4fabf5f334bd75c7c328fca4efd7b723aff4288553e001",
+    (7, "bottom-right"):
+        "04bbb5e76279ec172ee608e7ceebb82a3977a17c5ab563b9ea5bc0706392d47e",
+    (9, "top-left"):
+        "b55c283d296c9a1fa980b9b07599ea60d67c22897c26464b153f7a978f81d547",
+    (9, "top-right"):
+        "7354f73e1524a270d8fb73dfb3d49852d4805dc2799b85c02f84487084c8ad1d",
+    (9, "bottom-left"):
+        "8cbac0369b5bbc136e4ea6cb4604ea8398ade5b7b97fdbc89dc0bbb3585debac",
+    (9, "bottom-right"):
+        "662852557d4618b402b89c15cd10a2a84f1aa4479449fe4d86c5dfb2dec17ff9",
 }
 
 
@@ -123,6 +138,30 @@ def test_coarse_run_reaches_every_reduction_and_replays(n, corner):
     assert again.trace == res.trace
     assert result_to_dict(again) == result_to_dict(res)
     assert bundle_digest(again) == bundle_digest(res) == CASES[(n, corner)]
+
+
+def test_row_scanner_reuses_most_row_verdicts(monkeypatch):
+    """After a level's first scan, at most 10% of row evaluations are cold."""
+    scanners = []
+
+    class Recording(extraction._RowScanner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.first = None
+            scanners.append(self)
+
+        def scan(self, g):
+            block = super().scan(g)
+            if self.first is None:
+                self.first = self.cold
+            return block
+
+    monkeypatch.setattr(extraction, "_RowScanner", Recording)
+    extract(coarse_problem(7, "top-left"))
+    cold = sum(s.cold - s.first for s in scanners)
+    reused = sum(s.reused for s in scanners)
+    assert reused > 0
+    assert cold <= 0.10 * (cold + reused)
 
 
 # -- certificate lifting ----------------------------------------------------

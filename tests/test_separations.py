@@ -24,6 +24,8 @@ from gridroots import (
     separation_order,
     whole_subgraph,
 )
+from gridroots.graph import WorkingGraph
+from gridroots.separations import _RowScanner, _split_at_cut
 
 
 def p3():
@@ -236,11 +238,14 @@ def test_row_scan_cut_with_targets_on_every_side_is_no_blocker():
     assert s.b.vertices == host.vertices and s.b.edge_ids == host.edge_ids
 
 
-def reference_row_scan(g, roots, p, rows, max_order):
-    """The row scan spelled out from public pieces, one menger call a row."""
+def reference_row_scan(g, roots, images, rows, max_order):
+    """The row scan spelled out from public pieces, one menger call a row.
+
+    ``images`` maps each pattern vertex to its branch vertex set.
+    """
     roots = frozenset(roots)
     for row in rows:
-        targets = frozenset().union(*(p.branches[v].vertices for v in row))
+        targets = frozenset().union(*(images[v] for v in row))
         result = menger(g, roots, targets, max_order + 1)
         if result.found_paths:
             continue
@@ -282,11 +287,79 @@ def random_scan_case(seed):
 def test_row_scan_matches_per_row_menger_reference(seed):
     host, roots, model, rows, max_order = random_scan_case(seed)
     block = find_row_blocking_separation(host, roots, model, rows, max_order)
-    expected = reference_row_scan(host, roots, model, rows, max_order)
+    images = {v: br.vertices for v, br in model.branches.items()}
+    expected = reference_row_scan(host, roots, images, rows, max_order)
     if expected is None:
         assert block is None
     else:
         assert (block.kind, block.row, block.separation) == expected
+
+
+def _flow_edge(rng, scanner, work):
+    """An edge that some row's kept flow runs along, or None."""
+    verts, hops = scanner.net.vertices, []
+    for state in scanner.states:
+        if state is not None:
+            hops += [(verts[i], verts[j]) for i, j in enumerate(state.nxt) if j >= 0]
+    rng.shuffle(hops)
+    for x, y in hops:
+        eids = [e for e in work.incident_edges(x) if set(work.endpoints(e)) == {x, y}]
+        if eids:
+            return min(eids)
+    return None
+
+
+def _next_edge(rng, scanner, work, roots):
+    """A flow edge, a root-incident edge or any edge, chosen at random."""
+    pick = rng.random()
+    if pick < 0.4:
+        e = _flow_edge(rng, scanner, work)
+        if e is not None:
+            return e
+    if pick < 0.7:
+        at_roots = sorted({e for z in roots for e in work.incident_edges(z)})
+        if at_roots:
+            return rng.choice(at_roots)
+    return rng.choice(sorted(work.edge_ids))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
+    """Deletions and contractions, applied to a working graph and fed to one
+    scanner, leave it answering exactly what a fresh scan of the graph does."""
+    host, roots, model, rows, _ = random_scan_case(seed)
+    rng = random.Random(f"row-scanner:{seed}")
+    k = len(roots)
+    roots = set(roots)
+    images = {v: set(br.vertices) for v, br in model.branches.items()}
+    work = WorkingGraph(host)
+    scanner = _RowScanner(work, roots, images, rows, k)
+    for _ in range(rng.randint(1, 16)):
+        g = work.freeze()
+        block = scanner.scan(work)
+        found = None if block is None else (
+            block.kind, block.row, _split_at_cut(g, block.cut, block.a_only))
+        fresh = find_row_blocking_separation(g, roots, images, rows, k)
+        assert found == (None if fresh is None else (fresh.kind, fresh.row, fresh.separation))
+        assert found == reference_row_scan(g, roots, images, rows, k)
+        if not work.edge_ids:
+            break
+        eid = _next_edge(rng, scanner, work, roots)
+        u, v = work.endpoints(eid)
+        if u == v or rng.random() < 0.5:
+            work.delete_edge(eid)
+            scanner.feed(("delete", eid, u, v))
+            continue
+        work.contract_edge(eid)
+        scanner.feed(("contract", eid, u, v))
+        for image in images.values():
+            if v in image:
+                image.discard(v)
+                image.add(u)
+        if v in roots:
+            roots.discard(v)
+            roots.add(u)
 
 
 def two_point_separations():
