@@ -623,6 +623,9 @@ class _Runner:
                 }
                 self.trace.append(record)
                 sub_roots = sep.separator
+                # this level scans no more: only the innermost level's row
+                # states need to stay alive during the recursion
+                del scanner, picker
                 try:
                     atlas, small_images, base, augmented = self.run(
                         *_derive_subproblem(pattern, branches, images, sep), depth + 1

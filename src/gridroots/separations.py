@@ -532,7 +532,10 @@ class _RowScanner:
       on-line edge-deletion problem", J. ACM 28(1), 1981) within a work
       budget;
     - contracting an edge whose ends are free of flow merges the two
-      out-nodes under the lower level;
+      out-nodes under the lower level; when the flow runs through one
+      end, or through both one after the other, the survivor takes it
+      over and the out-nodes whose successors now lead elsewhere are
+      repaired as after a deletion;
     - deleting an edge the flow uses cancels that path, and the row is
       re-augmented from the rest of its flow at the next scan;
     - anything else leaves the row to be evaluated afresh.
@@ -721,16 +724,22 @@ class _RowScanner:
     def _contract(self, i: int, j: int) -> None:
         """Merge vertex j into its neighbour i."""
         around = self.net.around
+        moved = []  # certified rows whose flow now runs through i
         for r, state in enumerate(self.states):
             if state is None:
                 continue
+            prev, level = state.prev, state.level
             marks = self.marks[r]
-            if state.prev[i] != _FREE or state.prev[j] != _FREE or marks[i] != marks[j]:
+            if marks[i] != marks[j] or prev[i] == _END or prev[j] == _END:
+                self.states[r] = None  # a root moves, or the targets change
+            elif prev[i] == _FREE and prev[j] == _FREE:
+                if level is not None and level[j] < level[i]:
+                    level[i] = level[j]
+            elif not self._merge_flow(state, i, j):
                 self.states[r] = None
-                continue
-            level = state.level
-            if level is not None and level[j] < level[i]:
-                level[i] = level[j]
+            elif level is not None:
+                level[i] = min(level[i], level[j])
+                moved.append(state)
         gone = around[j]
         del gone[j], gone[i]
         del around[i][j]
@@ -744,6 +753,33 @@ class _RowScanner:
                 image.discard(j)
                 marks[i] = 1
                 image.add(i)
+        for state in moved:
+            # only in(i) and the in-node i now feeds lead somewhere new
+            suspects = [i, *around[i]]
+            if state.nxt[i] >= 0:
+                suspects += around[state.nxt[i]]
+            if not self._repair(state, suspects):
+                state.level = None
+
+    @staticmethod
+    def _merge_flow(state: _RowState, i: int, j: int) -> bool:
+        """Let vertex i carry what i and j carried, neither a root; False if that is two units."""
+        prev, nxt = state.prev, state.nxt
+        if prev[j] == _FREE:
+            return True  # i keeps its own path
+        if prev[i] == _FREE or nxt[j] == i:
+            a = prev[j]  # the unit enters i where it entered j
+            prev[i] = a
+            nxt[a] = i
+        if nxt[i] in (_FREE, j):
+            b = nxt[j]  # the unit leaves i where it left j
+            nxt[i] = b
+            if b >= 0:
+                prev[b] = i
+        elif nxt[j] != i:
+            return False  # the two carry different units
+        prev[j] = nxt[j] = _FREE
+        return True
 
 
 def find_row_blocking_separation(

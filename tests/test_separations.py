@@ -25,7 +25,7 @@ from gridroots import (
     whole_subgraph,
 )
 from gridroots.graph import WorkingGraph
-from gridroots.separations import _RowScanner, _split_at_cut
+from gridroots.separations import _FREE, _RowScanner, _split_at_cut
 
 
 def p3():
@@ -296,21 +296,17 @@ def test_row_scan_matches_per_row_menger_reference(seed):
 
 
 def _flow_edge(rng, scanner, work):
-    """An edge that some row's kept flow runs along, or None."""
-    verts, hops = scanner.net.vertices, []
+    """An edge both of whose ends carry flow that some row keeps, or None."""
+    verts, edges = scanner.net.vertices, set()
     for state in scanner.states:
         if state is not None:
-            hops += [(verts[i], verts[j]) for i, j in enumerate(state.nxt) if j >= 0]
-    rng.shuffle(hops)
-    for x, y in hops:
-        eids = [e for e in work.incident_edges(x) if set(work.endpoints(e)) == {x, y}]
-        if eids:
-            return min(eids)
-    return None
+            used = {verts[i] for i, p in enumerate(state.prev) if p != _FREE}
+            edges |= {e for x in used for e in work.incident_edges(x) if set(work.endpoints(e)) <= used}
+    return rng.choice(sorted(edges)) if edges else None
 
 
 def _next_edge(rng, scanner, work, roots):
-    """A flow edge, a root-incident edge or any edge, chosen at random."""
+    """An edge between flow-carrying vertices, a root-incident edge or any edge."""
     pick = rng.random()
     if pick < 0.4:
         e = _flow_edge(rng, scanner, work)
