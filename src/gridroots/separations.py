@@ -514,8 +514,8 @@ class _RowScanner:
     ``scan`` answers what ``find_row_blocking_separation`` would answer
     for the current graph; ``feed`` takes each journal entry
     ``(kind, eid, u, v)`` of the level (a contraction's survivor is u,
-    and a branch holding v holds u) and updates the flow network's
-    neighbour counts in O(degree) instead of rebuilding it.
+    and a row image that held v holds u after it) and updates the flow
+    network's neighbour counts in O(degree) instead of rebuilding it.
 
     With |Z| = k roots (``max_order``) the flow never exceeds k units,
     and a row is no blocker exactly when its flow is k, every residual
@@ -549,7 +549,7 @@ class _RowScanner:
     """
 
     # out-nodes one row may re-examine while repairing its certificate
-    # after one deletion, before it is evaluated afresh instead
+    # after one journal entry, before it is evaluated afresh instead
     REPAIR_BUDGET = 64
 
     def __init__(
