@@ -60,8 +60,6 @@ from .models import (
 from .separations import (
     Separation,
     _RowScanner,
-    _split_at_cut,
-    _split_sides,
     find_row_cut,
     menger,
 )
@@ -599,16 +597,15 @@ class _Runner:
         branches = dict(branches)
         rows = _full_rows(n, pattern)
         journal: list[tuple] = []
-        scanner = _RowScanner(host, roots, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k)
+        scanner = _RowScanner(host, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k)
         picker = None
         while True:
-            block = scanner.scan(work)
+            block = scanner.scan(work, roots)
             if block is not None and block.kind == "strict":
-                sides = _split_sides(work, block.cut, block.a_only)
-                lifted = _lift_certificate_through_journal(sides, journal, k)
+                lifted = _lift_certificate_through_journal(block.strict_sides(work, roots), journal, k)
                 raise _Pinched(lifted, block.row, depth)
             if block is not None:
-                sep = _split_at_cut(work.freeze(), block.cut, block.a_only)
+                sep = block.separation(work.freeze(), roots)
                 record = {
                     "kind": "separation-recursion",
                     "depth": depth,

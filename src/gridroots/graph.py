@@ -389,7 +389,9 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
-def reachable_from(g: Graph, starts: Iterable[int], forbidden: Iterable[int] = ()) -> set[int]:
+def reachable_from(
+    g: Graph | WorkingGraph, starts: Iterable[int], forbidden: Iterable[int] = ()
+) -> set[int]:
     """Vertices reachable from ``starts`` without entering ``forbidden``.
 
     Start vertices that are themselves forbidden are skipped entirely.
@@ -400,7 +402,9 @@ def reachable_from(g: Graph, starts: Iterable[int], forbidden: Iterable[int] = (
     seen.update(stack)
     while stack:
         v = stack.pop()
-        for w in g.neighbors(v):
+        for eid in g.incident_edges(v):
+            x, y = g.endpoints(eid)
+            w = y if x == v else x
             if w not in seen and w not in block:
                 seen.add(w)
                 stack.append(w)

@@ -16,6 +16,7 @@ in place and re-checks only the rows a step can change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -135,34 +136,26 @@ class _FlowNetwork:
     (loops and parallel copies add nothing), and uncapacitated arcs from
     a super source to the in-nodes of the sources and from the out-nodes
     of the targets to a super sink.  Only each vertex's neighbours are
-    stored, itself included, built once per graph: ``around[i]`` lists
-    them in ascending order, or, when ``counted``, maps each to the
-    number of edges joining them (0 for i itself) in no set order, so
-    that edits can keep it up to date.  Every vertex carries at most one
-    unit, so the current flow is two arrays: ``prev[i]`` is the vertex
-    feeding i (``_END`` for the super source, ``_FREE`` when i carries
-    nothing) and ``nxt[i]`` the vertex i feeds (``_END`` for the super
-    sink).
+    stored, itself included, built once per graph: ``around[i]`` maps
+    each to the number of edges joining them (0 for i itself), its keys
+    in ascending order until ``_RowScanner`` edits them in place.  Every
+    vertex carries at most one unit, so the current flow is two arrays:
+    ``prev[i]`` is the vertex feeding i (``_END`` for the super source,
+    ``_FREE`` when i carries nothing) and ``nxt[i]`` the vertex i feeds
+    (``_END`` for the super sink).
     """
 
     __slots__ = ("vertices", "index", "around", "prev", "nxt", "value", "level")
 
-    def __init__(self, g: Graph | WorkingGraph, counted: bool = False):
+    def __init__(self, g: Graph | WorkingGraph):
         self.vertices = sorted(g.vertices)
         self.index = index = {v: i for i, v in enumerate(self.vertices)}
-        if counted:
-            around = [{i: 0} for i in range(len(self.vertices))]
-            for _eid, x, y in g.edges():
-                if x != y:
-                    a, b = index[x], index[y]
-                    around[a][b] = around[b][a] = around[a].get(b, 0) + 1
-            self.around = around
-        else:
-            adj = [{i} for i in range(len(self.vertices))]
-            for _eid, x, y in g.edges():
-                adj[index[x]].add(index[y])
-                adj[index[y]].add(index[x])
-            self.around = [sorted(a) for a in adj]
+        around = [{i: 0} for i in range(len(self.vertices))]
+        for _eid, x, y in g.edges():
+            if x != y:
+                a, b = index[x], index[y]
+                around[a][b] = around[b][a] = around[a].get(b, 0) + 1
+        self.around = [dict(sorted(a.items())) for a in around]
         self.prev: list[int] = []
         self.nxt: list[int] = []
         self.value = 0
@@ -323,18 +316,6 @@ class _FlowNetwork:
             )
         return cut, in_seen.count(1)
 
-    def reach(self, starts: Iterable[int], blocked: AbstractSet[int]) -> set[int]:
-        """Vertices reachable from ``starts`` without entering ``blocked`` (all by index)."""
-        around = self.around
-        seen = {s for s in starts if s not in blocked}
-        stack = list(seen)
-        while stack:
-            for j in around[stack.pop()]:
-                if j not in seen and j not in blocked:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
 
 def menger(
     g: Graph,
@@ -444,12 +425,23 @@ class RowBlock:
 
 @dataclass(frozen=True)
 class _Blocker:
-    """A row scan's first blocker, as ids: its sides are ``_split_sides(g, cut, a_only)``."""
+    """A row scan's first blocker, as ids: its cut and the row's image."""
 
     kind: str  # "strict" or "reducible", as in RowBlock
     row: tuple[int, ...]
     cut: frozenset[int]
-    a_only: frozenset[int]
+    image: frozenset[int]
+
+    def strict_sides(self, g: Graph | WorkingGraph, roots: Iterable[int]):
+        """A strict blocker's sides ``(VA, EA, VB, EB)`` as id sets, those of ``separation``."""
+        return _split_sides(g, self.cut, reachable_from(g, sorted(roots), self.cut))
+
+    def separation(self, g: Graph, roots: Iterable[int]) -> Separation:
+        """The blocker's separation: the cut's (as ``menger`` splits) when strict,
+        else ``blocking_separation``'s."""
+        if self.kind == "strict":
+            return _cut_separation(g, self.cut, frozenset(roots))
+        return blocking_separation(g, self.cut, frozenset(roots), self.image)
 
 
 def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
@@ -516,6 +508,8 @@ class _RowScanner:
     ``(kind, eid, u, v)`` of the level (a contraction's survivor is u,
     and a row image that held v holds u after it) and updates the flow
     network's neighbour counts in O(degree) instead of rebuilding it.
+    The roots are the caller's, passed to each scan; the scanner keeps
+    only each row's target marks by vertex index.
 
     With |Z| = k roots (``max_order``) the flow never exceeds k units,
     and a row is no blocker exactly when its flow is k, every residual
@@ -529,8 +523,8 @@ class _RowScanner:
     - deleting an edge the flow does not use leaves the flow maximum,
       and only out(u) and out(v) can lose their lower successor; they
       look for another one, raising levels as in Even and Shiloach ("An
-      on-line edge-deletion problem", J. ACM 28(1), 1981) within a work
-      budget;
+      on-line edge-deletion problem", J. ACM 28(1), 1981), examining
+      at most as many out-nodes as there are vertices;
     - contracting an edge whose ends are free of flow merges the two
       out-nodes under the lower level; when the flow runs through one
       end, or through both one after the other, the survivor takes it
@@ -548,38 +542,28 @@ class _RowScanner:
     rows a scan took from their certificate.
     """
 
-    # out-nodes one row may re-examine while repairing its certificate
-    # after one journal entry, before it is evaluated afresh instead
-    REPAIR_BUDGET = 64
-
     def __init__(
         self,
         g: Graph | WorkingGraph,
-        roots: Iterable[int],
         branch_vertices: Mapping[int, AbstractSet[int]],
         rows: Sequence[Sequence[int]],
         max_order: int,
     ):
-        self.roots = set(roots)
-        _check_roots(g, frozenset(self.roots))
-        self.net = net = _FlowNetwork(g, counted=True)
+        self.net = net = _FlowNetwork(g)
         self.k = max_order
         self.rows = [tuple(row) for row in rows]
-        # per row: the image's vertex indices and a target mark per index,
-        # or the MalformedInput to raise when the scan reaches the row
-        self.images: list = []
-        self.marks: list[bytearray | None] = []
+        # per row: a target mark per vertex index, or the MalformedInput
+        # to raise when the scan reaches the row
+        self.marks: list[bytearray | MalformedInput] = []
         for row in self.rows:
             try:
-                image = {net.index[v] for v in _row_image(g, branch_vertices, row)}
+                image = _row_image(g, branch_vertices, row)
             except MalformedInput as exc:
-                self.images.append(exc)
-                self.marks.append(None)
+                self.marks.append(exc)
                 continue
             marks = bytearray(len(net.vertices))
-            for i in image:
-                marks[i] = 1
-            self.images.append(image)
+            for v in image:
+                marks[net.index[v]] = 1
             self.marks.append(marks)
         self.states: list[_RowState | None] = [None] * len(self.rows)
         self.cold = 0
@@ -587,19 +571,18 @@ class _RowScanner:
 
     # -- scanning ---------------------------------------------------------
 
-    def scan(self, g: Graph | WorkingGraph) -> _Blocker | None:
+    def scan(self, g: Graph | WorkingGraph, roots: AbstractSet[int]) -> _Blocker | None:
         """The first row, in order, that a separation blocks; None if none does.
 
-        ``g`` is the graph as of the last entry fed.
+        ``g`` and ``roots`` are as of the last entry fed.
         """
         net, k = self.net, self.k
-        keep = len(self.roots) == k
-        starts = [2 * net.index[z] for z in sorted(self.roots)]
+        keep = len(roots) == k
+        starts = [2 * net.index[z] for z in sorted(roots)]
         nv = len(net.around)
-        for r, row in enumerate(self.rows):
-            image = self.images[r]
-            if isinstance(image, MalformedInput):
-                raise image
+        for r, marks in enumerate(self.marks):
+            if isinstance(marks, MalformedInput):
+                raise marks
             state = self.states[r]
             if state is not None and state.level is not None:
                 self.reused += 1
@@ -609,29 +592,21 @@ class _RowScanner:
                 net.prev, net.nxt, net.value = [_FREE] * nv, [_FREE] * nv, 0
             else:
                 net.prev, net.nxt, net.value = state.prev, state.nxt, state.value
-            limit = min(k + 1, len(starts), len(image))
-            if net.augment(starts, self.marks[r], limit) > k:
-                self.states[r] = None
+            heads = list(compress(range(nv), marks))
+            self.states[r] = None
+            if net.augment(starts, marks, min(k + 1, len(starts), len(heads))) > k:
                 continue
-            cut, beyond = net.sink_cut(image)
+            cut, beyond = net.sink_cut(heads)
             if len(cut) < k:
-                a_only = net.reach([net.index[z] for z in self.roots], self._indices(cut))
-                return self._blocker("strict", r, cut, a_only)
-            if len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
-                b_only = net.reach(image, self._indices(cut))
-                a_only = {net.index[v] for v in g.vertices} - b_only - self._indices(cut)
-                return self._blocker("reducible", r, cut, a_only)
-            self.states[r] = _RowState(net) if keep else None
+                kind = "strict"
+            elif len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
+                kind = "reducible"
+            else:
+                if keep:
+                    self.states[r] = _RowState(net)
+                continue
+            return _Blocker(kind, self.rows[r], cut, frozenset(net.vertices[i] for i in heads))
         return None
-
-    def _indices(self, vertices: Iterable[int]) -> set[int]:
-        index = self.net.index
-        return {index[v] for v in vertices}
-
-    def _blocker(self, kind: str, r: int, cut: frozenset[int], a_only: set[int]) -> _Blocker:
-        self.states[r] = None
-        verts = self.net.vertices
-        return _Blocker(kind, self.rows[r], cut, frozenset(verts[i] for i in a_only))
 
     # -- journal entries ----------------------------------------------------
 
@@ -643,9 +618,6 @@ class _RowScanner:
             self._delete(i, j)
         else:
             self._contract(i, j)
-            if v in self.roots:
-                self.roots.discard(v)
-                self.roots.add(u)
 
     def _delete(self, i: int, j: int) -> None:
         around = self.net.around
@@ -685,12 +657,16 @@ class _RowScanner:
         successor, and the out-nodes with an arc into the in-node that
         leads to it are examined in turn.  False when an out-node has no
         successor left, rises past the number of vertices (it no longer
-        reaches the sink), or the budget runs out.
+        reaches the sink), or more out-nodes are examined than there are
+        vertices.  An examination reads at most two neighbour lists, and
+        the cold evaluation that follows a failed repair reads about two
+        per vertex (a search for one more augmenting path, then
+        ``sink_cut``), so a failed repair at most about doubles the
+        row's cost.
         """
         around = self.net.around
         prev, nxt, level = state.prev, state.nxt, state.level
-        top = len(around)
-        budget = self.REPAIR_BUDGET
+        top = budget = len(around)
         for a in suspects:  # grows while it is read
             mine = level[a]
             if mine == 0:
@@ -747,12 +723,10 @@ class _RowScanner:
             del around[b][j]
             around[b][i] = around[i][b] = around[i].get(b, 0) + c
         around[j] = {}
-        for image, marks in zip(self.images, self.marks):
-            if marks is not None and marks[j]:
+        for marks in self.marks:
+            if isinstance(marks, bytearray) and marks[j]:
                 marks[j] = 0
-                image.discard(j)
                 marks[i] = 1
-                image.add(i)
         for state in moved:
             # only in(i) and the in-node i now feeds lead somewhere new
             suspects = [i, *around[i]]
@@ -816,10 +790,12 @@ def find_row_blocking_separation(
     """
     if max_order < 0:
         raise MalformedInput("bad row scan", [f"max_order must be non-negative, got {max_order}"])
-    block = _RowScanner(g, roots, _branch_vertices(p), rows, max_order).scan(g)
+    root_set = frozenset(roots)
+    _check_roots(g, root_set)
+    block = _RowScanner(g, _branch_vertices(p), rows, max_order).scan(g, root_set)
     if block is None:
         return None
-    return RowBlock(_split_at_cut(g.freeze(), block.cut, block.a_only), block.row, block.kind)
+    return RowBlock(block.separation(g.freeze(), root_set), block.row, block.kind)
 
 
 def find_row_cut(

@@ -150,8 +150,8 @@ def test_row_scanner_reuses_most_row_verdicts(monkeypatch):
             self.first = None
             scanners.append(self)
 
-        def scan(self, g):
-            block = super().scan(g)
+        def scan(self, *args):
+            block = super().scan(*args)
             if self.first is None:
                 self.first = self.cold
             return block

@@ -25,7 +25,8 @@ from gridroots import (
     whole_subgraph,
 )
 from gridroots.graph import WorkingGraph
-from gridroots.separations import _FREE, _RowScanner, _split_at_cut
+from gridroots.extraction import _apply_edge_reduction
+from gridroots.separations import _FREE, _RowScanner
 
 
 def p3():
@@ -330,12 +331,11 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
     roots = set(roots)
     images = {v: set(br.vertices) for v, br in model.branches.items()}
     work = WorkingGraph(host)
-    scanner = _RowScanner(work, roots, images, rows, k)
+    scanner = _RowScanner(work, images, rows, k)
     for _ in range(rng.randint(1, 16)):
         g = work.freeze()
-        block = scanner.scan(work)
-        found = None if block is None else (
-            block.kind, block.row, _split_at_cut(g, block.cut, block.a_only))
+        block = scanner.scan(work, roots)
+        found = None if block is None else (block.kind, block.row, block.separation(g, roots))
         fresh = find_row_blocking_separation(g, roots, images, rows, k)
         assert found == (None if fresh is None else (fresh.kind, fresh.row, fresh.separation))
         assert found == reference_row_scan(g, roots, images, rows, k)
@@ -343,19 +343,14 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
             break
         eid = _next_edge(rng, scanner, work, roots)
         u, v = work.endpoints(eid)
-        if u == v or rng.random() < 0.5:
-            work.delete_edge(eid)
-            scanner.feed(("delete", eid, u, v))
-            continue
-        work.contract_edge(eid)
-        scanner.feed(("contract", eid, u, v))
-        for image in images.values():
-            if v in image:
-                image.discard(v)
-                image.add(u)
-        if v in roots:
-            roots.discard(v)
-            roots.add(u)
+        rule = "edge-delete" if u == v or rng.random() < 0.5 else "branch-edge-contract"
+        scanner.feed(_apply_edge_reduction(work, roots, {}, rule, eid, None))
+        if rule == "branch-edge-contract":
+            # the images are arbitrary vertex sets, not the loop's branches
+            for image in images.values():
+                if v in image:
+                    image.discard(v)
+                    image.add(u)
 
 
 def two_point_separations():
