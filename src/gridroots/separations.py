@@ -150,12 +150,15 @@ class _FlowNetwork:
     def __init__(self, g: Graph | WorkingGraph):
         self.vertices = sorted(g.vertices)
         self.index = index = {v: i for i, v in enumerate(self.vertices)}
-        around = [{i: 0} for i in range(len(self.vertices))]
-        for _eid, x, y in g.edges():
-            if x != y:
-                a, b = index[x], index[y]
-                around[a][b] = around[b][a] = around[a].get(b, 0) + 1
-        self.around = [dict(sorted(a.items())) for a in around]
+        self.around = around = [{} for _ in self.vertices]
+        # vertex a enters every list after all smaller ones: keys ascend
+        for a, v in enumerate(self.vertices):
+            around[a][a] = 0
+            for eid in g.incident_edges(v):
+                x, y = g.endpoints(eid)
+                if x != y:
+                    near = around[index[y if x == v else x]]
+                    near[a] = near.get(a, 0) + 1
         self.prev: list[int] = []
         self.nxt: list[int] = []
         self.value = 0
