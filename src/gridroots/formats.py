@@ -2,13 +2,21 @@
 
 Everything is JSON with sorted keys, two-space indentation, and a
 trailing newline, so identical objects serialize byte-identically and
-every emitted file round-trips exactly.  Branch maps are keyed by grid
-coordinate strings ("i,j"), pattern edges by coordinate pairs
-("i,j|i',j'" with the row-major smaller endpoint first).
+every emitted file round-trips exactly.  The byte contract is that of
+the standard library: ``canonical_json(obj)`` equals
+``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for every object
+``json.dumps`` accepts (ASCII output with ``\\uXXXX`` escapes, ``NaN``
+and ``Infinity`` for non-finite floats, int, float, bool and None keys
+written as strings), and raises ``TypeError`` wherever it does; it is
+built in one recursive pass of string joins instead of the standard
+library's generator chain.  Branch maps are keyed by grid coordinate
+strings ("i,j"), pattern edges by coordinate pairs ("i,j|i',j'" with
+the row-major smaller endpoint first).
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any
 
@@ -22,7 +30,78 @@ from .separations import Separation
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    A circular structure raises RecursionError, where ``json.dumps``
+    raises ValueError.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+_int_str = int.__repr__
+_INF = float("inf")
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_str(key: Any) -> str:
+    """A dict key as ``json.dumps`` writes it: always a JSON string."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, float):
+        return _json_str(_float_str(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _json_str(_int_str(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(o: Any, pad: str) -> str:
+    """``o`` as JSON, its nested lines indented past ``pad`` (a newline and its indent).
+
+    The type tests run in ``json.dumps``'s order, so subclasses encode
+    as it encodes them; the first test only hurries along the plain ints
+    that most documents here are made of.
+    """
+    if type(o) is int:
+        return _int_str(o)
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int_str(o)
+    if isinstance(o, float):
+        return _float_str(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        items = [_key_str(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -95,17 +174,25 @@ def _parse_coord(n: int, key: str) -> int:
 
 def model_to_dict(m: Pseudomodel, n: int) -> dict:
     coords = [list(vertex_coord(n, v)) for v in sorted(m.pattern.vertices)]
+    # the pattern vertices' keys, made once; a branch off the pattern
+    # falls back to _coord_key
+    table = {(i - 1) * n + j: f"{i},{j}" for i, j in coords}
+
+    def key(v: int) -> str:
+        k = table.get(v)
+        return _coord_key(n, v) if k is None else k
+
     branches = {}
     for pv in sorted(m.branches):
         br = m.branches[pv]
-        branches[_coord_key(n, pv)] = {
+        branches[key(pv)] = {
             "vertices": sorted(br.vertices),
             "edges": sorted(br.edge_ids),
         }
     images = {}
     for e in sorted(m.edge_images):
         u, v = m.pattern.endpoints(e)
-        images[f"{_coord_key(n, u)}|{_coord_key(n, v)}"] = m.edge_images[e]
+        images[f"{key(u)}|{key(v)}"] = m.edge_images[e]
     return {"pattern": {"n": n, "coords": coords}, "branches": branches, "edgeImages": images}
 
 
@@ -117,18 +204,26 @@ def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
         image_docs = [(key, _int(value)) for key, value in d["edgeImages"].items()]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad model document: {exc}")
-    vertices = []
+    # the canonical key of every listed coordinate, and its vertex; any
+    # other key is parsed, and rejected, by _parse_coord
+    table = {}
     for i, j in coords:
         if not (1 <= i <= n and 1 <= j <= n):
             raise MalformedInput(f"coordinate [{i}, {j}] is outside the {n}x{n} grid")
-        vertices.append(vertex_id(n, i, j))
+        table[f"{i},{j}"] = vertex_id(n, i, j)
+    vertices = list(table.values())
+
+    def parse(part: str) -> int:
+        v = table.get(part)
+        return _parse_coord(n, part) if v is None else v
+
     triples = []
     images = {}
     for key, image in image_docs:
         parts = key.split("|")
         if len(parts) != 2:
             raise MalformedInput(f"bad pattern edge key {key!r}")
-        u, v = (_parse_coord(n, part) for part in parts)
+        u, v = parse(parts[0]), parse(parts[1])
         try:
             eid = grid_edge_id(n, u, v)
         except ValueError:
@@ -141,7 +236,7 @@ def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
         raise MalformedInput(f"bad model pattern: {exc}")
     branches = {}
     for key, doc in branch_docs:
-        pv = _parse_coord(n, key)
+        pv = parse(key)
         try:
             branches[pv] = Subgraph(
                 host,

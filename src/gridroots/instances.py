@@ -96,7 +96,7 @@ def grid_plus_roots_problem(
         next_eid += 1
     host = Graph(vertices, triples)
     branches = {v: Subgraph(host, frozenset({v}), frozenset()) for v in grid.vertices}
-    model = Pseudomodel(host, grid_graph(n), branches, {e: e for e in grid.edge_ids})
+    model = Pseudomodel(host, grid, branches, {e: e for e in grid.edge_ids})
     return ExtractionProblem(host, frozenset(root_ids), model, n, g, k)
 
 
@@ -111,12 +111,14 @@ def _attachment_columns(rng: random.Random, n: int, k: int, degree: int) -> list
 
 
 def _chords(rng: random.Random, n: int, count: int) -> list[tuple[int, int]]:
-    grid = grid_graph(n)
+    """Seeded pairs u < v of distinct grid vertices that are not grid neighbours."""
     out: list[tuple[int, int]] = []
     while len(out) < count:
         u, v = rng.sample(range(1, n * n + 1), 2)
         u, v = min(u, v), max(u, v)
-        if v in grid.neighbors(u) or (u, v) in out:
+        # v is right of u in the same row, or directly below it
+        adjacent = v == u + n or (v == u + 1 and u % n != 0)
+        if adjacent or (u, v) in out:
             continue
         out.append((u, v))
     return out
@@ -169,20 +171,19 @@ def break_instance(problem: ExtractionProblem, mode: str, seed: int) -> Extracti
     host = problem.host
     if mode == "detach":
         victims = rng.sample(roots, rng.randrange(1, len(roots) + 1))
-        for z in victims:
-            for e in sorted(host.incident_edges(z)):
-                host = host.delete_edge(e)
     else:
         middleman = vertex_id(n, 1, rng.randrange(1, n + 1))
-        for z in roots:
-            for e in sorted(host.incident_edges(z)):
-                host = host.delete_edge(e)
-        next_eid = max(problem.host.edge_ids) + 1
-        triples = [(e, *host.endpoints(e)) for e in sorted(host.edge_ids)]
+        victims = roots
+    # one build without the victims' edges, the graph that deleting
+    # them one by one would leave
+    dropped = {e for z in victims for e in host.incident_edges(z)}
+    triples = [(e, *host.endpoints(e)) for e in sorted(host.edge_ids) if e not in dropped]
+    if mode == "hang":
+        next_eid = max(host.edge_ids) + 1
         for z in roots:
             triples.append((next_eid, z, middleman))
             next_eid += 1
-        host = Graph(sorted(host.vertices), triples)
+    host = Graph(sorted(host.vertices), triples)
     branches = {
         pv: Subgraph(host, br.vertices, br.edge_ids)
         for pv, br in problem.model.branches.items()

@@ -815,6 +815,20 @@ def find_row_cut(
     separation ``menger`` gives for it.  None when every row is joined
     to the roots by ``k`` disjoint paths.  The flow network is built
     once for all rows.
+
+    Rows are taken in the order given, and the first row's flow is found
+    from scratch.  Once that row holds, the last row's flow is found
+    from scratch too, once; every other row starts from whichever of
+    those two reference flows keeps more paths when each path is cut
+    back at the first vertex it meets in that row's image, and augments
+    only the shortfall.  Augmenting paths may start from any feasible
+    flow, so every row still gets a maximum flow and the same cut.  On a
+    grid-like host a path to the last row crosses every row on the way,
+    so most rows need no augmenting at all; at worst a row costs what
+    it costs from scratch, and a refuted input solves at most one row
+    from scratch that a row-by-row scan would not (none when the first
+    row fails).  A row vertex with no branch, or an image that is empty
+    or not in g, raises MalformedInput when the scan reaches that row.
     """
     if k < 1:
         raise MalformedInput("bad row scan", [f"k must be positive, got {k}"])
@@ -822,12 +836,73 @@ def find_row_cut(
     _check_roots(g, root_set)
     branch_vertices = _branch_vertices(p)
     net = _FlowNetwork(g)
-    for row in rows:
-        image = _row_image(g, branch_vertices, row)
-        if net.max_flow(root_set, image, k) < k:
-            cut, _beyond = net.sink_cut([net.index[t] for t in image])
+    index = net.index
+    starts = [2 * index[z] for z in sorted(root_set)]
+    refs: list[tuple[list[int], list[int]]] = []  # the first and last rows' flows
+    tail = None  # the last row's image and flow, or the MalformedInput it raised
+    for r, row in enumerate(rows):
+        if r == len(rows) - 1 and tail is not None:
+            if isinstance(tail, MalformedInput):
+                raise tail
+            image, (net.prev, net.nxt, net.value) = tail
+        else:
+            image = _row_image(g, branch_vertices, row)
+            if r == 0:
+                net.max_flow(root_set, image, k)
+            else:
+                marks = bytearray(len(net.vertices))
+                for v in image:
+                    marks[index[v]] = 1
+                net.prev, net.nxt, net.value = max(
+                    (_cut_back(prev, nxt, starts, marks) for prev, nxt in refs),
+                    key=lambda flow: flow[2],
+                )
+                net.augment(starts, marks, min(k, len(starts), len(image)))
+        if net.value < k:
+            cut, _beyond = net.sink_cut([index[t] for t in image])
             return RowBlock(_cut_separation(g, cut, root_set), tuple(row), "strict")
+        if r == 0 and len(rows) > 1:
+            refs.append((net.prev, net.nxt))
+            try:
+                tail_image = _row_image(g, branch_vertices, rows[-1])
+            except MalformedInput as exc:
+                tail = exc
+                continue
+            net.max_flow(root_set, tail_image, k)
+            tail = (tail_image, (net.prev, net.nxt, net.value))
+            refs.append((net.prev, net.nxt))
     return None
+
+
+def _cut_back(
+    prev: Sequence[int], nxt: Sequence[int], starts: Sequence[int], marks: bytearray
+) -> tuple[list[int], list[int], int]:
+    """A flow's paths cut back at the first vertex each meets in ``marks``; the rest dropped.
+
+    ``prev`` and ``nxt`` are a flow of ``_FlowNetwork`` and ``starts``
+    the sources' in-nodes.  Returns the new flow's ``prev``, ``nxt`` and
+    value: a valid flow to the marked vertices.
+    """
+    nv = len(prev)
+    new_prev, new_nxt = [_FREE] * nv, [_FREE] * nv
+    value = 0
+    for s in starts:
+        z = s >> 1
+        if prev[z] != _END:
+            continue
+        w = z
+        while w >= 0 and not marks[w]:
+            w = nxt[w]
+        if w < 0:
+            continue  # the path misses the marked vertices
+        new_prev[z] = _END
+        while z != w:
+            new_nxt[z] = y = nxt[z]
+            new_prev[y] = z
+            z = y
+        new_nxt[w] = _END
+        value += 1
+    return new_prev, new_nxt, value
 
 
 def check_tangle_axioms(t: Tangle, all_separations: Sequence[Separation]) -> ValidationReport:

@@ -262,6 +262,30 @@ def test_malformed_model_exits_64(tmp_path, capsys):
         assert json.loads(err)["error"] == "malformed-input"
 
 
+def test_extract_rejects_a_huge_declared_pattern_side_quickly(tmp_path, capsys):
+    # the 13/2/2 demo's model with its side declared as a million: finding
+    # full rows must not cost the square of the declared side
+    problem = generate_instance(
+        InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=5, degree=3)
+    )
+    paths = write_instance(problem, tmp_path / "inst")
+    doc = read_json(paths["model"])
+    doc["pattern"]["n"] = 1000000
+    write_json(paths["model"], doc)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridroots", "extract", "--graph", str(paths["graph"]),
+         "--roots", str(paths["roots"]), "--model", str(paths["model"]),
+         "--g", "2", "--k", "2", "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 64, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "malformed-input"
+    assert "pattern-row: pattern contains no full grid row" in err["problems"]
+
+
 def test_menger_paths_and_cut(tmp_path, capsys):
     grid = tmp_path / "g.json"
     run(capsys, "gen-grid", "--n", 3, "--out", grid)

@@ -25,10 +25,11 @@ from gridroots import (
     AugmentationWitness,
     InstanceRecipe,
     replay,
+    row_vertices,
     validate_model,
     validate_problem,
 )
-from gridroots.extraction import _pattern_boundary
+from gridroots.extraction import _full_rows, _pattern_boundary
 from gridroots.graph import boundary
 
 
@@ -382,3 +383,18 @@ def test_augmented_witness_reuses_problem_host():
         labeling=result.witness.labeling,
     )
     assert check_augmentation(w).ok
+
+
+def test_full_rows_counts_each_rows_pattern_vertices():
+    rng = random.Random(0)
+    for n in (1, 2, 3, 5):
+        for _ in range(50):
+            cells = range(1, n * n + 1)
+            full = [i for i in range(1, n + 1) if rng.random() < 0.4]
+            vertices = {v for i in full for v in row_vertices(n, i)}
+            vertices |= set(rng.sample(cells, rng.randint(0, n * n)))
+            vertices |= set(rng.sample(range(n * n + 1, n * n + 3 * n), rng.randint(0, n)))
+            pattern = Graph(vertices)
+            expected = [row_vertices(n, i) for i in range(1, n + 1)
+                        if set(row_vertices(n, i)) <= pattern.vertices]
+            assert _full_rows(n, pattern) == expected

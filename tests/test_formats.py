@@ -1,5 +1,12 @@
 """JSON document round-trips and malformed-input handling."""
+import enum
+import hashlib
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridroots import (
     Graph,
@@ -29,6 +36,7 @@ from gridroots import (
     write_instance,
     write_json,
 )
+from gridroots import BREAK_MODES, break_instance
 
 
 def test_canonical_json_is_stable():
@@ -37,6 +45,131 @@ def test_canonical_json_is_stable():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not an int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a float"
+
+
+class _Str(str):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 7
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324]
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(_Int),
+    st.sampled_from(list(_Colour)),
+    _FLOATS,
+    _FLOATS.map(_Float),
+    # non-ASCII, control characters and lone surrogates included
+    st.text(st.characters(blacklist_categories=())),
+    st.text().map(_Str),
+)
+# keys of one kind per dict, so most dicts sort; a mixed dict may not,
+# and then json.dumps raises TypeError
+_KEY_KINDS = [
+    st.text(st.characters(blacklist_categories=())),
+    st.integers(),
+    _FLOATS,
+    st.booleans(),
+    st.none(),
+    st.integers() | _FLOATS | st.booleans(),
+]
+_UNENCODABLE = st.sampled_from([object(), {1, 2}, b"bytes", 1j, frozenset()])
+
+
+def _documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.sampled_from(_KEY_KINDS).flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4)),
+            st.dictionaries(st.one_of(*_KEY_KINDS, st.tuples(st.integers())), inner, max_size=3),
+        ),
+        max_leaves=24,
+    )
+
+
+def _assert_like_json_dumps(obj):
+    try:
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+    else:
+        assert canonical_json(obj) == expected
+
+
+@given(_documents(_SCALARS))
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_equals_json_dumps(obj):
+    _assert_like_json_dumps(obj)
+
+
+@given(_documents(_SCALARS | _UNENCODABLE))
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_raises_where_json_dumps_does(obj):
+    _assert_like_json_dumps(obj)
+
+
+def test_canonical_json_edge_cases():
+    for obj in ({}, [], (), "", {"": []}, [[], {}, ()], -0.0, math.nan, {math.inf: -math.inf},
+                {None: None, }, {True: 1, 2: 0.5, -1.5: False}, "\x00\x1f\u00e9\u2603\U0001f600\ud800",
+                {_Int(3): _Int(4), _Colour.BLUE: [_Colour.RED]}, _Float(2.5)):
+        _assert_like_json_dumps(obj)
+    for obj in (object(), {"a": {1}}, {(1,): 2}, {1: 1, "a": 2}, [1, b"x"]):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+
+
+# sha256 over graph.json, roots.json and model.json as write_instance
+# writes them, recorded before instance generation, breaking and the
+# JSON writer were rewritten for speed: (n/g/k, seed, break mode)
+WRITTEN_INSTANCE_SHA256 = {
+    ("28/3/3", 7, None): "95dc62d0b098643b76d72e24bb88767069bf6c65cb9a066113ef760403a13ced",
+    ("28/3/3", 7, "detach"): "4bb3309891f4418c22d31c4cc9786db3896b7e3d6a1a1aaeec9b83eddb000e79",
+    ("28/3/3", 7, "hang"): "53387fdd3bc40a1aae7ed923830ef04a68890b26d61d57cc2a28cfdad26de328",
+    ("28/3/3", 8, None): "4f4d482999afed747f96cba8d8dd1c39bf8db96867ed9b7322e6b3b265f6d525",
+    ("28/3/3", 8, "detach"): "16127a725e66ed06e1ee312a99735b6a36547ad633354be7eeba0560d8a809ea",
+    ("28/3/3", 8, "hang"): "3945781dd2a67070bdcaa18a39a9e5d9abe8fcb5b65c31ceb15eb20b59a5f89e",
+    ("36/4/3", 7, None): "5858086e3c822cd22dfe4b6373a006785743781b7d864d64e737b7f8ea46cf8e",
+    ("36/4/3", 7, "detach"): "48dd3197f77fcdb9a7c81ac6d7472e702331972d5511ffd50340106537092829",
+    ("36/4/3", 7, "hang"): "5247b18fffd369e31b52188058812fb0002c341cd2fb046bb77796fcc47bd4bf",
+    ("36/4/3", 8, None): "72eb7a86c31334b5d6f3f6c80aa34f8148306dc694deb6a390f927b0a64af7c6",
+    ("36/4/3", 8, "detach"): "9d62b7b433b75cc882068bed3784c544c525aa38fadb09490e175aa6856ca358",
+    ("36/4/3", 8, "hang"): "0bd3a9de1fb6175721dfc6bc31cea498e4f298856950259049ba73810530e23f",
+}
+
+
+@pytest.mark.parametrize("size", ["28/3/3", "36/4/3"])
+def test_written_instance_files_are_pinned(tmp_path, size):
+    n, g, k = (int(x) for x in size.split("/"))
+    for seed in (7, 8):
+        problem = generate_instance(InstanceRecipe("grid-plus-roots", n, g, k, seed, k + 1))
+        for mode in (None, *BREAK_MODES):
+            instance = problem if mode is None else break_instance(problem, mode, seed)
+            paths = write_instance(instance, tmp_path / f"{seed}-{mode}")
+            digest = hashlib.sha256()
+            for name in ("graph", "roots", "model"):
+                digest.update(paths[name].read_bytes())
+            assert digest.hexdigest() == WRITTEN_INSTANCE_SHA256[size, seed, mode], (seed, mode)
 
 
 def test_graph_round_trip_with_loops_and_parallels():
@@ -127,6 +260,25 @@ def test_model_from_dict_rejects_malformed():
     ):
         with pytest.raises(MalformedInput):
             model_from_dict(doc, p.host)
+
+
+def test_model_from_dict_parses_keys_off_the_table():
+    # keys that are not the canonical "i,j" of a listed coordinate still
+    # parse as before, and bad ones fail with the same messages
+    p = identity_problem(5, 2, 1)
+    good = model_to_dict(p.model, 5)
+    branches = dict(good["branches"])
+    branches[" 1,1"] = branches.pop("1,1")
+    images = dict(good["edgeImages"])
+    images["1, 1|1,2"] = images.pop("1,1|1,2")
+    assert model_from_dict({**good, "branches": branches, "edgeImages": images}, p.host) == p.model
+    for key, message in (("1;1", "bad grid coordinate '1;1'"),
+                         ("6,1", "coordinate '6,1' is outside the 5x5 grid")):
+        with pytest.raises(MalformedInput, match=message):
+            model_from_dict({**good, "branches": {**good["branches"], key: {"vertices": [1], "edges": []}}},
+                            p.host)
+        with pytest.raises(MalformedInput, match=message):
+            model_from_dict({**good, "edgeImages": {**good["edgeImages"], f"{key}|1,1": 1}}, p.host)
 
 
 def test_separation_round_trip():

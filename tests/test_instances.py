@@ -1,4 +1,6 @@
 """Deterministic instance generation and deliberate breakage."""
+import random
+
 import pytest
 
 from gridroots import (
@@ -15,6 +17,8 @@ from gridroots import (
     model_to_dict,
     validate_problem,
 )
+from gridroots import Graph, grid_graph, vertex_id
+from gridroots.instances import _chords
 
 
 def test_recipe_rejects_bad_fields():
@@ -142,3 +146,59 @@ def test_break_rejects_bad_input():
         break_instance(problem, "melt", 0)
     with pytest.raises(MalformedInput):
         break_instance(identity_problem(8, 2, 1), "detach", 0)  # grid-vertex roots
+
+
+def chained_break_host(problem, mode, seed):
+    """``break_instance``'s host rebuilt one ``delete_edge`` at a time."""
+    n, roots = problem.n, sorted(problem.roots)
+    rng = random.Random(f"break:{mode}:{seed}")
+    host = problem.host
+    if mode == "detach":
+        for z in rng.sample(roots, rng.randrange(1, len(roots) + 1)):
+            for e in sorted(host.incident_edges(z)):
+                host = host.delete_edge(e)
+        return host
+    middleman = vertex_id(n, 1, rng.randrange(1, n + 1))
+    for z in roots:
+        for e in sorted(host.incident_edges(z)):
+            host = host.delete_edge(e)
+    next_eid = max(problem.host.edge_ids) + 1
+    triples = [(e, *host.endpoints(e)) for e in sorted(host.edge_ids)]
+    for z in roots:
+        triples.append((next_eid, z, middleman))
+        next_eid += 1
+    return Graph(sorted(host.vertices), triples)
+
+
+@pytest.mark.parametrize("mode", BREAK_MODES)
+def test_break_equals_deleting_edges_one_by_one(mode):
+    problems = [
+        generate_instance(InstanceRecipe(kind, 9, 2, k, seed, k + 1))
+        for kind, k, seed in (("grid-plus-roots", 2, 0), ("random-attachment", 3, 1))
+    ]
+    for problem in problems:
+        for seed in range(50):
+            broken = break_instance(problem, mode, seed)
+            expected = chained_break_host(problem, mode, seed)
+            assert broken.host == expected
+            assert graph_to_dict(broken.host) == graph_to_dict(expected)
+            assert broken.model.pattern == problem.model.pattern
+            assert broken.model.edge_images == problem.model.edge_images
+            assert {pv: (br.vertices, br.edge_ids) for pv, br in broken.model.branches.items()} == {
+                pv: (br.vertices, br.edge_ids) for pv, br in problem.model.branches.items()
+            }
+
+
+def test_chords_avoid_grid_edges_like_the_grid_does():
+    for n in (3, 4, 7):
+        grid = grid_graph(n)
+        for seed in range(20):
+            count = 1 + seed % 6
+            rng, again = random.Random(seed), random.Random(seed)
+            expected = []
+            while len(expected) < count:
+                u, v = again.sample(range(1, n * n + 1), 2)
+                u, v = min(u, v), max(u, v)
+                if v not in grid.neighbors(u) and (u, v) not in expected:
+                    expected.append((u, v))
+            assert _chords(rng, n, count) == expected

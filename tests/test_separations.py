@@ -26,7 +26,8 @@ from gridroots import (
 )
 from gridroots.graph import WorkingGraph
 from gridroots.extraction import _apply_edge_reduction
-from gridroots.separations import _FREE, _RowScanner
+from gridroots.instances import _attachment_columns, _chords, grid_plus_roots_problem
+from gridroots.separations import _FREE, RowBlock, _RowScanner, find_row_cut
 
 
 def p3():
@@ -351,6 +352,101 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
                 if v in image:
                     image.discard(v)
                     image.add(u)
+
+
+def reference_row_cut(g, roots, images, rows, k):
+    """``find_row_cut`` spelled out: every row solved from scratch by ``menger``, in order."""
+    roots = frozenset(roots)
+    for row in rows:
+        if any(v not in images for v in row):
+            raise MalformedInput("bad row scan", ["a row vertex has no branch"])
+        targets = frozenset().union(*(images[v] for v in row))
+        if not targets or not targets <= g.vertices:
+            raise MalformedInput("bad row scan", ["bad row image"])
+        result = menger(g, roots, targets, k)
+        if not result.found_paths:
+            return RowBlock(result.separation, tuple(row), "strict")
+    return None
+
+
+def _row_cut_outcome(scan):
+    try:
+        block = scan()
+    except MalformedInput:
+        return "malformed"
+    return None if block is None else (tuple(block.row), block.separation)
+
+
+def random_row_cut_case(seed):
+    """A seeded grid-plus-roots or random-attachment host with a few edges
+    deleted (root edges most often), its identity row images, and its full
+    rows in a shuffled order."""
+    rng = random.Random(f"row-cut:{seed}")
+    n = rng.randint(3, 7)
+    k = rng.randint(1, 3)
+    degree = rng.randint(1, min(n - 1, k + 2))  # n - 1 leaves n > k distinct column sets
+    columns = _attachment_columns(rng, n, k, degree)
+    chords = _chords(rng, n, rng.randint(1, n)) if rng.random() < 0.5 else None
+    problem = grid_plus_roots_problem(n, n, k, columns, chords)
+    host = problem.host
+    for _ in range(rng.randint(0, 4)):
+        at_roots = sorted({e for z in problem.roots for e in host.incident_edges(z)})
+        pool = at_roots if at_roots and rng.random() < 0.6 else sorted(host.edge_ids)
+        if pool:
+            host = host.delete_edge(rng.choice(pool))
+    images = {v: {v} for v in problem.model.pattern.vertices}
+    rows = [row_vertices(n, i) for i in range(1, n + 1)]
+    rng.shuffle(rows)
+    return host, problem.roots, images, rows[: rng.randint(1, n)], k
+
+
+def test_row_cut_matches_per_row_cold_reference():
+    """Warm-started rows give the row and separation of a cold scan, on
+    1,000 seeded instances and on random multigraphs."""
+    failed = 0
+    for seed in range(1000):
+        host, roots, images, rows, k = random_row_cut_case(seed)
+        found = _row_cut_outcome(lambda: find_row_cut(host, roots, images, rows, k))
+        assert found == _row_cut_outcome(lambda: reference_row_cut(host, roots, images, rows, k)), seed
+        failed += found is not None
+    assert 100 < failed < 900  # both verdicts are well represented
+    for seed in range(300):
+        host, roots, model, rows, _ = random_scan_case(seed)
+        images = {v: br.vertices for v, br in model.branches.items()}
+        k = random.Random(seed).randint(1, 3)
+        found = _row_cut_outcome(lambda: find_row_cut(host, roots, images, rows, k))
+        assert found == _row_cut_outcome(lambda: reference_row_cut(host, roots, images, rows, k)), seed
+
+
+def test_row_cut_raises_at_a_malformed_row_only_when_it_gets_there():
+    n, k = 5, 2
+    problem = grid_plus_roots_problem(n, n, k, [(1, 2), (4, 5)])
+    host, roots = problem.host, problem.roots
+    images = {v: {v} for v in problem.model.pattern.vertices}
+    rows = [row_vertices(n, i) for i in range(1, n + 1)]
+    # cut row 3 off from row 4: rows 4 and 5 fail, the first at row 4
+    cut_host = host
+    for j in range(1, n + 1):
+        cut_host = cut_host.delete_edge(next(
+            e for e in cut_host.incident_edges(2 * n + j)
+            if set(cut_host.endpoints(e)) == {2 * n + j, 3 * n + j}
+        ))
+    images[99] = {10**6}  # a branch outside the host
+    no_branch = (98,)  # a row vertex without a branch
+    for bad in ((99,), no_branch):
+        for g, body, fails in ((host, rows, False), (cut_host, rows, True)):
+            for at in range(len(body) + 1):
+                order = body[:at] + [bad] + body[at:]
+                found = _row_cut_outcome(lambda: find_row_cut(g, roots, images, order, k))
+                expected = _row_cut_outcome(lambda: reference_row_cut(g, roots, images, order, k))
+                assert found == expected
+                if not fails or at <= 3:
+                    assert found == "malformed"  # no failing row comes before it
+                else:
+                    assert found[0] == row_vertices(n, 4)  # the failing row comes first
+    # the last row, solved second, is malformed while a row before it fails
+    order = [rows[0], rows[4], (99,)]
+    assert _row_cut_outcome(lambda: find_row_cut(cut_host, roots, images, order, k))[0] == rows[4]
 
 
 def two_point_separations():
