@@ -33,7 +33,7 @@ separation, the B side recursed into, and the band step.
 """
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop
 from math import isqrt
@@ -193,12 +193,22 @@ def _branch_sets(model: Pseudomodel) -> dict[int, tuple[frozenset[int], frozense
 def _full_rows(n: int, pattern: Graph) -> list[tuple[int, ...]]:
     """The rows of the n x n grid all of whose vertices are in the pattern, top to bottom.
 
-    Counts the pattern's grid vertices per row, so the cost is
-    O(|pattern|), not O(n^2) in an n the input declares.  Each row is
-    ``row_vertices(n, i)``: the ids (i-1)n+1 to in.
+    Row i is ``row_vertices(n, i)``, the ids (i-1)n+1 to in.  The walk
+    takes the pattern's grid ids in ascending order and steps once per
+    row that holds any of them: the row is full when its first and last
+    ids lie n - 1 places apart.  So the cost is O(|pattern| log
+    |pattern|), not O(n^2) in an n the input declares.
     """
-    per_row = Counter([(v - 1) // n for v in pattern.vertices if 0 < v <= n * n])
-    return [tuple(range(i * n + 1, i * n + n + 1)) for i in sorted(per_row) if per_row[i] == n]
+    ids = sorted(pattern.vertices)
+    at, end = bisect_left(ids, 1), bisect_right(ids, n * n)
+    rows = []
+    while at < end:
+        first = ids[at] - (ids[at] - 1) % n
+        last = first + n - 1
+        if ids[at] == first and at + n - 1 < end and ids[at + n - 1] == last:
+            rows.append(tuple(range(first, last + 1)))
+        at = bisect_right(ids, last, at, end)
+    return rows
 
 
 class _ReductionPicker:

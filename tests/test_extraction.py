@@ -393,7 +393,7 @@ def test_full_rows_counts_each_rows_pattern_vertices():
             full = [i for i in range(1, n + 1) if rng.random() < 0.4]
             vertices = {v for i in full for v in row_vertices(n, i)}
             vertices |= set(rng.sample(cells, rng.randint(0, n * n)))
-            vertices |= set(rng.sample(range(n * n + 1, n * n + 3 * n), rng.randint(0, n)))
+            vertices |= set(rng.sample([-1, 0, *range(n * n + 1, n * n + 3 * n)], rng.randint(0, n)))
             pattern = Graph(vertices)
             expected = [row_vertices(n, i) for i in range(1, n + 1)
                         if set(row_vertices(n, i)) <= pattern.vertices]
