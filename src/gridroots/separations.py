@@ -824,10 +824,10 @@ def find_row_cut(
     only the shortfall.  Augmenting paths may start from any feasible
     flow, so every row still gets a maximum flow and the same cut.  On a
     grid-like host a path to the last row crosses every row on the way,
-    so most rows need no augmenting at all; at worst a row costs what
-    it costs from scratch, and a refuted input solves at most one row
-    from scratch that a row-by-row scan would not (none when the first
-    row fails).  A row vertex with no branch, or an image that is empty
+    so most rows need no augmenting at all; at worst a row augments as
+    many paths as it would from scratch, and a refuted input solves at
+    most one row from scratch that a row-by-row scan would not (none
+    when the first row fails).  A row vertex with no branch, or an image that is empty
     or not in g, raises MalformedInput when the scan reaches that row.
     """
     if k < 1:
