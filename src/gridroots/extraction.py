@@ -812,13 +812,13 @@ def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:
 
     Rows are checked top to bottom by ``find_row_cut``.  Two flows are
     found from scratch: the first row's and, once the first row holds,
-    the last row's.  Every other row starts from whichever of the two
-    keeps more paths when each path is cut back where it first meets the
-    row's image, and augments only the shortfall; on a grid-plus-roots
-    host the last row's paths cross every row, so those rows cost little
-    more than building their image.  A refuted instance solves at most
-    one row from scratch more than checking each row alone would, and
-    none more when the first row fails.
+    the last row's.  Every other row starts from the last row's flow,
+    each path cut back where it first meets the row's image, and
+    augments only the shortfall; on a grid-plus-roots host the last
+    row's paths cross every row, so those rows cost little more than
+    building their image.  A refuted instance solves at most one row
+    from scratch more than checking each row alone would, and none more
+    when the first row fails.
     """
     model = problem.model
     rows = _full_rows(problem.n, model.pattern)

@@ -176,7 +176,7 @@ def model_to_dict(m: Pseudomodel, n: int) -> dict:
     coords = [list(vertex_coord(n, v)) for v in sorted(m.pattern.vertices)]
     # the pattern vertices' keys, made once; a branch off the pattern
     # falls back to _coord_key
-    table = {(i - 1) * n + j: f"{i},{j}" for i, j in coords}
+    table = {vertex_id(n, i, j): f"{i},{j}" for i, j in coords}
 
     def key(v: int) -> str:
         k = table.get(v)

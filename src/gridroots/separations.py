@@ -818,17 +818,18 @@ def find_row_cut(
 
     Rows are taken in the order given, and the first row's flow is found
     from scratch.  Once that row holds, the last row's flow is found
-    from scratch too, once; every other row starts from whichever of
-    those two reference flows keeps more paths when each path is cut
-    back at the first vertex it meets in that row's image, and augments
-    only the shortfall.  Augmenting paths may start from any feasible
-    flow, so every row still gets a maximum flow and the same cut.  On a
-    grid-like host a path to the last row crosses every row on the way,
-    so most rows need no augmenting at all; at worst a row augments as
-    many paths as it would from scratch, and a refuted input solves at
-    most one row from scratch that a row-by-row scan would not (none
-    when the first row fails).  A row vertex with no branch, or an image that is empty
-    or not in g, raises MalformedInput when the scan reaches that row.
+    from scratch too, once; every other row starts from that flow with
+    each path cut back at the first vertex it meets in the row's image,
+    and augments only the shortfall.  Augmenting paths may start from
+    any feasible flow, so every row still gets a maximum flow and the
+    same cut.  On a grid-like host a path to the last row crosses every
+    row on the way, so most rows need no augmenting at all; at worst a
+    row augments as many paths as it would from scratch, and a refuted
+    input solves at most one row from scratch that a row-by-row scan
+    would not (none when the first row fails).  A row vertex with no
+    branch, or an image that is empty or not in g, raises MalformedInput
+    when the scan reaches that row; while a malformed last row waits
+    for its turn, the rows before it are solved from scratch.
     """
     if k < 1:
         raise MalformedInput("bad row scan", [f"k must be positive, got {k}"])
@@ -838,7 +839,7 @@ def find_row_cut(
     net = _FlowNetwork(g)
     index = net.index
     starts = [2 * index[z] for z in sorted(root_set)]
-    refs: list[tuple[list[int], list[int]]] = []  # the first and last rows' flows
+    ref = None  # the last row's flow, once the first row holds
     tail = None  # the last row's image and flow, or the MalformedInput it raised
     for r, row in enumerate(rows):
         if r == len(rows) - 1 and tail is not None:
@@ -847,22 +848,18 @@ def find_row_cut(
             image, (net.prev, net.nxt, net.value) = tail
         else:
             image = _row_image(g, branch_vertices, row)
-            if r == 0:
+            if ref is None:
                 net.max_flow(root_set, image, k)
             else:
                 marks = bytearray(len(net.vertices))
                 for v in image:
                     marks[index[v]] = 1
-                net.prev, net.nxt, net.value = max(
-                    (_cut_back(prev, nxt, starts, marks) for prev, nxt in refs),
-                    key=lambda flow: flow[2],
-                )
+                net.prev, net.nxt, net.value = _cut_back(*ref, starts, marks)
                 net.augment(starts, marks, min(k, len(starts), len(image)))
         if net.value < k:
             cut, _beyond = net.sink_cut([index[t] for t in image])
             return RowBlock(_cut_separation(g, cut, root_set), tuple(row), "strict")
         if r == 0 and len(rows) > 1:
-            refs.append((net.prev, net.nxt))
             try:
                 tail_image = _row_image(g, branch_vertices, rows[-1])
             except MalformedInput as exc:
@@ -870,7 +867,7 @@ def find_row_cut(
                 continue
             net.max_flow(root_set, tail_image, k)
             tail = (tail_image, (net.prev, net.nxt, net.value))
-            refs.append((net.prev, net.nxt))
+            ref = (net.prev, net.nxt)
     return None
 
 

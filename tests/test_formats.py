@@ -172,6 +172,15 @@ def test_written_instance_files_are_pinned(tmp_path, size):
             assert digest.hexdigest() == WRITTEN_INSTANCE_SHA256[size, seed, mode], (seed, mode)
 
 
+def test_written_recipe_is_pinned():
+    # recipe.json as gen-instance writes it, recorded with the same files
+    recipe = InstanceRecipe("grid-plus-roots", 36, 4, 3, 7, 4)
+    assert canonical_json(recipe_to_dict(recipe)) == (
+        '{\n  "degree": 4,\n  "g": 4,\n  "k": 3,\n  "kind": "grid-plus-roots",\n'
+        '  "n": 36,\n  "seed": 7\n}\n'
+    )
+
+
 def test_graph_round_trip_with_loops_and_parallels():
     g = Graph([1, 2, 3], [(1, 1, 2), (2, 2, 1), (3, 3, 3)])
     doc = graph_to_dict(g)
