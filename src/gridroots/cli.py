@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, HypothesisViolated, InternalInvariantBroken,
 from .extraction import ExtractionProblem, _full_rows, extract
 from .formats import canonical_json, read_json, write_json
 from .grid import grid_graph
-from .instances import InstanceRecipe, generate_instance
+from .instances import RECIPE_KINDS, InstanceRecipe, generate_instance
 from .models import validate_model, validate_pseudomodel
 from .oracles import (
     EnumerationBudget,
@@ -185,6 +185,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_check_tangle(args) -> int:
+    if args.order < 1:
+        raise MalformedInput(f"tangle order must be at least 1, got --order {args.order}")
     host = _load_graph(args.graph)
     budget = EnumerationBudget(
         max_vertices=max(10, host.num_vertices),
@@ -227,6 +229,8 @@ def _cmd_oracle(args) -> int:
         _print(doc)
         return 0
     if args.oracle_kind == "tangles":
+        if args.order < 1:
+            raise MalformedInput(f"tangle order must be at least 1, got --order {args.order}")
         tangles = enumerate_tangles(host, args.order, budget)
         doc = {"count": len(tangles)}
         if args.list:
@@ -236,6 +240,8 @@ def _cmd_oracle(args) -> int:
         _print(doc)
         return 0
     if args.oracle_kind == "grid-model":
+        if args.side < 1:
+            raise MalformedInput(f"grid side must be at least 1, got --side {args.side}")
         model = brute_force_grid_model(host, args.side, budget)
         if model is None:
             _print({"found": False})
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-instance", help="generate a seeded instance bundle")
     p.add_argument("--recipe", help="recipe file; or pass the flags below")
-    p.add_argument("--kind", choices=("identity-grid", "grid-plus-roots", "random-attachment"))
+    p.add_argument("--kind", choices=RECIPE_KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--g", type=int)
     p.add_argument("--k", type=int)

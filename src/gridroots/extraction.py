@@ -27,9 +27,13 @@ contraction's survivor.  The witness is unwound by replaying the
 contractions backwards on id sets, a certificate is lifted back through
 deletions, contractions and the frames of enclosing recursions the same
 way, and both are built once, in the caller's original graph.  A
-blocker comes back from the scan as id sets, so a ``Graph`` is frozen
-from the working graph only where one is kept: a reducible blocker's
-separation, the B side recursed into, and the band step.
+blocker's sides stay id sets ``(VA, EA, VB, EB)`` through the trace
+record, the subproblem and the certificate's lifting, and the splice and
+band steps graft their k paths onto id-set branches with one helper.  A
+``Graph`` is built from the working graph only where a search needs one:
+the B side recursed into, the A side the splice paths run in, and g*,
+the band step's graph.  No ``Subgraph``, ``Separation`` or
+``Pseudomodel`` is made inside the loop.
 """
 from __future__ import annotations
 
@@ -54,13 +58,14 @@ from .models import (
     AugmentationWitness,
     GridLabeling,
     Pseudomodel,
-    apply_augmentation,
+    _path_edges,
     check_augmentation,
     validate_pseudomodel,
 )
 from .separations import (
     Separation,
     _RowScanner,
+    _separation_from_sides,
     find_row_cut,
     menger,
 )
@@ -181,13 +186,15 @@ def _json_rows(problems: ValidationReport) -> list[str]:
 # -- shared mechanics ------------------------------------------------------
 #
 # Branch maps inside a run are plain id sets: pattern vertex ->
-# (branch vertex ids, branch edge ids).  A journal entry is
-# (kind, eid, u, v): "delete" or "contract", the edge, and its endpoints
-# u <= v just before the step; a contraction's survivor is u.
+# (branch vertex ids, branch edge ids).  The two sides of a separation
+# are (VA, EA, VB, EB).  A journal entry is (kind, eid, u, v): "delete"
+# or "contract", the edge, and its endpoints u <= v just before the
+# step; a contraction's survivor is u.
 
 
-def _branch_sets(model: Pseudomodel) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
-    return {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
+def _side_graph(g: Graph | WorkingGraph, vertices: Iterable[int], edges: Iterable[int]) -> Graph:
+    """The graph on ``vertices`` with the edges of g whose ids are ``edges``."""
+    return Graph(vertices, [(e, *g.endpoints(e)) for e in edges])
 
 
 def _full_rows(n: int, pattern: Graph) -> list[tuple[int, ...]]:
@@ -290,15 +297,14 @@ def _apply_edge_reduction(
     return ("delete", eid, u, v)
 
 
-def _derive_subproblem(pattern: Graph, branches: dict, images: dict[int, int], separation: Separation):
-    """Shrink the problem into the B side of a reducible separation.
+def _derive_subproblem(pattern: Graph, branches: dict, images: dict[int, int], sides: tuple):
+    """Shrink the pattern, branches and images into the B side of a reducible separation.
 
-    New roots are the separator; the pattern keeps the vertices whose
-    branches still meet B, and the edges all of whose other-side escape
-    is impossible (some end's branch lies entirely outside A).
+    The pattern keeps the vertices whose branches still meet B, and the
+    edges all of whose other-side escape is impossible (some end's
+    branch lies entirely outside A).  The new roots are the separator.
     """
-    b_verts, b_edges = separation.b.vertices, separation.b.edge_ids
-    a_verts = separation.a.vertices
+    a_verts, _a_edges, b_verts, b_edges = sides
     keep_vertices = [pv for pv in sorted(pattern.vertices) if branches[pv][0] & b_verts]
     kept = set(keep_vertices)
     keep_edges = []
@@ -313,7 +319,7 @@ def _derive_subproblem(pattern: Graph, branches: dict, images: dict[int, int], s
         pv: (branches[pv][0] & b_verts, branches[pv][1] & b_edges) for pv in keep_vertices
     }
     sub_images = {e: images[e] for e in keep_edges}
-    return separation.b.to_graph(), separation.separator, sub_pattern, sub_branches, sub_images
+    return sub_pattern, sub_branches, sub_images
 
 
 def _unwind_journal(journal: Sequence[tuple], branches: dict) -> dict:
@@ -376,17 +382,18 @@ def _lift_certificate_through_journal(sides: tuple, journal: Sequence[tuple], k:
     return va, ea, vb, eb
 
 
-def _lift_certificate_through_frame(sides: tuple, frame: Separation) -> tuple:
-    """Glue sub-level certificate sides onto the A side of the frame separation."""
+def _lift_certificate_through_frame(sides: tuple, frame: tuple) -> tuple:
+    """Glue sub-level certificate sides onto the A side of the frame separation's sides."""
     va, ea, vb, eb = sides
-    lifted_a = frame.a.vertices | va
+    frame_va, frame_ea, _vb, _eb = frame
+    lifted_a = frame_va | va
     sub_order, lifted_order = len(va & vb), len(lifted_a & vb)
     if lifted_order != sub_order:
         raise InternalInvariantBroken(
             "certificate order changed while lifting through a separation",
             payload={"sub_order": sub_order, "lifted_order": lifted_order},
         )
-    return lifted_a, frame.a.edge_ids | ea, vb, eb
+    return lifted_a, frame_ea | ea, vb, eb
 
 
 class _Pinched(Exception):
@@ -399,56 +406,45 @@ class _Pinched(Exception):
         self.depth = depth
 
 
-def _path_edges(host: Graph | WorkingGraph, path: Sequence[int], pool: frozenset[int]) -> list[int]:
-    """Least-id non-loop host edges of ``pool`` along consecutive path vertices."""
-    out = []
-    for a, b in zip(path, path[1:]):
-        eids = []
-        for e in host.incident_edges(a):
-            x, y = host.endpoints(e)
-            if x != y and b in (x, y) and e in pool:
-                eids.append(e)
-        if not eids:
-            raise InternalInvariantBroken(f"path step {a}~{b} is not a host edge")
-        out.append(min(eids))
-    return out
-
-
-def _splice_witness(
-    host: Graph | WorkingGraph,
-    augmented: dict,
-    z_prime: frozenset[int],
+def _graft_paths(
+    host: Graph,
+    branches: dict,
+    terminals: frozenset[int],
     paths: Sequence[Sequence[int]],
-    a_edges: frozenset[int],
     g: int,
     k: int,
 ) -> dict:
-    """Extend the first-column branches by root-to-separator paths.
+    """Extend the first k first-column branches of the g x g grid by paths of ``host``.
 
-    Each augmented first-column branch contains exactly one separator
-    vertex; the path ending there is grafted on, carrying the branch's
-    root coverage up one recursion level.
+    Each of those branches contains exactly one of ``terminals``, the
+    paths' last vertices; the path ending there is grafted on, with the
+    least-id host edge for each of its steps.  The band step grafts the
+    root-to-stub paths this way, and the splice step the root-to-separator
+    paths that carry a branch's root coverage up one recursion level.
     """
     by_terminal = {path[-1]: tuple(path) for path in paths}
     if len(by_terminal) != len(paths):
-        raise InternalInvariantBroken("splice paths do not have distinct terminals")
-    branches = dict(augmented)
+        raise InternalInvariantBroken("grafted paths do not have distinct terminals")
+    branches = dict(branches)
     for a in range(1, k + 1):
         key = vertex_id(g, a, 1)
         vs, es = branches[key]
-        hits = vs & z_prime
+        hits = vs & terminals
         if len(hits) != 1:
             raise InternalInvariantBroken(
-                f"first-column branch {a} meets the separator {len(hits)} times",
+                f"first-column branch {a} meets the path terminals {len(hits)} times",
                 payload={"branch": sorted(vs)},
             )
         terminal = next(iter(hits))
         if terminal not in by_terminal:
-            raise InternalInvariantBroken(
-                f"no splice path ends at separator vertex {terminal}"
-            )
+            raise InternalInvariantBroken(f"no path ends at terminal {terminal}")
         path = by_terminal[terminal]
-        branches[key] = (vs | set(path), es | set(_path_edges(host, path, a_edges)))
+        try:
+            edges = _path_edges(host, path)
+        except KeyError as exc:
+            a_end, b_end = exc.args[0]
+            raise InternalInvariantBroken(f"path step {a_end}~{b_end} is not a host edge") from None
+        branches[key] = (vs | set(path), es | set(edges))
     return branches
 
 
@@ -511,30 +507,18 @@ def _saturated_state(
     return atlas, z_prime
 
 
-def _window_witness(
-    host: Graph,
-    roots: set[int],
-    branches: dict,
-    images: dict[int, int],
-    atlas: GridAtlas,
-    n: int,
-    g: int,
-    k: int,
-    paths: Sequence[Sequence[int]],
-) -> tuple[dict[int, int], dict, dict]:
-    """The g x g witness pair from the window and augmentation paths.
-
-    Returns the small grid's edge images and the base and augmented
-    branch sets, all in ``host``, the frozen saturated graph.
-    """
+def _window_base(
+    branches: dict, images: dict[int, int], atlas: GridAtlas, n: int, g: int
+) -> tuple[dict[int, int], dict]:
+    """The small grid's edge images and the base witness branch sets, read off the window."""
     labeling = GridLabeling(n, atlas.i0, atlas.j0, g)
     small = grid_graph(g)
-    base_branches = {}
+    base = {
+        labeling.small_vertex(a, b): branches[labeling.big_vertex(a, b)]
+        for a in range(1, g + 1)
+        for b in range(1, g + 1)
+    }
     small_images = {}
-    for a in range(1, g + 1):
-        for b in range(1, g + 1):
-            vs, es = branches[labeling.big_vertex(a, b)]
-            base_branches[labeling.small_vertex(a, b)] = Subgraph(host, vs, es)
     for e in sorted(small.edge_ids):
         su, sv = small.endpoints(e)
         ai, aj = divmod(su - 1, g)
@@ -545,18 +529,7 @@ def _window_witness(
             labeling.big_vertex(bi + 1, bj + 1),
         )
         small_images[e] = images[big_e]
-    base = Pseudomodel(host, small, base_branches, small_images)
-    ordered = []
-    for pv in atlas.root_segment():
-        target = next(iter(branches[pv][0]))
-        match = [p for p in paths if p[-1] == target]
-        if len(match) != 1:
-            raise InternalInvariantBroken(
-                f"expected one path ending at stub vertex {target}, found {len(match)}"
-            )
-        ordered.append(match[0])
-    augmented = apply_augmentation(base, ordered, roots, labeling)
-    return small_images, _branch_sets(base), _branch_sets(augmented)
+    return small_images, base
 
 
 class _Runner:
@@ -577,15 +550,13 @@ class _Runner:
     def start(self, problem: ExtractionProblem):
         """Run from depth 0; a certificate is built in the problem's host."""
         model = problem.model
+        branches = {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
         try:
             return self.run(
-                problem.host, problem.roots, model.pattern, _branch_sets(model),
-                model.edge_images, 0,
+                problem.host, problem.roots, model.pattern, branches, model.edge_images, 0
             )
         except _Pinched as exc:
-            va, ea, vb, eb = exc.sides
-            host = problem.host
-            separation = Separation(Subgraph(host, va, ea), Subgraph(host, vb, eb))
+            separation = _separation_from_sides(problem.host, exc.sides)
             raise HypothesisViolated(separation, exc.row, exc.depth) from None
 
     def run(
@@ -617,45 +588,45 @@ class _Runner:
         while True:
             block = scanner.scan(work, roots)
             if block is not None and block.kind == "strict":
-                lifted = _lift_certificate_through_journal(block.strict_sides(work, roots), journal, k)
+                lifted = _lift_certificate_through_journal(block.sides(work, roots), journal, k)
                 raise _Pinched(lifted, block.row, depth)
             if block is not None:
-                sep = block.separation(work.freeze(), roots)
+                sides = va, ea, vb, eb = block.sides(work, roots)
+                separator = frozenset(va & vb)
                 record = {
                     "kind": "separation-recursion",
                     "depth": depth,
                     "row": list(block.row),
-                    "order": sep.order,
-                    "separator": sorted(sep.separator),
-                    "aVertices": sorted(sep.a.vertices),
-                    "aEdges": sorted(sep.a.edge_ids),
-                    "bVertices": sorted(sep.b.vertices),
-                    "bEdges": sorted(sep.b.edge_ids),
-                    "measure": len(sep.b.vertices) + len(sep.b.edge_ids),
+                    "order": len(separator),
+                    "separator": sorted(separator),
+                    "aVertices": sorted(va),
+                    "aEdges": sorted(ea),
+                    "bVertices": sorted(vb),
+                    "bEdges": sorted(eb),
+                    "measure": len(vb) + len(eb),
                 }
                 self.trace.append(record)
-                sub_roots = sep.separator
                 # this level scans no more: only the innermost level's row
                 # states need to stay alive during the recursion
                 del scanner, picker
                 try:
                     atlas, small_images, base, augmented = self.run(
-                        *_derive_subproblem(pattern, branches, images, sep), depth + 1
+                        _side_graph(work, vb, eb), separator,
+                        *_derive_subproblem(pattern, branches, images, sides), depth + 1,
                     )
                 except _Pinched as exc:
-                    framed = _lift_certificate_through_frame(exc.sides, sep)
+                    framed = _lift_certificate_through_frame(exc.sides, sides)
                     exc.sides = _lift_certificate_through_journal(framed, journal, k)
                     raise
-                splice = menger(sep.a.to_graph(), roots, sub_roots, k)
+                a_side = _side_graph(work, va, ea)
+                splice = menger(a_side, roots, separator, k)
                 if not splice.found_paths:
                     raise InternalInvariantBroken(
                         "the guaranteed root splice paths do not exist",
                         payload={"cut": sorted(splice.cut)},
                     )
                 record["splicePaths"] = [list(p) for p in splice.paths]
-                augmented = _splice_witness(
-                    work, augmented, sub_roots, splice.paths, sep.a.edge_ids, g, k
-                )
+                augmented = _graft_paths(a_side, augmented, separator, splice.paths, g, k)
                 return (atlas, small_images, _unwind_journal(journal, base),
                         _unwind_journal(journal, augmented))
             if picker is None:
@@ -691,9 +662,11 @@ class _Runner:
             "forbidden": sorted(z_prime),
         })
         stub = atlas.root_segment()
-        saturated = work.freeze()
         removed = set().union(*(branches[pv][0] for pv in atlas.central_vertices() - set(stub)))
-        g_star = saturated.remove_vertices(removed)
+        g_star = _side_graph(
+            work, work.vertices - removed,
+            [e for e in work.edge_ids if removed.isdisjoint(work.endpoints(e))],
+        )
         targets = frozenset(next(iter(branches[pv][0])) for pv in stub)
         search = menger(g_star, roots, targets, k)
         if not search.found_paths:
@@ -707,9 +680,8 @@ class _Runner:
             "targets": sorted(targets),
             "paths": [list(p) for p in search.paths],
         })
-        small_images, base, augmented = _window_witness(
-            saturated, roots, branches, images, atlas, n, g, k, search.paths
-        )
+        small_images, base = _window_base(branches, images, atlas, n, g)
+        augmented = _graft_paths(g_star, base, targets, search.paths, g, k)
         return (atlas, small_images, _unwind_journal(journal, base),
                 _unwind_journal(journal, augmented))
 

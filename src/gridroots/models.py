@@ -228,6 +228,24 @@ class AugmentationWitness:
     labeling: GridLabeling
 
 
+def _path_edges(host: Graph, path: Sequence[int]) -> list[int]:
+    """The least-id non-loop host edge joining each two consecutive path vertices.
+
+    Raises KeyError with the step ``(a, b)`` when no such edge joins them.
+    """
+    out = []
+    for a, b in zip(path, path[1:]):
+        eids = []
+        for e in host.incident_edges(a):
+            x, y = host.endpoints(e)
+            if x != y and b in (x, y):
+                eids.append(e)
+        if not eids:
+            raise KeyError((a, b))
+        out.append(min(eids))
+    return out
+
+
 def apply_augmentation(
     base: Pseudomodel,
     paths: Sequence[Sequence[int]],
@@ -272,15 +290,11 @@ def apply_augmentation(
     branches = dict(base.branches)
     for i, path in enumerate(paths):
         key = labeling.small_vertex(i + 1, 1)
-        extra_edges = []
-        for a, b in zip(path, path[1:]):
-            eids = [
-                e for e in host.incident_edges(a)
-                if not host.is_loop(e) and b in host.endpoints(e)
-            ]
-            if not eids:
-                raise ValueError(f"path {i} uses a non-edge {a}~{b}")
-            extra_edges.append(min(eids))
+        try:
+            extra_edges = _path_edges(host, path)
+        except KeyError as exc:
+            a, b = exc.args[0]
+            raise ValueError(f"path {i} uses a non-edge {a}~{b}") from None
         branches[key] = Subgraph(
             host,
             branches[key].vertices | set(path),

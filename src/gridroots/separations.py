@@ -368,7 +368,7 @@ def menger(
 
 def _cut_separation(g: Graph, cut: frozenset[int], sources: frozenset[int]) -> Separation:
     """Separation induced by a cut: A = cut plus the source-reachable part."""
-    return _split_at_cut(g, cut, frozenset(reachable_from(g, sorted(sources), cut)))
+    return _separation_from_sides(g, _split_sides(g, cut, reachable_from(g, sorted(sources), cut)))
 
 
 def _split_sides(g: Graph | WorkingGraph, cut: frozenset[int], a_only: AbstractSet[int]):
@@ -386,9 +386,9 @@ def _split_sides(g: Graph | WorkingGraph, cut: frozenset[int], a_only: AbstractS
     return a_only | cut, a_edges, b_only | cut, b_edges
 
 
-def _split_at_cut(g: Graph, cut: frozenset[int], a_only: AbstractSet[int]) -> Separation:
-    """The separation of ``_split_sides``, built in g."""
-    va, ea, vb, eb = _split_sides(g, cut, a_only)
+def _separation_from_sides(g: Graph, sides) -> Separation:
+    """The separation of g with sides ``(VA, EA, VB, EB)``."""
+    va, ea, vb, eb = sides
     return Separation(Subgraph(g, va, ea), Subgraph(g, vb, eb))
 
 
@@ -405,6 +405,16 @@ def blocking_separation(
     target go to the B side; edges inside the cut go to A.  This makes
     B as small as possible, which is what the reducibility test needs.
     """
+    return _separation_from_sides(g, _blocking_sides(g, cut, sources, targets))
+
+
+def _blocking_sides(
+    g: Graph | WorkingGraph,
+    cut: frozenset[int],
+    sources: frozenset[int],
+    targets: frozenset[int],
+):
+    """The sides ``(VA, EA, VB, EB)`` of ``blocking_separation`` as id sets."""
     a_only: set[int] = set()
     seen: set[int] = set(cut)
     for start in sorted(g.vertices - cut):
@@ -414,7 +424,7 @@ def blocking_separation(
         seen |= comp
         if comp & sources or not comp & targets:
             a_only |= comp
-    return _split_at_cut(g, cut, a_only)
+    return _split_sides(g, cut, a_only)
 
 
 @dataclass(frozen=True)
@@ -435,16 +445,12 @@ class _Blocker:
     cut: frozenset[int]
     image: frozenset[int]
 
-    def strict_sides(self, g: Graph | WorkingGraph, roots: Iterable[int]):
-        """A strict blocker's sides ``(VA, EA, VB, EB)`` as id sets, those of ``separation``."""
-        return _split_sides(g, self.cut, reachable_from(g, sorted(roots), self.cut))
-
-    def separation(self, g: Graph, roots: Iterable[int]) -> Separation:
-        """The blocker's separation: the cut's (as ``menger`` splits) when strict,
-        else ``blocking_separation``'s."""
+    def sides(self, g: Graph | WorkingGraph, roots: Iterable[int]):
+        """The blocker's sides ``(VA, EA, VB, EB)`` as id sets: the cut's (as
+        ``menger`` splits) when strict, else ``blocking_separation``'s."""
         if self.kind == "strict":
-            return _cut_separation(g, self.cut, frozenset(roots))
-        return blocking_separation(g, self.cut, frozenset(roots), self.image)
+            return _split_sides(g, self.cut, reachable_from(g, sorted(roots), self.cut))
+        return _blocking_sides(g, self.cut, frozenset(roots), self.image)
 
 
 def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
@@ -798,7 +804,8 @@ def find_row_blocking_separation(
     block = _RowScanner(g, _branch_vertices(p), rows, max_order).scan(g, root_set)
     if block is None:
         return None
-    return RowBlock(block.separation(g.freeze(), root_set), block.row, block.kind)
+    g = g.freeze()
+    return RowBlock(_separation_from_sides(g, block.sides(g, root_set)), block.row, block.kind)
 
 
 def find_row_cut(

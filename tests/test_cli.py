@@ -51,6 +51,22 @@ def test_gen_grid_rejects_empty_side(capsys):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+@pytest.mark.parametrize("command", [
+    ("check-tangle", "--order"),
+    ("oracle", "tangles", "--order"),
+    ("oracle", "grid-model", "--side"),
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_oracle_commands_reject_a_non_positive_order_or_side(tmp_path, capsys, command, value):
+    grid = tmp_path / "g.json"
+    run(capsys, "gen-grid", "--n", 2, "--out", grid)
+    *words, flag = command
+    code, out, err = run(capsys, *words, "--graph", grid, flag, value)
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
 def test_gen_instance_rejects_degree_above_side(tmp_path, capsys):
     code, _, err = run(
         capsys,

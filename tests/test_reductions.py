@@ -5,7 +5,9 @@ by 2 x 2 blocks, rooted at a host corner) are the smallest inputs whose
 runs delete plain edges, delete branch edges, contract branch edges and
 recurse into the B side of a reducible separation.  Each run is replayed
 and its canonical bundle hashed, so a change to reductions, journal
-unwinding or splicing that alters any delivered byte fails here.
+unwinding or splicing that alters any delivered byte fails here.  Three
+seeded two-root recipe runs are pinned the same way, so the splice and
+band steps graft more than one path.
 
 The lifting tests below pull a certificate back through one journal
 entry or one recursion frame on hosts of at most eight vertices.
@@ -17,6 +19,7 @@ import pytest
 from gridroots import (
     ExtractionProblem,
     Graph,
+    InstanceRecipe,
     InternalInvariantBroken,
     Pseudomodel,
     Separation,
@@ -24,6 +27,7 @@ from gridroots import (
     canonical_json,
     check_hypothesis,
     extract,
+    generate_instance,
     grid_edge_id,
     grid_graph,
     model_to_dict,
@@ -140,6 +144,28 @@ def test_coarse_run_reaches_every_reduction_and_replays(n, corner):
     assert bundle_digest(again) == bundle_digest(res) == CASES[(n, corner)]
 
 
+# Recipe runs with k = 2 roots, so every splice and band step grafts two
+# paths: (kind, n, g, k, seed, degree) -> (recursions, bundle sha256).
+RECIPE_CASES = {
+    ("grid-plus-roots", 13, 2, 2, 5, 3):
+        (2, "322e091508827ddb2bb7ec4dad77b30daf33f77c9e03a21801ebad6b0712b1c1"),
+    ("random-attachment", 13, 2, 2, 0, 3):
+        (2, "9b11eb8ed2a0df0b69d754a1ccead224c3bf6e43787df287a757dcaf01548f66"),
+    ("grid-plus-roots", 21, 3, 2, 4, 3):
+        (3, "b4dfb3196f89eaa31ec1473b27dfa14e07da045b5ffe60d98357bf69d11bce48"),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_CASES))
+def test_recipe_run_with_several_roots_replays_to_pinned_bytes(recipe):
+    problem = generate_instance(InstanceRecipe(*recipe))
+    res = extract(problem)
+    recursions, digest = RECIPE_CASES[recipe]
+    assert sum(r["kind"] == "separation-recursion" for r in res.trace) == recursions
+    again = replay(problem, res.trace)
+    assert bundle_digest(again) == bundle_digest(res) == digest
+
+
 def test_row_scanner_reuses_most_row_verdicts(monkeypatch):
     """After a level's first scan, at most 10% of row evaluations are cold."""
     scanners = []
@@ -250,7 +276,7 @@ def test_lift_contraction_survivor_in_both():
 
 def test_lift_through_frame_glues_the_a_side():
     host = Graph(range(1, 7), [(e, e, e + 1) for e in range(1, 6)])  # path 1-...-6
-    frame = Separation(Subgraph(host, {1, 2, 3}, {1, 2}), Subgraph(host, {3, 4, 5, 6}, {3, 4, 5}))
+    frame = ({1, 2, 3}, {1, 2}, {3, 4, 5, 6}, {3, 4, 5})  # the frame separation's sides
     # a certificate of the B side, rooted at the frame's separator {3}
     va, ea, vb, eb = _lift_certificate_through_frame(({3, 4}, {3}, {4, 5, 6}, {4, 5}), frame)
     sep = Separation(Subgraph(host, va, ea), Subgraph(host, vb, eb))

@@ -27,7 +27,7 @@ from gridroots import (
 from gridroots.graph import WorkingGraph
 from gridroots.extraction import _apply_edge_reduction
 from gridroots.instances import _attachment_columns, _chords, grid_plus_roots_problem
-from gridroots.separations import _FREE, RowBlock, _RowScanner, find_row_cut
+from gridroots.separations import _FREE, RowBlock, _RowScanner, _separation_from_sides, find_row_cut
 
 
 def p3():
@@ -336,7 +336,8 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
     for _ in range(rng.randint(1, 16)):
         g = work.freeze()
         block = scanner.scan(work, roots)
-        found = None if block is None else (block.kind, block.row, block.separation(g, roots))
+        found = None if block is None else (
+            block.kind, block.row, _separation_from_sides(g, block.sides(work, roots)))
         fresh = find_row_blocking_separation(g, roots, images, rows, k)
         assert found == (None if fresh is None else (fresh.kind, fresh.row, fresh.separation))
         assert found == reference_row_scan(g, roots, images, rows, k)
