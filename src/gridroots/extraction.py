@@ -302,7 +302,7 @@ def _derive_subproblem(pattern: Graph, branches: dict, images: dict[int, int], s
 
     The pattern keeps the vertices whose branches still meet B, and the
     edges all of whose other-side escape is impossible (some end's
-    branch lies entirely outside A).  The new roots are the separator.
+    branch lies entirely outside A).
     """
     a_verts, _a_edges, b_verts, b_edges = sides
     keep_vertices = [pv for pv in sorted(pattern.vertices) if branches[pv][0] & b_verts]
