@@ -164,10 +164,18 @@ def _cmd_extract(args) -> int:
         })
         return 2
     except InternalInvariantBroken as exc:
-        (out / "trace.jsonl").write_text(
-            formats.trace_to_jsonl(getattr(exc, "trace", ())), encoding="utf-8"
-        )
-        _print_err({"error": "internal-invariant", "message": str(exc)})
+        trace = getattr(exc, "trace", ())
+        (out / "trace.jsonl").write_text(formats.trace_to_jsonl(trace), encoding="utf-8")
+        write_json(out / "failure.json", {
+            "message": str(exc),
+            "payload": exc.payload,
+            "lastRecord": trace[-1] if trace else None,
+        })
+        _print_err({
+            "error": "internal-invariant",
+            "message": str(exc),
+            "failure": str(out / "failure.json"),
+        })
         return 3
     write_json(out / "result.json", formats.result_to_dict(result))
     write_json(out / "base-model.json", formats.model_to_dict(result.witness.base, args.g))

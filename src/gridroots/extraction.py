@@ -51,7 +51,6 @@ from .grid import (
     grid_edge_id,
     grid_graph,
     row_vertices,
-    vertex_coord,
     vertex_id,
 )
 from .models import (
@@ -134,25 +133,25 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
         if not 1 <= pv <= n * n:
             report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
             return report
-    for pe in sorted(pattern.edge_ids):
-        try:
-            matches = grid_edge_id(n, *pattern.endpoints(pe)) == pe
-        except ValueError:  # a loop, or ends that are not grid neighbours
-            matches = False
-        if not matches:
-            report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
-            return report
+    pe = _first_off_grid_edge(n, pattern)
+    if pe is not None:
+        report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
+        return report
     if not _full_rows(n, pattern):
         report.add("pattern-row", "pattern contains no full grid row")
     sub_report = validate_pseudomodel(problem.model)
     if not sub_report.ok:
         return report.merged(sub_report)
+    # One vertex is one component, loops or not: only larger branches
+    # are split.
+    branches, roots = problem.model.branches, problem.roots
     bnd = _pattern_boundary(n, pattern)
     for pv in sorted(pattern.vertices):
-        comps = subgraph_components(problem.model.branches[pv])
+        branch = branches[pv]
+        comps = (branch,) if len(branch.vertices) == 1 else subgraph_components(branch)
         if len(comps) == 1 and pv not in bnd:
             continue
-        if all(comp.vertices & problem.roots for comp in comps):
+        if all(comp.vertices & roots for comp in comps):
             continue
         report.add(
             "hypothesis-i",
@@ -172,11 +171,39 @@ def _pattern_boundary(n: int, pattern: Graph) -> frozenset[int]:
     """
     out = []
     for pv in pattern.vertices:
-        i, j = vertex_coord(n, pv)
-        degree = (i > 1) + (i < n) + (j > 1) + (j < n)
+        i, j = divmod(pv - 1, n)  # 0-based row and column
+        degree = (i > 0) + (i < n - 1) + (j > 0) + (j < n - 1)
         if len(pattern.incident_edges(pv)) < degree:
             out.append(pv)
     return frozenset(out)
+
+
+def _first_off_grid_edge(n: int, pattern: Graph) -> int | None:
+    """The least pattern edge id whose ends are not the n x n grid's edge with that id.
+
+    Each id is inverted by arithmetic, as ``grid_edge_id`` numbers the
+    edges: each row of cells but the last emits 2n - 1 ids, a right
+    then a down edge per cell except the last cell, which has only its
+    down edge; the last row emits its n - 1 right edges.  A loop or a
+    non-adjacent pair matches no id.
+    """
+    if n < 1:
+        return min(pattern.edge_ids, default=None)
+    width, top = 2 * n - 1, 2 * n * (n - 1)
+    ends = pattern.endpoints
+    for e in sorted(pattern.edge_ids):
+        if not 1 <= e <= top:
+            return e
+        i, r = divmod(e - 1, width)
+        if i == n - 1:  # the last row: right edges only
+            a = i * n + r + 1
+            b = a + 1
+        else:
+            a = i * n + r // 2 + 1
+            b = a + 1 if r % 2 == 0 and r < width - 1 else a + n
+        if ends(e) != (a, b):
+            return e
+    return None
 
 
 def _json_rows(problems: ValidationReport) -> list[str]:
@@ -491,6 +518,7 @@ def _saturated_state(
                 f"window branch of {pv} is not a singleton",
                 payload={"branch": sorted(branches[pv][0])},
             )
+    pattern_edges = pattern.edge_ids
     lo_i, hi_i = atlas.window_rows()[0], atlas.window_rows()[-1]
     lo_j, hi_j = atlas.window_columns()[0], atlas.window_columns()[-1]
     for i in range(lo_i, hi_i + 1):
@@ -500,7 +528,7 @@ def _saturated_state(
                 if other[0] > hi_i or other[1] > hi_j:
                     continue
                 eid = grid_edge_id(n, pv, vertex_id(n, *other))
-                if eid not in pattern.edge_ids:
+                if eid not in pattern_edges:
                     raise InternalInvariantBroken(
                         f"window edge {eid} is missing from the pattern"
                     )

@@ -268,6 +268,20 @@ class Subgraph:
         object.__setattr__(self, "vertices", vset)
         object.__setattr__(self, "edge_ids", eset)
 
+    @classmethod
+    def _unchecked(cls, host: Graph, vertices: Iterable[int], edge_ids: Iterable[int] = ()) -> "Subgraph":
+        """A subgraph from ids the caller took from ``host`` itself, not re-checked.
+
+        For internal callers whose vertex and edge ids come from the host
+        and are incidence-closed by construction; every other caller uses
+        the checking constructor.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "vertices", frozenset(vertices))
+        object.__setattr__(self, "edge_ids", frozenset(edge_ids))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Subgraph is immutable")
 

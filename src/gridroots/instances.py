@@ -38,6 +38,8 @@ class InstanceRecipe:
             raise MalformedInput(f"unknown recipe kind {self.kind!r}")
         if self.n < 1:
             raise MalformedInput(f"grid side must be at least 1, got n={self.n}")
+        if not 1 <= self.k <= self.g:
+            raise MalformedInput(f"need 1 <= k <= g, got k={self.k}, g={self.g}")
         if self.degree < self.k:
             raise MalformedInput(
                 f"attachment degree {self.degree} must be at least k={self.k}"
@@ -95,7 +97,7 @@ def grid_plus_roots_problem(
         triples.append((next_eid, u, v))
         next_eid += 1
     host = Graph(vertices, triples)
-    branches = {v: Subgraph(host, frozenset({v}), frozenset()) for v in grid.vertices}
+    branches = {v: Subgraph._unchecked(host, (v,)) for v in grid.vertices}
     model = Pseudomodel(host, grid, branches, {e: e for e in grid.edge_ids})
     return ExtractionProblem(host, frozenset(root_ids), model, n, g, k)
 
@@ -177,6 +179,8 @@ def break_instance(problem: ExtractionProblem, mode: str, seed: int) -> Extracti
     # one build without the victims' edges, the graph that deleting
     # them one by one would leave
     dropped = {e for z in victims for e in host.incident_edges(z)}
+    if any(not br.edge_ids.isdisjoint(dropped) for br in problem.model.branches.values()):
+        raise MalformedInput("break_instance would drop an edge of a branch")
     triples = [(e, *host.endpoints(e)) for e in sorted(host.edge_ids) if e not in dropped]
     if mode == "hang":
         next_eid = max(host.edge_ids) + 1
@@ -184,8 +188,10 @@ def break_instance(problem: ExtractionProblem, mode: str, seed: int) -> Extracti
             triples.append((next_eid, z, middleman))
             next_eid += 1
     host = Graph(sorted(host.vertices), triples)
+    # The new host keeps every vertex and drops only root edges that no
+    # branch holds, so every branch lies in it as it lay in the old one.
     branches = {
-        pv: Subgraph(host, br.vertices, br.edge_ids)
+        pv: Subgraph._unchecked(host, br.vertices, br.edge_ids)
         for pv, br in problem.model.branches.items()
     }
     model = Pseudomodel(host, problem.model.pattern, branches, problem.model.edge_images)

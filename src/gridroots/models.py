@@ -76,40 +76,51 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
     ``edge-image-in-branch``, ``edge-ends``.
 
     The work is linear in the pattern, the edge images and the total
-    branch size (plus the overlaps reported): overlaps and branch edges
-    are found through vertex and edge owner maps, not by comparing
-    branches pairwise.
+    branch size (plus the overlaps reported), and nothing compares
+    branches pairwise.  One map, a single comprehension, gives each
+    branch vertex its owner.  The branches overlap exactly when their
+    sizes sum past the map's size; only then are per-vertex owner lists
+    built, to report the overlaps and to check edge ends.  Otherwise
+    the map alone checks the ends.  Branch edges are found through an
+    edge owner map.
     """
     report = ValidationReport()
     pattern = p.pattern
-    for v in sorted(pattern.vertices):
-        if v not in p.branches:
+    pattern_vertices = pattern.vertices
+    branches = p.branches
+    for v in sorted(pattern_vertices):
+        if v not in branches:
             report.add("branch-missing", f"pattern vertex {v} has no branch")
-    for v in sorted(p.branches):
-        if v not in pattern.vertices:
+    for v in sorted(branches):
+        if v not in pattern_vertices:
             report.add("branch-unknown", f"branch key {v} is not a pattern vertex")
-        elif p.branches[v].is_null():
+        elif branches[v].is_null():
             report.add("branch-null", f"branch of pattern vertex {v} is null")
-    # Owners are appended in ascending key order, so each list is sorted.
-    vertex_owners: dict[int, list[int]] = {}
-    for v in sorted(v for v in p.branches if v in pattern.vertices):
-        for x in p.branches[v].vertices:
-            vertex_owners.setdefault(x, []).append(v)
-    shared_by: dict[tuple[int, int], list[int]] = {}
-    for x, owners in vertex_owners.items():
-        for idx, v in enumerate(owners):
-            for w in owners[idx + 1:]:
-                shared_by.setdefault((v, w), []).append(x)
-    for v, w in sorted(shared_by):
-        report.add(
-            "branch-overlap",
-            f"branches of {v} and {w} share vertices {sorted(shared_by[v, w])}",
-        )
+    keys = sorted(v for v in branches if v in pattern_vertices)
+    owner = {x: v for v in keys for x in branches[v].vertices}
+    vertex_owners: dict[int, list[int]] | None = None
+    if sum(len(branches[v].vertices) for v in keys) > len(owner):
+        # Owners are appended in ascending key order, so each list is sorted.
+        vertex_owners = {}
+        for v in keys:
+            for x in branches[v].vertices:
+                vertex_owners.setdefault(x, []).append(v)
+        shared_by: dict[tuple[int, int], list[int]] = {}
+        for x, owners in vertex_owners.items():
+            for idx, v in enumerate(owners):
+                for w in owners[idx + 1:]:
+                    shared_by.setdefault((v, w), []).append(x)
+        for v, w in sorted(shared_by):
+            report.add(
+                "branch-overlap",
+                f"branches of {v} and {w} share vertices {sorted(shared_by[v, w])}",
+            )
     # Every branch counts here, unknown keys included, in insertion order.
     edge_owners: dict[int, list[int]] = {}
-    for v, br in p.branches.items():
+    for v, br in branches.items():
         for f in br.edge_ids:
             edge_owners.setdefault(f, []).append(v)
+    host = p.host
     pattern_edges = pattern.edge_ids
     seen_hosts: dict[int, int] = {}
     for e in sorted(pattern_edges):
@@ -120,7 +131,7 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
             report.add("edge-image-unknown", f"edge image key {e} is not a pattern edge")
             continue
         f = p.edge_images[e]
-        if not p.host.has_edge_id(f):
+        if not host.has_edge_id(f):
             report.add("edge-image-absent", f"host edge {f} for pattern edge {e} does not exist")
             continue
         if f in seen_hosts:
@@ -136,21 +147,23 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
                 f"host edge {f} (image of pattern edge {e}) lies inside branch {v}",
             )
         u, v = pattern.endpoints(e)
-        x, y = p.host.endpoints(f)
-        bu = p.branches.get(u)
-        bv = p.branches.get(v)
-        if bu is None or bv is None:
+        if u not in branches or v not in branches:
+            continue
+        x, y = host.endpoints(f)
+        if vertex_owners is None:
+            ends = owner.get(x), owner.get(y)
+            joined = ends == (u, v) or ends == (v, u)
+        else:
+            ox, oy = vertex_owners.get(x, ()), vertex_owners.get(y, ())
+            joined = (u in ox and v in oy) or (v in ox and u in oy)
+        if joined:
             continue
         if u == v:
-            if not (x in bu.vertices and y in bu.vertices):
-                report.add(
-                    "edge-ends",
-                    f"loop image {f} of pattern edge {e} has an end outside branch {u}",
-                )
-        elif not (
-            (x in bu.vertices and y in bv.vertices)
-            or (x in bv.vertices and y in bu.vertices)
-        ):
+            report.add(
+                "edge-ends",
+                f"loop image {f} of pattern edge {e} has an end outside branch {u}",
+            )
+        else:
             report.add(
                 "edge-ends",
                 f"host edge {f} does not join the branches of pattern edge {e}={u}~{v}",

@@ -376,20 +376,32 @@ def _split_sides(g: Graph | WorkingGraph, cut: frozenset[int], a_only: AbstractS
 
     ``a_only`` must be a union of components of g minus the cut, so no
     edge joins it to the rest: edges touching a B-only vertex go to B,
-    all others (those inside the cut included) to A.
+    all others (those inside the cut included) to A.  Only the edges at
+    the smaller side are read; the other side's are the rest.
     """
-    b_only = g.vertices - cut - a_only
-    a_edges, b_edges = set(), set()
-    for e in g.edge_ids:
-        x, y = g.endpoints(e)
-        (b_edges if x in b_only or y in b_only else a_edges).add(e)
-    return a_only | cut, a_edges, b_only | cut, b_edges
+    va = a_only | cut
+    b_only = g.vertices - va
+    if len(va) < len(b_only):
+        a_edges = {
+            e for v in va for e in g.incident_edges(v)
+            if b_only.isdisjoint(g.endpoints(e))
+        }
+        b_edges = set(g.edge_ids) - a_edges
+    else:
+        b_edges = {e for v in b_only for e in g.incident_edges(v)}
+        a_edges = set(g.edge_ids) - b_edges
+    return va, a_edges, b_only | cut, b_edges
 
 
 def _separation_from_sides(g: Graph, sides) -> Separation:
-    """The separation of g with sides ``(VA, EA, VB, EB)``."""
+    """The separation of g with sides ``(VA, EA, VB, EB)``, ids taken from g.
+
+    Every caller splits g's own vertices and edges, each edge to a side
+    that holds both its ends, so the sides are not re-checked against
+    g; ``Separation`` still checks that they cover g and share no edge.
+    """
     va, ea, vb, eb = sides
-    return Separation(Subgraph(g, va, ea), Subgraph(g, vb, eb))
+    return Separation(Subgraph._unchecked(g, va, ea), Subgraph._unchecked(g, vb, eb))
 
 
 def blocking_separation(
@@ -471,18 +483,18 @@ def _check_roots(g: Graph | WorkingGraph, roots: frozenset[int]) -> None:
 
 
 def _row_image(
-    g: Graph | WorkingGraph,
+    vertices: AbstractSet[int],
     branch_vertices: Mapping[int, AbstractSet[int]],
     row: Sequence[int],
 ) -> frozenset[int]:
-    """The union of the row's branches; MalformedInput when it is not a vertex set of g."""
+    """The union of the row's branches; MalformedInput when it is empty or not in ``vertices``."""
     try:
         image = frozenset().union(*(branch_vertices[v] for v in row))
     except KeyError as exc:
         raise MalformedInput(
             "bad row scan", [f"pattern vertex {exc.args[0]} of row {list(row)} has no branch"]
         ) from None
-    if not image or not image <= g.vertices:
+    if not image or not image <= vertices:
         raise MalformedInput(
             "bad row scan", [f"the image of row {list(row)} is empty or not in the graph"]
         )
@@ -558,22 +570,14 @@ class _RowScanner:
         rows: Sequence[Sequence[int]],
         max_order: int,
     ):
-        self.net = net = _FlowNetwork(g)
+        self.net = _FlowNetwork(g)
         self.k = max_order
         self.rows = [tuple(row) for row in rows]
-        # per row: a target mark per vertex index, or the MalformedInput
+        self.branch_vertices = branch_vertices
+        # per row: None until the row is first evaluated or a contraction
+        # comes, then a target mark per vertex index, or the MalformedInput
         # to raise when the scan reaches the row
-        self.marks: list[bytearray | MalformedInput] = []
-        for row in self.rows:
-            try:
-                image = _row_image(g, branch_vertices, row)
-            except MalformedInput as exc:
-                self.marks.append(exc)
-                continue
-            marks = bytearray(len(net.vertices))
-            for v in image:
-                marks[net.index[v]] = 1
-            self.marks.append(marks)
+        self.marks: list[bytearray | MalformedInput | None] = [None] * len(self.rows)
         self.states: list[_RowState | None] = [None] * len(self.rows)
         self.cold = 0
         self.reused = 0
@@ -590,6 +594,8 @@ class _RowScanner:
         starts = [2 * net.index[z] for z in sorted(roots)]
         nv = len(net.around)
         for r, marks in enumerate(self.marks):
+            if marks is None:
+                marks = self.marks[r] = self._marks(r)
             if isinstance(marks, MalformedInput):
                 raise marks
             state = self.states[r]
@@ -616,6 +622,19 @@ class _RowScanner:
                 continue
             return _Blocker(kind, self.rows[r], cut, frozenset(net.vertices[i] for i in heads))
         return None
+
+    def _marks(self, r: int) -> bytearray | MalformedInput:
+        """Row r's target marks by vertex index, in the graph the scanner was built
+        from, or the MalformedInput its image raises there."""
+        index = self.net.index
+        try:
+            image = _row_image(index.keys(), self.branch_vertices, self.rows[r])
+        except MalformedInput as exc:
+            return exc
+        marks = bytearray(len(index))
+        for v in image:
+            marks[index[v]] = 1
+        return marks
 
     # -- journal entries ----------------------------------------------------
 
@@ -732,7 +751,9 @@ class _RowScanner:
             del around[b][j]
             around[b][i] = around[i][b] = around[i].get(b, 0) + c
         around[j] = {}
-        for marks in self.marks:
+        for r, marks in enumerate(self.marks):
+            if marks is None:  # a row not yet evaluated has its marks made now
+                marks = self.marks[r] = self._marks(r)
             if isinstance(marks, bytearray) and marks[j]:
                 marks[j] = 0
                 marks[i] = 1
@@ -854,7 +875,7 @@ def find_row_cut(
                 raise tail
             image, (net.prev, net.nxt, net.value) = tail
         else:
-            image = _row_image(g, branch_vertices, row)
+            image = _row_image(g.vertices, branch_vertices, row)
             if ref is None:
                 net.max_flow(root_set, image, k)
             else:
@@ -868,7 +889,7 @@ def find_row_cut(
             return RowBlock(_cut_separation(g, cut, root_set), tuple(row), "strict")
         if r == 0 and len(rows) > 1:
             try:
-                tail_image = _row_image(g, branch_vertices, rows[-1])
+                tail_image = _row_image(g.vertices, branch_vertices, rows[-1])
             except MalformedInput as exc:
                 tail = exc
                 continue

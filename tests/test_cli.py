@@ -78,6 +78,19 @@ def test_gen_instance_rejects_degree_above_side(tmp_path, capsys):
     assert "degree" in json.loads(err)["message"]
 
 
+def test_gen_instance_rejects_more_roots_than_the_subgrid_side(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "gen-instance",
+        "--kind", "grid-plus-roots", "--n", 25, "--g", 2, "--k", 3,
+        "--out", tmp_path / "inst",
+    )
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["message"] == "need 1 <= k <= g, got k=3, g=2"
+    assert not (tmp_path / "inst").exists()
+
+
 @pytest.mark.parametrize("kind,n,g,k", [
     ("grid-plus-roots", 2, 2, 2),  # one 2-column set for two roots
     ("random-attachment", 1, 1, 1),  # no vertex pair for a chord
@@ -140,6 +153,54 @@ def test_gen_instance_then_extract_then_validate(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_extract_writes_failure_json_on_a_broken_invariant(tmp_path, capsys, monkeypatch):
+    import gridroots.extraction as extraction
+    from gridroots.separations import CutResult
+
+    def no_paths(g, sources, targets, k, forbidden=()):
+        return CutResult(paths=None, cut=frozenset({1, 2}), separation=None)
+
+    paths = write_instance(identity_problem(8, 2, 1), tmp_path / "inst")
+    monkeypatch.setattr(extraction, "menger", no_paths)
+    outdir = tmp_path / "run"
+    code, out, err = run(
+        capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
+        "--model", paths["model"], "--g", 2, "--k", 1, "--out", outdir,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "internal-invariant",
+        "message": "the final disjoint-paths search returned a cut",
+        "failure": str(outdir / "failure.json"),
+    }
+    trace = trace_from_jsonl((outdir / "trace.jsonl").read_text(encoding="utf-8"))
+    assert [r["kind"] for r in trace] == ["band-selected"]
+    text = (outdir / "failure.json").read_text(encoding="utf-8")
+    failure = json.loads(text)
+    assert text == canonical_json(failure)
+    assert failure == {
+        "message": "the final disjoint-paths search returned a cut",
+        "payload": {"cut": [1, 2], "targets": [18]},
+        "lastRecord": trace[-1],
+    }
+
+    # a failure before the first record leaves an empty trace
+    def broken_start(self, problem):
+        raise extraction.InternalInvariantBroken("injected", payload=[7])
+
+    monkeypatch.setattr(extraction._Runner, "start", broken_start)
+    code, _, _ = run(
+        capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
+        "--model", paths["model"], "--g", 2, "--k", 1, "--out", outdir,
+    )
+    assert code == 3
+    assert (outdir / "trace.jsonl").read_text(encoding="utf-8") == ""
+    assert read_json(outdir / "failure.json") == {
+        "message": "injected", "payload": [7], "lastRecord": None,
+    }
 
 
 def test_extract_reports_certificate(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """End-to-end extraction: validation, frozen runs, certificates, replay."""
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,8 +30,11 @@ from gridroots import (
     validate_model,
     validate_problem,
 )
-from gridroots.extraction import _full_rows, _pattern_boundary
-from gridroots.graph import boundary
+from gridroots.extraction import _first_off_grid_edge, _full_rows, _pattern_boundary
+from gridroots.graph import boundary, subgraph_components
+from gridroots.grid import grid_edge_id
+from gridroots.models import validate_pseudomodel
+from gridroots.validation import ValidationReport
 
 
 def test_validate_problem_parameter_codes():
@@ -123,6 +127,186 @@ def test_pattern_boundary_from_coordinates_matches_the_grid_boundary(seed):
     pattern = Graph(vertices, edges)
     expected = boundary(grid, Subgraph(grid, pattern.vertices, pattern.edge_ids))
     assert _pattern_boundary(n, pattern) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_first_off_grid_edge_inverts_grid_edge_id(n):
+    top = 2 * n * (n - 1)
+    for eid in range(-1, top + 3):
+        for u in range(1, n * n + 1):
+            for v in range(u, n * n + 1):
+                try:
+                    matches = grid_edge_id(n, u, v) == eid
+                except ValueError:
+                    matches = False
+                pattern = Graph([u, v], [(eid, u, v)])
+                assert (_first_off_grid_edge(n, pattern) is None) == matches, (eid, u, v)
+
+
+def reference_validate_problem(problem: ExtractionProblem) -> ValidationReport:
+    """validate_problem written plainly: ``grid_edge_id`` per pattern edge,
+    the boundary taken in ``grid_graph(n)`` and ``subgraph_components``
+    for every branch."""
+    report = ValidationReport()
+    n, g, k = problem.n, problem.g, problem.k
+    if not 1 <= k <= g:
+        report.add("params", f"need 1 <= k <= g, got k={k}, g={g}")
+        return report
+    if n <= k * (g + 2 * k):
+        report.add("params", f"grid side {n} too small, need n > k*(g+2k) = {k * (g + 2 * k)}")
+    if len(problem.roots) != k:
+        report.add("roots", f"expected {k} roots, got {len(problem.roots)}")
+    if not problem.roots <= problem.host.vertices:
+        report.add("roots", "roots must be vertices of the host")
+    if problem.model.host != problem.host:
+        report.add("model-host", "model does not live in the problem host")
+        return report
+    pattern = problem.model.pattern
+    for pv in sorted(pattern.vertices):
+        if not 1 <= pv <= n * n:
+            report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
+            return report
+    for pe in sorted(pattern.edge_ids):
+        try:
+            matches = grid_edge_id(n, *pattern.endpoints(pe)) == pe
+        except ValueError:
+            matches = False
+        if not matches:
+            report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
+            return report
+    if not any(set(row_vertices(n, i)) <= pattern.vertices for i in range(1, n + 1)):
+        report.add("pattern-row", "pattern contains no full grid row")
+    sub_report = validate_pseudomodel(problem.model)
+    if not sub_report.ok:
+        return report.merged(sub_report)
+    grid = grid_graph(n)
+    bnd = boundary(grid, Subgraph(grid, pattern.vertices, pattern.edge_ids))
+    for pv in sorted(pattern.vertices):
+        comps = subgraph_components(problem.model.branches[pv])
+        if len(comps) == 1 and pv not in bnd:
+            continue
+        if all(comp.vertices & problem.roots for comp in comps):
+            continue
+        report.add(
+            "hypothesis-i",
+            f"branch of pattern vertex {pv} is disconnected or boundary-touching "
+            "without every component meeting the roots",
+        )
+    return report
+
+
+def random_grid_problem(rng: random.Random) -> ExtractionProblem:
+    """A small seeded problem on the n x n grid plus pendant vertices, often broken.
+
+    Branches are mostly single grid vertices, some holding a loop, some
+    grown by a pendant vertex with or without its edge (connected or
+    not); some overlap a neighbour's.  Patterns may carry a loop, a
+    non-adjacent pair or a wrong id, and images may miss their branches.
+    """
+    n = rng.randint(1, 8)
+    grid = grid_graph(n)
+    grid_vertices = sorted(grid.vertices)
+    pendants = list(range(n * n + 1, n * n + 1 + rng.randint(0, 4)))
+    triples = list(grid.edges())
+    next_eid = grid.num_edges + 1
+    loops = {}
+    for v in rng.sample(grid_vertices, rng.randint(0, min(4, n * n))):
+        triples.append((next_eid, v, v))
+        loops[v] = next_eid
+        next_eid += 1
+    hangs = {}  # grid vertex -> [(pendant, edge)]
+    for x in pendants:
+        v = rng.choice(grid_vertices)
+        triples.append((next_eid, v, x))
+        hangs.setdefault(v, []).append((x, next_eid))
+        next_eid += 1
+    host = Graph(grid_vertices + pendants, triples)
+
+    keep = 1.0 if rng.random() < 0.3 else 0.85  # the whole grid has no boundary
+    vertices = {v for v in grid_vertices if rng.random() < keep}
+    if rng.random() < 0.6:
+        vertices |= set(row_vertices(n, rng.randint(1, n)))
+    edges = [
+        (e, u, v) for e, u, v in grid.edges()
+        if u in vertices and v in vertices and rng.random() < keep
+    ]
+    used = {e for e, _u, _v in edges}
+    defect = rng.random()
+    sorted_vertices = sorted(vertices)
+    if defect < 0.05 and sorted_vertices:  # a loop
+        v = rng.choice(sorted_vertices)
+        edges.append((rng.choice([e for e in range(1, next_eid + 2) if e not in used]), v, v))
+    elif defect < 0.10 and len(sorted_vertices) > 1:  # any pair under any free id
+        u, v = rng.sample(sorted_vertices, 2)
+        edges.append((rng.choice([e for e in range(-1, next_eid + 2) if e not in used]), u, v))
+    elif defect < 0.15 and edges:  # a pattern edge renumbered
+        i = rng.randrange(len(edges))
+        e, u, v = edges[i]
+        edges[i] = (rng.choice([x for x in range(0, 2 * n * n + 2) if x not in used]), u, v)
+    elif defect < 0.18:  # a vertex past the grid
+        vertices.add(n * n + rng.randint(1, 3))
+    pattern = Graph(vertices, edges)
+
+    model_host = host
+    if rng.random() < 0.03:
+        model_host = Graph(list(host.vertices) + [next_eid], list(host.edges()))
+    branches = {}
+    for pv in sorted(pattern.vertices):
+        if pv not in host.vertices or rng.random() < 0.01:
+            continue  # no branch
+        vs, es = {pv}, set()
+        if pv in loops and rng.random() < 0.6:
+            es.add(loops[pv])
+        if pv in hangs and rng.random() < 0.5:
+            x, e = rng.choice(hangs[pv])
+            vs.add(x)
+            if rng.random() < 0.6:
+                es.add(e)
+        if rng.random() < 0.01:
+            vs.add(rng.choice(grid_vertices))  # may overlap another branch
+        branches[pv] = Subgraph(model_host, vs, es)
+    images = {}
+    for e, _u, _v in pattern.edges():
+        if model_host.has_edge_id(e) and rng.random() > 0.01:
+            images[e] = e
+        else:
+            images[e] = rng.choice(sorted(model_host.edge_ids))
+    model = Pseudomodel(model_host, pattern, branches, images)
+
+    k = rng.choice([1, 1, 2, 3])
+    g = rng.choice([k, k, k + 1, max(1, k - 1)])
+    in_branches = sorted(set().union(*(br.vertices for br in branches.values())) - vertices)
+    candidates = in_branches + rng.sample(grid_vertices, min(2, n * n))
+    roots = set(rng.sample(candidates, min(len(candidates), k)))
+    if rng.random() < 0.05:
+        roots.add(10_000)
+    return ExtractionProblem(host, frozenset(roots), model, n, g, k)
+
+
+def test_validate_problem_matches_the_plain_reference():
+    rng = random.Random("validate-problem-reference")
+    codes = Counter()
+    reached = Counter()  # problems whose branches were checked, by branch feature
+    for case in range(400):
+        problem = random_grid_problem(rng)
+        expected = reference_validate_problem(problem)
+        assert validate_problem(problem).as_dict() == expected.as_dict(), case
+        codes.update(set(expected.codes()) or {"ok"})
+        model = problem.model
+        if set(expected.codes()) <= {"params", "roots", "pattern-row", "hypothesis-i"} and (
+            problem.k <= problem.g and validate_pseudomodel(model).ok
+        ):
+            for br in model.branches.values():
+                if len(br.vertices) == 1:
+                    reached["singleton with a loop" if br.edge_ids else "singleton"] += 1
+                else:
+                    reached["connected" if br.edge_ids else "disconnected"] += 1
+                reached["branch with a root" if br.vertices & problem.roots else "rootless"] += 1
+    assert set(codes) >= {
+        "ok", "params", "roots", "model-host", "pattern-grid", "pattern-row",
+        "branch-missing", "branch-overlap", "edge-ends", "hypothesis-i",
+    }, codes
+    assert len(reached) == 6 and min(reached.values()) >= 5, reached
 
 
 def test_validate_problem_merges_pseudomodel_findings():

@@ -36,6 +36,10 @@ def test_recipe_rejects_bad_fields():
     # the 1x1 grid has no vertex pair to draw a chord between
     with pytest.raises(MalformedInput, match="non-adjacent"):
         InstanceRecipe(kind="random-attachment", n=1, g=1, k=1, degree=1)
+    # k outside 1..g: extract would reject every instance with "params"
+    for g, k in ((2, 3), (2, 0), (0, 1)):
+        with pytest.raises(MalformedInput, match="1 <= k <= g"):
+            InstanceRecipe(kind="grid-plus-roots", n=25, g=g, k=k, degree=3)
     # at the limits the recipes are accepted and the generators finish
     InstanceRecipe(kind="identity-grid", n=2, g=2, k=2, degree=2)  # degree unused
     InstanceRecipe(kind="grid-plus-roots", n=3, g=2, k=2, degree=2)  # C(3, 2) = 3 sets
@@ -173,7 +177,7 @@ def chained_break_host(problem, mode, seed):
 @pytest.mark.parametrize("mode", BREAK_MODES)
 def test_break_equals_deleting_edges_one_by_one(mode):
     problems = [
-        generate_instance(InstanceRecipe(kind, 9, 2, k, seed, k + 1))
+        generate_instance(InstanceRecipe(kind, 9, 3, k, seed, k + 1))
         for kind, k, seed in (("grid-plus-roots", 2, 0), ("random-attachment", 3, 1))
     ]
     for problem in problems:

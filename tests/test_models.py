@@ -221,19 +221,56 @@ def random_pseudomodel(rng):
     return Pseudomodel(host, pattern, branches, images)
 
 
+def ends_checked(p):
+    """How many edge images reach the edge-ends check: a pattern edge's
+    image is a host edge and both its ends have branches."""
+    return sum(
+        1 for e, f in p.edge_images.items()
+        if e in p.pattern.edge_ids and p.host.has_edge_id(f)
+        and all(v in p.branches for v in p.pattern.endpoints(e))
+    )
+
+
 def test_validate_pseudomodel_matches_pairwise_reference():
     rng = random.Random(20240607)
     codes = set()
+    overlapping = {True: 0, False: 0}  # edge-ends findings among overlap cases with checked ends
     for case in range(3000):
         p = random_pseudomodel(rng)
         expected = pairwise_reference(p).as_dict()
         assert validate_pseudomodel(p).as_dict() == expected, case
-        codes.update(f["code"] for f in expected["findings"])
+        found = {f["code"] for f in expected["findings"]}
+        codes.update(found)
+        if "branch-overlap" in found and ends_checked(p):
+            overlapping["edge-ends" in found] += 1
     assert codes == {
         "branch-missing", "branch-unknown", "branch-null", "branch-overlap",
         "edge-image-missing", "edge-image-unknown", "edge-image-absent",
         "edge-image-duplicate", "edge-image-in-branch", "edge-ends",
     }
+    # overlapping branches check edge ends through per-vertex owner lists
+    assert min(overlapping.values()) >= 50, overlapping
+
+
+def test_edge_ends_at_a_shared_vertex_count_for_every_owner():
+    # vertex 1 lies in branches 2 and 5; edge 1 (1-3) joins branch 2 to
+    # branch 3 and edge 2 (2-3) joins branch 5 to branch 3
+    g = Graph([1, 2, 3], [(1, 1, 3), (2, 2, 3)])
+    pat = Graph([2, 3, 5], [(10, 2, 3), (11, 3, 5)])
+    branches = {2: Subgraph(g, {1}), 3: Subgraph(g, {3}), 5: Subgraph(g, {1, 2})}
+    p = Pseudomodel(g, pat, branches, {10: 1, 11: 2})
+    report = validate_pseudomodel(p)
+    assert [f.message for f in report.findings] == ["branches of 2 and 5 share vertices [1]"]
+    assert report.as_dict() == pairwise_reference(p).as_dict()
+    # without the overlap the same images are checked through the one-owner map
+    branches[5] = Subgraph(g, {2})
+    p = Pseudomodel(g, pat, branches, {10: 1, 11: 2})
+    assert validate_pseudomodel(p).ok
+    p = Pseudomodel(g, pat, branches, {10: 2, 11: 1})
+    assert [f.message for f in validate_pseudomodel(p).findings] == [
+        "host edge 2 does not join the branches of pattern edge 10=2~3",
+        "host edge 1 does not join the branches of pattern edge 11=3~5",
+    ]
 
 
 def test_overlap_and_in_branch_findings_keep_their_order():
