@@ -14,6 +14,7 @@ from gridroots import (
     generate_instance,
     graph_from_dict,
     graph_to_dict,
+    grid_plus_roots_problem,
     identity_problem,
     model_from_dict,
     read_json,
@@ -162,12 +163,13 @@ def test_extract_writes_failure_json_on_a_broken_invariant(tmp_path, capsys, mon
     def no_paths(g, sources, targets, k, forbidden=()):
         return CutResult(paths=None, cut=frozenset({1, 2}), separation=None)
 
-    paths = write_instance(identity_problem(8, 2, 1), tmp_path / "inst")
+    # two recursions, then the innermost band step's disjoint-paths search fails
+    paths = write_instance(grid_plus_roots_problem(13, 2, 2, ((1, 3), (5, 7))), tmp_path / "inst")
     monkeypatch.setattr(extraction, "menger", no_paths)
     outdir = tmp_path / "run"
     code, out, err = run(
         capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
-        "--model", paths["model"], "--g", 2, "--k", 1, "--out", outdir,
+        "--model", paths["model"], "--g", 2, "--k", 2, "--out", outdir,
     )
     assert code == 3
     assert out == ""
@@ -177,15 +179,19 @@ def test_extract_writes_failure_json_on_a_broken_invariant(tmp_path, capsys, mon
         "failure": str(outdir / "failure.json"),
     }
     trace = trace_from_jsonl((outdir / "trace.jsonl").read_text(encoding="utf-8"))
-    assert [r["kind"] for r in trace] == ["band-selected"]
+    assert [r["kind"] for r in trace] == [
+        "edge-delete", "separation-recursion", "edge-delete", "separation-recursion",
+        "band-selected",
+    ]
     text = (outdir / "failure.json").read_text(encoding="utf-8")
     failure = json.loads(text)
     assert text == canonical_json(failure)
     assert failure == {
         "message": "the final disjoint-paths search returned a cut",
-        "payload": {"cut": [1, 2], "targets": [18]},
+        "payload": {"cut": [1, 2], "targets": failure["payload"]["targets"]},
         "lastRecord": trace[-1],
     }
+    assert trace[-1]["depth"] == 2
 
     # a failure before the first record leaves an empty trace
     def broken_start(self, problem):
@@ -194,7 +200,7 @@ def test_extract_writes_failure_json_on_a_broken_invariant(tmp_path, capsys, mon
     monkeypatch.setattr(extraction._Runner, "start", broken_start)
     code, _, _ = run(
         capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
-        "--model", paths["model"], "--g", 2, "--k", 1, "--out", outdir,
+        "--model", paths["model"], "--g", 2, "--k", 2, "--out", outdir,
     )
     assert code == 3
     assert (outdir / "trace.jsonl").read_text(encoding="utf-8") == ""

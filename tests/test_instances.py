@@ -17,7 +17,7 @@ from gridroots import (
     model_to_dict,
     validate_problem,
 )
-from gridroots import Graph, grid_graph, vertex_id
+from gridroots import ExtractionProblem, Graph, Pseudomodel, Subgraph, grid_graph, vertex_id
 from gridroots.instances import _chords
 
 
@@ -150,6 +150,17 @@ def test_break_rejects_bad_input():
         break_instance(problem, "melt", 0)
     with pytest.raises(MalformedInput):
         break_instance(identity_problem(8, 2, 1), "detach", 0)  # grid-vertex roots
+    # a branch that holds a root's edge would lose it
+    problem = grid_plus_roots_problem(8, 1, 1, [(1,)])
+    (z,) = problem.roots
+    (e,) = problem.host.incident_edges(z)
+    branches = dict(problem.model.branches)
+    branches[1] = Subgraph(problem.host, {1, z}, {e})
+    model = Pseudomodel(problem.host, problem.model.pattern, branches, problem.model.edge_images)
+    held = ExtractionProblem(problem.host, problem.roots, model, 8, 1, 1)
+    for mode in BREAK_MODES:
+        with pytest.raises(MalformedInput, match="edge of a branch"):
+            break_instance(held, mode, 0)
 
 
 def chained_break_host(problem, mode, seed):

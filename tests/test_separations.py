@@ -355,6 +355,44 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
                     image.add(u)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_scanner_fed_before_its_first_scan_follows_the_contractions(seed):
+    """A row's target marks are made at its first evaluation or at the first
+    contraction, from the images the scanner was built with: reductions fed
+    before any scan, with those images left as they were, still give the
+    fresh scan of the reduced graph with the images carried along."""
+    host, roots, model, rows, _ = random_scan_case(seed)
+    rng = random.Random(f"row-scanner-unscanned:{seed}")
+    k = len(roots)
+    roots = set(roots)
+    images = {v: set(br.vertices) for v, br in model.branches.items()}
+    work = WorkingGraph(host)
+    scanner = _RowScanner(work, {v: frozenset(vs) for v, vs in images.items()}, rows, k)
+    for _ in range(rng.randint(1, 6)):
+        if not work.edge_ids:
+            break
+        eid = rng.choice(sorted(work.edge_ids))
+        u, v = work.endpoints(eid)
+        rule = "edge-delete" if u == v or rng.random() < 0.3 else "branch-edge-contract"
+        scanner.feed(_apply_edge_reduction(work, roots, {}, rule, eid, None))
+        if rule == "branch-edge-contract":
+            for image in images.values():
+                if v in image:
+                    image.discard(v)
+                    image.add(u)
+    g = work.freeze()
+    try:
+        block = scanner.scan(work, roots)
+    except MalformedInput:
+        with pytest.raises(MalformedInput):
+            find_row_blocking_separation(g, roots, images, rows, k)
+        return
+    found = None if block is None else (
+        block.kind, block.row, _separation_from_sides(g, block.sides(work, roots)))
+    fresh = find_row_blocking_separation(g, roots, images, rows, k)
+    assert found == (None if fresh is None else (fresh.kind, fresh.row, fresh.separation))
+
+
 def reference_row_cut(g, roots, images, rows, k):
     """``find_row_cut`` spelled out: every row solved from scratch by ``menger``, in order."""
     roots = frozenset(roots)
