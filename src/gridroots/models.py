@@ -120,18 +120,20 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
     for v, br in branches.items():
         for f in br.edge_ids:
             edge_owners.setdefault(f, []).append(v)
-    host = p.host
+    host, images = p.host, p.edge_images
+    host_ends, pattern_ends = host.endpoints, pattern.endpoints
     pattern_edges = pattern.edge_ids
     seen_hosts: dict[int, int] = {}
     for e in sorted(pattern_edges):
-        if e not in p.edge_images:
+        if e not in images:
             report.add("edge-image-missing", f"pattern edge {e} has no host edge")
-    for e in sorted(p.edge_images):
+    for e, f in sorted(images.items()):
         if e not in pattern_edges:
             report.add("edge-image-unknown", f"edge image key {e} is not a pattern edge")
             continue
-        f = p.edge_images[e]
-        if not host.has_edge_id(f):
+        try:
+            x, y = host_ends(f)
+        except KeyError:
             report.add("edge-image-absent", f"host edge {f} for pattern edge {e} does not exist")
             continue
         if f in seen_hosts:
@@ -146,13 +148,12 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
                 "edge-image-in-branch",
                 f"host edge {f} (image of pattern edge {e}) lies inside branch {v}",
             )
-        u, v = pattern.endpoints(e)
+        u, v = pattern_ends(e)
         if u not in branches or v not in branches:
             continue
-        x, y = host.endpoints(f)
         if vertex_owners is None:
-            ends = owner.get(x), owner.get(y)
-            joined = ends == (u, v) or ends == (v, u)
+            ox, oy = owner.get(x), owner.get(y)
+            joined = (ox == u and oy == v) or (ox == v and oy == u)
         else:
             ox, oy = vertex_owners.get(x, ()), vertex_owners.get(y, ())
             joined = (u in ox and v in oy) or (v in ox and u in oy)
