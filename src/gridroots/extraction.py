@@ -48,6 +48,7 @@ from .graph import Graph, Subgraph, WorkingGraph, subgraph_components
 from .grid import (
     GridAtlas,
     choose_band,
+    first_off_grid_edge,
     grid_edge_id,
     grid_graph,
     row_vertices,
@@ -133,7 +134,7 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
         if not 1 <= pv <= n * n:
             report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
             return report
-    pe = _first_off_grid_edge(n, pattern)
+    pe = first_off_grid_edge(n, pattern)
     if pe is not None:
         report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
         return report
@@ -176,34 +177,6 @@ def _pattern_boundary(n: int, pattern: Graph) -> frozenset[int]:
         if len(pattern.incident_edges(pv)) < degree:
             out.append(pv)
     return frozenset(out)
-
-
-def _first_off_grid_edge(n: int, pattern: Graph) -> int | None:
-    """The least pattern edge id whose ends are not the n x n grid's edge with that id.
-
-    Each id is inverted by arithmetic, as ``grid_edge_id`` numbers the
-    edges: each row of cells but the last emits 2n - 1 ids, a right
-    then a down edge per cell except the last cell, which has only its
-    down edge; the last row emits its n - 1 right edges.  A loop or a
-    non-adjacent pair matches no id.
-    """
-    if n < 1:
-        return min(pattern.edge_ids, default=None)
-    width, top = 2 * n - 1, 2 * n * (n - 1)
-    ends = pattern.endpoints
-    for e in sorted(pattern.edge_ids):
-        if not 1 <= e <= top:
-            return e
-        i, r = divmod(e - 1, width)
-        if i == n - 1:  # the last row: right edges only
-            a = i * n + r + 1
-            b = a + 1
-        else:
-            a = i * n + r // 2 + 1
-            b = a + 1 if r % 2 == 0 and r < width - 1 else a + n
-        if ends(e) != (a, b):
-            return e
-    return None
 
 
 def _json_rows(problems: ValidationReport) -> list[str]:
@@ -518,7 +491,6 @@ def _saturated_state(
                 f"window branch of {pv} is not a singleton",
                 payload={"branch": sorted(branches[pv][0])},
             )
-    pattern_edges = pattern.edge_ids
     lo_i, hi_i = atlas.window_rows()[0], atlas.window_rows()[-1]
     lo_j, hi_j = atlas.window_columns()[0], atlas.window_columns()[-1]
     for i in range(lo_i, hi_i + 1):
@@ -528,7 +500,7 @@ def _saturated_state(
                 if other[0] > hi_i or other[1] > hi_j:
                     continue
                 eid = grid_edge_id(n, pv, vertex_id(n, *other))
-                if eid not in pattern_edges:
+                if eid not in pattern.edge_ids:
                     raise InternalInvariantBroken(
                         f"window edge {eid} is missing from the pattern"
                     )

@@ -75,6 +75,35 @@ def grid_edge_id(n: int, u: int, v: int) -> int:
     return count + (2 if j < n - 1 else 1)
 
 
+def first_off_grid_edge(n: int, pattern) -> int | None:
+    """The least edge id of the graph ``pattern`` whose ends are not the n x n
+    grid's edge with that id; None when every edge matches.
+
+    The inverse of :func:`grid_edge_id`, by arithmetic on each id: every
+    row of cells but the last emits 2n - 1 ids, a right then a down edge
+    per cell except the last cell, which has only its down edge; the
+    last row emits its n - 1 right edges.  A loop or a non-adjacent pair
+    matches no id.
+    """
+    if n < 1:
+        return min(pattern.edge_ids, default=None)
+    width, top = 2 * n - 1, 2 * n * (n - 1)
+    ends = pattern.endpoints
+    for e in sorted(pattern.edge_ids):
+        if not 1 <= e <= top:
+            return e
+        i, r = divmod(e - 1, width)
+        if i == n - 1:  # the last row: right edges only
+            a = i * n + r + 1
+            b = a + 1
+        else:
+            a = i * n + r // 2 + 1
+            b = a + 1 if r % 2 == 0 and r < width - 1 else a + n
+        if ends(e) != (a, b):
+            return e
+    return None
+
+
 def row_vertices(n: int, i: int) -> tuple[int, ...]:
     """Ids of row ``i`` of the ``n x n`` grid, left to right."""
     return tuple(vertex_id(n, i, j) for j in range(1, n + 1))

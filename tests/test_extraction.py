@@ -30,7 +30,7 @@ from gridroots import (
     validate_model,
     validate_problem,
 )
-from gridroots.extraction import _first_off_grid_edge, _full_rows, _pattern_boundary
+from gridroots.extraction import _full_rows, _pattern_boundary
 from gridroots.graph import boundary, subgraph_components
 from gridroots.grid import grid_edge_id
 from gridroots.models import validate_pseudomodel
@@ -127,20 +127,6 @@ def test_pattern_boundary_from_coordinates_matches_the_grid_boundary(seed):
     pattern = Graph(vertices, edges)
     expected = boundary(grid, Subgraph(grid, pattern.vertices, pattern.edge_ids))
     assert _pattern_boundary(n, pattern) == expected
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_first_off_grid_edge_inverts_grid_edge_id(n):
-    top = 2 * n * (n - 1)
-    for eid in range(-1, top + 3):
-        for u in range(1, n * n + 1):
-            for v in range(u, n * n + 1):
-                try:
-                    matches = grid_edge_id(n, u, v) == eid
-                except ValueError:
-                    matches = False
-                pattern = Graph([u, v], [(eid, u, v)])
-                assert (_first_off_grid_edge(n, pattern) is None) == matches, (eid, u, v)
 
 
 def reference_validate_problem(problem: ExtractionProblem) -> ValidationReport:

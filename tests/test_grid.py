@@ -13,6 +13,8 @@ from gridroots import (
     vertex_coord,
     vertex_id,
 )
+from gridroots.graph import Graph
+from gridroots.grid import first_off_grid_edge
 
 
 def test_vertex_id_round_trip():
@@ -50,6 +52,20 @@ def test_grid_edge_id_matches_grid_graph():
         for eid, u, v in g.edges():
             assert grid_edge_id(n, u, v) == eid
             assert grid_edge_id(n, v, u) == eid
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_first_off_grid_edge_inverts_grid_edge_id(n):
+    top = 2 * n * (n - 1)
+    for eid in range(-1, top + 3):
+        for u in range(1, n * n + 1):
+            for v in range(u, n * n + 1):
+                try:
+                    matches = grid_edge_id(n, u, v) == eid
+                except ValueError:
+                    matches = False
+                pattern = Graph([u, v], [(eid, u, v)])
+                assert (first_off_grid_edge(n, pattern) is None) == matches, (eid, u, v)
 
 
 def test_grid_edge_id_rejects_non_adjacent():
