@@ -272,7 +272,7 @@ def random_grid_problem(rng: random.Random) -> ExtractionProblem:
 def test_validate_problem_matches_the_plain_reference():
     rng = random.Random("validate-problem-reference")
     codes = Counter()
-    reached = Counter()  # problems whose branches were checked, by branch feature
+    reached = Counter()  # branches that reached the hypothesis-i check, by feature
     for case in range(400):
         problem = random_grid_problem(rng)
         expected = reference_validate_problem(problem)
