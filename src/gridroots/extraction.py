@@ -66,7 +66,7 @@ from .separations import (
     Separation,
     _RowScanner,
     _separation_from_sides,
-    find_row_cut,
+    find_row_blocking_separation,
     menger,
 )
 from .validation import ValidationReport
@@ -493,6 +493,7 @@ def _saturated_state(
             )
     lo_i, hi_i = atlas.window_rows()[0], atlas.window_rows()[-1]
     lo_j, hi_j = atlas.window_columns()[0], atlas.window_columns()[-1]
+    pattern_edges = pattern.edge_ids
     for i in range(lo_i, hi_i + 1):
         for j in range(lo_j, hi_j + 1):
             pv = vertex_id(n, i, j)
@@ -500,7 +501,7 @@ def _saturated_state(
                 if other[0] > hi_i or other[1] > hi_j:
                     continue
                 eid = grid_edge_id(n, pv, vertex_id(n, *other))
-                if eid not in pattern.edge_ids:
+                if eid not in pattern_edges:
                     raise InternalInvariantBroken(
                         f"window edge {eid} is missing from the pattern"
                     )
@@ -780,21 +781,23 @@ def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:
     The cut returned is the sink-side minimum cut, the same for every
     maximum flow.  This check does not require the full size
     preconditions of ``extract``; it is meaningful on arbitrarily small
-    hosts.
+    hosts.  Raises MalformedInput for k below 1, an empty root set,
+    roots outside the host, and a row image that is empty or not in the
+    host.
 
-    Rows are checked top to bottom by ``find_row_cut``.  Two flows are
-    found from scratch: the first row's and, once the first row holds,
-    the last row's.  Every other row starts from the last row's flow,
-    each path cut back where it first meets the row's image, and
-    augments only the shortfall; on a grid-plus-roots host the last
-    row's paths cross every row, so those rows cost little more than
-    building their image.  A refuted instance solves at most one row
-    from scratch more than checking each row alone would, and none more
-    when the first row fails.
+    This is one strict scan of a fresh row scanner
+    (``find_row_blocking_separation`` with ``strict_only``): rows are
+    checked top to bottom and a row holds once k disjoint paths reach
+    it.  The top and bottom rows are solved from scratch, and every row
+    between starts from the bottom row's flow cut back at its image: on
+    a grid-plus-roots host that flow's paths cross every row, so those
+    rows cost little more than building their image.
     """
     model = problem.model
     rows = _full_rows(problem.n, model.pattern)
-    block = find_row_cut(problem.host, problem.roots, model, rows, problem.k)
+    block = find_row_blocking_separation(
+        problem.host, problem.roots, model, rows, problem.k, strict_only=True
+    )
     if block is None:
         return HypothesisCheck(True, None, None)
     return HypothesisCheck(False, block.separation, block.row)

@@ -6,12 +6,14 @@ Tangles are explicit separation sets checked against the three tangle
 axioms at desk scale.  ``menger`` is a deterministic vertex-capacity
 max-flow: it returns either ``k`` vertex-disjoint source-target paths or
 a cut of fewer than ``k`` vertices together with the separation that cut
-induces.  It shares one flow engine with the row scans
-(``find_row_blocking_separation`` and ``find_row_cut``): the vertex-split
+induces.  It shares one flow engine with the row scan: the vertex-split
 network stays implicit, as arrays over neighbour lists built once per
-graph.  ``_RowScanner`` is the row scan kept across the edge deletions
-and contractions of one extraction level: it edits its neighbour lists
-in place and re-checks only the rows a step can change.
+graph.  ``_RowScanner`` is the one row scan, behind
+``find_row_blocking_separation``, ``check_hypothesis`` (a strict scan)
+and the extraction loop, which keeps it across the edge deletions and
+contractions of one level: it edits its neighbour lists in place and
+re-checks only the rows a step can change.  A row it has no flow for
+starts from the last row's flow cut back at its image.
 """
 from __future__ import annotations
 
@@ -363,12 +365,13 @@ def menger(
         paths = tuple(_trim_path(p, src, tgt) for p in net.paths())
         return CutResult(paths=paths, cut=None, separation=None)
     cut, _beyond = net.sink_cut([net.index[t] for t in tgt])
-    return CutResult(paths=None, cut=cut, separation=_cut_separation(searched, cut, src))
+    separation = _separation_from_sides(searched, _cut_sides(searched, cut, src))
+    return CutResult(paths=None, cut=cut, separation=separation)
 
 
-def _cut_separation(g: Graph, cut: frozenset[int], sources: frozenset[int]) -> Separation:
-    """Separation induced by a cut: A = cut plus the source-reachable part."""
-    return _separation_from_sides(g, _split_sides(g, cut, reachable_from(g, sorted(sources), cut)))
+def _cut_sides(g: Graph | WorkingGraph, cut: frozenset[int], sources: AbstractSet[int]):
+    """The sides ``(VA, EA, VB, EB)`` a cut induces: A = cut plus the source-reachable part."""
+    return _split_sides(g, cut, reachable_from(g, sorted(sources), cut))
 
 
 def _split_sides(g: Graph | WorkingGraph, cut: frozenset[int], a_only: AbstractSet[int]):
@@ -461,7 +464,7 @@ class _Blocker:
         """The blocker's sides ``(VA, EA, VB, EB)`` as id sets: the cut's (as
         ``menger`` splits) when strict, else ``blocking_separation``'s."""
         if self.kind == "strict":
-            return _split_sides(g, self.cut, reachable_from(g, sorted(roots), self.cut))
+            return _cut_sides(g, self.cut, roots)
         return _blocking_sides(g, self.cut, frozenset(roots), self.image)
 
 
@@ -472,38 +475,38 @@ def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
     return p
 
 
-def _check_roots(g: Graph | WorkingGraph, roots: frozenset[int]) -> None:
-    problems = []
-    if not roots:
-        problems.append("empty root set")
-    if not roots <= g.vertices:
-        problems.append("roots must be vertices of the graph")
-    if problems:
-        raise MalformedInput("bad row scan", problems)
-
-
-def _row_image(
-    vertices: AbstractSet[int],
-    branch_vertices: Mapping[int, AbstractSet[int]],
-    row: Sequence[int],
-) -> frozenset[int]:
-    """The union of the row's branches; MalformedInput when it is empty or not in ``vertices``."""
-    try:
-        image = frozenset().union(*(branch_vertices[v] for v in row))
-    except KeyError as exc:
-        raise MalformedInput(
-            "bad row scan", [f"pattern vertex {exc.args[0]} of row {list(row)} has no branch"]
-        ) from None
-    if not image or not image <= vertices:
-        raise MalformedInput(
-            "bad row scan", [f"the image of row {list(row)} is empty or not in the graph"]
-        )
-    return image
-
-
 def _has_edge_inside(g: Graph | WorkingGraph, cut: AbstractSet[int]) -> bool:
     """True when some edge, a loop included, has both ends in ``cut``."""
     return any(set(g.endpoints(e)) <= cut for v in cut for e in g.incident_edges(v))
+
+
+def _cut_back(
+    ref: _RowState, starts: Sequence[int], marks: bytearray
+) -> tuple[list[int], list[int], int]:
+    """A row's flow with its paths cut back at the first vertex each meets in
+    ``marks``, the rest dropped: ``prev``, ``nxt`` and value of a valid flow
+    to the marked vertices.  ``starts`` are the sources' in-nodes."""
+    prev, nxt = ref.prev, ref.nxt
+    nv = len(prev)
+    new_prev, new_nxt = [_FREE] * nv, [_FREE] * nv
+    value = 0
+    for s in starts:
+        z = s >> 1
+        if prev[z] != _END:
+            continue
+        w = z
+        while w >= 0 and not marks[w]:
+            w = nxt[w]
+        if w < 0:
+            continue  # the path misses the marked vertices
+        new_prev[z] = _END
+        while z != w:
+            new_nxt[z] = y = nxt[z]
+            new_prev[y] = z
+            z = y
+        new_nxt[w] = _END
+        value += 1
+    return new_prev, new_nxt, value
 
 
 class _RowState:
@@ -517,8 +520,8 @@ class _RowState:
 
     __slots__ = ("prev", "nxt", "value", "level")
 
-    def __init__(self, net: _FlowNetwork):
-        self.prev, self.nxt, self.value, self.level = net.prev, net.nxt, net.value, net.level
+    def __init__(self, net: _FlowNetwork, level: list[int] | None):
+        self.prev, self.nxt, self.value, self.level = net.prev, net.nxt, net.value, level
 
 
 class _RowScanner:
@@ -557,10 +560,18 @@ class _RowScanner:
 
     An edge inside Z can only appear when a contraction moves a root,
     which carries flow in every certified row, so certified rows need no
-    check for it.  A scan evaluates every uncertified row in full, from
-    its kept flow when it has one, which gives the verdict a fresh scan
-    gives; those evaluations count as ``cold``, and ``reused`` counts the
-    rows a scan took from their certificate.
+    check for it.  A scan evaluates every uncertified row in full, which
+    gives the verdict a fresh scan gives; those evaluations count as
+    ``cold``, and ``reused`` counts the rows a scan took from their
+    certificate.
+
+    A row with no kept flow starts, once the first row holds, from the
+    last row's flow (solved right after the first row's, and kept) with
+    each path cut back where it first meets the row's image, and
+    augments only the shortfall.  Any feasible start gives a maximum
+    flow and the same cut; on a grid-like host the last row's paths
+    cross every row, so most rows augment nothing.  While a malformed
+    last row waits for its turn, the rows before it start from nothing.
     """
 
     def __init__(
@@ -584,33 +595,38 @@ class _RowScanner:
 
     # -- scanning ---------------------------------------------------------
 
-    def scan(self, g: Graph | WorkingGraph, roots: AbstractSet[int]) -> _Blocker | None:
+    def scan(
+        self, g: Graph | WorkingGraph, roots: AbstractSet[int], strict_only: bool = False
+    ) -> _Blocker | None:
         """The first row, in order, that a separation blocks; None if none does.
 
-        ``g`` and ``roots`` are as of the last entry fed.
+        ``g`` and ``roots`` are as of the last entry fed.  With
+        ``strict_only`` a row passes once its flow reaches k, and only a
+        cut below k blocks.
         """
         net, k = self.net, self.k
-        keep = len(roots) == k
+        enough = k if strict_only else k + 1  # a flow this large passes outright
+        keep = len(roots) == k and not strict_only
         starts = [2 * net.index[z] for z in sorted(roots)]
-        nv = len(net.around)
-        for r, marks in enumerate(self.marks):
-            if marks is None:
-                marks = self.marks[r] = self._marks(r)
+        last = len(self.rows) - 1
+        ref = None  # the last row's state, from the second row on
+        for r in range(last + 1):
+            marks = self._marks(r)
             if isinstance(marks, MalformedInput):
                 raise marks
+            if r == 1 and last > 1 and isinstance(self._marks(last), bytearray):
+                ref = self.states[last]  # the first row holds: solve the last one
+                if ref is None or ref.level is None:
+                    self._solve(last, starts, self.marks[last], enough, None)
+                    ref = self.states[last] = _RowState(net, None)
             state = self.states[r]
             if state is not None and state.level is not None:
                 self.reused += 1
                 continue
             self.cold += 1
-            if state is None:
-                net.prev, net.nxt, net.value = [_FREE] * nv, [_FREE] * nv, 0
-            else:
-                net.prev, net.nxt, net.value = state.prev, state.nxt, state.value
-            heads = list(compress(range(nv), marks))
-            self.states[r] = None
-            if net.augment(starts, marks, min(k + 1, len(starts), len(heads))) > k:
+            if self._solve(r, starts, marks, enough, ref) >= enough:
                 continue
+            heads = list(compress(range(len(marks)), marks))
             cut, beyond = net.sink_cut(heads)
             if len(cut) < k:
                 kind = "strict"
@@ -618,22 +634,48 @@ class _RowScanner:
                 kind = "reducible"
             else:
                 if keep:
-                    self.states[r] = _RowState(net)
+                    self.states[r] = _RowState(net, net.level)
                 continue
             return _Blocker(kind, self.rows[r], cut, frozenset(net.vertices[i] for i in heads))
         return None
 
+    def _solve(
+        self, r: int, starts: list[int], marks: bytearray, enough: int, ref: _RowState | None
+    ) -> int:
+        """Augment row r's flow in the network up to ``enough``; its value.
+
+        The flow starts from the row's kept flow, else from ``ref``'s cut
+        back at the row's image, else from nothing.  The row keeps no
+        state: the network augments the kept flow's lists in place.
+        """
+        net, state = self.net, self.states[r]
+        self.states[r] = None
+        if state is not None:
+            net.prev, net.nxt, net.value = state.prev, state.nxt, state.value
+        elif ref is not None:
+            net.prev, net.nxt, net.value = _cut_back(ref, starts, marks)
+        else:
+            net.prev, net.nxt, net.value = [_FREE] * len(marks), [_FREE] * len(marks), 0
+        return net.augment(starts, marks, min(enough, len(starts), marks.count(1)))
+
     def _marks(self, r: int) -> bytearray | MalformedInput:
-        """Row r's target marks by vertex index, in the graph the scanner was built
-        from, or the MalformedInput its image raises there."""
-        index = self.net.index
+        """Row r's target marks by vertex index, made at the first call in the graph
+        the scanner was built from, or the MalformedInput its image raises there."""
+        if self.marks[r] is not None:
+            return self.marks[r]
+        row, index = self.rows[r], self.net.index
         try:
-            image = _row_image(index.keys(), self.branch_vertices, self.rows[r])
-        except MalformedInput as exc:
-            return exc
-        marks = bytearray(len(index))
-        for v in image:
-            marks[index[v]] = 1
+            image = frozenset().union(*(self.branch_vertices[v] for v in row))
+        except KeyError as exc:
+            problem = f"pattern vertex {exc.args[0]} of row {list(row)} has no branch"
+        else:
+            if image and image <= index.keys():
+                marks = self.marks[r] = bytearray(len(index))
+                for v in image:
+                    marks[index[v]] = 1
+                return marks
+            problem = f"the image of row {list(row)} is empty or not in the graph"
+        marks = self.marks[r] = MalformedInput("bad row scan", [problem])
         return marks
 
     # -- journal entries ----------------------------------------------------
@@ -751,9 +793,8 @@ class _RowScanner:
             del around[b][j]
             around[b][i] = around[i][b] = around[i].get(b, 0) + c
         around[j] = {}
-        for r, marks in enumerate(self.marks):
-            if marks is None:  # a row not yet evaluated has its marks made now
-                marks = self.marks[r] = self._marks(r)
+        for r in range(len(self.rows)):
+            marks = self._marks(r)  # a row not yet evaluated has its marks made now
             if isinstance(marks, bytearray) and marks[j]:
                 marks[j] = 0
                 marks[i] = 1
@@ -792,6 +833,7 @@ def find_row_blocking_separation(
     p: Pseudomodel | Mapping[int, AbstractSet[int]],
     rows: Sequence[Sequence[int]],
     max_order: int,
+    strict_only: bool = False,
 ) -> RowBlock | None:
     """Scan rows for a separation pinching the roots off from a row image.
 
@@ -807,127 +849,34 @@ def find_row_blocking_separation(
     (a loop included) has both ends in the cut; otherwise it is not a
     blocker.  A root outside the cut is never reachable from the image
     in g minus the cut (the flow would not be maximum), so the first
-    condition is part of the second.  Returns the first blocker or
-    None; its separation lives in ``g.freeze()``.  ``p`` gives the row
-    images: a pseudomodel, or a mapping from pattern vertex to branch
-    vertex set.  Raises MalformedInput for a negative ``max_order``, an
-    empty root set or roots outside g, and, once the scan reaches the
-    row, a row vertex with no branch or a row image that is empty or
-    not in g.
+    condition is part of the second.  With ``strict_only`` only strict
+    blockers count, and a row holds once its flow reaches
+    ``max_order``.  Returns the first blocker or None; its separation
+    lives in ``g.freeze()``, and a strict one is the separation
+    ``menger`` gives for its cut.  ``p`` gives the row images: a
+    pseudomodel, or a mapping from pattern vertex to branch vertex set.
+    Raises MalformedInput for a negative ``max_order`` (or zero when
+    ``strict_only``), an empty root set or roots outside g, and, once
+    the scan reaches the row, a row vertex with no branch or a row image
+    that is empty or not in g.
 
     This is one scan of a fresh ``_RowScanner``, which the extraction
     loop keeps for a whole recursion level instead.
     """
-    if max_order < 0:
-        raise MalformedInput("bad row scan", [f"max_order must be non-negative, got {max_order}"])
+    if max_order < (1 if strict_only else 0):
+        least = "positive" if strict_only else "non-negative"
+        raise MalformedInput("bad row scan", [f"max_order must be {least}, got {max_order}"])
     root_set = frozenset(roots)
-    _check_roots(g, root_set)
-    block = _RowScanner(g, _branch_vertices(p), rows, max_order).scan(g, root_set)
+    problems = [] if root_set else ["empty root set"]
+    if not root_set <= g.vertices:
+        problems.append("roots must be vertices of the graph")
+    if problems:
+        raise MalformedInput("bad row scan", problems)
+    block = _RowScanner(g, _branch_vertices(p), rows, max_order).scan(g, root_set, strict_only)
     if block is None:
         return None
     g = g.freeze()
     return RowBlock(_separation_from_sides(g, block.sides(g, root_set)), block.row, block.kind)
-
-
-def find_row_cut(
-    g: Graph,
-    roots: Iterable[int],
-    p: Pseudomodel,
-    rows: Sequence[Sequence[int]],
-    k: int,
-) -> RowBlock | None:
-    """First row whose image fewer than ``k`` vertices cut off from the roots.
-
-    The cut is the sink-side minimum cut of the row's maximum flow (the
-    same for every maximum flow), returned as a strict RowBlock with the
-    separation ``menger`` gives for it.  None when every row is joined
-    to the roots by ``k`` disjoint paths.  The flow network is built
-    once for all rows.
-
-    Rows are taken in the order given, and the first row's flow is found
-    from scratch.  Once that row holds, the last row's flow is found
-    from scratch too, once; every other row starts from that flow with
-    each path cut back at the first vertex it meets in the row's image,
-    and augments only the shortfall.  Augmenting paths may start from
-    any feasible flow, so every row still gets a maximum flow and the
-    same cut.  On a grid-like host a path to the last row crosses every
-    row on the way, so most rows need no augmenting at all; at worst a
-    row augments as many paths as it would from scratch, and a refuted
-    input solves at most one row from scratch that a row-by-row scan
-    would not (none when the first row fails).  A row vertex with no
-    branch, or an image that is empty or not in g, raises MalformedInput
-    when the scan reaches that row; while a malformed last row waits
-    for its turn, the rows before it are solved from scratch.
-    """
-    if k < 1:
-        raise MalformedInput("bad row scan", [f"k must be positive, got {k}"])
-    root_set = frozenset(roots)
-    _check_roots(g, root_set)
-    branch_vertices = _branch_vertices(p)
-    net = _FlowNetwork(g)
-    index = net.index
-    starts = [2 * index[z] for z in sorted(root_set)]
-    ref = None  # the last row's flow, once the first row holds
-    tail = None  # the last row's image and flow, or the MalformedInput it raised
-    for r, row in enumerate(rows):
-        if r == len(rows) - 1 and tail is not None:
-            if isinstance(tail, MalformedInput):
-                raise tail
-            image, (net.prev, net.nxt, net.value) = tail
-        else:
-            image = _row_image(g.vertices, branch_vertices, row)
-            if ref is None:
-                net.max_flow(root_set, image, k)
-            else:
-                marks = bytearray(len(net.vertices))
-                for v in image:
-                    marks[index[v]] = 1
-                net.prev, net.nxt, net.value = _cut_back(*ref, starts, marks)
-                net.augment(starts, marks, min(k, len(starts), len(image)))
-        if net.value < k:
-            cut, _beyond = net.sink_cut([index[t] for t in image])
-            return RowBlock(_cut_separation(g, cut, root_set), tuple(row), "strict")
-        if r == 0 and len(rows) > 1:
-            try:
-                tail_image = _row_image(g.vertices, branch_vertices, rows[-1])
-            except MalformedInput as exc:
-                tail = exc
-                continue
-            net.max_flow(root_set, tail_image, k)
-            tail = (tail_image, (net.prev, net.nxt, net.value))
-            ref = (net.prev, net.nxt)
-    return None
-
-
-def _cut_back(
-    prev: Sequence[int], nxt: Sequence[int], starts: Sequence[int], marks: bytearray
-) -> tuple[list[int], list[int], int]:
-    """A flow's paths cut back at the first vertex each meets in ``marks``; the rest dropped.
-
-    ``prev`` and ``nxt`` are a flow of ``_FlowNetwork`` and ``starts``
-    the sources' in-nodes.  Returns the new flow's ``prev``, ``nxt`` and
-    value: a valid flow to the marked vertices.
-    """
-    nv = len(prev)
-    new_prev, new_nxt = [_FREE] * nv, [_FREE] * nv
-    value = 0
-    for s in starts:
-        z = s >> 1
-        if prev[z] != _END:
-            continue
-        w = z
-        while w >= 0 and not marks[w]:
-            w = nxt[w]
-        if w < 0:
-            continue  # the path misses the marked vertices
-        new_prev[z] = _END
-        while z != w:
-            new_nxt[z] = y = nxt[z]
-            new_prev[y] = z
-            z = y
-        new_nxt[w] = _END
-        value += 1
-    return new_prev, new_nxt, value
 
 
 def check_tangle_axioms(t: Tangle, all_separations: Sequence[Separation]) -> ValidationReport:

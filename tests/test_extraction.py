@@ -1,6 +1,7 @@
 """End-to-end extraction: validation, frozen runs, certificates, replay."""
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -511,6 +512,20 @@ def test_check_hypothesis_on_clean_and_broken():
     verdict2 = check_hypothesis(broken)
     assert not verdict2.holds
     assert verdict2.separation.order < broken.k
+
+
+@pytest.mark.parametrize("change, problem_text", [
+    ({"k": 0}, "max_order must be positive, got 0"),
+    ({"k": -1}, "max_order must be positive, got -1"),
+    ({"roots": frozenset()}, "empty root set"),
+    ({"roots": frozenset({1, 10**6})}, "roots must be vertices of the graph"),
+])
+def test_check_hypothesis_rejects_bad_parameters(change, problem_text):
+    """A strict scan asked for no paths would pass every row: k below 1 is
+    rejected, as are an empty root set and roots outside the host."""
+    with pytest.raises(MalformedInput) as exc:
+        check_hypothesis(replace(identity_problem(8, 2, 1), **change))
+    assert exc.value.problems == [problem_text]
 
 
 def test_extract_via_tangle_statement_identity():

@@ -27,7 +27,7 @@ from gridroots import (
 from gridroots.graph import WorkingGraph
 from gridroots.extraction import _apply_edge_reduction
 from gridroots.instances import _attachment_columns, _chords, grid_plus_roots_problem
-from gridroots.separations import _FREE, RowBlock, _RowScanner, _separation_from_sides, find_row_cut
+from gridroots.separations import _FREE, RowBlock, _RowScanner, _separation_from_sides
 
 
 def p3():
@@ -394,7 +394,7 @@ def test_scanner_fed_before_its_first_scan_follows_the_contractions(seed):
 
 
 def reference_row_cut(g, roots, images, rows, k):
-    """``find_row_cut`` spelled out: every row solved from scratch by ``menger``, in order."""
+    """The strict row scan spelled out: every row solved from scratch by ``menger``, in order."""
     roots = frozenset(roots)
     for row in rows:
         if any(v not in images for v in row):
@@ -406,6 +406,10 @@ def reference_row_cut(g, roots, images, rows, k):
         if not result.found_paths:
             return RowBlock(result.separation, tuple(row), "strict")
     return None
+
+
+def strict_scan(g, roots, images, rows, k):
+    return find_row_blocking_separation(g, roots, images, rows, k, strict_only=True)
 
 
 def _row_cut_outcome(scan):
@@ -441,42 +445,60 @@ def random_row_cut_case(seed):
 
 def test_row_cut_matches_per_row_cold_reference():
     """Warm-started rows give the row and separation of a cold scan, on
-    1,000 seeded instances and on random multigraphs."""
-    failed = 0
+    1,000 seeded instances and on random multigraphs; on the seeded
+    instances the full scan gives the cold full verdicts too, many of them
+    with the last row blocked as well as the row returned."""
+    failed = reducible = last_too = 0
     for seed in range(1000):
         host, roots, images, rows, k = random_row_cut_case(seed)
-        found = _row_cut_outcome(lambda: find_row_cut(host, roots, images, rows, k))
+        found = _row_cut_outcome(lambda: strict_scan(host, roots, images, rows, k))
         assert found == _row_cut_outcome(lambda: reference_row_cut(host, roots, images, rows, k)), seed
         failed += found is not None
+        block = find_row_blocking_separation(host, roots, images, rows, k)
+        full = None if block is None else (block.kind, block.row, block.separation)
+        assert full == reference_row_scan(host, roots, images, rows, k), seed
+        if full is not None:
+            reducible += full[0] == "reducible"
+            last_too += full[1] != tuple(rows[-1]) and bool(
+                reference_row_scan(host, roots, images, rows[-1:], k))
     assert 100 < failed < 900  # both verdicts are well represented
+    assert reducible > 100 and last_too > 100
     for seed in range(300):
         host, roots, model, rows, _ = random_scan_case(seed)
         images = {v: br.vertices for v, br in model.branches.items()}
         k = random.Random(seed).randint(1, 3)
-        found = _row_cut_outcome(lambda: find_row_cut(host, roots, images, rows, k))
+        found = _row_cut_outcome(lambda: strict_scan(host, roots, images, rows, k))
         assert found == _row_cut_outcome(lambda: reference_row_cut(host, roots, images, rows, k)), seed
 
 
-def test_row_cut_raises_at_a_malformed_row_only_when_it_gets_there():
+def split_grid_case(bridges=()):
+    """Grid-plus-roots 5/5/2, and a copy with the edges between rows 3 and 4
+    deleted except in the ``bridges`` columns (rows 4 and 5 then fail strictly
+    when there is at most one), its identity row images and its rows top to
+    bottom."""
     n, k = 5, 2
     problem = grid_plus_roots_problem(n, n, k, [(1, 2), (4, 5)])
     host, roots = problem.host, problem.roots
-    images = {v: {v} for v in problem.model.pattern.vertices}
-    rows = [row_vertices(n, i) for i in range(1, n + 1)]
-    # cut row 3 off from row 4: rows 4 and 5 fail, the first at row 4
     cut_host = host
-    for j in range(1, n + 1):
+    for j in sorted(set(range(1, n + 1)) - set(bridges)):
         cut_host = cut_host.delete_edge(next(
             e for e in cut_host.incident_edges(2 * n + j)
             if set(cut_host.endpoints(e)) == {2 * n + j, 3 * n + j}
         ))
+    images = {v: {v} for v in problem.model.pattern.vertices}
+    return host, cut_host, roots, images, [row_vertices(n, i) for i in range(1, n + 1)], k
+
+
+def test_row_cut_raises_at_a_malformed_row_only_when_it_gets_there():
+    host, cut_host, roots, images, rows, k = split_grid_case()
+    n = len(rows)
     images[99] = {10**6}  # a branch outside the host
     no_branch = (98,)  # a row vertex without a branch
     for bad in ((99,), no_branch):
         for g, body, fails in ((host, rows, False), (cut_host, rows, True)):
             for at in range(len(body) + 1):
                 order = body[:at] + [bad] + body[at:]
-                found = _row_cut_outcome(lambda: find_row_cut(g, roots, images, order, k))
+                found = _row_cut_outcome(lambda: strict_scan(g, roots, images, order, k))
                 expected = _row_cut_outcome(lambda: reference_row_cut(g, roots, images, order, k))
                 assert found == expected
                 if not fails or at <= 3:
@@ -485,7 +507,45 @@ def test_row_cut_raises_at_a_malformed_row_only_when_it_gets_there():
                     assert found[0] == row_vertices(n, 4)  # the failing row comes first
     # the last row, solved second, is malformed while a row before it fails
     order = [rows[0], rows[4], (99,)]
-    assert _row_cut_outcome(lambda: find_row_cut(cut_host, roots, images, order, k))[0] == rows[4]
+    assert _row_cut_outcome(lambda: strict_scan(cut_host, roots, images, order, k))[0] == rows[4]
+
+
+@pytest.mark.parametrize("strict_only", [False, True])
+def test_row_scan_of_no_rows_finds_nothing(strict_only):
+    host, _cut_host, roots, images, _rows, k = split_grid_case()
+    assert find_row_blocking_separation(host, roots, images, [], k, strict_only) is None
+    scanner = _RowScanner(host, images, [], k)
+    assert scanner.scan(host, roots, strict_only) is None
+    assert scanner.cold == scanner.reused == 0
+
+
+@pytest.mark.parametrize("strict_only", [False, True])
+def test_row_scan_returns_a_middle_blocker_before_the_blocked_last_row(strict_only):
+    """The last row is solved right after the first, yet a blocked row
+    between them is still the one returned."""
+    _host, cut_host, roots, images, rows, k = split_grid_case(bridges=(1,))
+    for order, first in (([rows[0], rows[3], rows[4]], rows[3]),
+                         ([rows[0], rows[1], rows[4], rows[3]], rows[4])):
+        block = find_row_blocking_separation(cut_host, roots, images, order, k, strict_only)
+        expected = reference_row_scan(cut_host, roots, images, order, k)
+        assert expected == ("strict", first, reference_row_cut(cut_host, roots, images, order, k).separation)
+        assert (block.kind, block.row, block.separation) == expected
+
+
+@pytest.mark.parametrize("strict_only", [False, True])
+def test_row_scan_raises_at_a_malformed_last_row_after_the_rows_before_it(strict_only):
+    host, cut_host, roots, images, rows, k = split_grid_case(bridges=(1,))
+    images[99] = {10**6}  # a branch outside the host
+    order = [*rows, (99,)]
+    scanner = _RowScanner(host, images, order, k)
+    with pytest.raises(MalformedInput):
+        scanner.scan(host, roots, strict_only)
+    assert scanner.cold == len(rows)  # every row before it was evaluated first
+    # the rows before it start from nothing and still stop at the first failing row
+    block = find_row_blocking_separation(cut_host, roots, images, order, k, strict_only)
+    expected = reference_row_scan(cut_host, roots, images, order[:-1], k)
+    assert expected[:2] == ("strict", rows[3])
+    assert (block.kind, block.row, block.separation) == expected
 
 
 def two_point_separations():
