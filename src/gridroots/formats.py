@@ -12,10 +12,27 @@ built in one recursive pass of string joins instead of the standard
 library's generator chain.  Branch maps are keyed by grid coordinate
 strings ("i,j"), pattern edges by coordinate pairs ("i,j|i',j'" with
 the row-major smaller endpoint first).
+
+The readers check each document in bulk and build from the checked
+values without checking them again: one pass per piece (the types of
+all values, the coordinate range, the ids against the host), and one
+dict lookup per coordinate key and per edge key, in tables built from
+the listed coordinates with the grid's edge numbering.  Only when a
+bulk check fails does a per-item pass run, to name the first failing
+item in input order with the message that item's own check gives; a
+key that is not the canonical spelling of a listed coordinate or edge
+(" 1,1", or an edge with its larger end first) is read by that pass
+too.  So a valid 36 x 36 instance costs a few passes over its values
+instead of a function call per value, and a malformed one is rejected
+with the same exception and message as by an item-by-item reader.
+``read_json`` turns every file it cannot read (missing, a directory,
+not UTF-8, not JSON, nested too deeply for the parser) into
+MalformedInput.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any
@@ -23,7 +40,7 @@ from typing import Any
 from .errors import MalformedInput
 from .extraction import ExtractionProblem, ExtractionResult
 from .graph import Graph, Subgraph
-from .grid import grid_edge_id, vertex_coord, vertex_id
+from .grid import grid_edge_id, grid_edges_among, vertex_coord, vertex_id
 from .instances import InstanceRecipe
 from .models import Pseudomodel
 from .separations import Separation
@@ -109,12 +126,19 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
+    """The JSON document in the file ``path``; MalformedInput when it cannot be read."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise MalformedInput(f"no such file: {path}")
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise MalformedInput(f"{path} is nested too deeply to read")
 
 
 def _int(x: Any) -> int:
@@ -122,6 +146,21 @@ def _int(x: Any) -> int:
     if type(x) is not int:
         raise TypeError(f"expected an integer, got {x!r}")
     return x
+
+
+def _all_of(kind: type, values) -> bool:
+    """True when every value's type is exactly ``kind``: a bool is no int here."""
+    return {kind}.issuperset(map(type, values))
+
+
+def _int_rows(rows: Any, width: int) -> bool:
+    """True when ``rows`` is a list of lists of ``width`` JSON integers each."""
+    return (
+        type(rows) is list
+        and _all_of(list, rows)
+        and {width}.issuperset(map(len, rows))
+        and _all_of(int, chain.from_iterable(rows))
+    )
 
 
 # -- graphs and vertex sets -------------------------------------------------
@@ -135,10 +174,16 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: Any) -> Graph:
+    vertices = edges = None
+    if type(d) is dict:
+        vertices, edges = d.get("vertices"), d.get("edges")
     try:
+        if type(vertices) is list and _all_of(int, vertices) and _int_rows(edges, 3):
+            return Graph._of_ints(frozenset(vertices), edges)
+        # item by item: names the first bad value in input order
         vertices = [_int(v) for v in d["vertices"]]
         edges = [(_int(e), _int(u), _int(v)) for e, u, v in d["edges"]]
-        return Graph(vertices, edges)
+        return Graph._of_ints(frozenset(vertices), edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad graph document: {exc}")
 
@@ -197,46 +242,103 @@ def model_to_dict(m: Pseudomodel, n: int) -> dict:
 
 
 def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
+    """The pseudomodel a model document describes, with branches in ``host``.
+
+    Reads in bulk, as the module docstring says; any failure raises
+    MalformedInput naming the first bad item.
+    """
     try:
         n = _int(d["pattern"]["n"])
-        coords = [(_int(i), _int(j)) for i, j in d["pattern"]["coords"]]
-        branch_docs = list(d["branches"].items())
-        image_docs = [(key, _int(value)) for key, value in d["edgeImages"].items()]
+        coords = d["pattern"]["coords"]
+        if not _int_rows(coords, 2):
+            coords = [(_int(i), _int(j)) for i, j in coords]
+        branch_docs = d["branches"].items()
+        image_docs = d["edgeImages"].items()
+        images = [value for _, value in image_docs]
+        if not _all_of(int, images):
+            images = [_int(value) for value in images]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad model document: {exc}")
     # the canonical key of every listed coordinate, and its vertex; any
-    # other key is parsed, and rejected, by _parse_coord
-    table = {}
-    for i, j in coords:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise MalformedInput(f"coordinate [{i}, {j}] is outside the {n}x{n} grid")
-        table[f"{i},{j}"] = vertex_id(n, i, j)
-    vertices = list(table.values())
-
-    def parse(part: str) -> int:
-        v = table.get(part)
-        return _parse_coord(n, part) if v is None else v
-
-    triples = []
-    images = {}
-    for key, image in image_docs:
-        parts = key.split("|")
-        if len(parts) != 2:
-            raise MalformedInput(f"bad pattern edge key {key!r}")
-        u, v = parse(parts[0]), parse(parts[1])
-        try:
-            eid = grid_edge_id(n, u, v)
-        except ValueError:
-            raise MalformedInput(f"pattern edge {key!r} is not a grid edge")
-        triples.append((eid, min(u, v), max(u, v)))
-        images[eid] = image
+    # other key is parsed (or rejected) by _parse_coord
+    if coords and not 1 <= min(chain.from_iterable(coords)) <= max(chain.from_iterable(coords)) <= n:
+        for i, j in coords:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise MalformedInput(f"coordinate [{i}, {j}] is outside the {n}x{n} grid")
+    table = {f"{i},{j}": (i - 1) * n + j for i, j in coords}
+    key_of = dict(zip(table.values(), table))
+    # the canonical key of every grid edge between listed coordinates
+    edge_of = {f"{key_of[u]}|{key_of[v]}": (e, u, v) for e, u, v in grid_edges_among(n, key_of)}
+    triples = [edge_of.get(key) for key, _ in image_docs]
+    if None in triples:
+        triples = [t or _edge_of_key(n, table, key) for t, (key, _) in zip(triples, image_docs)]
     try:
-        pattern = Graph(vertices, triples)
+        pattern = Graph._of_ints(frozenset(table.values()), triples)
     except ValueError as exc:
         raise MalformedInput(f"bad model pattern: {exc}")
+    branches = _branches_in_bulk(host, table, branch_docs)
+    if branches is None:
+        branches = _branches_one_by_one(host, n, table, branch_docs)
+    try:
+        return Pseudomodel(host, pattern, branches, dict(zip([t[0] for t in triples], images)))
+    except ValueError as exc:
+        raise MalformedInput(f"bad model: {exc}")
+
+
+def _parse_key(n: int, table: dict[str, int], part: str) -> int:
+    v = table.get(part)
+    return _parse_coord(n, part) if v is None else v
+
+
+def _edge_of_key(n: int, table: dict[str, int], key: str) -> tuple[int, int, int]:
+    """``(eid, u, v)`` of an edge key that is not a listed edge's canonical key."""
+    parts = key.split("|")
+    if len(parts) != 2:
+        raise MalformedInput(f"bad pattern edge key {key!r}")
+    u, v = _parse_key(n, table, parts[0]), _parse_key(n, table, parts[1])
+    try:
+        eid = grid_edge_id(n, u, v)
+    except ValueError:
+        raise MalformedInput(f"pattern edge {key!r} is not a grid edge")
+    return eid, min(u, v), max(u, v)
+
+
+def _branches_in_bulk(host: Graph, table: dict[str, int], branch_docs) -> dict[int, Subgraph] | None:
+    """The branch map when every key is a listed coordinate and every branch
+    is good, built without per-branch checks; None otherwise."""
+    docs = [doc for _, doc in branch_docs]
+    pattern_vertices = [table.get(key) for key, _ in branch_docs]
+    if None in pattern_vertices or not _all_of(dict, docs):
+        return None
+    try:
+        vertex_lists = [doc["vertices"] for doc in docs]
+        edge_lists = [doc["edges"] for doc in docs]
+    except KeyError:
+        return None
+    if not (_all_of(list, vertex_lists) and _all_of(int, chain.from_iterable(vertex_lists))
+            and _all_of(list, edge_lists) and _all_of(int, chain.from_iterable(edge_lists))):
+        return None
+    vertex_sets = list(map(frozenset, vertex_lists))
+    edge_sets = list(map(frozenset, edge_lists))
+    if not host.vertices.issuperset(chain.from_iterable(vertex_sets)):
+        return None
+    ends = host.endpoints
+    try:
+        if not all(vs.issuperset(chain.from_iterable(map(ends, es)))
+                   for vs, es in zip(vertex_sets, edge_sets) if es):
+            return None
+    except KeyError:  # an edge the host does not have
+        return None
+    unchecked = Subgraph._unchecked
+    return {pv: unchecked(host, vs, es) for pv, vs, es in zip(pattern_vertices, vertex_sets, edge_sets)}
+
+
+def _branches_one_by_one(host: Graph, n: int, table: dict[str, int], branch_docs) -> dict[int, Subgraph]:
+    """The branch map, each branch read and checked in turn: raises for the
+    first bad branch, and reads keys that are not listed coordinates."""
     branches = {}
     for key, doc in branch_docs:
-        pv = parse(key)
+        pv = _parse_key(n, table, key)
         try:
             branches[pv] = Subgraph(
                 host,
@@ -245,10 +347,7 @@ def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad branch {key!r}: {exc}")
-    try:
-        return Pseudomodel(host, pattern, branches, images)
-    except ValueError as exc:
-        raise MalformedInput(f"bad model: {exc}")
+    return branches
 
 
 # -- separations and certificates -------------------------------------------
@@ -372,4 +471,6 @@ def trace_from_jsonl(text: str) -> list[dict]:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"trace line {lineno} is not valid JSON: {exc}")
+        except RecursionError:
+            raise MalformedInput(f"trace line {lineno} is nested too deeply to read")
     return records

@@ -14,6 +14,7 @@ edges) is legal; branch maps use it as the "nothing left" value.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -23,31 +24,49 @@ class Graph:
     Edges are triples ``(eid, u, v)``; endpoints are normalised to
     ``(min, max)`` internally so edge identity never depends on the order
     they were supplied in.  ``u == v`` is a loop.
+
+    Construction checks in bulk: the edge map is one comprehension, a
+    duplicate id shows as a map shorter than the edge list, and one
+    ``issuperset`` checks every endpoint.  Only when a check fails does
+    a per-edge pass run, to raise the error of the first bad edge in
+    input order, with the message a per-edge check gives.  The cost is
+    one pass per check plus the sort that orders the incidence tuples.
     """
 
     __slots__ = ("_vertices", "_edges", "_incidence", "_hash")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int, int]] = ()):
-        vset = frozenset(int(v) for v in vertices)
-        emap: dict[int, tuple[int, int]] = {}
-        for eid, u, v in edges:
-            eid, u, v = int(eid), int(u), int(v)
-            if eid in emap:
-                raise ValueError(f"duplicate edge id {eid}")
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge {eid} has an endpoint outside the vertex set")
-            emap[eid] = (min(u, v), max(u, v))
+        vset = frozenset(map(int, vertices))
+        edges = edges if type(edges) is list else list(edges)
+        try:
+            triples = [(int(e), int(u), int(v)) for e, u, v in edges]
+        except (TypeError, ValueError):
+            _raise_first_bad_edge(vset, edges)
+            raise
+        self._fill(vset, triples)
+
+    @classmethod
+    def _of_ints(cls, vertices: frozenset[int], edges: list) -> "Graph":
+        """A graph from ids already known to be ints, checked as ``__init__`` checks.
+
+        ``edges`` holds ``(eid, u, v)`` triples (or three-item lists).
+        """
+        self = object.__new__(cls)
+        self._fill(vertices, edges)
+        return self
+
+    def _fill(self, vset: frozenset[int], triples: list) -> None:
+        emap = {e: (u, v) if u <= v else (v, u) for e, u, v in triples}
+        if len(emap) < len(triples) or not vset.issuperset(chain.from_iterable(emap.values())):
+            _raise_first_bad_edge(vset, triples)
         incidence: dict[int, list[int]] = {v: [] for v in vset}
-        for eid in sorted(emap):
-            u, v = emap[eid]
+        for eid, (u, v) in sorted(emap.items()):
             incidence[u].append(eid)
             if v != u:
                 incidence[v].append(eid)
         object.__setattr__(self, "_vertices", vset)
         object.__setattr__(self, "_edges", emap)
-        object.__setattr__(
-            self, "_incidence", {v: tuple(lst) for v, lst in incidence.items()}
-        )
+        object.__setattr__(self, "_incidence", dict(zip(incidence, map(tuple, incidence.values()))))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -164,6 +183,22 @@ class Graph:
     def freeze(self) -> "Graph":
         """The graph itself: it is already immutable (see WorkingGraph.freeze)."""
         return self
+
+
+def _raise_first_bad_edge(vset: frozenset[int], edges) -> None:
+    """Raise the error of the first bad edge in ``edges``, in input order:
+    a value ``int`` rejects, a repeated id, or an endpoint outside ``vset``.
+
+    Returns when every edge is good.
+    """
+    seen = set()
+    for eid, u, v in edges:
+        eid, u, v = int(eid), int(u), int(v)
+        if eid in seen:
+            raise ValueError(f"duplicate edge id {eid}")
+        if u not in vset or v not in vset:
+            raise ValueError(f"edge {eid} has an endpoint outside the vertex set")
+        seen.add(eid)
 
 
 class WorkingGraph:

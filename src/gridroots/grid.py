@@ -38,18 +38,8 @@ def grid_graph(n: int):
 
     if n < 1:
         raise ValueError("grid side must be at least 1")
-    edges = []
-    eid = 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = vertex_id(n, i, j)
-            if j < n:
-                edges.append((eid, v, vertex_id(n, i, j + 1)))
-                eid += 1
-            if i < n:
-                edges.append((eid, v, vertex_id(n, i + 1, j)))
-                eid += 1
-    return Graph(range(1, n * n + 1), edges)
+    vertices = range(1, n * n + 1)
+    return Graph(vertices, grid_edges_among(n, vertices))
 
 
 def grid_edge_id(n: int, u: int, v: int) -> int:
@@ -73,6 +63,27 @@ def grid_edge_id(n: int, u: int, v: int) -> int:
     if right:
         return count + 1
     return count + (2 if j < n - 1 else 1)
+
+
+def grid_edges_among(n: int, vertices) -> list[tuple[int, int, int]]:
+    """``(eid, u, v)`` with ``u < v`` for every n x n grid edge with both
+    ends in ``vertices`` (grid vertex ids, any container), in the order
+    ``vertices`` iterates.
+
+    The ids are :func:`grid_edge_id`'s, by its arithmetic for each cell:
+    the rows above it emit 2n - 1 ids each, and each earlier cell of its
+    row emits two (one in the last row).
+    """
+    width, last = 2 * n - 1, n - 1
+    out = []
+    for u in vertices:
+        i, j = divmod(u - 1, n)
+        count = i * width + (2 * j if i < last else j)
+        if j < last and u + 1 in vertices:
+            out.append((count + 1, u, u + 1))
+        if i < last and u + n in vertices:
+            out.append((count + (2 if j < last else 1), u, u + n))
+    return out
 
 
 def first_off_grid_edge(n: int, pattern) -> int | None:

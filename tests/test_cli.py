@@ -32,6 +32,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _run_process(*argv, timeout=60):
+    """``python -m gridroots argv`` in a separate process, so a traceback shows on stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gridroots", *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def test_gen_grid_stdout_and_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen-grid", "--n", 3)
     assert code == 0
@@ -99,13 +107,8 @@ def test_gen_instance_rejects_more_roots_than_the_subgrid_side(tmp_path, capsys)
 def test_gen_instance_rejects_unsatisfiable_recipe(tmp_path, kind, n, g, k):
     # a separate process with a timeout, so a generator that never returns
     # fails the test instead of hanging the suite
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridroots", "gen-instance", "--kind", kind, "--n", str(n),
-         "--g", str(g), "--k", str(k), "--out", str(tmp_path / "inst")],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = _run_process("gen-instance", "--kind", kind, "--n", n, "--g", g, "--k", k,
+                        "--out", tmp_path / "inst")
     assert proc.returncode == 64, proc.stderr
     assert json.loads(proc.stderr)["error"] == "malformed-input"
     assert "Traceback" not in proc.stderr
@@ -355,14 +358,9 @@ def test_extract_rejects_a_huge_declared_pattern_side_quickly(tmp_path, capsys):
     doc = read_json(paths["model"])
     doc["pattern"]["n"] = 1000000
     write_json(paths["model"], doc)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridroots", "extract", "--graph", str(paths["graph"]),
-         "--roots", str(paths["roots"]), "--model", str(paths["model"]),
-         "--g", "2", "--k", "2", "--out", str(tmp_path / "run")],
-        capture_output=True, text=True, timeout=20, env=env,
-    )
+    proc = _run_process("extract", "--graph", paths["graph"], "--roots", paths["roots"],
+                        "--model", paths["model"], "--g", 2, "--k", 2, "--out", tmp_path / "run",
+                        timeout=20)
     assert proc.returncode == 64, proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"] == "malformed-input"
@@ -501,6 +499,34 @@ def test_unknown_input_file_exits_64(tmp_path, capsys):
     )
     assert code == 64
     assert "no such file" in err
+
+
+def _assert_unreadable_graph_exits_64(graph, model):
+    proc = _run_process("validate-model", "--graph", graph, "--model", model)
+    assert proc.returncode == 64, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "malformed-input"
+    assert str(graph) in err["message"]
+    return err["message"]
+
+
+def test_a_directory_given_as_a_file_exits_64(tmp_path):
+    paths = write_instance(identity_problem(3, 1, 1), tmp_path / "inst")
+    message = _assert_unreadable_graph_exits_64(tmp_path, paths["model"])
+    assert "Is a directory" in message
+
+
+def test_a_file_that_is_not_utf8_exits_64(tmp_path):
+    paths = write_instance(identity_problem(3, 1, 1), tmp_path / "inst")
+    paths["graph"].write_bytes(b"\xff" + paths["graph"].read_bytes())
+    assert "not UTF-8" in _assert_unreadable_graph_exits_64(paths["graph"], paths["model"])
+
+
+def test_a_too_deeply_nested_file_exits_64(tmp_path):
+    paths = write_instance(identity_problem(3, 1, 1), tmp_path / "inst")
+    paths["graph"].write_text("[" * 100000)
+    assert "nested too deeply" in _assert_unreadable_graph_exits_64(paths["graph"], paths["model"])
 
 
 def test_replayed_trace_matches_run(tmp_path, capsys):

@@ -14,7 +14,7 @@ from gridroots import (
     vertex_id,
 )
 from gridroots.graph import Graph
-from gridroots.grid import first_off_grid_edge
+from gridroots.grid import first_off_grid_edge, grid_edges_among
 
 
 def test_vertex_id_round_trip():
@@ -158,3 +158,15 @@ def test_grid_edge_endpoints_adjacent(n, data):
     iu, ju = vertex_coord(n, u)
     iv, jv = vertex_coord(n, v)
     assert abs(iu - iv) + abs(ju - jv) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_grid_edges_among_numbers_edges_as_grid_edge_id_does(n):
+    edges = grid_edges_among(n, range(1, n * n + 1))
+    assert [e for e, _, _ in edges] == list(range(1, 2 * n * (n - 1) + 1))
+    assert all(e == grid_edge_id(n, u, v) and u < v for e, u, v in edges)
+    # a vertex subset keeps exactly the edges with both ends in it
+    keep = {v for v in range(1, n * n + 1) if v % 3 != 0}
+    assert sorted(grid_edges_among(n, keep)) == [
+        (e, u, v) for e, u, v in grid_graph(n).edges() if u in keep and v in keep
+    ]
