@@ -319,7 +319,10 @@ def _branches_in_bulk(host: Graph, table: dict[str, int], branch_docs) -> dict[i
             and _all_of(list, edge_lists) and _all_of(int, chain.from_iterable(edge_lists))):
         return None
     vertex_sets = list(map(frozenset, vertex_lists))
-    edge_sets = list(map(frozenset, edge_lists))
+    # one shared empty set for the edgeless branches: a frozenset is never
+    # untracked by the cyclic GC, so every extra one costs each full collection
+    empty = frozenset()
+    edge_sets = [frozenset(es) if es else empty for es in edge_lists]
     if not host.vertices.issuperset(chain.from_iterable(vertex_sets)):
         return None
     ends = host.endpoints

@@ -257,6 +257,10 @@ def _at(doc, path):
     return doc
 
 
+def _set(doc, path, value):
+    _at(doc, path[:-1])[path[-1]] = value
+
+
 def _coord_keys(n):
     """Coordinate spellings: canonical, out of range, off-canonical, junk."""
     num = st.integers(-1, n + 2)
@@ -300,10 +304,6 @@ def graph_mutation(draw, doc):
     return doc
 
 
-def _set(doc, path, value):
-    _at(doc, path[:-1])[path[-1]] = value
-
-
 def _rename(d, old, new):
     """``d`` with key ``old`` renamed to ``new``, in place, keeping positions."""
     items = [(new if k == old else k, v) for k, v in d.items()]
@@ -316,7 +316,7 @@ def _rename(d, old, new):
 def model_mutation(draw, doc, host_doc):
     """One change to a model document."""
     n = doc["pattern"].get("n") if isinstance(doc.get("pattern"), dict) else 3
-    n = n if type(n) is int else 3
+    n = n if type(n) is int and 1 <= n <= 80 else 3  # the side the drawn keys use
     branches = doc.get("branches") if isinstance(doc.get("branches"), dict) else None
     images = doc.get("edgeImages") if isinstance(doc.get("edgeImages"), dict) else None
     kinds = ["replace", "replace", "replace", "coord"]
@@ -345,7 +345,8 @@ def model_mutation(draw, doc, host_doc):
         a, _, b = key.partition("|")
         images[f"{b}|{a}"] = draw(st.one_of(st.integers(0, 60), BAD_VALUES))
     elif kind == "non-adjacent":
-        i, j, di, dj = draw(st.integers(1, n)), draw(st.integers(1, n)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+        di, dj = draw(st.sampled_from([(0, 0), (0, 2), (2, 0), (1, 1), (2, 2)]))
         images[f"{i},{j}|{i + di},{j + dj}"] = draw(st.integers(0, 60))
     elif kind == "image-pair":
         key = draw(st.sampled_from(list(images)))
@@ -362,7 +363,7 @@ def model_mutation(draw, doc, host_doc):
         elif isinstance(br.get("edges"), list):
             # a host edge at one of the branch's vertices (its other end may lie
             # outside the branch), or an id the host does not have
-            mine = set(br["vertices"])
+            mine = {x for x in br["vertices"] if type(x) is int}
             at = [e for e, u, v in host_doc["edges"] if u in mine or v in mine]
             pick = draw(st.sampled_from(at)) if at and kind == "branch-edge-out" else (
                 max(e for e, _, _ in host_doc["edges"]) + draw(st.integers(1, 3)))
@@ -403,6 +404,21 @@ def test_valid_documents_read_as_the_reference_reads_them(name):
     model = model_from_dict(model_doc, host)
     assert_same_model(model, ref_model_from_dict(model_doc, host))
     assert model == problem.model
+
+
+def test_the_first_failure_in_input_order_wins():
+    # types are checked over the whole document before ids are compared
+    cases = {
+        "bad graph document: expected an integer, got True":
+            {"vertices": [1, 2], "edges": [[1, 1, 2], [1, 2, 1], [2, True, 1]]},
+        "bad graph document: duplicate edge id 1":
+            {"vertices": [1, 2], "edges": [[1, 1, 2], [1, 2, 1], [2, 1, 3]]},
+        "bad graph document: edge 2 has an endpoint outside the vertex set":
+            {"vertices": [1, 2], "edges": [[1, 1, 2], [2, 1, 3], [1, 2, 1]]},
+    }
+    for message, doc in cases.items():
+        assert outcome(graph_from_dict, doc) == outcome(ref_graph_from_dict, doc) == (
+            "raised", MalformedInput, message)
 
 
 def test_graph_constructor_matches_the_reference():
