@@ -318,22 +318,20 @@ def _branches_in_bulk(host: Graph, table: dict[str, int], branch_docs) -> dict[i
     if not (_all_of(list, vertex_lists) and _all_of(int, chain.from_iterable(vertex_lists))
             and _all_of(list, edge_lists) and _all_of(int, chain.from_iterable(edge_lists))):
         return None
-    vertex_sets = list(map(frozenset, vertex_lists))
+    if not host.vertices.issuperset(chain.from_iterable(vertex_lists)):
+        return None
     # one shared empty set for the edgeless branches: a frozenset is never
     # untracked by the cyclic GC, so every extra one costs each full collection
     empty = frozenset()
-    edge_sets = [frozenset(es) if es else empty for es in edge_lists]
-    if not host.vertices.issuperset(chain.from_iterable(vertex_sets)):
-        return None
+    branches = [Subgraph._unchecked(host, vs, es or empty) for vs, es in zip(vertex_lists, edge_lists)]
     ends = host.endpoints
     try:
-        if not all(vs.issuperset(chain.from_iterable(map(ends, es)))
-                   for vs, es in zip(vertex_sets, edge_sets) if es):
+        if not all(br.vertices.issuperset(chain.from_iterable(map(ends, br.edge_ids)))
+                   for br in branches if br.edge_ids):
             return None
     except KeyError:  # an edge the host does not have
         return None
-    unchecked = Subgraph._unchecked
-    return {pv: unchecked(host, vs, es) for pv, vs, es in zip(pattern_vertices, vertex_sets, edge_sets)}
+    return dict(zip(pattern_vertices, branches))
 
 
 def _branches_one_by_one(host: Graph, n: int, table: dict[str, int], branch_docs) -> dict[int, Subgraph]:
