@@ -3,9 +3,9 @@
 ``graph_from_dict``, ``model_from_dict`` and ``Graph`` check and build in
 bulk.  The reference below is the per-item reading they replaced, kept
 here only as the referee: for every document both must return equal
-objects, built in the same order (edge map, incidence tuples, set and
-dict iteration orders), or raise the same exception with the same
-message.  The documents are valid instances (seeded recipes, their
+objects, built in the same order (edge maps, incidence tuples, vertex
+sets, branch and edge-image maps), or raise the same exception with
+the same message.  The documents are valid instances (seeded recipes, their
 breaks and a coarse model) with one to three mutations each.
 
 The other readers may reject a document only with ``MalformedInput``.
