@@ -16,8 +16,9 @@ The cases are grid-plus-roots and random-attachment recipes with k = 1,
 2 and 3 roots (8/1/1, 13/2/2 and 28/3/3, degree k + 1) at seeds 0-7,
 each also broken by ``detach`` and ``hang``, and the coarse 2 x 2-block
 models with n = 3, 4, 5 and 7 at all four corners (n = 3 and 4 fail
-``validate_problem``; the corpus pins that rejection too).  The
-problems that hit the open band-choice bug are left out.
+``validate_problem``; the corpus pins that rejection too).  No case
+hits the open band-choice bug: problems that do belong to a property
+test, not to a byte corpus.
 
     PYTHONPATH=src python tests/corpus.py           # check every case
     PYTHONPATH=src python tests/corpus.py --write   # rewrite the digest file
