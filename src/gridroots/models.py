@@ -39,14 +39,13 @@ class Pseudomodel:
         branches: Mapping[int, Subgraph],
         edge_images: Mapping[int, int],
     ):
-        if not all(br.host is host for br in branches.values()):
-            for v, br in branches.items():
-                if br.host != host:
-                    raise ValueError(f"branch of pattern vertex {v} lives in a different host")
+        for v, br in branches.items():
+            if br.host != host:
+                raise ValueError(f"branch of pattern vertex {v} lives in a different host")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "branches", dict(branches))
-        object.__setattr__(self, "edge_images", dict(zip(map(int, edge_images), map(int, edge_images.values()))))
+        object.__setattr__(self, "edge_images", {int(e): int(f) for e, f in edge_images.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Pseudomodel is immutable")
