@@ -320,10 +320,15 @@ def _branches_in_bulk(host: Graph, table: dict[str, int], branch_docs) -> dict[i
         return None
     if not host.vertices.issuperset(chain.from_iterable(vertex_lists)):
         return None
-    # one shared empty set for the edgeless branches: a frozenset is never
-    # untracked by the cyclic GC, so every extra one costs each full collection
+    # Each set is built from the list and then rebuilt from that set's
+    # iteration, as the checking constructor builds it, so that it iterates
+    # in the same order: the extractor takes a branch's first vertex as a
+    # path target, and a set of colliding ints iterates in insertion order.
+    # One shared empty set serves the edgeless branches: a frozenset is never
+    # untracked by the cyclic GC, so every extra one costs each full collection.
     empty = frozenset()
-    branches = [Subgraph._unchecked(host, vs, es or empty) for vs, es in zip(vertex_lists, edge_lists)]
+    branches = [Subgraph._unchecked(host, iter(frozenset(vs)), iter(frozenset(es)) if es else empty)
+                for vs, es in zip(vertex_lists, edge_lists)]
     ends = host.endpoints
     try:
         if not all(br.vertices.issuperset(chain.from_iterable(map(ends, br.edge_ids)))

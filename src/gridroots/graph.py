@@ -40,7 +40,7 @@ class Graph:
         edges = edges if type(edges) is list else list(edges)
         try:
             triples = [(int(e), int(u), int(v)) for e, u, v in edges]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             _raise_first_bad_edge(vset, edges)
             raise
         self._fill(vset, triples)

@@ -15,8 +15,11 @@ does), and hashes what the run delivers:
 The cases are grid-plus-roots and random-attachment recipes with k = 1,
 2 and 3 roots (8/1/1, 13/2/2 and 28/3/3, degree k + 1) at seeds 0-7,
 each also broken by ``detach`` and ``hang``, and the coarse 2 x 2-block
-models with n = 3, 4, 5 and 7 at all four corners (n = 3 and 4 fail
-``validate_problem``; the corpus pins that rejection too).  No case
+models with n = 3, 4, 5, 7 and 8 at all four corners (n = 3 and 4 fail
+``validate_problem``; the corpus pins that rejection too).  At n = 8
+the host side is 16, so each block holds ints that collide in a set's
+table (v and v + 16) and its branch sets iterate in insertion order:
+the extractor takes a branch's first vertex as a path target.  No case
 hits the open band-choice bug: problems that do belong to a property
 test, not to a byte corpus.
 
@@ -67,7 +70,7 @@ DIGEST_FILE = Path(__file__).with_name("corpus_digests.json")
 RECIPE_KINDS = ("grid-plus-roots", "random-attachment")
 RECIPE_SIZES = {1: (8, 1), 2: (13, 2), 3: (28, 3)}  # k -> (n, g)
 SEEDS = range(8)
-COARSE_SIDES = (3, 4, 5, 7)
+COARSE_SIDES = (3, 4, 5, 7, 8)
 
 # the cases tier-1 runs: every kind, root count, break mode and coarse side once
 SUBSET = (
@@ -81,6 +84,7 @@ SUBSET = (
     "coarse/4/bottom-right",
     "coarse/5/top-right",
     "coarse/7/bottom-left",
+    "coarse/8/top-right",
 )
 
 

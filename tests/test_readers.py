@@ -6,7 +6,7 @@ here only as the referee: for every document both must return equal
 objects, built in the same order (edge maps, incidence tuples, vertex
 sets, branch and edge-image maps), or raise the same exception with
 the same message.  The documents are valid instances (seeded recipes, their
-breaks and a coarse model) with one to three mutations each.
+breaks and two coarse models) with one to three mutations each.
 
 The other readers may reject a document only with ``MalformedInput``.
 
@@ -197,10 +197,11 @@ def assert_same_graph(got, want):
 def assert_same_model(got, want):
     assert got == want
     assert_same_graph(got.pattern, want.pattern)
-    # Branch id sets are compared as sets: the per-item reader built each
-    # one twice, and a rebuilt set of ints may iterate in another order.
-    # The corpus (tests/corpus.py) shows that no delivered byte depends on it.
     assert list(got.branches) == list(want.branches)
+    # the extractor reads a branch's vertices in iteration order
+    for pv, br in want.branches.items():
+        assert list(got.branches[pv].vertices) == list(br.vertices)
+        assert list(got.branches[pv].edge_ids) == list(br.edge_ids)
     assert list(got.edge_images.items()) == list(want.edge_images.items())
 
 
@@ -223,6 +224,8 @@ def _instances():
         for mode in ("detach", "hang"):
             out[f"{kind}-{mode}"] = break_instance(problem, mode, seed)
     out["coarse"] = coarse_problem(3, "top-left")
+    # host side 16: each block holds v and v + 16, which collide in a set's table
+    out["coarse-8"] = coarse_problem(8, "top-left")
     return out
 
 
@@ -433,6 +436,8 @@ def test_graph_constructor_matches_the_reference():
         ([1, 2], [(1, 1, 2), 7]),
         ([1, "a"], []),
         ([1, 2], [(1, None, 2)]),
+        ([1, 2], [(1, 1, 2), (1, 2, 1), (2, float("inf"), 1)]),
+        ([1, 2], [(1, 1, 2), (2, float("inf"), 1), (1, 2, 1)]),
     ]
     for vertices, edges in cases:
         vertices, edges = list(vertices), list(edges)
