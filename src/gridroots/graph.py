@@ -66,7 +66,9 @@ class Graph:
                 incidence[v].append(eid)
         object.__setattr__(self, "_vertices", vset)
         object.__setattr__(self, "_edges", emap)
-        object.__setattr__(self, "_incidence", dict(zip(incidence, map(tuple, incidence.values()))))
+        object.__setattr__(
+            self, "_incidence", {v: tuple(lst) for v, lst in incidence.items()}
+        )
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
