@@ -14,13 +14,15 @@ then pick a clean band of rows, drop the inner window except a k-vertex
 column stub, and connect the roots to the stub by disjoint paths.  Every
 step appends a replayable trace record.
 
-Each recursion level shrinks one mutable working graph
-(``graph.WorkingGraph``) in place, an O(degree) edge deletion or
-contraction at a time, and holds its branches and roots as plain id
-sets.  Its journal keeps only the endpoints of each step,
-``(kind, eid, u, v)``.  The level's row scanner
-(``separations._RowScanner``) and reduction picker are built once and
-fed every journal entry: the scan after a step evaluates afresh only
+Each recursion level copies its host once, into one mutable working
+graph (``graph.WorkingGraph``) that it shrinks in place, an O(degree)
+edge deletion or contraction at a time, and holds its branches and
+roots as plain id sets.  The working graph also keeps the neighbour
+counts the row scan's flow network reads.  The level's journal keeps
+only the endpoints of each step, ``(kind, eid, u, v)``.  The level's
+row scanner (``separations._RowScanner``) and reduction picker are
+built once on the working graph and fed every journal entry after the
+working graph applies it: the scan after a step evaluates afresh only
 the rows whose flow or sink-reach certificate the step may have
 broken, and the picker classifies again only the edges at a
 contraction's survivor.  The witness is unwound by replaying the
@@ -97,11 +99,6 @@ class ExtractionResult:
     atlas: GridAtlas
     witness: AugmentationWitness
     trace: tuple[dict, ...]
-
-    @property
-    def subgrid_vertices(self) -> tuple[int, ...]:
-        """Grid ids of the extracted g x g block, ascending."""
-        return tuple(sorted(self.atlas.central_vertices()))
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ def _json_rows(problems: ValidationReport) -> list[str]:
 # step; a contraction's survivor is u.
 
 
-def _side_graph(g: Graph | WorkingGraph, vertices: Iterable[int], edges: Iterable[int]) -> Graph:
+def _side_graph(g: WorkingGraph, vertices: Iterable[int], edges: Iterable[int]) -> Graph:
     """The graph on ``vertices`` with the edges of g whose ids are ``edges``."""
     return Graph(vertices, [(e, *g.endpoints(e)) for e in edges])
 
@@ -231,7 +228,7 @@ class _ReductionPicker:
     are classified again.
     """
 
-    def __init__(self, g: Graph | WorkingGraph, roots: set[int], branches: dict, images: dict[int, int]):
+    def __init__(self, g: WorkingGraph, roots: set[int], branches: dict, images: dict[int, int]):
         image_set = set(images.values())
         self.owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
         self.plain = sorted(e for e in g.edge_ids if e not in image_set and e not in self.owner)
@@ -242,7 +239,7 @@ class _ReductionPicker:
         self.contractible = sorted(e for e in self.owner if e not in self.removable)
 
     @staticmethod
-    def _removable(g: Graph | WorkingGraph, roots: set[int], e: int) -> bool:
+    def _removable(g: WorkingGraph, roots: set[int], e: int) -> bool:
         x, y = g.endpoints(e)
         return x == y or (x in roots and y in roots)
 
@@ -571,23 +568,22 @@ class _Runner:
     ) -> tuple[GridAtlas, dict[int, int], dict, dict]:
         """One recursion level on a working copy of ``host``.
 
-        The copy is made at the level's first reduction, so a level that
-        is refuted or recursed from at its first scan copies nothing.
-        The level's row scanner and reduction picker are fed every
-        journal entry instead of being rebuilt.  Returns the atlas, the
+        The copy is made first, and the level's row scanner and
+        reduction picker read it; they are fed every journal entry
+        instead of being rebuilt.  Returns the atlas, the
         small grid's edge images and the base and augmented witness
         branch sets, unwound into ``host``.
         """
         n, g, k = self.n, self.g, self.k
-        work: Graph | WorkingGraph = host
+        work = WorkingGraph(host)
         roots = set(roots)
         branches = dict(branches)
         rows = _full_rows(n, pattern)
         journal: list[tuple] = []
-        scanner = _RowScanner(host, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k)
+        scanner = _RowScanner(work, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k)
         picker = None
         while True:
-            block = scanner.scan(work, roots)
+            block = scanner.scan(roots)
             if block is not None and block.kind == "strict":
                 lifted = _lift_certificate_through_journal(block.sides(work, roots), journal, k)
                 raise _Pinched(lifted, block.row, depth)
@@ -631,13 +627,11 @@ class _Runner:
                 return (atlas, small_images, _unwind_journal(journal, base),
                         _unwind_journal(journal, augmented))
             if picker is None:
-                picker = _ReductionPicker(host, roots, branches, images)
+                picker = _ReductionPicker(work, roots, branches, images)
             reduction = picker.next()
             if reduction is None:
                 break
             kind, eid, branch_key = reduction
-            if work is host:
-                work = WorkingGraph(host)
             entry = _apply_edge_reduction(work, roots, branches, kind, eid, branch_key)
             journal.append(entry)
             scanner.feed(entry)

@@ -6,7 +6,8 @@ naturally under edge contraction, which this package performs a lot of,
 so they are first class rather than an error.
 
 A :class:`WorkingGraph` is the one mutable exception: a copy that the
-extraction loop deletes and contracts edges in, one at a time.
+extraction loop deletes and contracts edges in, one at a time, and that
+keeps the numbered neighbour counts the flow engine reads.
 
 A :class:`Subgraph` is an incidence-closed selection of vertices and
 edge ids from a fixed host graph.  The null subgraph (no vertices, no
@@ -95,10 +96,6 @@ class Graph:
 
     def has_edge_id(self, eid: int) -> bool:
         return eid in self._edges
-
-    def is_loop(self, eid: int) -> bool:
-        u, v = self._edges[eid]
-        return u == v
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Edge ids incident to ``v`` (loops listed once), ascending."""
@@ -211,14 +208,35 @@ class WorkingGraph:
     ``measure``), but deleting or contracting an edge costs O(degree)
     instead of a rebuild.  ``freeze`` snapshots it as a ``Graph`` for
     anything that must outlive the next edit.
+
+    It also numbers the vertices it starts with and keeps the
+    neighbour counts the flow engine of ``separations`` reads: vertex
+    ``order[i]`` has index i (``index`` maps back), and ``around[i]``
+    maps the index of each neighbour to the number of non-loop edges
+    joining them, with ``around[i][i] == 0``.  Its keys ascend until an
+    edit changes them.  A contracted-away vertex keeps its index and is
+    left with an empty map.
     """
 
-    __slots__ = ("vertices", "_edges", "_incidence")
+    __slots__ = ("vertices", "_edges", "_incidence", "order", "index", "around")
 
     def __init__(self, g: Graph):
+        edges = g._edges
         self.vertices = set(g.vertices)
-        self._edges = {eid: (u, v) for eid, u, v in g.edges()}
-        self._incidence = {v: set(g.incident_edges(v)) for v in g.vertices}
+        self._edges = {eid: edges[eid] for eid in sorted(edges)}
+        self._incidence = incidence = {}
+        self.order = order = sorted(g.vertices)
+        self.index = index = {v: i for i, v in enumerate(order)}
+        self.around = around = [{} for _ in order]
+        # vertex a enters every map after all smaller ones: keys ascend
+        for a, v in enumerate(order):
+            around[a][a] = 0
+            incidence[v] = es = set(g._incidence[v])
+            for eid in es:
+                x, y = edges[eid]
+                if x != y:
+                    near = around[index[y if x == v else x]]
+                    near[a] = near.get(a, 0) + 1
 
     @property
     def edge_ids(self):
@@ -251,6 +269,13 @@ class WorkingGraph:
         u, v = self._edges.pop(eid)
         self._incidence[u].discard(eid)
         self._incidence[v].discard(eid)
+        if u != v:
+            around, i, j = self.around, self.index[u], self.index[v]
+            left = around[i][j] - 1
+            if left:
+                around[i][j] = around[j][i] = left
+            else:
+                del around[i][j], around[j][i]
 
     def contract_edge(self, eid: int) -> tuple[int, int]:
         """Contract non-loop edge ``eid`` into its smaller endpoint.
@@ -275,6 +300,13 @@ class WorkingGraph:
             self._edges[e] = (min(a, b), max(a, b))
         self._incidence[survivor] |= moved
         self.vertices.discard(gone)
+        around, i, j = self.around, self.index[survivor], self.index[gone]
+        near = around[j]
+        del near[j], near[i], around[i][j]
+        for b, c in near.items():
+            del around[b][j]
+            around[b][i] = around[i][b] = around[i].get(b, 0) + c
+        around[j] = {}
         return survivor, gone
 
     def freeze(self) -> Graph:
@@ -325,12 +357,6 @@ class Subgraph:
     def is_null(self) -> bool:
         return not self.vertices and not self.edge_ids
 
-    def to_graph(self) -> Graph:
-        return Graph(
-            self.vertices,
-            [(e, *self.host.endpoints(e)) for e in self.edge_ids],
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgraph):
             return NotImplemented
@@ -345,14 +371,6 @@ class Subgraph:
 
     def __repr__(self) -> str:
         return f"Subgraph(|V|={len(self.vertices)}, |E|={len(self.edge_ids)})"
-
-
-def whole_subgraph(g: Graph) -> Subgraph:
-    return Subgraph(g, g.vertices, g.edge_ids)
-
-
-def null_subgraph(g: Graph) -> Subgraph:
-    return Subgraph(g, (), ())
 
 
 # -- subgraph algebra ------------------------------------------------------
@@ -434,10 +452,6 @@ def components(g: Graph) -> list[frozenset[int]]:
         seen |= comp
         out.append(frozenset(comp))
     return out
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
 
 
 def reachable_from(

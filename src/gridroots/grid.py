@@ -120,11 +120,6 @@ def row_vertices(n: int, i: int) -> tuple[int, ...]:
     return tuple(vertex_id(n, i, j) for j in range(1, n + 1))
 
 
-def column_vertices(n: int, j: int) -> tuple[int, ...]:
-    """Ids of column ``j`` of the ``n x n`` grid, top to bottom."""
-    return tuple(vertex_id(n, i, j) for i in range(1, n + 1))
-
-
 @dataclass(frozen=True)
 class GridAtlas:
     """A ``(g + 2k) x (g + 2k)`` window inside the ``n x n`` grid.

@@ -22,6 +22,21 @@ GENERATION_RETRIES = 32
 BREAK_MODES = ("detach", "hang")
 
 
+def _comb_up_to(n: int, r: int, cap: int) -> int:
+    """C(n, r) when it is below ``cap``, else some value from ``cap`` to C(n, r).
+
+    C(n, r) is C(n, m) for m = min(r, n - r), and C(n, i) grows with i
+    up to m, so the product stops once it reaches ``cap`` instead of
+    computing a huge C(n, r) exactly.  Needs 0 <= r <= n.
+    """
+    c = 1
+    for i in range(min(r, n - r)):
+        if c >= cap:
+            break
+        c = c * (n - i) // (i + 1)
+    return c
+
+
 @dataclass(frozen=True)
 class InstanceRecipe:
     """Parameters that fully determine one generated instance."""
@@ -50,7 +65,7 @@ class InstanceRecipe:
             )
         if self.kind == "identity-grid":
             return
-        column_sets = comb(self.n, self.degree) if self.degree >= 0 else 0
+        column_sets = _comb_up_to(self.n, self.degree, self.k)
         if column_sets < self.k:
             raise MalformedInput(
                 f"only {column_sets} distinct sets of {self.degree} row-1 columns "

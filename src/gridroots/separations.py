@@ -7,13 +7,14 @@ axioms at desk scale.  ``menger`` is a deterministic vertex-capacity
 max-flow: it returns either ``k`` vertex-disjoint source-target paths or
 a cut of fewer than ``k`` vertices together with the separation that cut
 induces.  It shares one flow engine with the row scan: the vertex-split
-network stays implicit, as arrays over neighbour lists built once per
-graph.  ``_RowScanner`` is the one row scan, behind
+network stays implicit, as arrays over the neighbour counts of a
+``WorkingGraph``.  ``_RowScanner`` is the one row scan, behind
 ``find_row_blocking_separation``, ``check_hypothesis`` (a strict scan)
 and the extraction loop, which keeps it across the edge deletions and
-contractions of one level: it edits its neighbour lists in place and
-re-checks only the rows a step can change.  A row it has no flow for
-starts from the last row's flow cut back at its image.
+contractions of one level: the working graph keeps its neighbour counts
+up to date, and the scanner re-checks only the rows a step can change.
+A row it has no flow for starts from the last row's flow cut back at
+its image.
 """
 from __future__ import annotations
 
@@ -76,11 +77,6 @@ class Separation:
         return f"Separation(order={self.order}, |V(A)|={len(self.a.vertices)}, |V(B)|={len(self.b.vertices)})"
 
 
-def separation_order(s: Separation) -> int:
-    """Number of vertices shared by the two sides."""
-    return s.order
-
-
 def separation_sort_key(s: Separation):
     """Deterministic ordering key for separation sequences."""
     return (
@@ -130,18 +126,17 @@ _END = -2  # the flow enters from the super source / leaves to the super sink
 
 
 class _FlowNetwork:
-    """Unit-capacity vertex-split flow network of one graph, kept implicit.
+    """Unit-capacity vertex-split flow network of a working graph, kept implicit.
 
-    The split network gives vertex i (the i-th smallest id) an in-node
-    2i and an out-node 2i + 1 joined by an arc of capacity 1, two
-    uncapacitated arcs out(x) -> in(y) and out(y) -> in(x) per edge x-y
-    (loops and parallel copies add nothing), and uncapacitated arcs from
-    a super source to the in-nodes of the sources and from the out-nodes
-    of the targets to a super sink.  Only each vertex's neighbours are
-    stored, itself included, built once per graph: ``around[i]`` maps
-    each to the number of edges joining them (0 for i itself), its keys
-    in ascending order until ``_RowScanner`` edits them in place.  Every
-    vertex carries at most one unit, so the current flow is two arrays:
+    The split network gives vertex i (index i of the ``WorkingGraph``)
+    an in-node 2i and an out-node 2i + 1 joined by an arc of capacity 1,
+    two uncapacitated arcs out(x) -> in(y) and out(y) -> in(x) per edge
+    x-y (loops and parallel copies add nothing), and uncapacitated arcs
+    from a super source to the in-nodes of the sources and from the
+    out-nodes of the targets to a super sink.  Only each vertex's
+    neighbours are read, itself included: ``around`` is the working
+    graph's own, so the network follows its edits.  Every vertex
+    carries at most one unit, so the current flow is two arrays:
     ``prev[i]`` is the vertex feeding i (``_END`` for the super source,
     ``_FREE`` when i carries nothing) and ``nxt[i]`` the vertex i feeds
     (``_END`` for the super sink).
@@ -149,18 +144,8 @@ class _FlowNetwork:
 
     __slots__ = ("vertices", "index", "around", "prev", "nxt", "value", "level")
 
-    def __init__(self, g: Graph | WorkingGraph):
-        self.vertices = sorted(g.vertices)
-        self.index = index = {v: i for i, v in enumerate(self.vertices)}
-        self.around = around = [{} for _ in self.vertices]
-        # vertex a enters every list after all smaller ones: keys ascend
-        for a, v in enumerate(self.vertices):
-            around[a][a] = 0
-            for eid in g.incident_edges(v):
-                x, y = g.endpoints(eid)
-                if x != y:
-                    near = around[index[y if x == v else x]]
-                    near[a] = near.get(a, 0) + 1
+    def __init__(self, g: WorkingGraph):
+        self.vertices, self.index, self.around = g.order, g.index, g.around
         self.prev: list[int] = []
         self.nxt: list[int] = []
         self.value = 0
@@ -188,9 +173,9 @@ class _FlowNetwork:
 
         ``starts`` are the in-nodes of the sources and ``is_target`` marks
         the targets by vertex index.  Each augmenting path is a shortest
-        one in the residual network, ties broken by ascending node id in
-        a network built from a graph, which fixes the flow and with it
-        the paths.
+        one in the residual network, ties broken by ascending node id
+        while no edit has reordered the working graph's neighbour maps,
+        which fixes the flow and with it the paths.
         """
         around, prev, nxt = self.around, self.prev, self.nxt
         top = 2 * len(around)  # the super source
@@ -360,7 +345,7 @@ def menger(
         raise MalformedInput("bad menger query", problems)
 
     searched = g.remove_vertices(fbd) if fbd else g
-    net = _FlowNetwork(searched)
+    net = _FlowNetwork(WorkingGraph(searched))
     if net.max_flow(src, tgt, k) == k:
         paths = tuple(_trim_path(p, src, tgt) for p in net.paths())
         return CutResult(paths=paths, cut=None, separation=None)
@@ -475,7 +460,7 @@ def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
     return p
 
 
-def _has_edge_inside(g: Graph | WorkingGraph, cut: AbstractSet[int]) -> bool:
+def _has_edge_inside(g: WorkingGraph, cut: AbstractSet[int]) -> bool:
     """True when some edge, a loop included, has both ends in ``cut``."""
     return any(set(g.endpoints(e)) <= cut for v in cut for e in g.incident_edges(v))
 
@@ -527,13 +512,15 @@ class _RowState:
 class _RowScanner:
     """The row scan of one recursion level, kept across its edge reductions.
 
-    ``scan`` answers what ``find_row_blocking_separation`` would answer
-    for the current graph; ``feed`` takes each journal entry
+    The scanner reads the level's ``WorkingGraph``, which the caller
+    edits.  ``scan`` answers what ``find_row_blocking_separation`` would
+    answer for the graph as it is; ``feed`` takes each journal entry
     ``(kind, eid, u, v)`` of the level (a contraction's survivor is u,
-    and a row image that held v holds u after it) and updates the flow
-    network's neighbour counts in O(degree) instead of rebuilding it.
-    The roots are the caller's, passed to each scan; the scanner keeps
-    only each row's target marks by vertex index.
+    and a row image that held v holds u after it) once the working
+    graph has applied it, and brings every row's flow, certificate and
+    target marks past it.  The roots are the caller's, passed to each
+    scan; the scanner keeps only each row's target marks by vertex
+    index.
 
     With |Z| = k roots (``max_order``) the flow never exceeds k units,
     and a row is no blocker exactly when its flow is k, every residual
@@ -576,12 +563,13 @@ class _RowScanner:
 
     def __init__(
         self,
-        g: Graph | WorkingGraph,
+        work: WorkingGraph,
         branch_vertices: Mapping[int, AbstractSet[int]],
         rows: Sequence[Sequence[int]],
         max_order: int,
     ):
-        self.net = _FlowNetwork(g)
+        self.work = work
+        self.net = _FlowNetwork(work)
         self.k = max_order
         self.rows = [tuple(row) for row in rows]
         self.branch_vertices = branch_vertices
@@ -595,16 +583,14 @@ class _RowScanner:
 
     # -- scanning ---------------------------------------------------------
 
-    def scan(
-        self, g: Graph | WorkingGraph, roots: AbstractSet[int], strict_only: bool = False
-    ) -> _Blocker | None:
+    def scan(self, roots: AbstractSet[int], strict_only: bool = False) -> _Blocker | None:
         """The first row, in order, that a separation blocks; None if none does.
 
-        ``g`` and ``roots`` are as of the last entry fed.  With
-        ``strict_only`` a row passes once its flow reaches k, and only a
-        cut below k blocks.
+        ``roots`` are as of the last entry fed.  With ``strict_only`` a
+        row passes once its flow reaches k, and only a cut below k
+        blocks.
         """
-        net, k = self.net, self.k
+        g, net, k = self.work, self.net, self.k
         enough = k if strict_only else k + 1  # a flow this large passes outright
         keep = len(roots) == k and not strict_only
         starts = [2 * net.index[z] for z in sorted(roots)]
@@ -681,7 +667,7 @@ class _RowScanner:
     # -- journal entries ----------------------------------------------------
 
     def feed(self, entry: tuple[str, int, int, int]) -> None:
-        """Bring the network and every row's state past one journal entry."""
+        """Bring every row's state past one journal entry the working graph applied."""
         kind, _eid, u, v = entry
         i, j = self.net.index[u], self.net.index[v]
         if kind == "delete":
@@ -690,14 +676,8 @@ class _RowScanner:
             self._contract(i, j)
 
     def _delete(self, i: int, j: int) -> None:
-        around = self.net.around
-        if i == j:
-            return  # a loop is not in the network
-        left = around[i][j] - 1
-        if left:
-            around[i][j] = around[j][i] = left
-            return
-        del around[i][j], around[j][i]
+        if i == j or j in self.net.around[i]:
+            return  # a loop, or a parallel copy that is left: the network is unchanged
         for state in self.states:
             if state is None:
                 continue
@@ -769,7 +749,6 @@ class _RowScanner:
 
     def _contract(self, i: int, j: int) -> None:
         """Merge vertex j into its neighbour i."""
-        around = self.net.around
         moved = []  # certified rows whose flow now runs through i
         for r, state in enumerate(self.states):
             if state is None:
@@ -786,18 +765,12 @@ class _RowScanner:
             elif level is not None:
                 level[i] = min(level[i], level[j])
                 moved.append(state)
-        gone = around[j]
-        del gone[j], gone[i]
-        del around[i][j]
-        for b, c in gone.items():
-            del around[b][j]
-            around[b][i] = around[i][b] = around[i].get(b, 0) + c
-        around[j] = {}
         for r in range(len(self.rows)):
             marks = self._marks(r)  # a row not yet evaluated has its marks made now
             if isinstance(marks, bytearray) and marks[j]:
                 marks[j] = 0
                 marks[i] = 1
+        around = self.net.around
         for state in moved:
             # only in(i) and the in-node i now feeds lead somewhere new
             suspects = [i, *around[i]]
@@ -828,7 +801,7 @@ class _RowScanner:
 
 
 def find_row_blocking_separation(
-    g: Graph | WorkingGraph,
+    g: Graph,
     roots: Iterable[int],
     p: Pseudomodel | Mapping[int, AbstractSet[int]],
     rows: Sequence[Sequence[int]],
@@ -852,7 +825,7 @@ def find_row_blocking_separation(
     condition is part of the second.  With ``strict_only`` only strict
     blockers count, and a row holds once its flow reaches
     ``max_order``.  Returns the first blocker or None; its separation
-    lives in ``g.freeze()``, and a strict one is the separation
+    lives in g, and a strict one is the separation
     ``menger`` gives for its cut.  ``p`` gives the row images: a
     pseudomodel, or a mapping from pattern vertex to branch vertex set.
     Raises MalformedInput for a negative ``max_order`` (or zero when
@@ -860,8 +833,9 @@ def find_row_blocking_separation(
     the scan reaches the row, a row vertex with no branch or a row image
     that is empty or not in g.
 
-    This is one scan of a fresh ``_RowScanner``, which the extraction
-    loop keeps for a whole recursion level instead.
+    This is one scan of a fresh ``_RowScanner`` on a ``WorkingGraph``
+    of g, which the extraction loop keeps for a whole recursion level
+    instead.
     """
     if max_order < (1 if strict_only else 0):
         least = "positive" if strict_only else "non-negative"
@@ -872,10 +846,11 @@ def find_row_blocking_separation(
         problems.append("roots must be vertices of the graph")
     if problems:
         raise MalformedInput("bad row scan", problems)
-    block = _RowScanner(g, _branch_vertices(p), rows, max_order).scan(g, root_set, strict_only)
+    block = _RowScanner(WorkingGraph(g), _branch_vertices(p), rows, max_order).scan(
+        root_set, strict_only
+    )
     if block is None:
         return None
-    g = g.freeze()
     return RowBlock(_separation_from_sides(g, block.sides(g, root_set)), block.row, block.kind)
 
 

@@ -340,8 +340,8 @@ def test_identity_extraction_frozen_run():
     result = extract(problem)
     assert (result.atlas.i0, result.atlas.j0) == (3, 2)
     assert [t["kind"] for t in result.trace] == ["band-selected", "menger-augment"]
-    assert result.subgrid_vertices == (18, 19, 26, 27)
-    assert not set(result.subgrid_vertices) & problem.roots
+    assert tuple(sorted(result.atlas.central_vertices())) == (18, 19, 26, 27)
+    assert not set(result.atlas.central_vertices()) & problem.roots
     base = result.witness.base
     assert {pv: set(sg.vertices) for pv, sg in base.branches.items()} == {
         1: {18}, 2: {19}, 3: {26}, 4: {27}
@@ -389,7 +389,7 @@ def test_grid_plus_roots_frozen_trace():
     )
     assert validate_model(aug).ok
     assert check_augmentation(result.witness).ok
-    assert not set(result.subgrid_vertices) & problem.roots
+    assert not set(result.atlas.central_vertices()) & problem.roots
 
 
 def test_trace_measures_strictly_decrease():

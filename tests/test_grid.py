@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gridroots import (
     GridAtlas,
     choose_band,
-    column_vertices,
     grid_edge_id,
     grid_graph,
     row_vertices,
@@ -79,7 +78,6 @@ def test_grid_edge_id_rejects_non_adjacent():
 
 def test_row_and_column_vertices():
     assert row_vertices(3, 2) == (4, 5, 6)
-    assert column_vertices(3, 2) == (2, 5, 8)
     with pytest.raises(ValueError):
         row_vertices(3, 4)
 

@@ -1,5 +1,7 @@
 """Deterministic instance generation and deliberate breakage."""
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -18,7 +20,7 @@ from gridroots import (
     validate_problem,
 )
 from gridroots import ExtractionProblem, Graph, Pseudomodel, Subgraph, grid_graph, vertex_id
-from gridroots.instances import _chords
+from gridroots.instances import _chords, _comb_up_to
 
 
 def test_recipe_rejects_bad_fields():
@@ -47,6 +49,39 @@ def test_recipe_rejects_bad_fields():
     assert tiny.host.num_edges == 4 + 2 + 2  # both diagonals are the only chords
     assert "identity-grid" in RECIPE_KINDS
     assert BREAK_MODES == ("detach", "hang")
+
+
+def test_recipe_rejection_messages():
+    cases = [
+        (("moebius", 8, 2, 1), "unknown recipe kind 'moebius'"),
+        (("identity-grid", 0, 2, 1, 0, 1), "grid side must be at least 1, got n=0"),
+        (("grid-plus-roots", 25, 2, 3, 0, 3), "need 1 <= k <= g, got k=3, g=2"),
+        (("grid-plus-roots", 13, 2, 2, 0, 1), "attachment degree 1 must be at least k=2"),
+        (("grid-plus-roots", 13, 2, 2, 0, 14), "attachment degree 14 exceeds the 13 row-1 columns"),
+        (("grid-plus-roots", 2, 2, 2, 0, 2),
+         "only 1 distinct sets of 2 row-1 columns exist for k=2 roots"),
+        (("grid-plus-roots", 5, 4, 4, 0, 5),
+         "only 1 distinct sets of 5 row-1 columns exist for k=4 roots"),
+        (("random-attachment", 1, 1, 1, 0, 1),
+         "the 1x1 grid has 0 non-adjacent vertex pairs, fewer than the 1 chords asked for"),
+    ]
+    for args, message in cases:
+        with pytest.raises(MalformedInput) as exc:
+            InstanceRecipe(*args)
+        assert str(exc.value) == message
+
+
+def test_recipe_column_sets_are_counted_only_up_to_k():
+    """A huge attachment degree is accepted without computing C(n, degree) exactly."""
+    start = time.perf_counter()
+    InstanceRecipe("grid-plus-roots", 400_000, 1, 1, 0, 200_000)
+    assert time.perf_counter() - start < 0.1
+    for n in range(13):
+        for r in range(n + 1):
+            exact = comb(n, r)
+            for cap in range(1, 800, 7):
+                got = _comb_up_to(n, r, cap)
+                assert got == exact if exact < cap else cap <= got <= exact
 
 
 def test_identity_recipe_matches_direct_constructor():

@@ -19,10 +19,7 @@ from gridroots import (
     grid_tangle_member,
     identity_grid_model,
     menger,
-    null_subgraph,
     row_vertices,
-    separation_order,
-    whole_subgraph,
 )
 from gridroots.graph import WorkingGraph
 from gridroots.extraction import _apply_edge_reduction
@@ -41,7 +38,6 @@ def test_separation_constructor_checks():
     s = Separation(a, b)
     assert s.order == 1
     assert s.separator == frozenset({2})
-    assert separation_order(s) == 1
     assert s.flipped() == Separation(b, a)
     assert s.flipped().flipped() == s
     assert hash(s) == hash(Separation(a, b))
@@ -49,10 +45,10 @@ def test_separation_constructor_checks():
     with pytest.raises(ValueError):
         Separation(a, Subgraph(g, {2}, set()))  # does not cover vertex 3
     with pytest.raises(ValueError):
-        Separation(whole_subgraph(g), whole_subgraph(g))  # shares edges
+        Separation(Subgraph(g, g.vertices, g.edge_ids), Subgraph(g, g.vertices, g.edge_ids))  # shares edges
     other = grid_graph(2)
     with pytest.raises(ValueError):
-        Separation(a, whole_subgraph(other))
+        Separation(a, Subgraph(other, other.vertices, other.edge_ids))
     with pytest.raises(AttributeError):
         s.a = b
 
@@ -187,7 +183,7 @@ def test_row_scan_rejects_malformed_queries():
         with pytest.raises(MalformedInput) as exc:
             find_row_blocking_separation(g3, roots, ident, rows, max_order)
         assert exc.value.problems
-    empty_row = Pseudomodel(g3, ident.pattern, {v: null_subgraph(g3) for v in range(1, 10)}, {})
+    empty_row = Pseudomodel(g3, ident.pattern, {v: Subgraph(g3, ()) for v in range(1, 10)}, {})
     with pytest.raises(MalformedInput):
         find_row_blocking_separation(g3, [1], empty_row, rows, 1)
     no_branch = {v: br for v, br in ident.branches.items() if v != 2}
@@ -335,7 +331,7 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
     scanner = _RowScanner(work, images, rows, k)
     for _ in range(rng.randint(1, 16)):
         g = work.freeze()
-        block = scanner.scan(work, roots)
+        block = scanner.scan(roots)
         found = None if block is None else (
             block.kind, block.row, _separation_from_sides(g, block.sides(work, roots)))
         fresh = find_row_blocking_separation(g, roots, images, rows, k)
@@ -382,7 +378,7 @@ def test_scanner_fed_before_its_first_scan_follows_the_contractions(seed):
                     image.add(u)
     g = work.freeze()
     try:
-        block = scanner.scan(work, roots)
+        block = scanner.scan(roots)
     except MalformedInput:
         with pytest.raises(MalformedInput):
             find_row_blocking_separation(g, roots, images, rows, k)
@@ -514,8 +510,8 @@ def test_row_cut_raises_at_a_malformed_row_only_when_it_gets_there():
 def test_row_scan_of_no_rows_finds_nothing(strict_only):
     host, _cut_host, roots, images, _rows, k = split_grid_case()
     assert find_row_blocking_separation(host, roots, images, [], k, strict_only) is None
-    scanner = _RowScanner(host, images, [], k)
-    assert scanner.scan(host, roots, strict_only) is None
+    scanner = _RowScanner(WorkingGraph(host), images, [], k)
+    assert scanner.scan(roots, strict_only) is None
     assert scanner.cold == scanner.reused == 0
 
 
@@ -537,9 +533,9 @@ def test_row_scan_raises_at_a_malformed_last_row_after_the_rows_before_it(strict
     host, cut_host, roots, images, rows, k = split_grid_case(bridges=(1,))
     images[99] = {10**6}  # a branch outside the host
     order = [*rows, (99,)]
-    scanner = _RowScanner(host, images, order, k)
+    scanner = _RowScanner(WorkingGraph(host), images, order, k)
     with pytest.raises(MalformedInput):
-        scanner.scan(host, roots, strict_only)
+        scanner.scan(roots, strict_only)
     assert scanner.cold == len(rows)  # every row before it was evaluated first
     # the rows before it start from nothing and still stop at the first failing row
     block = find_row_blocking_separation(cut_host, roots, images, order, k, strict_only)
@@ -579,7 +575,7 @@ def test_tangle_axioms_reject_violations():
     assert "tangle-cover" in check_tangle_axioms(covering, seps).codes()
 
     other = grid_graph(2)
-    alien = Separation(whole_subgraph(other), null_subgraph(other))
+    alien = Separation(Subgraph(other, other.vertices, other.edge_ids), Subgraph(other, ()))
     bad_host = Tangle(host=g, order=1, members=(alien,))
     assert "tangle-member-host" in check_tangle_axioms(bad_host, seps).codes()
 
@@ -631,6 +627,6 @@ def test_grid_tangle_member_rejections():
     degenerate = Pseudomodel(
         g2, g2, {v: Subgraph(g2, {1}) for v in g2.vertices}, {e: e for e in g2.edge_ids}
     )
-    amb = Separation(Subgraph(g2, {1}), whole_subgraph(g2))
+    amb = Separation(Subgraph(g2, {1}), Subgraph(g2, g2.vertices, g2.edge_ids))
     with pytest.raises(ValueError):
         grid_tangle_member(degenerate, amb)
