@@ -846,9 +846,8 @@ def find_row_blocking_separation(
         problems.append("roots must be vertices of the graph")
     if problems:
         raise MalformedInput("bad row scan", problems)
-    block = _RowScanner(WorkingGraph(g), _branch_vertices(p), rows, max_order).scan(
-        root_set, strict_only
-    )
+    scanner = _RowScanner(WorkingGraph(g), _branch_vertices(p), rows, max_order)
+    block = scanner.scan(root_set, strict_only)
     if block is None:
         return None
     return RowBlock(_separation_from_sides(g, block.sides(g, root_set)), block.row, block.kind)
