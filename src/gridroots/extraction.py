@@ -14,11 +14,11 @@ then pick a clean band of rows, drop the inner window except a k-vertex
 column stub, and connect the roots to the stub by disjoint paths.  Every
 step appends a replayable trace record.
 
-Each recursion level copies its host once, into one mutable working
-graph (``graph.WorkingGraph``) that it shrinks in place, an O(degree)
-edge deletion or contraction at a time, and holds its branches and
-roots as plain id sets.  The working graph also keeps the neighbour
-counts the row scan's flow network reads.  The level's journal keeps
+A run copies its host once, into one mutable working graph
+(``graph.WorkingGraph``) that every recursion level shrinks in place,
+an O(degree) edge deletion or contraction at a time; before it
+recurses, a level cuts it down to the B side of its blocker.  A level
+holds its branches and roots as plain id sets, and its journal keeps
 only the endpoints of each step, ``(kind, eid, u, v)``.  The level's
 row scanner (``separations._RowScanner``) and reduction picker are
 built once on the working graph and fed every journal entry after the
@@ -32,10 +32,10 @@ way, and both are built once, in the caller's original graph.  A
 blocker's sides stay id sets ``(VA, EA, VB, EB)`` through the trace
 record, the subproblem and the certificate's lifting, and the splice and
 band steps graft their k paths onto id-set branches with one helper.  A
-``Graph`` is built from the working graph only where a search needs one:
-the B side recursed into, the A side the splice paths run in, and g*,
-the band step's graph.  No ``Subgraph``, ``Separation`` or
-``Pseudomodel`` is made inside the loop.
+``Graph`` is built from the working graph only where ``menger`` needs
+one: the A side the splice paths run in, and g*, the band step's graph.
+No ``Subgraph``, ``Separation`` or ``Pseudomodel`` is made inside the
+loop.
 """
 from __future__ import annotations
 
@@ -549,33 +549,32 @@ class _Runner:
         """Run from depth 0; a certificate is built in the problem's host."""
         model = problem.model
         branches = {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
+        work = WorkingGraph(problem.host)
         try:
-            return self.run(
-                problem.host, problem.roots, model.pattern, branches, model.edge_images, 0
-            )
+            return self.run(work, problem.roots, model.pattern, branches, model.edge_images, 0)
         except _Pinched as exc:
             separation = _separation_from_sides(problem.host, exc.sides)
             raise HypothesisViolated(separation, exc.row, exc.depth) from None
 
     def run(
         self,
-        host: Graph,
+        work: WorkingGraph,
         roots: frozenset[int],
         pattern: Graph,
         branches: dict,
         images: dict[int, int],
         depth: int,
     ) -> tuple[GridAtlas, dict[int, int], dict, dict]:
-        """One recursion level on a working copy of ``host``.
+        """One recursion level on the run's working graph, edited in place.
 
-        The copy is made first, and the level's row scanner and
-        reduction picker read it; they are fed every journal entry
-        instead of being rebuilt.  Returns the atlas, the
-        small grid's edge images and the base and augmented witness
-        branch sets, unwound into ``host``.
+        The level's row scanner and reduction picker read ``work`` and are
+        fed every journal entry instead of being rebuilt.  At a reducible
+        blocker the level keeps its A side as a ``Graph`` for the splice,
+        deletes it from ``work`` and recurses into the B side left.
+        Returns the atlas, the small grid's edge images and the base and
+        augmented witness branch sets, unwound into ``work`` as it began.
         """
         n, g, k = self.n, self.g, self.k
-        work = WorkingGraph(host)
         roots = set(roots)
         branches = dict(branches)
         rows = _full_rows(n, pattern)
@@ -606,16 +605,19 @@ class _Runner:
                 # this level scans no more: only the innermost level's row
                 # states need to stay alive during the recursion
                 del scanner, picker
+                a_side = _side_graph(work, va, ea)
+                for e in ea:
+                    work.delete_edge(e)
+                work.vertices -= va - vb
                 try:
                     atlas, small_images, base, augmented = self.run(
-                        _side_graph(work, vb, eb), separator,
+                        work, separator,
                         *_derive_subproblem(pattern, branches, images, sides), depth + 1,
                     )
                 except _Pinched as exc:
                     framed = _lift_certificate_through_frame(exc.sides, sides)
                     exc.sides = _lift_certificate_through_journal(framed, journal, k)
                     raise
-                a_side = _side_graph(work, va, ea)
                 splice = menger(a_side, roots, separator, k)
                 if not splice.found_paths:
                     raise InternalInvariantBroken(

@@ -5,9 +5,10 @@ may coincide (loops), and parallel edges are allowed.  Both arise
 naturally under edge contraction, which this package performs a lot of,
 so they are first class rather than an error.
 
-A :class:`WorkingGraph` is the one mutable exception: a copy that the
-extraction loop deletes and contracts edges in, one at a time, and that
-keeps the numbered neighbour counts the flow engine reads.
+A :class:`WorkingGraph` is the one mutable exception: the one copy of
+its host that an extraction run deletes and contracts edges in, one at
+a time, at every recursion level.  Its one adjacency is numbered, and
+the flow engine reads it as it is.
 
 A :class:`Subgraph` is an incidence-closed selection of vertices and
 edge ids from a fixed host graph.  The null subgraph (no vertices, no
@@ -179,10 +180,6 @@ class Graph:
         edges = [(e, u, v) for e, (u, v) in self._edges.items() if e != eid]
         return Graph(self._vertices, edges)
 
-    def freeze(self) -> "Graph":
-        """The graph itself: it is already immutable (see WorkingGraph.freeze)."""
-        return self
-
 
 def _raise_first_bad_edge(vset: frozenset[int], edges) -> None:
     """Raise the error of the first bad edge in ``edges``, in input order:
@@ -201,59 +198,57 @@ def _raise_first_bad_edge(vset: frozenset[int], edges) -> None:
 
 
 class WorkingGraph:
-    """A mutable multigraph copy that one extraction level shrinks in place.
+    """A mutable multigraph copy that an extraction run shrinks in place.
 
     It reads like a :class:`Graph` (``vertices``, ``edge_ids``,
-    ``edges()``, ``endpoints``, ``incident_edges``, ``num_vertices``,
-    ``measure``), but deleting or contracting an edge costs O(degree)
-    instead of a rebuild.  ``freeze`` snapshots it as a ``Graph`` for
-    anything that must outlive the next edit.
-
-    It also numbers the vertices it starts with and keeps the
-    neighbour counts the flow engine of ``separations`` reads: vertex
-    ``order[i]`` has index i (``index`` maps back), and ``around[i]``
-    maps the index of each neighbour to the number of non-loop edges
-    joining them, with ``around[i][i] == 0``.  Its keys ascend until an
-    edit changes them.  A contracted-away vertex keeps its index and is
-    left with an empty map.
+    ``endpoints``, ``incident_edges``, ``num_vertices``, ``measure``),
+    but deleting or contracting an edge costs O(degree) instead of a
+    rebuild.  ``freeze`` snapshots it as a ``Graph``.  Its one adjacency
+    is numbered: vertex ``order[i]`` has index i (``index`` maps back),
+    and ``around[i]`` maps each neighbour's index j to the ids of the
+    edges joining i and j, one tuple that ``around[j][i]`` holds too and
+    an edit replaces in both (unlike a list, a tuple of ints leaves the
+    cyclic collector's care at its first collection, so a large host's
+    adjacency does not pile up in the collector's oldest generation).
+    The loops at i sit under the self key, always present; any other
+    key goes with its edges.  A fresh build's keys and tuples ascend;
+    edits may reorder them.  A vertex that leaves keeps its index, so
+    every recursion level shares the first one's numbering.
     """
 
-    __slots__ = ("vertices", "_edges", "_incidence", "order", "index", "around")
+    __slots__ = ("vertices", "_edges", "order", "index", "around")
 
     def __init__(self, g: Graph):
         edges = g._edges
         self.vertices = set(g.vertices)
-        self._edges = {eid: edges[eid] for eid in sorted(edges)}
-        self._incidence = incidence = {}
+        self._edges = dict(edges)
         self.order = order = sorted(g.vertices)
         self.index = index = {v: i for i, v in enumerate(order)}
         self.around = around = [{} for _ in order]
-        # vertex a enters every map after all smaller ones: keys ascend
+        # key a enters every map while vertex a is read, so keys ascend;
+        # an edge joins its tuple from its smaller end, in ascending order
         for a, v in enumerate(order):
-            around[a][a] = 0
-            incidence[v] = es = set(g._incidence[v])
-            for eid in es:
+            mine = around[a]
+            mine[a] = ()
+            for eid in g._incidence[v]:
                 x, y = edges[eid]
-                if x != y:
-                    near = around[index[y if x == v else x]]
-                    near[a] = near.get(a, 0) + 1
+                b = index[y if x == v else x]
+                if b < a:
+                    around[b][a] = mine[b]
+                else:
+                    near = around[b]
+                    near[a] = near.get(a, ()) + (eid,)
 
     @property
     def edge_ids(self):
         return self._edges.keys()
 
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(eid, u, v)`` triples in ascending edge id order."""
-        for eid in sorted(self._edges):
-            u, v = self._edges[eid]
-            yield eid, u, v
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self._edges[eid]
 
     def incident_edges(self, v: int) -> set[int]:
-        """Edge ids incident to ``v``, unordered; do not modify the result."""
-        return self._incidence[v]
+        """Edge ids incident to ``v``, as a new set."""
+        return set().union(*self.around[self.index[v]].values())
 
     @property
     def num_vertices(self) -> int:
@@ -267,15 +262,12 @@ class WorkingGraph:
         if eid not in self._edges:
             raise ValueError(f"no edge with id {eid}")
         u, v = self._edges.pop(eid)
-        self._incidence[u].discard(eid)
-        self._incidence[v].discard(eid)
-        if u != v:
-            around, i, j = self.around, self.index[u], self.index[v]
-            left = around[i][j] - 1
-            if left:
-                around[i][j] = around[j][i] = left
-            else:
-                del around[i][j], around[j][i]
+        around, i, j = self.around, self.index[u], self.index[v]
+        left = tuple(e for e in around[i][j] if e != eid)
+        if left or i == j:
+            around[i][j] = around[j][i] = left
+        else:
+            del around[i][j], around[j][i]
 
     def contract_edge(self, eid: int) -> tuple[int, int]:
         """Contract non-loop edge ``eid`` into its smaller endpoint.
@@ -289,24 +281,24 @@ class WorkingGraph:
         survivor, gone = self._edges[eid]
         if survivor == gone:
             raise ValueError(f"edge {eid} is a loop and cannot be contracted")
-        del self._edges[eid]
-        moved = self._incidence.pop(gone)
-        moved.discard(eid)
-        self._incidence[survivor].discard(eid)
-        for e in moved:
-            a, b = self._edges[e]
-            a = survivor if a == gone else a
-            b = survivor if b == gone else b
-            self._edges[e] = (min(a, b), max(a, b))
-        self._incidence[survivor] |= moved
-        self.vertices.discard(gone)
-        around, i, j = self.around, self.index[survivor], self.index[gone]
-        near = around[j]
-        del near[j], near[i], around[i][j]
-        for b, c in near.items():
-            del around[b][j]
-            around[b][i] = around[i][b] = around[i].get(b, 0) + c
+        self.delete_edge(eid)
+        edges, around, order = self._edges, self.around, self.order
+        i, j = self.index[survivor], self.index[gone]
+        near, mine = around[j], around[i]
+        mine.pop(j, None)
+        loops = near.pop(i, ()) + near.pop(j)
+        for e in loops:
+            edges[e] = (survivor, survivor)
+        mine[i] += loops
+        for b, joining in near.items():
+            w = order[b]
+            for e in joining:
+                edges[e] = (survivor, w) if survivor < w else (w, survivor)
+            other = around[b]
+            del other[j]
+            other[i] = mine[b] = other.get(i, ()) + joining
         around[j] = {}
+        self.vertices.discard(gone)
         return survivor, gone
 
     def freeze(self) -> Graph:

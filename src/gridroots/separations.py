@@ -7,14 +7,14 @@ axioms at desk scale.  ``menger`` is a deterministic vertex-capacity
 max-flow: it returns either ``k`` vertex-disjoint source-target paths or
 a cut of fewer than ``k`` vertices together with the separation that cut
 induces.  It shares one flow engine with the row scan: the vertex-split
-network stays implicit, as arrays over the neighbour counts of a
+network stays implicit, as arrays over the numbered adjacency of a
 ``WorkingGraph``.  ``_RowScanner`` is the one row scan, behind
 ``find_row_blocking_separation``, ``check_hypothesis`` (a strict scan)
 and the extraction loop, which keeps it across the edge deletions and
-contractions of one level: the working graph keeps its neighbour counts
-up to date, and the scanner re-checks only the rows a step can change.
-A row it has no flow for starts from the last row's flow cut back at
-its image.
+contractions of one level: the working graph keeps its adjacency up to
+date, and the scanner re-checks only the rows a step can change.  A row
+it has no flow for starts from the last row's flow cut back at its
+image.
 """
 from __future__ import annotations
 
@@ -133,9 +133,10 @@ class _FlowNetwork:
     two uncapacitated arcs out(x) -> in(y) and out(y) -> in(x) per edge
     x-y (loops and parallel copies add nothing), and uncapacitated arcs
     from a super source to the in-nodes of the sources and from the
-    out-nodes of the targets to a super sink.  Only each vertex's
-    neighbours are read, itself included: ``around`` is the working
-    graph's own, so the network follows its edits.  Every vertex
+    out-nodes of the targets to a super sink.  Only the keys of
+    ``around``, the working graph's own adjacency, are read (a vertex's
+    neighbours, itself included), so the network follows its edits; a
+    vertex that has left the graph has no neighbour.  Every vertex
     carries at most one unit, so the current flow is two arrays:
     ``prev[i]`` is the vertex feeding i (``_END`` for the super source,
     ``_FREE`` when i carries nothing) and ``nxt[i]`` the vertex i feeds
@@ -462,7 +463,8 @@ def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
 
 def _has_edge_inside(g: WorkingGraph, cut: AbstractSet[int]) -> bool:
     """True when some edge, a loop included, has both ends in ``cut``."""
-    return any(set(g.endpoints(e)) <= cut for v in cut for e in g.incident_edges(v))
+    inside = {g.index[v] for v in cut}
+    return any(edges and j in inside for i in inside for j, edges in g.around[i].items())
 
 
 def _cut_back(
@@ -646,7 +648,9 @@ class _RowScanner:
 
     def _marks(self, r: int) -> bytearray | MalformedInput:
         """Row r's target marks by vertex index, made at the first call in the graph
-        the scanner was built from, or the MalformedInput its image raises there."""
+        the scanner was built from, or the MalformedInput its image raises there.
+        At an extraction sub-level the numbering spans the enclosing host: the
+        images ``extraction._derive_subproblem`` gives lie in B by construction."""
         if self.marks[r] is not None:
             return self.marks[r]
         row, index = self.rows[r], self.net.index

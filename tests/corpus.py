@@ -21,7 +21,9 @@ the host side is 16, so each block holds ints that collide in a set's
 table (v and v + 16) and its branch sets iterate in insertion order:
 the extractor takes a branch's first vertex as a path target.  No case
 hits the open band-choice bug: problems that do belong to a property
-test, not to a byte corpus.
+test, not to a byte corpus.  Two full-run cases reach the scale of
+CI's smoke instances: grid-plus-roots and random-attachment 36/4/3 at
+seed 7, degree 4 (three recursions each), not in ``SUBSET``.
 
     PYTHONPATH=src python tests/corpus.py           # check every case
     PYTHONPATH=src python tests/corpus.py --write   # rewrite the digest file
@@ -71,6 +73,7 @@ RECIPE_KINDS = ("grid-plus-roots", "random-attachment")
 RECIPE_SIZES = {1: (8, 1), 2: (13, 2), 3: (28, 3)}  # k -> (n, g)
 SEEDS = range(8)
 COARSE_SIDES = (3, 4, 5, 7, 8)
+SCALE_SIZES = {36: (4, 3)}  # n -> (g, k) of the full-run cases at seed 7, degree k + 1
 
 # the cases tier-1 runs: every kind, root count, break mode and coarse side once
 SUBSET = (
@@ -95,6 +98,7 @@ def case_ids() -> list[str]:
             for seed in SEEDS:
                 ids += [f"{kind}/k{k}/s{seed}"] + [f"{kind}/k{k}/s{seed}/{m}" for m in BREAK_MODES]
     ids += [f"coarse/{n}/{corner}" for n in COARSE_SIDES for corner in CORNERS]
+    ids += [f"{kind}/n{n}/s7" for kind in RECIPE_KINDS for n in SCALE_SIZES]
     return ids
 
 
@@ -102,8 +106,11 @@ def build(case: str) -> ExtractionProblem:
     parts = case.split("/")
     if parts[0] == "coarse":
         return coarse_problem(int(parts[1]), parts[2])
-    k, seed = int(parts[1][1:]), int(parts[2][1:])
-    n, g = RECIPE_SIZES[k]
+    size, seed = int(parts[1][1:]), int(parts[2][1:])
+    if parts[1][0] == "n":
+        n, (g, k) = size, SCALE_SIZES[size]
+    else:
+        k, (n, g) = size, RECIPE_SIZES[size]
     problem = generate_instance(InstanceRecipe(parts[0], n, g, k, seed, k + 1))
     return problem if len(parts) == 3 else break_instance(problem, parts[3], seed)
 
@@ -183,16 +190,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, case in enumerate(ids):
             got[case] = run_case(case, Path(tmp) / str(i))
-            if not args.write and got[case] != expected.get(case):
-                bad.append(case)
+            want = expected.get(case, {})
+            if not args.write and got[case] != want:
+                bad.append((case, sorted(name for name in got[case] | want
+                                         if got[case].get(name) != want.get(name))))
     elapsed = time.perf_counter() - t0
     if args.write:
         DIGEST_FILE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(got)} cases to {DIGEST_FILE} in {elapsed:.1f} s")
         return 0
     missing = sorted(set(expected) - set(got))
-    for case in bad:
-        print(f"differs: {case}", file=sys.stderr)
+    for case, names in bad:
+        print(f"differs: {case} ({', '.join(names)})", file=sys.stderr)
     for case in missing:
         print(f"not generated: {case}", file=sys.stderr)
     print(f"{len(ids) - len(bad)} of {len(ids)} cases match ({elapsed:.1f} s)")

@@ -31,11 +31,14 @@ from gridroots import (
     validate_model,
     validate_problem,
 )
+from gridroots import extraction
 from gridroots.extraction import _full_rows, _pattern_boundary
-from gridroots.graph import boundary, subgraph_components
+from gridroots.graph import WorkingGraph, boundary, subgraph_components
 from gridroots.grid import grid_edge_id
 from gridroots.models import validate_pseudomodel
 from gridroots.validation import ValidationReport
+
+import corpus
 
 
 def test_validate_problem_parameter_codes():
@@ -398,6 +401,29 @@ def test_trace_measures_strictly_decrease():
     measures = [t["measure"] for t in result.trace if "measure" in t]
     assert all(a > b for a, b in zip(measures, measures[1:]))
     assert measures[0] < problem.host.measure
+
+
+def test_one_working_graph_per_extract(monkeypatch):
+    """A run copies its host into one working graph, which every recursion
+    level edits in place; every other working graph is the one ``menger``
+    wraps its fresh graph in (the A side of a splice, or g*)."""
+    problem = corpus.build("random-attachment/k2/s4")
+    counts = Counter()
+    build, search = WorkingGraph.__init__, extraction.menger
+
+    def counted_build(self, g):
+        counts["working"] += 1
+        build(self, g)
+
+    def counted_search(*args, **kwargs):
+        counts["menger"] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(WorkingGraph, "__init__", counted_build)
+    monkeypatch.setattr(extraction, "menger", counted_search)
+    result = extract(problem)
+    assert sum(t["kind"] == "separation-recursion" for t in result.trace) == 2
+    assert counts["working"] == 1 + counts["menger"]
 
 
 def test_replay_reproduces_result():

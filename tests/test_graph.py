@@ -1,6 +1,5 @@
 """Multigraph core and subgraph algebra."""
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from gridroots import (
     subgraph_is_connected,
 )
 from gridroots.graph import WorkingGraph
+from gridroots.separations import _split_sides
 
 
 def triangle():
@@ -62,11 +62,10 @@ def test_working_graph_reads_like_its_graph():
     w = WorkingGraph(g)
     assert w.vertices == g.vertices
     assert set(w.edge_ids) == g.edge_ids
-    assert list(w.edges()) == list(g.edges())
+    assert list(w.freeze().edges()) == list(g.edges())
     assert all(w.incident_edges(v) == set(g.incident_edges(v)) for v in g.vertices)
     assert (w.num_vertices, w.measure) == (g.num_vertices, g.measure)
     assert w.freeze() == g
-    assert g.freeze() is g
 
 
 def test_working_graph_delete_edge():
@@ -194,7 +193,7 @@ def test_contraction_shrinks_measure_by_two(g):
     w = WorkingGraph(g)
     rename = {v: v for v in g.vertices}
     for _ in range(3):
-        non_loops = [e for e, u, v in w.edges() if u != v]
+        non_loops = [e for e, u, v in w.freeze().edges() if u != v]
         if not non_loops:
             break
         before = w.measure
@@ -212,19 +211,44 @@ def test_contraction_shrinks_measure_by_two(g):
 
 
 def adjacency(w):
-    """``w.around`` in vertex ids: live vertices only, the self key dropped."""
+    """``w.around`` in vertex ids, live vertices only: each neighbour (the
+    vertex itself included) -> the set of ids of the edges joining them."""
     order = w.order
     return {
-        order[i]: {order[j]: c for j, c in near.items() if j != i}
+        order[i]: {order[j]: set(edges) for j, edges in near.items()}
         for i, near in enumerate(w.around)
         if order[i] in w.vertices
     }
 
 
+def check_adjacency(w):
+    """``w`` against a fresh build of its frozen graph, and that build against
+    the frozen graph's edges; returns the frozen graph."""
+    h = w.freeze()
+    fresh = WorkingGraph(h)
+    joining = {x: {x: set()} for x in h.vertices}
+    for e, a, b in h.edges():
+        joining[a].setdefault(b, set()).add(e)
+        joining[b].setdefault(a, set()).add(e)
+    assert adjacency(fresh) == joining
+    assert fresh.order == sorted(h.vertices)
+    for i, near in enumerate(fresh.around):
+        assert list(near) == sorted(near)
+        assert all(list(edges) == sorted(edges) for edges in near.values())
+    assert adjacency(w) == adjacency(fresh)
+    for i, near in enumerate(w.around):
+        assert all(near[j] is w.around[j][i] for j in near)
+    assert all(w.incident_edges(x) == set(h.incident_edges(x)) for x in h.vertices)
+    assert all(w.endpoints(e) == h.endpoints(e) for e in h.edge_ids)
+    return h
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_edited_adjacency_equals_a_fresh_build(seed):
-    """Deletions and contractions keep the neighbour counts a fresh build of
-    the frozen graph gives, and the incidence agrees with that graph."""
+    """Deletions and contractions keep the adjacency a fresh build of the
+    frozen graph gives, with one edge tuple per pair of neighbours, and so
+    does cutting the graph down to one side of a separation, as an
+    extraction level does before it recurses, and editing on after."""
     rng = random.Random(f"working-adjacency:{seed}")
     verts = rng.sample(range(1, 60), rng.randint(1, 12))
     edges = []
@@ -236,20 +260,21 @@ def test_edited_adjacency_equals_a_fresh_build(seed):
         _, u, v = rng.choice(edges)
         edges.append((eid, u, v))
     w = WorkingGraph(Graph(verts, edges))
-    while True:
-        h = w.freeze()
-        fresh = WorkingGraph(h)
-        counts = {x: Counter() for x in h.vertices}
-        for _e, a, b in h.edges():
-            if a != b:
-                counts[a][b] += 1
-                counts[b][a] += 1
-        assert adjacency(fresh) == {x: dict(c) for x, c in counts.items()}
-        assert fresh.order == sorted(h.vertices)
-        assert all(list(near) == sorted(near) and near[i] == 0 for i, near in enumerate(fresh.around))
-        assert adjacency(w) == adjacency(fresh)
-        assert all(w.incident_edges(x) == set(h.incident_edges(x)) for x in h.vertices)
-        assert all(w.endpoints(e) == h.endpoints(e) for e in h.edge_ids)
+    cut_at = rng.randint(0, len(edges))  # edits before the cut
+    for step in range(len(edges) + 1):
+        check_adjacency(w)
+        if step == cut_at:
+            cut = {x for x in w.vertices if rng.random() < 0.3}
+            a_only = set()
+            for x in sorted(w.vertices - cut):
+                if x not in a_only and rng.random() < 0.5:
+                    a_only |= reachable_from(w, [x], cut)
+            va, ea, vb, eb = _split_sides(w, frozenset(cut), a_only)
+            for e in ea:
+                w.delete_edge(e)
+            w.vertices -= va - vb
+            h = check_adjacency(w)
+            assert (h.vertices, h.edge_ids) == (vb, eb)
         if not w.edge_ids:
             break
         eid = rng.choice(sorted(w.edge_ids))
