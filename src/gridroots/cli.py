@@ -196,11 +196,7 @@ def _cmd_check_tangle(args) -> int:
     if args.order < 1:
         raise MalformedInput(f"tangle order must be at least 1, got --order {args.order}")
     host = _load_graph(args.graph)
-    budget = EnumerationBudget(
-        max_vertices=max(10, host.num_vertices),
-        max_order=max(3, args.order - 1),
-    )
-    seps = enumerate_separations(host, args.order - 1, budget)
+    seps = enumerate_separations(host, args.order - 1)  # the default budget
     if args.grid_model:
         model, _ = _load_model(args.grid_model, host)
         try:
@@ -209,7 +205,7 @@ def _cmd_check_tangle(args) -> int:
             raise MalformedInput(f"grid model cannot orient the separations: {exc}")
         tangles = [Tangle(host, args.order, members)]
     else:
-        tangles = enumerate_tangles(host, args.order, budget)
+        tangles = enumerate_tangles(host, args.order)
     reports = [check_tangle_axioms(t, seps) for t in tangles]
     ok = all(r.ok for r in reports)
     _print({
@@ -223,14 +219,8 @@ def _cmd_check_tangle(args) -> int:
 
 def _cmd_oracle(args) -> int:
     host = _load_graph(args.graph)
-    budget = EnumerationBudget(
-        max_vertices=max(10, host.num_vertices),
-        max_order=max(3, getattr(args, "max_order", 0) or 0,
-                      (getattr(args, "order", 0) or 1) - 1),
-        max_pattern_side=max(3, getattr(args, "side", 0) or 0),
-    )
     if args.oracle_kind == "separations":
-        seps = enumerate_separations(host, args.max_order, budget)
+        seps = enumerate_separations(host, args.max_order)  # the default budget
         doc = {"count": len(seps)}
         if args.list:
             doc["separations"] = [formats.separation_to_dict(s) for s in seps]
@@ -239,7 +229,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_kind == "tangles":
         if args.order < 1:
             raise MalformedInput(f"tangle order must be at least 1, got --order {args.order}")
-        tangles = enumerate_tangles(host, args.order, budget)
+        tangles = enumerate_tangles(host, args.order)  # the default budget
         doc = {"count": len(tangles)}
         if args.list:
             doc["tangles"] = [
@@ -250,6 +240,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_kind == "grid-model":
         if args.side < 1:
             raise MalformedInput(f"grid side must be at least 1, got --side {args.side}")
+        budget = EnumerationBudget(max_pattern_side=args.side)  # hosts of 12 vertices at most
         model = brute_force_grid_model(host, args.side, budget)
         if model is None:
             _print({"found": False})
@@ -262,6 +253,7 @@ def _cmd_oracle(args) -> int:
     problem = ExtractionProblem(host, roots, model, n, args.g, args.k)
     result = extract(problem)
     max_order = args.max_order if args.max_order is not None else args.g - 1
+    budget = EnumerationBudget(max_vertices=max(10, host.num_vertices))  # the whole host
     seps = enumerate_separations(host, max_order, budget)
     report = verify_output_row_property(result, seps, args.g)
     _print({"separations": len(seps), **report.as_dict()})

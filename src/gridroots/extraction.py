@@ -31,11 +31,12 @@ deletions, contractions and the frames of enclosing recursions the same
 way, and both are built once, in the caller's original graph.  A
 blocker's sides stay id sets ``(VA, EA, VB, EB)`` through the trace
 record, the subproblem and the certificate's lifting, and the splice and
-band steps graft their k paths onto id-set branches with one helper.  A
-``Graph`` is built from the working graph only where ``menger`` needs
-one: the A side the splice paths run in, and g*, the band step's graph.
-No ``Subgraph``, ``Separation`` or ``Pseudomodel`` is made inside the
-loop.
+band steps graft their k paths onto id-set branches with one helper.
+A level's pattern is id sets too, a ``Subgraph`` of the input pattern.
+The splice's A side and g*, the band step's graph, are cut out of the
+working graph as fresh working graphs for the path search.  No
+``Graph``, ``Separation`` or ``Pseudomodel`` is made inside the loop; a
+run builds two graphs, the g x g grids of the witness and its check.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from .grid import (
     choose_band,
     first_off_grid_edge,
     grid_edge_id,
+    grid_edges_among,
     grid_graph,
     row_vertices,
     vertex_id,
@@ -67,9 +69,9 @@ from .models import (
 from .separations import (
     Separation,
     _RowScanner,
+    _route,
     _separation_from_sides,
     find_row_blocking_separation,
-    menger,
 )
 from .validation import ValidationReport
 
@@ -159,19 +161,26 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
     return report
 
 
-def _pattern_boundary(n: int, pattern: Graph) -> frozenset[int]:
+def _pattern_boundary(n: int, pattern: Graph | Subgraph) -> frozenset[int]:
     """Pattern vertices at which some edge of the n x n grid is missing from the pattern.
 
     This is ``boundary(grid_graph(n), pattern)`` for a pattern whose
-    edges are grid edges with their grid ids, read from coordinates: the
-    pattern edges at a vertex are some of its grid edges, so one is
-    missing exactly when they are fewer than the vertex's grid degree.
+    edges are grid edges with their grid ids: the ids of a vertex's
+    right, left, down and up grid edges, by ``grid_edges_among``'s
+    arithmetic, are looked up in the pattern's edge ids.
     """
+    edges, width, last = pattern.edge_ids, 2 * n - 1, n - 1
+    if len(pattern.vertices) == n * n and len(edges) == 2 * n * last:
+        return frozenset()  # the whole grid, every edge present
     out = []
     for pv in pattern.vertices:
         i, j = divmod(pv - 1, n)  # 0-based row and column
-        degree = (i > 0) + (i < n - 1) + (j > 0) + (j < n - 1)
-        if len(pattern.incident_edges(pv)) < degree:
+        at = i * width + (2 * j if i < last else j)  # the ids before pv's right edge
+        down = at + (2 if j < last else 1)  # pv's down edge, or the up edge's offset
+        if ((j < last and at + 1 not in edges)
+                or (j > 0 and at - (i < last) not in edges)
+                or (i < last and down not in edges)
+                or (i > 0 and down - width + (j if i == last else 0) not in edges)):
             out.append(pv)
     return frozenset(out)
 
@@ -189,12 +198,7 @@ def _json_rows(problems: ValidationReport) -> list[str]:
 # step; a contraction's survivor is u.
 
 
-def _side_graph(g: WorkingGraph, vertices: Iterable[int], edges: Iterable[int]) -> Graph:
-    """The graph on ``vertices`` with the edges of g whose ids are ``edges``."""
-    return Graph(vertices, [(e, *g.endpoints(e)) for e in edges])
-
-
-def _full_rows(n: int, pattern: Graph) -> list[tuple[int, ...]]:
+def _full_rows(n: int, pattern: Graph | Subgraph) -> list[tuple[int, ...]]:
     """The rows of the n x n grid all of whose vertices are in the pattern, top to bottom.
 
     Row i is ``row_vertices(n, i)``, the ids (i-1)n+1 to in.  The walk
@@ -294,24 +298,26 @@ def _apply_edge_reduction(
     return ("delete", eid, u, v)
 
 
-def _derive_subproblem(pattern: Graph, branches: dict, images: dict[int, int], sides: tuple):
+def _derive_subproblem(pattern: Subgraph, branches: dict, images: dict[int, int], sides: tuple):
     """Shrink the pattern, branches and images into the B side of a reducible separation.
 
     The pattern keeps the vertices whose branches still meet B, and the
     edges all of whose other-side escape is impossible (some end's
-    branch lies entirely outside A).
+    branch lies entirely outside A).  It stays a subgraph of the input
+    pattern, whose endpoints it reads.
     """
     a_verts, _a_edges, b_verts, b_edges = sides
     keep_vertices = [pv for pv in sorted(pattern.vertices) if branches[pv][0] & b_verts]
     kept = set(keep_vertices)
+    ends = pattern.host.endpoints
     keep_edges = []
     for e in sorted(pattern.edge_ids):
-        x, y = pattern.endpoints(e)
+        x, y = ends(e)
         if x not in kept or y not in kept:
             continue
         if not branches[x][0] & a_verts or not branches[y][0] & a_verts:
             keep_edges.append(e)
-    sub_pattern = Graph(keep_vertices, [(e, *pattern.endpoints(e)) for e in keep_edges])
+    sub_pattern = Subgraph._unchecked(pattern.host, kept, keep_edges)
     sub_branches = {
         pv: (branches[pv][0] & b_verts, branches[pv][1] & b_edges) for pv in keep_vertices
     }
@@ -404,7 +410,7 @@ class _Pinched(Exception):
 
 
 def _graft_paths(
-    host: Graph,
+    host: WorkingGraph,
     branches: dict,
     terminals: frozenset[int],
     paths: Sequence[Sequence[int]],
@@ -447,7 +453,7 @@ def _graft_paths(
 
 def _saturated_state(
     roots: set[int],
-    pattern: Graph,
+    pattern: Subgraph,
     branches: dict,
     n: int,
     g: int,
@@ -488,20 +494,10 @@ def _saturated_state(
                 f"window branch of {pv} is not a singleton",
                 payload={"branch": sorted(branches[pv][0])},
             )
-    lo_i, hi_i = atlas.window_rows()[0], atlas.window_rows()[-1]
-    lo_j, hi_j = atlas.window_columns()[0], atlas.window_columns()[-1]
     pattern_edges = pattern.edge_ids
-    for i in range(lo_i, hi_i + 1):
-        for j in range(lo_j, hi_j + 1):
-            pv = vertex_id(n, i, j)
-            for other in ((i, j + 1), (i + 1, j)):
-                if other[0] > hi_i or other[1] > hi_j:
-                    continue
-                eid = grid_edge_id(n, pv, vertex_id(n, *other))
-                if eid not in pattern_edges:
-                    raise InternalInvariantBroken(
-                        f"window edge {eid} is missing from the pattern"
-                    )
+    missing = [e for e, _u, _v in grid_edges_among(n, window) if e not in pattern_edges]
+    if missing:
+        raise InternalInvariantBroken(f"window edge {min(missing)} is missing from the pattern")
     return atlas, z_prime
 
 
@@ -510,24 +506,12 @@ def _window_base(
 ) -> tuple[dict[int, int], dict]:
     """The small grid's edge images and the base witness branch sets, read off the window."""
     labeling = GridLabeling(n, atlas.i0, atlas.j0, g)
-    small = grid_graph(g)
-    base = {
-        labeling.small_vertex(a, b): branches[labeling.big_vertex(a, b)]
-        for a in range(1, g + 1)
-        for b in range(1, g + 1)
+    big = {labeling.small_vertex(a, b): labeling.big_vertex(a, b)
+           for a in range(1, g + 1) for b in range(1, g + 1)}
+    small_images = {
+        e: images[grid_edge_id(n, big[a], big[b])] for e, a, b in grid_edges_among(g, big)
     }
-    small_images = {}
-    for e in sorted(small.edge_ids):
-        su, sv = small.endpoints(e)
-        ai, aj = divmod(su - 1, g)
-        bi, bj = divmod(sv - 1, g)
-        big_e = grid_edge_id(
-            n,
-            labeling.big_vertex(ai + 1, aj + 1),
-            labeling.big_vertex(bi + 1, bj + 1),
-        )
-        small_images[e] = images[big_e]
-    return small_images, base
+    return small_images, {sv: branches[bv] for sv, bv in big.items()}
 
 
 class _Runner:
@@ -548,10 +532,11 @@ class _Runner:
     def start(self, problem: ExtractionProblem):
         """Run from depth 0; a certificate is built in the problem's host."""
         model = problem.model
+        pattern = Subgraph._unchecked(model.pattern, model.pattern.vertices, model.pattern.edge_ids)
         branches = {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
         work = WorkingGraph(problem.host)
         try:
-            return self.run(work, problem.roots, model.pattern, branches, model.edge_images, 0)
+            return self.run(work, problem.roots, pattern, branches, model.edge_images, 0)
         except _Pinched as exc:
             separation = _separation_from_sides(problem.host, exc.sides)
             raise HypothesisViolated(separation, exc.row, exc.depth) from None
@@ -560,7 +545,7 @@ class _Runner:
         self,
         work: WorkingGraph,
         roots: frozenset[int],
-        pattern: Graph,
+        pattern: Subgraph,
         branches: dict,
         images: dict[int, int],
         depth: int,
@@ -569,8 +554,9 @@ class _Runner:
 
         The level's row scanner and reduction picker read ``work`` and are
         fed every journal entry instead of being rebuilt.  At a reducible
-        blocker the level keeps its A side as a ``Graph`` for the splice,
-        deletes it from ``work`` and recurses into the B side left.
+        blocker the level copies its A side out of ``work`` for the splice
+        (the one thing it keeps across the recursion), deletes it from
+        ``work`` and recurses into the B side left.
         Returns the atlas, the small grid's edge images and the base and
         augmented witness branch sets, unwound into ``work`` as it began.
         """
@@ -605,7 +591,7 @@ class _Runner:
                 # this level scans no more: only the innermost level's row
                 # states need to stay alive during the recursion
                 del scanner, picker
-                a_side = _side_graph(work, va, ea)
+                a_side = work.induced(va)  # EA is all edges among VA: every B edge has a B-only end
                 for e in ea:
                     work.delete_edge(e)
                 work.vertices -= va - vb
@@ -618,7 +604,7 @@ class _Runner:
                     framed = _lift_certificate_through_frame(exc.sides, sides)
                     exc.sides = _lift_certificate_through_journal(framed, journal, k)
                     raise
-                splice = menger(a_side, roots, separator, k)
+                splice = _route(a_side, roots, separator, k)
                 if not splice.found_paths:
                     raise InternalInvariantBroken(
                         "the guaranteed root splice paths do not exist",
@@ -660,12 +646,9 @@ class _Runner:
         })
         stub = atlas.root_segment()
         removed = set().union(*(branches[pv][0] for pv in atlas.central_vertices() - set(stub)))
-        g_star = _side_graph(
-            work, work.vertices - removed,
-            [e for e in work.edge_ids if removed.isdisjoint(work.endpoints(e))],
-        )
+        g_star = work.induced(work.vertices - removed)
         targets = frozenset(next(iter(branches[pv][0])) for pv in stub)
-        search = menger(g_star, roots, targets, k)
+        search = _route(g_star, roots, targets, k)
         if not search.found_paths:
             raise InternalInvariantBroken(
                 "the final disjoint-paths search returned a cut",

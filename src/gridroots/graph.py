@@ -7,8 +7,9 @@ so they are first class rather than an error.
 
 A :class:`WorkingGraph` is the one mutable exception: the one copy of
 its host that an extraction run deletes and contracts edges in, one at
-a time, at every recursion level.  Its one adjacency is numbered, and
-the flow engine reads it as it is.
+a time, at every recursion level, and the fresh parts the run cuts out
+of it for its path searches.  Its one adjacency is numbered, and the
+flow engine reads it as it is.
 
 A :class:`Subgraph` is an incidence-closed selection of vertices and
 edge ids from a fixed host graph.  The null subgraph (no vertices, no
@@ -17,7 +18,8 @@ edges) is legal; branch maps use it as the "nothing left" value.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 
 class Graph:
@@ -85,6 +87,11 @@ class Graph:
     @property
     def edge_ids(self) -> frozenset[int]:
         return frozenset(self._edges)
+
+    @property
+    def edge_map(self) -> Mapping[int, tuple[int, int]]:
+        """Edge id -> ``(u, v)`` with u <= v, as a read-only view."""
+        return MappingProxyType(self._edges)
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(eid, u, v)`` triples in ascending edge id order."""
@@ -213,16 +220,36 @@ class WorkingGraph:
     The loops at i sit under the self key, always present; any other
     key goes with its edges.  A fresh build's keys and tuples ascend;
     edits may reorder them.  A vertex that leaves keeps its index, so
-    every recursion level shares the first one's numbering.
+    every recursion level shares the first one's numbering.  One builder
+    fills the adjacency, from a ``Graph`` or, for ``induced``, from part
+    of another working graph, so both give the same numbering, key order
+    and tuples.
     """
 
     __slots__ = ("vertices", "_edges", "order", "index", "around")
 
     def __init__(self, g: Graph):
-        edges = g._edges
-        self.vertices = set(g.vertices)
-        self._edges = dict(edges)
-        self.order = order = sorted(g.vertices)
+        self._fill(g._incidence, dict(g._edges))
+
+    def induced(self, vertices: Iterable[int]) -> "WorkingGraph":
+        """A fresh working graph of ``vertices`` and the edges among them, as
+        ``WorkingGraph(Graph(...))`` of that part builds it, without the Graph."""
+        index, order, around = self.index, self.order, self.around
+        keep = {index[v] for v in vertices}
+        incident = {
+            order[i]: sorted(e for j, joining in around[i].items() if j in keep for e in joining)
+            for i in keep
+        }
+        part = object.__new__(WorkingGraph)
+        part._fill(incident, {e: self._edges[e] for mine in incident.values() for e in mine})
+        return part
+
+    def _fill(self, incident: Mapping[int, Iterable[int]], edges: dict) -> None:
+        """Number the vertices, the keys of ``incident``, in ascending order and
+        build ``around`` from each one's incident edge ids, ascending."""
+        self.vertices = set(incident)
+        self._edges = edges
+        self.order = order = sorted(incident)
         self.index = index = {v: i for i, v in enumerate(order)}
         self.around = around = [{} for _ in order]
         # key a enters every map while vertex a is read, so keys ascend;
@@ -230,7 +257,7 @@ class WorkingGraph:
         for a, v in enumerate(order):
             mine = around[a]
             mine[a] = ()
-            for eid in g._incidence[v]:
+            for eid in incident[v]:
                 x, y = edges[eid]
                 b = index[y if x == v else x]
                 if b < a:

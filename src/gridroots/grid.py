@@ -87,32 +87,19 @@ def grid_edges_among(n: int, vertices) -> list[tuple[int, int, int]]:
 
 
 def first_off_grid_edge(n: int, pattern) -> int | None:
-    """The least edge id of the graph ``pattern`` whose ends are not the n x n
-    grid's edge with that id; None when every edge matches.
+    """The least edge id of the graph ``pattern`` (on n x n grid vertex ids)
+    whose ends are not the grid's edge with that id; None when every edge
+    matches.
 
-    The inverse of :func:`grid_edge_id`, by arithmetic on each id: every
-    row of cells but the last emits 2n - 1 ids, a right then a down edge
-    per cell except the last cell, which has only its down edge; the
-    last row emits its n - 1 right edges.  A loop or a non-adjacent pair
-    matches no id.
+    The pattern's edge map is compared with :func:`grid_edges_among`'s
+    edges among its vertices, so the grid is numbered in one place.  A
+    loop or a non-adjacent pair matches no id.
     """
-    if n < 1:
-        return min(pattern.edge_ids, default=None)
-    width, top = 2 * n - 1, 2 * n * (n - 1)
-    ends = pattern.endpoints
-    for e in sorted(pattern.edge_ids):
-        if not 1 <= e <= top:
-            return e
-        i, r = divmod(e - 1, width)
-        if i == n - 1:  # the last row: right edges only
-            a = i * n + r + 1
-            b = a + 1
-        else:
-            a = i * n + r // 2 + 1
-            b = a + 1 if r % 2 == 0 and r < width - 1 else a + n
-        if ends(e) != (a, b):
-            return e
-    return None
+    grid = {e: (u, v) for e, u, v in grid_edges_among(n, pattern.vertices)}
+    edges = pattern.edge_map.items()
+    if edges <= grid.items():
+        return None
+    return min(e for e, ends in edges if grid.get(e) != ends)
 
 
 def row_vertices(n: int, i: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Graph, Subgraph, subgraph_is_connected
+from .graph import Graph, Subgraph, WorkingGraph, subgraph_is_connected
 from .grid import grid_graph, vertex_id
 from .validation import ValidationReport
 
@@ -242,7 +242,7 @@ class AugmentationWitness:
     labeling: GridLabeling
 
 
-def _path_edges(host: Graph, path: Sequence[int]) -> list[int]:
+def _path_edges(host: Graph | WorkingGraph, path: Sequence[int]) -> list[int]:
     """The least-id non-loop host edge joining each two consecutive path vertices.
 
     Raises KeyError with the step ``(a, b)`` when no such edge joins them.

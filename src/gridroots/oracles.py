@@ -33,13 +33,6 @@ class EnumerationBudget:
             raise ValueError("budget limits must be positive")
 
 
-def _check_vertex_budget(g: Graph, budget: EnumerationBudget, what: str) -> None:
-    if g.num_vertices > budget.max_vertices:
-        raise BudgetExceeded(
-            f"{what}: {g.num_vertices} vertices exceeds the budget of {budget.max_vertices}"
-        )
-
-
 def enumerate_separations(
     g: Graph,
     max_order: int,
@@ -54,7 +47,9 @@ def enumerate_separations(
     order, deduplicated.
     """
     budget = budget or EnumerationBudget()
-    _check_vertex_budget(g, budget, "enumerate_separations")
+    if g.num_vertices > budget.max_vertices:
+        raise BudgetExceeded(f"enumerate_separations: {g.num_vertices} vertices exceeds the "
+                             f"budget of {budget.max_vertices}")
     if max_order > budget.max_order:
         raise BudgetExceeded(
             f"enumerate_separations: order {max_order} exceeds the budget of {budget.max_order}"

@@ -6,15 +6,17 @@ Tangles are explicit separation sets checked against the three tangle
 axioms at desk scale.  ``menger`` is a deterministic vertex-capacity
 max-flow: it returns either ``k`` vertex-disjoint source-target paths or
 a cut of fewer than ``k`` vertices together with the separation that cut
-induces.  It shares one flow engine with the row scan: the vertex-split
-network stays implicit, as arrays over the numbered adjacency of a
-``WorkingGraph``.  ``_RowScanner`` is the one row scan, behind
-``find_row_blocking_separation``, ``check_hypothesis`` (a strict scan)
-and the extraction loop, which keeps it across the edge deletions and
-contractions of one level: the working graph keeps its adjacency up to
-date, and the scanner re-checks only the rows a step can change.  A row
-it has no flow for starts from the last row's flow cut back at its
-image.
+induces: it checks its query, copies its graph once into a
+``WorkingGraph`` and runs ``_route``, the search the extraction loop
+runs on the working graphs it cuts out.  The flow engine is shared with
+the row scan: the vertex-split network stays implicit, as arrays over
+the numbered adjacency of a ``WorkingGraph``.  ``_RowScanner`` is the
+one row scan, behind ``find_row_blocking_separation``,
+``check_hypothesis`` (a strict scan) and the extraction loop, which
+keeps it across the edge deletions and contractions of one level: the
+working graph keeps its adjacency up to date, and the scanner re-checks
+only the rows a step can change.  A row it has no flow for starts from
+the last row's flow cut back at its image.
 """
 from __future__ import annotations
 
@@ -326,7 +328,8 @@ def menger(
     single-vertex path.  In the cut case the cut is the sink-side
     minimum cut, which is the same for every maximum flow, and the
     returned separation puts the cut plus everything reachable from the
-    sources on the A side.
+    sources on the A side.  The graph is copied once, into the working
+    graph the search reads and the cut's sides are split in.
     """
     src = frozenset(sources)
     tgt = frozenset(targets)
@@ -346,21 +349,31 @@ def menger(
         raise MalformedInput("bad menger query", problems)
 
     searched = g.remove_vertices(fbd) if fbd else g
-    net = _FlowNetwork(WorkingGraph(searched))
-    if net.max_flow(src, tgt, k) == k:
-        paths = tuple(_trim_path(p, src, tgt) for p in net.paths())
+    work = WorkingGraph(searched)
+    result = _route(work, src, tgt, k)
+    if result.found_paths:
+        return result
+    separation = _separation_from_sides(searched, _cut_sides(work, result.cut, src))
+    return CutResult(paths=None, cut=result.cut, separation=separation)
+
+
+def _route(g: WorkingGraph, sources: AbstractSet[int], targets: AbstractSet[int], k: int):
+    """``menger``'s search in a fresh working graph, unchecked: its paths,
+    or its cut with no separation."""
+    net = _FlowNetwork(g)
+    if net.max_flow(sources, targets, k) == k:
+        paths = tuple(_trim_path(p, sources, targets) for p in net.paths())
         return CutResult(paths=paths, cut=None, separation=None)
-    cut, _beyond = net.sink_cut([net.index[t] for t in tgt])
-    separation = _separation_from_sides(searched, _cut_sides(searched, cut, src))
-    return CutResult(paths=None, cut=cut, separation=separation)
+    cut, _beyond = net.sink_cut([net.index[t] for t in targets])
+    return CutResult(paths=None, cut=cut, separation=None)
 
 
-def _cut_sides(g: Graph | WorkingGraph, cut: frozenset[int], sources: AbstractSet[int]):
+def _cut_sides(g: WorkingGraph, cut: frozenset[int], sources: AbstractSet[int]):
     """The sides ``(VA, EA, VB, EB)`` a cut induces: A = cut plus the source-reachable part."""
     return _split_sides(g, cut, reachable_from(g, sorted(sources), cut))
 
 
-def _split_sides(g: Graph | WorkingGraph, cut: frozenset[int], a_only: AbstractSet[int]):
+def _split_sides(g: WorkingGraph, cut: frozenset[int], a_only: AbstractSet[int]):
     """Sides ``(VA, EA, VB, EB)`` as id sets, A = cut plus ``a_only``, B = cut plus the rest.
 
     ``a_only`` must be a union of components of g minus the cut, so no
@@ -406,11 +419,11 @@ def blocking_separation(
     target go to the B side; edges inside the cut go to A.  This makes
     B as small as possible, which is what the reducibility test needs.
     """
-    return _separation_from_sides(g, _blocking_sides(g, cut, sources, targets))
+    return _separation_from_sides(g, _blocking_sides(WorkingGraph(g), cut, sources, targets))
 
 
 def _blocking_sides(
-    g: Graph | WorkingGraph,
+    g: WorkingGraph,
     cut: frozenset[int],
     sources: frozenset[int],
     targets: frozenset[int],
@@ -446,7 +459,7 @@ class _Blocker:
     cut: frozenset[int]
     image: frozenset[int]
 
-    def sides(self, g: Graph | WorkingGraph, roots: Iterable[int]):
+    def sides(self, g: WorkingGraph, roots: Iterable[int]):
         """The blocker's sides ``(VA, EA, VB, EB)`` as id sets: the cut's (as
         ``menger`` splits) when strict, else ``blocking_separation``'s."""
         if self.kind == "strict":
@@ -850,11 +863,12 @@ def find_row_blocking_separation(
         problems.append("roots must be vertices of the graph")
     if problems:
         raise MalformedInput("bad row scan", problems)
-    scanner = _RowScanner(WorkingGraph(g), _branch_vertices(p), rows, max_order)
+    work = WorkingGraph(g)
+    scanner = _RowScanner(work, _branch_vertices(p), rows, max_order)
     block = scanner.scan(root_set, strict_only)
     if block is None:
         return None
-    return RowBlock(_separation_from_sides(g, block.sides(g, root_set)), block.row, block.kind)
+    return RowBlock(_separation_from_sides(g, block.sides(work, root_set)), block.row, block.kind)
 
 
 def check_tangle_axioms(t: Tangle, all_separations: Sequence[Separation]) -> ValidationReport:

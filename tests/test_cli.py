@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,7 @@ def test_extract_writes_failure_json_on_a_broken_invariant(tmp_path, capsys, mon
 
     # two recursions, then the innermost band step's disjoint-paths search fails
     paths = write_instance(grid_plus_roots_problem(13, 2, 2, ((1, 3), (5, 7))), tmp_path / "inst")
-    monkeypatch.setattr(extraction, "menger", no_paths)
+    monkeypatch.setattr(extraction, "_route", no_paths)
     outdir = tmp_path / "run"
     code, out, err = run(
         capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
@@ -433,6 +434,23 @@ def test_oracle_separations_and_tangles(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "grid-model", "--graph", grid, "--side", 3)
     assert code == 0
     assert json.loads(out)["found"] is True
+
+
+@pytest.mark.parametrize("side,words", [
+    (12, ["check-tangle", "--order", 3]),
+    (3, ["oracle", "separations", "--max-order", 9]),
+])
+def test_oracle_budget_bounds_the_work(tmp_path, capsys, side, words):
+    """The default enumeration budget (10 vertices, order 3) turns a query
+    too large for brute force away at once."""
+    grid = tmp_path / "g.json"
+    run(capsys, "gen-grid", "--n", side, "--out", grid)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *words, "--graph", grid)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "failed"
 
 
 def test_oracle_row_property(tmp_path, capsys):

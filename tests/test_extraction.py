@@ -31,7 +31,6 @@ from gridroots import (
     validate_model,
     validate_problem,
 )
-from gridroots import extraction
 from gridroots.extraction import _full_rows, _pattern_boundary
 from gridroots.graph import WorkingGraph, boundary, subgraph_components
 from gridroots.grid import grid_edge_id
@@ -405,25 +404,53 @@ def test_trace_measures_strictly_decrease():
 
 def test_one_working_graph_per_extract(monkeypatch):
     """A run copies its host into one working graph, which every recursion
-    level edits in place; every other working graph is the one ``menger``
-    wraps its fresh graph in (the A side of a splice, or g*)."""
+    level edits in place; the graphs the splice and band paths run in (the
+    A side of a splice, and g*) are cut from it, one per flow call."""
     problem = corpus.build("random-attachment/k2/s4")
     counts = Counter()
-    build, search = WorkingGraph.__init__, extraction.menger
+    build, cut = WorkingGraph.__init__, WorkingGraph.induced
 
     def counted_build(self, g):
         counts["working"] += 1
         build(self, g)
 
-    def counted_search(*args, **kwargs):
-        counts["menger"] += 1
-        return search(*args, **kwargs)
+    def counted_cut(self, vertices):
+        counts["cut"] += 1
+        return cut(self, vertices)
 
     monkeypatch.setattr(WorkingGraph, "__init__", counted_build)
-    monkeypatch.setattr(extraction, "menger", counted_search)
+    monkeypatch.setattr(WorkingGraph, "induced", counted_cut)
     result = extract(problem)
-    assert sum(t["kind"] == "separation-recursion" for t in result.trace) == 2
-    assert counts["working"] == 1 + counts["menger"]
+    recursions = sum(t["kind"] == "separation-recursion" for t in result.trace)
+    assert recursions == 2
+    assert counts == {"working": 1, "cut": recursions + 1}
+
+
+@pytest.mark.parametrize("case,recursions", [
+    ("random-attachment/k2/s4", 2),
+    ("grid-plus-roots/n36/s7", 3),
+])
+def test_no_graph_built_inside_the_extraction_loop(monkeypatch, case, recursions):
+    """Whatever the recursion depth, an extract builds two ``Graph``s, the
+    g x g grids of ``_finish`` and ``check_augmentation``, and one working
+    graph from a ``Graph``, the problem's host."""
+    problem = corpus.build(case)
+    counts = Counter()
+    fill, build = Graph._fill, WorkingGraph.__init__
+
+    def counted_fill(self, *args):
+        counts["graph"] += 1
+        fill(self, *args)
+
+    def counted_build(self, g):
+        counts["working"] += 1
+        build(self, g)
+
+    monkeypatch.setattr(Graph, "_fill", counted_fill)
+    monkeypatch.setattr(WorkingGraph, "__init__", counted_build)
+    result = extract(problem)
+    assert sum(t["kind"] == "separation-recursion" for t in result.trace) == recursions
+    assert counts == {"graph": 2, "working": 1}
 
 
 def test_replay_reproduces_result():

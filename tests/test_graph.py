@@ -243,12 +243,22 @@ def check_adjacency(w):
     return h
 
 
+def numbered_alike(a, b):
+    """``a`` and ``b`` hold the same vertices and edge map, number them alike,
+    and list every neighbour map's keys and tuples in the same order."""
+    assert (a.vertices, a._edges) == (b.vertices, b._edges)
+    assert (a.order, list(a.index.items())) == (b.order, list(b.index.items()))
+    assert [list(near.items()) for near in a.around] == [list(near.items()) for near in b.around]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_edited_adjacency_equals_a_fresh_build(seed):
     """Deletions and contractions keep the adjacency a fresh build of the
     frozen graph gives, with one edge tuple per pair of neighbours, and so
     does cutting the graph down to one side of a separation, as an
-    extraction level does before it recurses, and editing on after."""
+    extraction level does before it recurses, and editing on after.  A
+    part copied out at any step (``induced``) is what a fresh build of that
+    part as a ``Graph`` gives, and stays so while the source is edited."""
     rng = random.Random(f"working-adjacency:{seed}")
     verts = rng.sample(range(1, 60), rng.randint(1, 12))
     edges = []
@@ -261,8 +271,17 @@ def test_edited_adjacency_equals_a_fresh_build(seed):
         edges.append((eid, u, v))
     w = WorkingGraph(Graph(verts, edges))
     cut_at = rng.randint(0, len(edges))  # edits before the cut
+    parts = random.Random(f"working-adjacency-parts:{seed}")  # leaves rng's edits as they were
+    copies = []  # (part copied out of w, a fresh build of that part)
     for step in range(len(edges) + 1):
         check_adjacency(w)
+        for copy, fresh in copies:
+            numbered_alike(copy, fresh)
+        if parts.random() < 0.3:
+            part = {x for x in w.vertices if parts.random() < 0.6}
+            inside = [(e, *w.endpoints(e)) for e in w.edge_ids if set(w.endpoints(e)) <= part]
+            copies.append((w.induced(part), WorkingGraph(Graph(part, inside))))
+            numbered_alike(*copies[-1])
         if step == cut_at:
             cut = {x for x in w.vertices if rng.random() < 0.3}
             a_only = set()
