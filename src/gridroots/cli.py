@@ -263,8 +263,20 @@ def _cmd_oracle(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are malformed input (exit 64).
+
+    argparse's own ``error`` prints the usage and exits 2, the code of a
+    refuted extraction; ``--help`` still exits 0.  Subcommand parsers
+    are built from this class too.
+    """
+
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}", [self.format_usage().strip()])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridroots",
         description="Rooted grid minors: generators, validators, and the extraction theorem.",
     )
@@ -359,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MalformedInput as exc:
         _print_err({

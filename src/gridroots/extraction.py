@@ -113,7 +113,13 @@ class HypothesisCheck:
 
 
 def validate_problem(problem: ExtractionProblem) -> ValidationReport:
-    """Check every extraction precondition, reporting all violations."""
+    """Check every extraction precondition, reporting all violations.
+
+    The pattern's vertex range is one ``min``/``max`` test, walked vertex
+    by vertex only to word the first bad one, and hypothesis (i) is read
+    only at the branches that can break it: those on the pattern's
+    boundary and those of more than one vertex.
+    """
     report = ValidationReport()
     n, g, k = problem.n, problem.g, problem.k
     if not 1 <= k <= g:
@@ -129,10 +135,12 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
         report.add("model-host", "model does not live in the problem host")
         return report
     pattern = problem.model.pattern
-    for pv in sorted(pattern.vertices):
-        if not 1 <= pv <= n * n:
-            report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
-            return report
+    vertices = pattern.vertices
+    if vertices and not (min(vertices) >= 1 and max(vertices) <= n * n):
+        for pv in sorted(vertices):
+            if not 1 <= pv <= n * n:
+                report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
+                return report
     pe = first_off_grid_edge(n, pattern)
     if pe is not None:
         report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
@@ -143,10 +151,12 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
     if not sub_report.ok:
         return report.merged(sub_report)
     # One vertex is one component, loops or not: only larger branches
-    # are split.
+    # are split, so a one-vertex branch off the boundary cannot break
+    # hypothesis (i).
     branches, roots = problem.model.branches, problem.roots
     bnd = _pattern_boundary(n, pattern)
-    for pv in sorted(pattern.vertices):
+    suspects = bnd.union([pv for pv, br in branches.items() if len(br.vertices) > 1])
+    for pv in sorted(suspects):
         branch = branches[pv]
         comps = (branch,) if len(branch.vertices) == 1 else subgraph_components(branch)
         if len(comps) == 1 and pv not in bnd:

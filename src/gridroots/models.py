@@ -14,6 +14,8 @@ everything else untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, Subgraph, WorkingGraph, subgraph_is_connected
@@ -74,6 +76,58 @@ def validate_pseudomodel(p: Pseudomodel) -> ValidationReport:
     ``branch-overlap``, ``edge-image-missing``, ``edge-image-unknown``,
     ``edge-image-absent``, ``edge-image-duplicate``,
     ``edge-image-in-branch``, ``edge-ends``.
+
+    A valid pseudomodel is accepted by :func:`_pseudomodel_holds`, a
+    few whole-collection checks that run inside built-in functions.
+    Only when one of them fails does the per-item pass,
+    :func:`_pseudomodel_findings`, run to word every finding.
+    """
+    if _pseudomodel_holds(p):
+        return ValidationReport()
+    return _pseudomodel_findings(p)
+
+
+_vertices_of, _edge_ids_of = attrgetter("vertices"), attrgetter("edge_ids")
+
+
+def _pseudomodel_holds(p: Pseudomodel) -> bool:
+    """True when ``p`` is a pseudomodel, checked in bulk.
+
+    Branch keys equal the pattern vertices and image keys the pattern
+    edge ids; no branch is empty; one owner map covers every branch
+    vertex, and the branch sizes sum to its length only when no two
+    branches overlap; the images are distinct host edges outside every
+    branch; and the owner pairs of the image ends, in pattern edge
+    order, equal the pattern ends.  Only a pair that differs is read
+    the other way round.  A rejection only sends the input to the
+    per-item pass, so a report is always that pass's.
+    """
+    pattern, branches, images = p.pattern, p.branches, p.edge_images
+    pattern_ends = pattern.edge_map
+    if branches.keys() != pattern.vertices or images.keys() != pattern_ends.keys():
+        return False
+    vertex_sets = list(map(_vertices_of, branches.values()))
+    if not all(vertex_sets):
+        return False
+    owner = {x: v for v, vs in zip(branches, vertex_sets) for x in vs}
+    if sum(map(len, vertex_sets)) != len(owner):
+        return False
+    host_ends = p.host.edge_map
+    image_ids = list(map(images.__getitem__, pattern_ends))
+    image_set = set(image_ids)
+    if (len(image_set) != len(image_ids) or not host_ends.keys() >= image_set
+            or not image_set.isdisjoint(chain.from_iterable(map(_edge_ids_of, branches.values())))):
+        return False
+    owner_get = owner.get
+    pairs = [(owner_get(x), owner_get(y)) for x, y in map(host_ends.__getitem__, image_ids)]
+    wanted = list(pattern_ends.values())
+    return pairs == wanted or all(
+        pair == ends or pair[::-1] == ends for pair, ends in zip(pairs, wanted)
+    )
+
+
+def _pseudomodel_findings(p: Pseudomodel) -> ValidationReport:
+    """Every pseudomodel violation, found item by item, in report order.
 
     The work is linear in the pattern, the edge images and the total
     branch size (plus the overlaps reported), and nothing compares

@@ -25,12 +25,14 @@ from gridroots import (
     identity_problem,
     image_of_vertices,
     AugmentationWitness,
+    BREAK_MODES,
     InstanceRecipe,
     replay,
     row_vertices,
     validate_model,
     validate_problem,
 )
+from gridroots import models
 from gridroots.extraction import _full_rows, _pattern_boundary
 from gridroots.graph import WorkingGraph, boundary, subgraph_components
 from gridroots.grid import grid_edge_id
@@ -424,6 +426,26 @@ def test_one_working_graph_per_extract(monkeypatch):
     recursions = sum(t["kind"] == "separation-recursion" for t in result.trace)
     assert recursions == 2
     assert counts == {"working": 1, "cut": recursions + 1}
+
+
+@pytest.mark.parametrize("mode", BREAK_MODES)
+def test_valid_models_never_enter_the_per_item_pass(monkeypatch, mode):
+    """A valid model is accepted by the bulk checks alone: with
+    ``validate_pseudomodel``'s per-item pass raising, a 36/4/3 certificates
+    instance (refuted at its first row) and a coarse instance still
+    extract, and their replays too."""
+    def entered(*_args):
+        raise AssertionError("the per-item pseudomodel pass ran on a valid model")
+
+    monkeypatch.setattr(models, "_pseudomodel_findings", entered)
+    broken = break_instance(corpus.build("grid-plus-roots/n36/s7"), mode, 7)
+    with pytest.raises(HypothesisViolated) as refuted:
+        extract(broken)
+    with pytest.raises(HypothesisViolated):
+        replay(broken, refuted.value.trace)
+    coarse = corpus.build("coarse/5/top-right")
+    result = extract(coarse)
+    assert replay(coarse, result.trace).atlas == result.atlas
 
 
 @pytest.mark.parametrize("case,recursions", [
