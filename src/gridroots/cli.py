@@ -247,12 +247,13 @@ def _cmd_oracle(args) -> int:
         else:
             _print({"found": True, "model": formats.model_to_dict(model, args.side)})
         return 0
-    # row-property: extract, then sweep all small separations over the output
+    # row-property: extract, then sweep the separations of order below g over
+    # the output (one of order g or more cannot break the property)
     roots = _load_vertex_set(args.roots)
     model, n = _load_model(args.model, host)
     problem = ExtractionProblem(host, roots, model, n, args.g, args.k)
     result = extract(problem)
-    max_order = args.max_order if args.max_order is not None else args.g - 1
+    max_order = args.g - 1 if args.max_order is None else min(args.max_order, args.g - 1)
     budget = EnumerationBudget(max_vertices=max(10, host.num_vertices))  # the whole host
     seps = enumerate_separations(host, max_order, budget)
     report = verify_output_row_property(result, seps, args.g)

@@ -41,8 +41,10 @@ run builds two graphs, the g x g grids of the witness and its check.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -174,23 +176,21 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
 def _pattern_boundary(n: int, pattern: Graph | Subgraph) -> frozenset[int]:
     """Pattern vertices at which some edge of the n x n grid is missing from the pattern.
 
-    This is ``boundary(grid_graph(n), pattern)`` for a pattern whose
-    edges are grid edges with their grid ids: the ids of a vertex's
-    right, left, down and up grid edges, by ``grid_edges_among``'s
-    arithmetic, are looked up in the pattern's edge ids.
+    This is ``boundary(grid_graph(n), pattern)`` for a pattern that
+    ``first_off_grid_edge`` passes: its edges are grid edges under their
+    own ids, so none is a loop and no two are parallel, and a vertex
+    lacks a grid edge exactly when it has fewer pattern edges than grid
+    edges.
     """
-    edges, width, last = pattern.edge_ids, 2 * n - 1, n - 1
+    edges, last = pattern.edge_ids, n - 1
     if len(pattern.vertices) == n * n and len(edges) == 2 * n * last:
         return frozenset()  # the whole grid, every edge present
+    ends = pattern.host.endpoints if isinstance(pattern, Subgraph) else pattern.endpoints
+    degree = Counter(chain.from_iterable(map(ends, edges)))
     out = []
     for pv in pattern.vertices:
         i, j = divmod(pv - 1, n)  # 0-based row and column
-        at = i * width + (2 * j if i < last else j)  # the ids before pv's right edge
-        down = at + (2 if j < last else 1)  # pv's down edge, or the up edge's offset
-        if ((j < last and at + 1 not in edges)
-                or (j > 0 and at - (i < last) not in edges)
-                or (i < last and down not in edges)
-                or (i > 0 and down - width + (j if i == last else 0) not in edges)):
+        if degree[pv] < (i > 0) + (i < last) + (j > 0) + (j < last):
             out.append(pv)
     return frozenset(out)
 
@@ -775,12 +775,12 @@ def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:
     host.
 
     This is one strict scan of a fresh row scanner
-    (``find_row_blocking_separation`` with ``strict_only``): rows are
-    checked top to bottom and a row holds once k disjoint paths reach
-    it.  The top and bottom rows are solved from scratch, and every row
-    between starts from the bottom row's flow cut back at its image: on
-    a grid-plus-roots host that flow's paths cross every row, so those
-    rows cost little more than building their image.
+    (``find_row_blocking_separation`` with ``strict_only``), which keeps
+    no row state: rows are checked top to bottom and a row holds once k
+    disjoint paths reach it.  The top and bottom rows are solved from
+    scratch, and every row between starts from the bottom row's flow cut
+    back at its image: on a grid-plus-roots host that flow's paths cross
+    every row, so those rows cost little more than building their image.
     """
     model = problem.model
     rows = _full_rows(problem.n, model.pattern)

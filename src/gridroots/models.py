@@ -314,63 +314,6 @@ def _path_edges(host: Graph | WorkingGraph, path: Sequence[int]) -> list[int]:
     return out
 
 
-def apply_augmentation(
-    base: Pseudomodel,
-    paths: Sequence[Sequence[int]],
-    roots: Iterable[int],
-    labeling: GridLabeling,
-) -> Pseudomodel:
-    """Graft root-to-grid paths onto the first-column branches.
-
-    ``paths[i]`` must start at a root, end at a vertex of the branch of
-    first-column vertex ``(i + 1, 1)``, touch that branch only at its
-    final vertex, avoid every other branch of ``base`` entirely, and be
-    vertex-disjoint from the other paths.  Length-0 paths (a root
-    already inside the branch) are legal.  Violations raise ValueError
-    with the offending path index.
-    """
-    root_set = frozenset(roots)
-    k = len(root_set)
-    if len(paths) != k:
-        raise ValueError(f"expected {k} paths, got {len(paths)}")
-    host = base.host
-    branch_vertices = {
-        v: base.branches[v].vertices for v in base.branches if v in base.pattern.vertices
-    }
-    seen: set[int] = set()
-    for i, path in enumerate(paths):
-        if not path:
-            raise ValueError(f"path {i} is empty")
-        if path[0] not in root_set:
-            raise ValueError(f"path {i} does not start at a root")
-        target_branch = labeling.small_vertex(i + 1, 1)
-        tv = branch_vertices[target_branch]
-        if path[-1] not in tv:
-            raise ValueError(f"path {i} does not end in the branch of column-1 vertex {i + 1}")
-        for v in path[:-1]:
-            for w, bv in branch_vertices.items():
-                if v in bv:
-                    raise ValueError(f"path {i} passes through branch {w} before its end")
-        overlap = set(path) & seen
-        if overlap:
-            raise ValueError(f"path {i} shares vertices {sorted(overlap)} with another path")
-        seen |= set(path)
-    branches = dict(base.branches)
-    for i, path in enumerate(paths):
-        key = labeling.small_vertex(i + 1, 1)
-        try:
-            extra_edges = _path_edges(host, path)
-        except KeyError as exc:
-            a, b = exc.args[0]
-            raise ValueError(f"path {i} uses a non-edge {a}~{b}") from None
-        branches[key] = Subgraph(
-            host,
-            branches[key].vertices | set(path),
-            branches[key].edge_ids | set(extra_edges),
-        )
-    return Pseudomodel(host, base.pattern, branches, dict(base.edge_images))
-
-
 def check_augmentation(w: AugmentationWitness) -> ValidationReport:
     """Verify every requirement the augmented model must satisfy.
 

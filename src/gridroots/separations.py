@@ -15,7 +15,7 @@ one row scan, behind ``find_row_blocking_separation``,
 ``check_hypothesis`` (a strict scan) and the extraction loop, which
 keeps it across the edge deletions and contractions of one level: the
 working graph keeps its adjacency up to date, and the scanner re-checks
-only the rows a step can change.  A row it has no flow for starts from
+only the rows a step can change.  A row it holds no proof for starts from
 the last row's flow cut back at its image.
 """
 from __future__ import annotations
@@ -481,12 +481,11 @@ def _has_edge_inside(g: WorkingGraph, cut: AbstractSet[int]) -> bool:
 
 
 def _cut_back(
-    ref: _RowState, starts: Sequence[int], marks: bytearray
+    prev: list[int], nxt: list[int], starts: Sequence[int], marks: bytearray
 ) -> tuple[list[int], list[int], int]:
-    """A row's flow with its paths cut back at the first vertex each meets in
-    ``marks``, the rest dropped: ``prev``, ``nxt`` and value of a valid flow
-    to the marked vertices.  ``starts`` are the sources' in-nodes."""
-    prev, nxt = ref.prev, ref.nxt
+    """The flow ``prev``, ``nxt`` with its paths cut back at the first vertex
+    each meets in ``marks``, the rest dropped: ``prev``, ``nxt`` and value of
+    a valid flow to the marked vertices.  ``starts`` are the sources' in-nodes."""
     nv = len(prev)
     new_prev, new_nxt = [_FREE] * nv, [_FREE] * nv
     value = 0
@@ -510,18 +509,19 @@ def _cut_back(
 
 
 class _RowState:
-    """One row's flow and, once it is proven no blocker, the proof.
+    """The proof that one row is no blocker.
 
-    ``prev``, ``nxt`` and ``value`` are a valid flow from the roots to
-    the row's image.  ``level`` is None, or the certificate
-    ``_FlowNetwork.sink_cut`` leaves for a flow of value k with the
-    roots' in-nodes the only nodes that miss the sink.
+    ``prev`` and ``nxt`` are a valid flow of value k from the roots to
+    the row's image, and ``level`` is the certificate
+    ``_FlowNetwork.sink_cut`` leaves for it, with the roots' in-nodes the
+    only nodes that miss the sink.  The scanner keeps a state only while
+    both hold.
     """
 
-    __slots__ = ("prev", "nxt", "value", "level")
+    __slots__ = ("prev", "nxt", "level")
 
-    def __init__(self, net: _FlowNetwork, level: list[int] | None):
-        self.prev, self.nxt, self.value, self.level = net.prev, net.nxt, net.value, level
+    def __init__(self, net: _FlowNetwork):
+        self.prev, self.nxt, self.level = net.prev, net.nxt, net.level
 
 
 class _RowScanner:
@@ -540,10 +540,10 @@ class _RowScanner:
     With |Z| = k roots (``max_order``) the flow never exceeds k units,
     and a row is no blocker exactly when its flow is k, every residual
     node except the roots' in-nodes reaches the sink, and no edge (a
-    loop included) lies inside Z.  For such a row the scanner keeps the
-    flow and a sink-reach certificate: levels under which every
-    out-node but a target's has a residual successor leading to a
-    strictly lower one (see ``sink_cut``).  Per entry and row:
+    loop included) lies inside Z.  For such a row the scanner keeps a
+    ``_RowState``: the flow and a sink-reach certificate, levels under
+    which every out-node but a target's has a residual successor leading
+    to a strictly lower one (see ``sink_cut``).  Per entry and row:
 
     - a loop or a parallel copy changes nothing;
     - deleting an edge the flow does not use leaves the flow maximum,
@@ -556,20 +556,20 @@ class _RowScanner:
       end, or through both one after the other, the survivor takes it
       over and the out-nodes whose successors now lead elsewhere are
       repaired as after a deletion;
-    - deleting an edge the flow uses cancels that path, and the row is
-      re-augmented from the rest of its flow at the next scan;
-    - anything else leaves the row to be evaluated afresh.
+    - anything else breaks the proof, and the state is dropped: the
+      deleted edge carries flow, a repair fails, or the contraction
+      moves a root, merges two units or changes the row's targets.
 
     An edge inside Z can only appear when a contraction moves a root,
-    which carries flow in every certified row, so certified rows need no
-    check for it.  A scan evaluates every uncertified row in full, which
+    which carries flow in every kept state, so kept rows need no check
+    for it.  A scan evaluates every row with no state in full, which
     gives the verdict a fresh scan gives; those evaluations count as
     ``cold``, and ``reused`` counts the rows a scan took from their
-    certificate.
+    state.
 
-    A row with no kept flow starts, once the first row holds, from the
-    last row's flow (solved right after the first row's, and kept) with
-    each path cut back where it first meets the row's image, and
+    A row with no state starts, once the first row holds, from the last
+    row's flow (its kept state's, or solved right after the first row)
+    with each path cut back where it first meets the row's image, and
     augments only the shortfall.  Any feasible start gives a maximum
     flow and the same cut; on a grid-like host the last row's paths
     cross every row, so most rows augment nothing.  While a malformed
@@ -610,22 +610,22 @@ class _RowScanner:
         keep = len(roots) == k and not strict_only
         starts = [2 * net.index[z] for z in sorted(roots)]
         last = len(self.rows) - 1
-        ref = None  # the last row's state, from the second row on
+        ref = None  # the last row's flow (prev, nxt), from the second row on
         for r in range(last + 1):
             marks = self._marks(r)
             if isinstance(marks, MalformedInput):
                 raise marks
             if r == 1 and last > 1 and isinstance(self._marks(last), bytearray):
-                ref = self.states[last]  # the first row holds: solve the last one
-                if ref is None or ref.level is None:
-                    self._solve(last, starts, self.marks[last], enough, None)
-                    ref = self.states[last] = _RowState(net, None)
-            state = self.states[r]
-            if state is not None and state.level is not None:
+                flow = self.states[last]  # the first row holds: take the last one's flow
+                if flow is None:
+                    self._solve(starts, self.marks[last], enough, None)
+                    flow = net
+                ref = flow.prev, flow.nxt
+            if self.states[r] is not None:
                 self.reused += 1
                 continue
             self.cold += 1
-            if self._solve(r, starts, marks, enough, ref) >= enough:
+            if self._solve(starts, marks, enough, ref) >= enough:
                 continue
             heads = list(compress(range(len(marks)), marks))
             cut, beyond = net.sink_cut(heads)
@@ -635,26 +635,23 @@ class _RowScanner:
                 kind = "reducible"
             else:
                 if keep:
-                    self.states[r] = _RowState(net, net.level)
+                    self.states[r] = _RowState(net)
                 continue
             return _Blocker(kind, self.rows[r], cut, frozenset(net.vertices[i] for i in heads))
         return None
 
     def _solve(
-        self, r: int, starts: list[int], marks: bytearray, enough: int, ref: _RowState | None
+        self, starts: list[int], marks: bytearray, enough: int,
+        ref: tuple[list[int], list[int]] | None,
     ) -> int:
-        """Augment row r's flow in the network up to ``enough``; its value.
+        """Augment a row's flow in the network up to ``enough``; its value.
 
-        The flow starts from the row's kept flow, else from ``ref``'s cut
-        back at the row's image, else from nothing.  The row keeps no
-        state: the network augments the kept flow's lists in place.
+        The flow starts from ``ref``, a flow's ``prev`` and ``nxt``, cut
+        back at the row's image, else from nothing.
         """
-        net, state = self.net, self.states[r]
-        self.states[r] = None
-        if state is not None:
-            net.prev, net.nxt, net.value = state.prev, state.nxt, state.value
-        elif ref is not None:
-            net.prev, net.nxt, net.value = _cut_back(ref, starts, marks)
+        net = self.net
+        if ref is not None:
+            net.prev, net.nxt, net.value = _cut_back(*ref, starts, marks)
         else:
             net.prev, net.nxt, net.value = [_FREE] * len(marks), [_FREE] * len(marks), 0
         return net.augment(starts, marks, min(enough, len(starts), marks.count(1)))
@@ -684,7 +681,8 @@ class _RowScanner:
     # -- journal entries ----------------------------------------------------
 
     def feed(self, entry: tuple[str, int, int, int]) -> None:
-        """Bring every row's state past one journal entry the working graph applied."""
+        """Bring every kept row state past one journal entry the working graph
+        applied, or drop it."""
         kind, _eid, u, v = entry
         i, j = self.net.index[u], self.net.index[v]
         if kind == "delete":
@@ -695,26 +693,13 @@ class _RowScanner:
     def _delete(self, i: int, j: int) -> None:
         if i == j or j in self.net.around[i]:
             return  # a loop, or a parallel copy that is left: the network is unchanged
-        for state in self.states:
+        states = self.states
+        for r, state in enumerate(states):
             if state is None:
                 continue
             nxt = state.nxt
-            if nxt[i] == j or nxt[j] == i:
-                self._cancel(state, i if nxt[i] == j else j)
-            elif state.level is not None and not self._repair(state, [i, j]):
-                state.level = None
-
-    @staticmethod
-    def _cancel(state: _RowState, a: int) -> None:
-        """Take away the unit of flow whose path runs from a to ``nxt[a]``."""
-        prev, nxt = state.prev, state.nxt
-        for w, step in ((a, prev), (nxt[a], nxt)):
-            while w >= 0:
-                after = step[w]
-                prev[w] = nxt[w] = _FREE
-                w = after
-        state.value -= 1
-        state.level = None
+            if nxt[i] == j or nxt[j] == i or not self._repair(state, [i, j]):
+                states[r] = None  # the edge carried flow, or the levels cannot be mended
 
     def _repair(self, state: _RowState, suspects: list[int]) -> bool:
         """Give each out-node in ``suspects``, and whatever that moves, a lower successor.
@@ -726,10 +711,9 @@ class _RowScanner:
         successor left, rises past the number of vertices (it no longer
         reaches the sink), or more out-nodes are examined than there are
         vertices.  An examination reads at most two neighbour lists, and
-        the cold evaluation that follows a failed repair reads about two
-        per vertex (a search for one more augmenting path, then
-        ``sink_cut``), so a failed repair at most about doubles the
-        row's cost.
+        the cold evaluation that follows a failed repair reads at least
+        one per vertex (its ``sink_cut``), so a failed repair at most
+        about triples the row's cost.
         """
         around = self.net.around
         prev, nxt, level = state.prev, state.nxt, state.level
@@ -766,35 +750,37 @@ class _RowScanner:
 
     def _contract(self, i: int, j: int) -> None:
         """Merge vertex j into its neighbour i."""
-        moved = []  # certified rows whose flow now runs through i
-        for r, state in enumerate(self.states):
+        states = self.states
+        moved = []  # rows whose flow now runs through i
+        for r, state in enumerate(states):
             if state is None:
                 continue
             prev, level = state.prev, state.level
             marks = self.marks[r]
             if marks[i] != marks[j] or prev[i] == _END or prev[j] == _END:
-                self.states[r] = None  # a root moves, or the targets change
+                states[r] = None  # a root moves, or the targets change
             elif prev[i] == _FREE and prev[j] == _FREE:
-                if level is not None and level[j] < level[i]:
+                if level[j] < level[i]:
                     level[i] = level[j]
             elif not self._merge_flow(state, i, j):
-                self.states[r] = None
-            elif level is not None:
+                states[r] = None  # the two ends carry two units
+            else:
                 level[i] = min(level[i], level[j])
-                moved.append(state)
+                moved.append(r)
         for r in range(len(self.rows)):
             marks = self._marks(r)  # a row not yet evaluated has its marks made now
             if isinstance(marks, bytearray) and marks[j]:
                 marks[j] = 0
                 marks[i] = 1
         around = self.net.around
-        for state in moved:
+        for r in moved:
             # only in(i) and the in-node i now feeds lead somewhere new
+            state = states[r]
             suspects = [i, *around[i]]
             if state.nxt[i] >= 0:
                 suspects += around[state.nxt[i]]
             if not self._repair(state, suspects):
-                state.level = None
+                states[r] = None
 
     @staticmethod
     def _merge_flow(state: _RowState, i: int, j: int) -> bool:

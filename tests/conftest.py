@@ -1,11 +1,13 @@
 """Hypothesis profiles: ``--hypothesis-profile=reader-fuzz`` runs the reader
 fuzz of ``tests/test_readers.py``, ``--hypothesis-profile=cli-fuzz`` the CLI
-flag fuzz of ``tests/test_cli_fuzz.py``, and
+flag fuzz of ``tests/test_cli_fuzz.py``,
 ``--hypothesis-profile=validation-fuzz`` the bulk-against-per-item
-validation fuzz of ``tests/test_validation_fuzz.py``, at a higher example
-count (as CI does)."""
+validation fuzz of ``tests/test_validation_fuzz.py``, and
+``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test of
+``tests/test_separations.py``, at a higher example count (as CI does)."""
 from hypothesis import settings
 
 settings.register_profile("reader-fuzz", max_examples=2000)
 settings.register_profile("cli-fuzz", max_examples=1000)
 settings.register_profile("validation-fuzz", max_examples=2000)
+settings.register_profile("scanner-fuzz", max_examples=2000)

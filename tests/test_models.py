@@ -10,7 +10,6 @@ from gridroots import (
     Pseudomodel,
     Subgraph,
     ValidationReport,
-    apply_augmentation,
     check_augmentation,
     grid_edge_id,
     grid_graph,
@@ -335,55 +334,24 @@ def block_base(host_n=4, i0=2, j0=2, g=2):
     return host, lab, Pseudomodel(host, pat, branches, images)
 
 
-def test_apply_augmentation_grafts_path():
-    host, lab, base = block_base()
-    assert validate_model(base).ok
-    aug = apply_augmentation(base, [[1, 2, 6]], {1}, lab)
-    assert aug.branches[1].vertices == frozenset({1, 2, 6})
-    assert aug.branches[1].edge_ids == frozenset({1, 4})
-    # other branches untouched
-    assert aug.branches[2] == base.branches[2]
-    assert validate_model(aug).ok
-
-
-def test_apply_augmentation_length_zero_path():
-    host, lab, base = block_base()
-    aug = apply_augmentation(base, [[6]], {6}, lab)
-    assert aug.branches[1] == base.branches[1]
-
-
-def test_apply_augmentation_rejections():
-    host, lab, base = block_base()
-    with pytest.raises(ValueError):
-        apply_augmentation(base, [], {1}, lab)  # wrong path count
-    with pytest.raises(ValueError):
-        apply_augmentation(base, [[2, 6]], {1}, lab)  # not starting at a root
-    with pytest.raises(ValueError):
-        apply_augmentation(base, [[1, 2]], {1}, lab)  # does not reach the branch
-    with pytest.raises(ValueError):
-        apply_augmentation(base, [[1, 6]], {1}, lab)  # diagonal non-edge
-    with pytest.raises(ValueError):
-        # walks through the branch of (1,2) before ending
-        apply_augmentation(base, [[4, 3, 7, 6]], {4}, lab)
-
-
-def test_apply_augmentation_disjointness():
-    host, lab, base = block_base()
-    # two roots, paths crossing at vertex 2 must be rejected
-    with pytest.raises(ValueError):
-        apply_augmentation(base, [[1, 2, 6], [3, 2, 6]], {1, 3}, lab)
+def grafted(host, base):
+    """``base`` with the path 1-2-6 from root 1 grafted onto the branch of
+    (1,1), host vertex 6."""
+    branches = dict(base.branches)
+    branches[1] = Subgraph(host, {1, 2, 6}, {grid_edge_id(4, 1, 2), grid_edge_id(4, 2, 6)})
+    return Pseudomodel(host, base.pattern, branches, dict(base.edge_images))
 
 
 def test_check_augmentation_accepts_valid_witness():
     host, lab, base = block_base()
-    aug = apply_augmentation(base, [[1, 2, 6]], {1}, lab)
+    aug = grafted(host, base)
     w = AugmentationWitness(base=base, augmented=aug, roots=frozenset({1}), labeling=lab)
     assert check_augmentation(w).ok
 
 
 def test_check_augmentation_codes():
     host, lab, base = block_base()
-    aug = apply_augmentation(base, [[1, 2, 6]], {1}, lab)
+    aug = grafted(host, base)
 
     # pattern mismatch
     w = AugmentationWitness(identity_grid_model(3), aug, frozenset({1}), lab)

@@ -3,7 +3,8 @@
 The cold reference scans in ``test_separations`` solve every row with
 ``menger``; this cross-check takes the cut sizes from networkx instead,
 at the sizes the extraction runs on, and checks that a scanner kept
-across reductions answers like a fresh scan there too.  networkx is a
+across reductions answers like a fresh scan there too, with every row
+state it keeps a proof in the reduced graph.  networkx is a
 test-only dependency, so the module is skipped where it is not installed.
 """
 import random
@@ -16,6 +17,7 @@ from gridroots import Graph, find_row_blocking_separation, reachable_from  # noq
 from gridroots.extraction import _apply_edge_reduction  # noqa: E402
 from gridroots.graph import WorkingGraph  # noqa: E402
 from gridroots.separations import _FREE, _RowScanner  # noqa: E402
+from test_separations import assert_states_are_proofs  # noqa: E402
 
 
 def random_case(seed):
@@ -132,3 +134,4 @@ def test_scanner_fed_reductions_answers_like_a_fresh_scan(seed):
                 if v in image:
                     image.discard(v)
                     image.add(u)
+        assert_states_are_proofs(scanner, work, roots, images, k)

@@ -24,7 +24,7 @@ from gridroots import (
 from gridroots.graph import WorkingGraph
 from gridroots.extraction import _apply_edge_reduction
 from gridroots.instances import _attachment_columns, _chords, grid_plus_roots_problem
-from gridroots.separations import _FREE, RowBlock, _RowScanner, _separation_from_sides
+from gridroots.separations import _END, _FREE, RowBlock, _RowScanner, _separation_from_sides
 
 
 def p3():
@@ -317,11 +317,66 @@ def _next_edge(rng, scanner, work, roots):
     return rng.choice(sorted(work.edge_ids))
 
 
+def assert_states_are_proofs(scanner, work, roots, images, k):
+    """Every row state the scanner keeps proves, in the working graph as it
+    is, that its row is no blocker: a valid flow of value k from the roots
+    to the row's image, and levels under which every out-node but a
+    target's has a residual successor at a strictly lower level."""
+    index, order = scanner.net.index, scanner.net.vertices
+    present = {index[v] for v in work.vertices}
+    adjacent = {i: set() for i in present}
+    for e in work.edge_ids:
+        x, y = (index[w] for w in work.endpoints(e))
+        if x != y:
+            adjacent[x].add(y)
+            adjacent[y].add(x)
+    root_ids = {index[z] for z in roots}
+    for r, state in enumerate(scanner.states):
+        if state is None:
+            continue
+        row = scanner.rows[r]
+        marks = scanner.marks[r]
+        image = set().union(*(images[v] for v in row))
+        assert {i for i, m in enumerate(marks) if m} == {index[v] for v in image}
+        prev, nxt, level = state.prev, state.nxt, state.level
+        assert level is not None
+        # the flow: one path from each of the k roots to a target
+        starts = [i for i in present if prev[i] == _END]
+        assert len(roots) == k and set(starts) == root_ids
+        on_paths = 0
+        for i in starts:
+            on_paths += 1
+            while nxt[i] != _END:
+                j = nxt[i]
+                assert j in adjacent[i] and prev[j] == i, (order[i], j)
+                i = j
+                on_paths += 1
+            assert marks[i]
+        assert on_paths == sum(prev[i] != _FREE for i in present)
+        # the certificate: every present out-node reaches the sink
+        for a in present:
+            assert level[a] >= 0, order[a]
+            if marks[a]:
+                continue  # its arc to the sink
+            # out(a) enters in(b) for each neighbour b, and in(a) when a
+            # carries flow; in(b) leads to out(b) when b is free, else to
+            # out(prev[b]), and nowhere from a root
+            ins = adjacent[a] | ({a} if prev[a] != _FREE else set())
+            assert any(
+                0 <= level[w] < level[a]
+                for b in ins
+                for w in [b if prev[b] == _FREE else prev[b]]
+                if w >= 0
+            ), order[a]
+
+
+# 150 examples in the default profile, more under a higher-count one
 @given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
     """Deletions and contractions, applied to a working graph and fed to one
-    scanner, leave it answering exactly what a fresh scan of the graph does."""
+    scanner, leave it answering exactly what a fresh scan of the graph does,
+    and every row state it keeps is a proof in the reduced graph."""
     host, roots, model, rows, _ = random_scan_case(seed)
     rng = random.Random(f"row-scanner:{seed}")
     k = len(roots)
@@ -349,6 +404,7 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
                 if v in image:
                     image.discard(v)
                     image.add(u)
+        assert_states_are_proofs(scanner, work, roots, images, k)
 
 
 @pytest.mark.parametrize("seed", range(60))
