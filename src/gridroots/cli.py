@@ -31,8 +31,9 @@ from .separations import (
     Tangle,
     check_tangle_axioms,
     find_row_blocking_separation,
-    grid_tangle_member,
+    grid_row_images,
     menger,
+    orient_by_rows,
 )
 
 
@@ -83,7 +84,13 @@ def _cmd_gen_instance(args) -> int:
         missing = [name for name in ("kind", "n", "g", "k") if getattr(args, name) is None]
         if missing:
             raise MalformedInput(f"gen-instance needs --recipe or --{'/--'.join(missing)}")
-        seed = args.seed if args.seed is not None else int(os.environ.get("SEED", "0"))
+        seed = args.seed
+        if seed is None:
+            text = os.environ.get("SEED", "0")
+            try:
+                seed = int(text)
+            except ValueError:
+                raise MalformedInput(f"the SEED variable must be an integer, got {text!r}") from None
         recipe = InstanceRecipe(
             args.kind, args.n, args.g, args.k, seed, args.degree if args.degree else args.k
         )
@@ -200,7 +207,8 @@ def _cmd_check_tangle(args) -> int:
     if args.grid_model:
         model, _ = _load_model(args.grid_model, host)
         try:
-            members = tuple(grid_tangle_member(model, s) for s in seps)
+            row_images = grid_row_images(model)
+            members = tuple(orient_by_rows(row_images, s) for s in seps)
         except ValueError as exc:
             raise MalformedInput(f"grid model cannot orient the separations: {exc}")
         tangles = [Tangle(host, args.order, members)]
@@ -382,6 +390,9 @@ def main(argv=None) -> int:
             "problems": exc.problems,
         })
         return 64
+    except HypothesisViolated as exc:
+        _print_err({"error": "hypothesis-violated", "message": str(exc)})
+        return 2
     except InternalInvariantBroken as exc:
         _print_err({"error": "internal-invariant", "message": str(exc)})
         return 3

@@ -66,6 +66,7 @@ from .models import (
     Pseudomodel,
     _path_edges,
     check_augmentation,
+    image_of_vertices,
     validate_pseudomodel,
 )
 from .separations import (
@@ -540,7 +541,11 @@ class _Runner:
     # -- the recursive procedure --------------------------------------------
 
     def start(self, problem: ExtractionProblem):
-        """Run from depth 0; a certificate is built in the problem's host."""
+        """Run from depth 0; a certificate is built in the problem's host and checked.
+
+        A certificate must have the roots in V(A), the input model's image
+        of its row in V(B), and order below k.
+        """
         model = problem.model
         pattern = Subgraph._unchecked(model.pattern, model.pattern.vertices, model.pattern.edge_ids)
         branches = {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
@@ -548,6 +553,20 @@ class _Runner:
         try:
             return self.run(work, problem.roots, pattern, branches, model.edge_images, 0)
         except _Pinched as exc:
+            va, _ea, vb, _eb = exc.sides
+            broken = {}
+            if not problem.roots <= va:
+                broken["roots_outside_a"] = sorted(problem.roots - va)
+            image = image_of_vertices(model, exc.row)
+            if not image <= vb:
+                broken["row_outside_b"] = sorted(image - vb)
+            if len(va & vb) >= self.k:
+                broken["order"] = len(va & vb)
+            if broken:
+                raise InternalInvariantBroken(
+                    "delivered certificate failed its own check",
+                    payload={"row": list(exc.row), "depth": exc.depth, **broken},
+                ) from None
             separation = _separation_from_sides(problem.host, exc.sides)
             raise HypothesisViolated(separation, exc.row, exc.depth) from None
 
@@ -771,16 +790,12 @@ def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:
     maximum flow.  This check does not require the full size
     preconditions of ``extract``; it is meaningful on arbitrarily small
     hosts.  Raises MalformedInput for k below 1, an empty root set,
-    roots outside the host, and a row image that is empty or not in the
-    host.
+    roots outside the host, and, when no row above it fails, a row image
+    that is empty or not in the host.
 
-    This is one strict scan of a fresh row scanner
-    (``find_row_blocking_separation`` with ``strict_only``), which keeps
-    no row state: rows are checked top to bottom and a row holds once k
-    disjoint paths reach it.  The top and bottom rows are solved from
-    scratch, and every row between starts from the bottom row's flow cut
-    back at its image: on a grid-plus-roots host that flow's paths cross
-    every row, so those rows cost little more than building their image.
+    This is one strict scan of ``find_row_blocking_separation``, which
+    checks the row images at its boundary: rows are scanned top to
+    bottom and a row holds once k disjoint paths reach it.
     """
     model = problem.model
     rows = _full_rows(problem.n, model.pattern)

@@ -16,7 +16,8 @@ one row scan, behind ``find_row_blocking_separation``,
 keeps it across the edge deletions and contractions of one level: the
 working graph keeps its adjacency up to date, and the scanner re-checks
 only the rows a step can change.  A row it holds no proof for starts from
-the last row's flow cut back at its image.
+the last row's flow cut back at its image.  The scanner trusts its rows:
+``find_row_blocking_separation`` checks them once, at the public scan.
 """
 from __future__ import annotations
 
@@ -154,35 +155,30 @@ class _FlowNetwork:
         self.value = 0
         self.level: list[int] = []
 
-    def max_flow(self, sources: frozenset[int], targets: frozenset[int], limit: int) -> int:
-        """A maximum flow from scratch, stopped once its value reaches ``limit``.
+    def solve(
+        self, starts: Sequence[int], marks: bytearray, limit: int,
+        ref: tuple[list[int], list[int]] | None = None,
+    ) -> int:
+        """A flow to the marked vertices, augmented until its value reaches
+        ``limit`` or is maximum; its value.
 
+        ``starts`` are the in-nodes of the sources and ``marks`` marks the
+        targets by vertex index.  The flow starts from ``ref``, a flow's
+        ``prev`` and ``nxt``, cut back at the targets, else from nothing.
         The value never exceeds the number of sources or of targets, so
-        reaching either also ends the search.
+        reaching either also ends the search.  Each augmenting path is a
+        shortest one in the residual network, ties broken by ascending
+        node id while no edit has reordered the working graph's neighbour
+        maps, which fixes the flow and with it the paths.
         """
-        index = self.index
-        nv = len(self.around)
-        is_target = bytearray(nv)
-        for t in targets:
-            is_target[index[t]] = 1
-        self.prev = [_FREE] * nv
-        self.nxt = [_FREE] * nv
-        self.value = 0
-        starts = [2 * index[z] for z in sorted(sources)]
-        return self.augment(starts, is_target, min(limit, len(sources), len(targets)))
-
-    def augment(self, starts: Sequence[int], is_target: bytearray, limit: int) -> int:
-        """Augment the current flow until its value reaches ``limit`` or is maximum.
-
-        ``starts`` are the in-nodes of the sources and ``is_target`` marks
-        the targets by vertex index.  Each augmenting path is a shortest
-        one in the residual network, ties broken by ascending node id
-        while no edit has reordered the working graph's neighbour maps,
-        which fixes the flow and with it the paths.
-        """
-        around, prev, nxt = self.around, self.prev, self.nxt
+        if ref is None:
+            prev, nxt, total = [_FREE] * len(marks), [_FREE] * len(marks), 0
+        else:
+            prev, nxt, total = _cut_back(*ref, starts, marks)
+        self.prev, self.nxt = prev, nxt
+        limit = min(limit, len(starts), marks.count(1))
+        around = self.around
         top = 2 * len(around)  # the super source
-        total = self.value
         while total < limit:
             parent = [-1] * top
             for u in starts:
@@ -192,7 +188,7 @@ class _FlowNetwork:
             for u in queue:
                 i = u >> 1
                 if u & 1:
-                    if is_target[i]:
+                    if marks[i]:
                         end = i
                         break
                     # every in(j) next to out(i) is open; in(i) is open
@@ -361,7 +357,10 @@ def _route(g: WorkingGraph, sources: AbstractSet[int], targets: AbstractSet[int]
     """``menger``'s search in a fresh working graph, unchecked: its paths,
     or its cut with no separation."""
     net = _FlowNetwork(g)
-    if net.max_flow(sources, targets, k) == k:
+    marks = bytearray(len(g.order))
+    for t in targets:
+        marks[g.index[t]] = 1
+    if net.solve([2 * g.index[z] for z in sorted(sources)], marks, k) == k:
         paths = tuple(_trim_path(p, sources, targets) for p in net.paths())
         return CutResult(paths=paths, cut=None, separation=None)
     cut, _beyond = net.sink_cut([net.index[t] for t in targets])
@@ -474,6 +473,18 @@ def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
     return p
 
 
+def _row_problem(
+    row: tuple[int, ...], images: Mapping[int, AbstractSet[int]], vertices: AbstractSet[int]
+) -> str | None:
+    """Why a row cannot be scanned in a graph of ``vertices``, or None when it can."""
+    for pv in row:
+        if pv not in images:
+            return f"pattern vertex {pv} of row {list(row)} has no branch"
+    if any(images[pv] for pv in row) and all(vertices.issuperset(images[pv]) for pv in row):
+        return None
+    return f"the image of row {list(row)} is empty or not in the graph"
+
+
 def _has_edge_inside(g: WorkingGraph, cut: AbstractSet[int]) -> bool:
     """True when some edge, a loop included, has both ends in ``cut``."""
     inside = {g.index[v] for v in cut}
@@ -535,7 +546,14 @@ class _RowScanner:
     graph has applied it, and brings every row's flow, certificate and
     target marks past it.  The roots are the caller's, passed to each
     scan; the scanner keeps only each row's target marks by vertex
-    index.
+    index, all made when it is built.
+
+    The rows are trusted: every row vertex has a branch, and every row
+    image is a non-empty set of the working graph's vertices.
+    ``find_row_blocking_separation`` checks that at the public boundary;
+    the extraction loop's rows hold it by construction (the images
+    ``extraction._derive_subproblem`` gives lie in B, and at a sub-level
+    the numbering spans the enclosing host).
 
     With |Z| = k roots (``max_order``) the flow never exceeds k units,
     and a row is no blocker exactly when its flow is k, every residual
@@ -572,8 +590,7 @@ class _RowScanner:
     with each path cut back where it first meets the row's image, and
     augments only the shortfall.  Any feasible start gives a maximum
     flow and the same cut; on a grid-like host the last row's paths
-    cross every row, so most rows augment nothing.  While a malformed
-    last row waits for its turn, the rows before it start from nothing.
+    cross every row, so most rows augment nothing.
     """
 
     def __init__(
@@ -587,11 +604,14 @@ class _RowScanner:
         self.net = _FlowNetwork(work)
         self.k = max_order
         self.rows = [tuple(row) for row in rows]
-        self.branch_vertices = branch_vertices
-        # per row: None until the row is first evaluated or a contraction
-        # comes, then a target mark per vertex index, or the MalformedInput
-        # to raise when the scan reaches the row
-        self.marks: list[bytearray | MalformedInput | None] = [None] * len(self.rows)
+        index, nv = work.index, len(work.order)
+        self.marks: list[bytearray] = []  # per row, a target mark per vertex index
+        for row in self.rows:
+            marks = bytearray(nv)
+            for pv in row:
+                for v in branch_vertices[pv]:
+                    marks[index[v]] = 1
+            self.marks.append(marks)
         self.states: list[_RowState | None] = [None] * len(self.rows)
         self.cold = 0
         self.reused = 0
@@ -611,21 +631,18 @@ class _RowScanner:
         starts = [2 * net.index[z] for z in sorted(roots)]
         last = len(self.rows) - 1
         ref = None  # the last row's flow (prev, nxt), from the second row on
-        for r in range(last + 1):
-            marks = self._marks(r)
-            if isinstance(marks, MalformedInput):
-                raise marks
-            if r == 1 and last > 1 and isinstance(self._marks(last), bytearray):
+        for r, marks in enumerate(self.marks):
+            if r == 1 and last > 1:
                 flow = self.states[last]  # the first row holds: take the last one's flow
                 if flow is None:
-                    self._solve(starts, self.marks[last], enough, None)
+                    net.solve(starts, self.marks[last], enough)
                     flow = net
                 ref = flow.prev, flow.nxt
             if self.states[r] is not None:
                 self.reused += 1
                 continue
             self.cold += 1
-            if self._solve(starts, marks, enough, ref) >= enough:
+            if net.solve(starts, marks, enough, ref) >= enough:
                 continue
             heads = list(compress(range(len(marks)), marks))
             cut, beyond = net.sink_cut(heads)
@@ -639,44 +656,6 @@ class _RowScanner:
                 continue
             return _Blocker(kind, self.rows[r], cut, frozenset(net.vertices[i] for i in heads))
         return None
-
-    def _solve(
-        self, starts: list[int], marks: bytearray, enough: int,
-        ref: tuple[list[int], list[int]] | None,
-    ) -> int:
-        """Augment a row's flow in the network up to ``enough``; its value.
-
-        The flow starts from ``ref``, a flow's ``prev`` and ``nxt``, cut
-        back at the row's image, else from nothing.
-        """
-        net = self.net
-        if ref is not None:
-            net.prev, net.nxt, net.value = _cut_back(*ref, starts, marks)
-        else:
-            net.prev, net.nxt, net.value = [_FREE] * len(marks), [_FREE] * len(marks), 0
-        return net.augment(starts, marks, min(enough, len(starts), marks.count(1)))
-
-    def _marks(self, r: int) -> bytearray | MalformedInput:
-        """Row r's target marks by vertex index, made at the first call in the graph
-        the scanner was built from, or the MalformedInput its image raises there.
-        At an extraction sub-level the numbering spans the enclosing host: the
-        images ``extraction._derive_subproblem`` gives lie in B by construction."""
-        if self.marks[r] is not None:
-            return self.marks[r]
-        row, index = self.rows[r], self.net.index
-        try:
-            image = frozenset().union(*(self.branch_vertices[v] for v in row))
-        except KeyError as exc:
-            problem = f"pattern vertex {exc.args[0]} of row {list(row)} has no branch"
-        else:
-            if image and image <= index.keys():
-                marks = self.marks[r] = bytearray(len(index))
-                for v in image:
-                    marks[index[v]] = 1
-                return marks
-            problem = f"the image of row {list(row)} is empty or not in the graph"
-        marks = self.marks[r] = MalformedInput("bad row scan", [problem])
-        return marks
 
     # -- journal entries ----------------------------------------------------
 
@@ -767,9 +746,8 @@ class _RowScanner:
             else:
                 level[i] = min(level[i], level[j])
                 moved.append(r)
-        for r in range(len(self.rows)):
-            marks = self._marks(r)  # a row not yet evaluated has its marks made now
-            if isinstance(marks, bytearray) and marks[j]:
+        for marks in self.marks:
+            if marks[j]:
                 marks[j] = 0
                 marks[i] = 1
         around = self.net.around
@@ -832,13 +810,15 @@ def find_row_blocking_separation(
     ``menger`` gives for its cut.  ``p`` gives the row images: a
     pseudomodel, or a mapping from pattern vertex to branch vertex set.
     Raises MalformedInput for a negative ``max_order`` (or zero when
-    ``strict_only``), an empty root set or roots outside g, and, once
-    the scan reaches the row, a row vertex with no branch or a row image
-    that is empty or not in g.
+    ``strict_only``), an empty root set or roots outside g, and, when no
+    row before it blocks, for the first row with a vertex that has no
+    branch or with an image that is empty or not in g.
 
-    This is one scan of a fresh ``_RowScanner`` on a ``WorkingGraph``
-    of g, which the extraction loop keeps for a whole recursion level
-    instead.
+    This is where rows are checked: the images are read in row order
+    before the scan, which then runs on the rows before the first bad
+    one only.  It is one scan of a fresh ``_RowScanner`` on a
+    ``WorkingGraph`` of g, which the extraction loop keeps for a whole
+    recursion level instead, on rows that are valid by construction.
     """
     if max_order < (1 if strict_only else 0):
         least = "positive" if strict_only else "non-negative"
@@ -849,10 +829,18 @@ def find_row_blocking_separation(
         problems.append("roots must be vertices of the graph")
     if problems:
         raise MalformedInput("bad row scan", problems)
+    images = _branch_vertices(p)
+    rows, bad = [tuple(row) for row in rows], None
+    for r, row in enumerate(rows):
+        bad = _row_problem(row, images, g.vertices)
+        if bad is not None:
+            rows = rows[:r]
+            break
     work = WorkingGraph(g)
-    scanner = _RowScanner(work, _branch_vertices(p), rows, max_order)
-    block = scanner.scan(root_set, strict_only)
+    block = _RowScanner(work, images, rows, max_order).scan(root_set, strict_only)
     if block is None:
+        if bad is not None:
+            raise MalformedInput("bad row scan", [bad])
         return None
     return RowBlock(_separation_from_sides(g, block.sides(work, root_set)), block.row, block.kind)
 
@@ -912,20 +900,29 @@ def check_tangle_axioms(t: Tangle, all_separations: Sequence[Separation]) -> Val
     return report
 
 
-def grid_tangle_member(p: Pseudomodel, s: Separation) -> Separation:
-    """Orient a low-order separation by the grid model's row images.
+def grid_row_images(p: Pseudomodel) -> list[frozenset[int]]:
+    """The n row images of a model of the n x n grid, top to bottom.
 
-    Returns the orientation (A, B) whose A side contains no complete
-    row image.  For a valid grid model and order below the grid side
-    exactly one orientation qualifies; anything else raises ValueError.
+    Raises ValueError when the pattern's vertices are not the ids 1 to
+    n * n of a square grid.
     """
     count = p.pattern.num_vertices
     n = isqrt(count)
-    if n * n != count:
+    if n * n != count or p.pattern.vertices != frozenset(range(1, count + 1)):
         raise ValueError("pattern is not a square grid")
+    return [image_of_vertices(p, row_vertices(n, i)) for i in range(1, n + 1)]
+
+
+def orient_by_rows(row_images: Sequence[AbstractSet[int]], s: Separation) -> Separation:
+    """Orient a separation of order below the grid side by ``grid_row_images``.
+
+    Returns the orientation (A, B) whose A side contains no complete
+    row image.  For a valid grid model exactly one orientation
+    qualifies; anything else raises ValueError.
+    """
+    n = len(row_images)
     if s.order >= n:
         raise ValueError(f"separation order {s.order} is not below the grid side {n}")
-    row_images = [image_of_vertices(p, row_vertices(n, i)) for i in range(1, n + 1)]
     first = not any(img <= s.a.vertices for img in row_images)
     second = not any(img <= s.b.vertices for img in row_images)
     if first and not second:
@@ -933,3 +930,8 @@ def grid_tangle_member(p: Pseudomodel, s: Separation) -> Separation:
     if second and not first:
         return s.flipped()
     raise ValueError("ambiguous row orientation; model or order out of contract")
+
+
+def grid_tangle_member(p: Pseudomodel, s: Separation) -> Separation:
+    """``orient_by_rows`` of s by the grid model's row images, built for this one call."""
+    return orient_by_rows(grid_row_images(p), s)

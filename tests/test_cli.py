@@ -213,6 +213,40 @@ def test_extract_writes_failure_json_on_a_broken_invariant(tmp_path, capsys, mon
     }
 
 
+def test_extract_checks_its_certificate(tmp_path, capsys, monkeypatch):
+    """A certificate whose B side misses a vertex of the input model's
+    image of its row is a broken invariant (exit 3), not a refutation."""
+    import gridroots.extraction as extraction
+
+    broken = break_instance(
+        generate_instance(InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=0, degree=3)),
+        "hang", 0,
+    )
+    paths = write_instance(broken, tmp_path / "broken")
+    lift = extraction._lift_certificate_through_journal
+    row_vertex = 5  # the refuted row is the first, whose image is {1, ..., 13}
+
+    def leaky_lift(sides, journal, k):
+        va, ea, vb, eb = lift(sides, journal, k)
+        return va | {row_vertex}, ea, vb - {row_vertex}, eb
+
+    monkeypatch.setattr(extraction, "_lift_certificate_through_journal", leaky_lift)
+    outdir = tmp_path / "run"
+    code, out, err = run(
+        capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
+        "--model", paths["model"], "--g", 2, "--k", 2, "--out", outdir,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "internal-invariant"
+    assert not (outdir / "certificate.json").exists()
+    failure = read_json(outdir / "failure.json")
+    assert failure["message"] == "delivered certificate failed its own check"
+    assert failure["payload"] == {
+        "row": list(range(1, 14)), "depth": 0, "row_outside_b": [row_vertex],
+    }
+
+
 def test_extract_reports_certificate(tmp_path, capsys):
     problem = generate_instance(
         InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=5, degree=3)
@@ -419,6 +453,24 @@ def test_check_tangle(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["ok"] is True
 
+    # four vertices of the declared 3 x 3 grid: a square count, but not a
+    # square grid's ids, so it cannot orient the separations (exit 64)
+    doc = model_to_dict(identity_grid_model(3), 3)
+    corner = {"1,1", "1,2", "2,1", "2,2"}
+    doc["pattern"]["coords"] = [c for c in doc["pattern"]["coords"] if f"{c[0]},{c[1]}" in corner]
+    doc["branches"] = {key: br for key, br in doc["branches"].items() if key in corner}
+    doc["edgeImages"] = {key: e for key, e in doc["edgeImages"].items()
+                         if set(key.split("|")) <= corner}
+    write_json(ident, doc)
+    code, out, err = run(
+        capsys, "check-tangle", "--graph", grid, "--order", 2, "--grid-model", ident
+    )
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["message"] == (
+        "grid model cannot orient the separations: pattern is not a square grid"
+    )
+
 
 def test_oracle_separations_and_tangles(tmp_path, capsys):
     grid = tmp_path / "g.json"
@@ -475,6 +527,26 @@ def test_oracle_row_property(tmp_path, capsys):
     assert doc["ok"] is True
 
 
+def test_oracle_row_property_exits_2_on_a_refuted_instance(tmp_path, capsys):
+    """The extraction ``oracle row-property`` runs first may refute the
+    hypothesis; that is exit 2 with a ``hypothesis-violated`` document."""
+    problem = generate_instance(
+        InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=0, degree=3)
+    )
+    paths = write_instance(break_instance(problem, "hang", 0), tmp_path / "broken")
+    code, out, err = run(
+        capsys, "oracle", "row-property", "--graph", paths["graph"], "--roots", paths["roots"],
+        "--model", paths["model"], "--g", 2, "--k", 2,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "hypothesis-violated",
+        "message": "blocking separation of order 1 found for row "
+                   "(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)",
+    }
+
+
 def test_oracle_row_property_enumerates_only_below_g(tmp_path, capsys):
     """Separations of order g or more cannot break the row property, so
     ``--max-order 3`` with g = 1 enumerates order 0 only: on the 65-vertex
@@ -516,6 +588,21 @@ def test_seed_env_variable(tmp_path, capsys, monkeypatch):
         InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=5, degree=3)
     )
     assert canonical_json(envgraph) == canonical_json(graph_to_dict(direct.host))
+
+
+def test_seed_env_variable_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SEED", "x")
+    code, out, err = run(
+        capsys,
+        "gen-instance",
+        "--kind", "identity-grid", "--n", 13, "--g", 2, "--k", 2, "--out", tmp_path / "d",
+    )
+    assert code == 64
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "malformed-input"
+    assert "SEED" in doc["message"]
+    assert not (tmp_path / "d").exists()
 
 
 def test_recipe_file_with_seed_override(tmp_path, capsys):

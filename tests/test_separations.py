@@ -243,8 +243,10 @@ def reference_row_scan(g, roots, images, rows, max_order):
     """
     roots = frozenset(roots)
     for row in rows:
+        if any(v not in images for v in row):
+            raise MalformedInput("bad row scan", ["a row vertex has no branch"])
         targets = frozenset().union(*(images[v] for v in row))
-        result = menger(g, roots, targets, max_order + 1)
+        result = menger(g, roots, targets, max_order + 1)  # raises at a bad image
         if result.found_paths:
             continue
         if len(result.cut) < max_order:
@@ -409,10 +411,10 @@ def test_scanner_fed_each_reduction_answers_like_a_fresh_scan(seed):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_scanner_fed_before_its_first_scan_follows_the_contractions(seed):
-    """A row's target marks are made at its first evaluation or at the first
-    contraction, from the images the scanner was built with: reductions fed
-    before any scan, with those images left as they were, still give the
-    fresh scan of the reduced graph with the images carried along."""
+    """Every row's target marks are made when the scanner is built, from the
+    images it is given: reductions fed before any scan, with those images
+    left as they were, still give the fresh scan of the reduced graph with
+    the images carried along."""
     host, roots, model, rows, _ = random_scan_case(seed)
     rng = random.Random(f"row-scanner-unscanned:{seed}")
     k = len(roots)
@@ -433,12 +435,7 @@ def test_scanner_fed_before_its_first_scan_follows_the_contractions(seed):
                     image.discard(v)
                     image.add(u)
     g = work.freeze()
-    try:
-        block = scanner.scan(roots)
-    except MalformedInput:
-        with pytest.raises(MalformedInput):
-            find_row_blocking_separation(g, roots, images, rows, k)
-        return
+    block = scanner.scan(roots)
     found = None if block is None else (
         block.kind, block.row, _separation_from_sides(g, block.sides(work, roots)))
     fresh = find_row_blocking_separation(g, roots, images, rows, k)
@@ -541,25 +538,46 @@ def split_grid_case(bridges=()):
     return host, cut_host, roots, images, [row_vertices(n, i) for i in range(1, n + 1)], k
 
 
-def test_row_cut_raises_at_a_malformed_row_only_when_it_gets_there():
+@pytest.mark.parametrize("strict_only", [False, True])
+def test_row_cut_raises_at_a_malformed_row_only_when_it_gets_there(strict_only):
+    """A malformed row at any position raises only when no row before it
+    blocks; the rows are checked before the scan, which then runs on the
+    rows before the first bad one."""
     host, cut_host, roots, images, rows, k = split_grid_case()
     n = len(rows)
     images[99] = {10**6}  # a branch outside the host
+    images[97] = set()  # an empty branch
     no_branch = (98,)  # a row vertex without a branch
-    for bad in ((99,), no_branch):
+    first = 3 if strict_only else 0  # the first row the cut host blocks
+
+    def scan(g, order):
+        return find_row_blocking_separation(g, roots, images, order, k, strict_only)
+
+    def reference(g, order):
+        if strict_only:
+            return reference_row_cut(g, roots, images, order, k)
+        found = reference_row_scan(g, roots, images, order, k)
+        return None if found is None else RowBlock(found[2], found[1], found[0])
+
+    for bad in ((99,), (97,), no_branch):
         for g, body, fails in ((host, rows, False), (cut_host, rows, True)):
             for at in range(len(body) + 1):
                 order = body[:at] + [bad] + body[at:]
-                found = _row_cut_outcome(lambda: strict_scan(g, roots, images, order, k))
-                expected = _row_cut_outcome(lambda: reference_row_cut(g, roots, images, order, k))
+                found = _row_cut_outcome(lambda: scan(g, order))
+                expected = _row_cut_outcome(lambda: reference(g, order))
                 assert found == expected
-                if not fails or at <= 3:
+                if not fails or at <= first:
                     assert found == "malformed"  # no failing row comes before it
                 else:
-                    assert found[0] == row_vertices(n, 4)  # the failing row comes first
-    # the last row, solved second, is malformed while a row before it fails
+                    assert found[0] == row_vertices(n, first + 1)  # the failing row comes first
+    # the last row is malformed while a row before it fails
     order = [rows[0], rows[4], (99,)]
-    assert _row_cut_outcome(lambda: strict_scan(cut_host, roots, images, order, k))[0] == rows[4]
+    expected = rows[4] if strict_only else rows[0]
+    assert _row_cut_outcome(lambda: scan(cut_host, order))[0] == expected
+    # a second malformed row after the first is never read
+    with pytest.raises(MalformedInput) as exc:
+        scan(host, [rows[0], no_branch, (99,)])
+    assert exc.value.problems == ["pattern vertex 98 of row [98] has no branch"]
 
 
 @pytest.mark.parametrize("strict_only", [False, True])
@@ -589,11 +607,10 @@ def test_row_scan_raises_at_a_malformed_last_row_after_the_rows_before_it(strict
     host, cut_host, roots, images, rows, k = split_grid_case(bridges=(1,))
     images[99] = {10**6}  # a branch outside the host
     order = [*rows, (99,)]
-    scanner = _RowScanner(WorkingGraph(host), images, order, k)
-    with pytest.raises(MalformedInput):
-        scanner.scan(roots, strict_only)
-    assert scanner.cold == len(rows)  # every row before it was evaluated first
-    # the rows before it start from nothing and still stop at the first failing row
+    with pytest.raises(MalformedInput) as exc:
+        find_row_blocking_separation(host, roots, images, order, k, strict_only)
+    assert exc.value.problems == ["the image of row [99] is empty or not in the graph"]
+    # the rows before it are scanned first and still stop at the first failing row
     block = find_row_blocking_separation(cut_host, roots, images, order, k, strict_only)
     expected = reference_row_scan(cut_host, roots, images, order[:-1], k)
     assert expected[:2] == ("strict", rows[3])
