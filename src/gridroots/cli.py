@@ -92,7 +92,7 @@ def _cmd_gen_instance(args) -> int:
             except ValueError:
                 raise MalformedInput(f"the SEED variable must be an integer, got {text!r}") from None
         recipe = InstanceRecipe(
-            args.kind, args.n, args.g, args.k, seed, args.degree if args.degree else args.k
+            args.kind, args.n, args.g, args.k, seed, args.k if args.degree is None else args.degree
         )
     problem = generate_instance(recipe)
     out = Path(args.out)

@@ -62,7 +62,6 @@ from .grid import (
 )
 from .models import (
     AugmentationWitness,
-    GridLabeling,
     Pseudomodel,
     _path_edges,
     check_augmentation,
@@ -513,12 +512,11 @@ def _saturated_state(
 
 
 def _window_base(
-    branches: dict, images: dict[int, int], atlas: GridAtlas, n: int, g: int
+    branches: dict, images: dict[int, int], atlas: GridAtlas
 ) -> tuple[dict[int, int], dict]:
     """The small grid's edge images and the base witness branch sets, read off the window."""
-    labeling = GridLabeling(n, atlas.i0, atlas.j0, g)
-    big = {labeling.small_vertex(a, b): labeling.big_vertex(a, b)
-           for a in range(1, g + 1) for b in range(1, g + 1)}
+    n, g = atlas.n, atlas.g
+    big = {vertex_id(g, a, b): atlas.cell(a, b) for a in range(1, g + 1) for b in range(1, g + 1)}
     small_images = {
         e: images[grid_edge_id(n, big[a], big[b])] for e, a, b in grid_edges_among(g, big)
     }
@@ -689,7 +687,7 @@ class _Runner:
             "targets": sorted(targets),
             "paths": [list(p) for p in search.paths],
         })
-        small_images, base = _window_base(branches, images, atlas, n, g)
+        small_images, base = _window_base(branches, images, atlas)
         augmented = _graft_paths(g_star, base, targets, search.paths, g, k)
         return (atlas, small_images, _unwind_journal(journal, base),
                 _unwind_journal(journal, augmented))
@@ -705,10 +703,7 @@ def _finish(problem: ExtractionProblem, atlas: GridAtlas, images: dict[int, int]
         subgraphs = {pv: Subgraph(host, vs, es) for pv, (vs, es) in branches.items()}
         return Pseudomodel(host, small, subgraphs, images)
 
-    labeling = GridLabeling(problem.n, atlas.i0, atlas.j0, problem.g)
-    witness = AugmentationWitness(
-        base=in_host(base), augmented=in_host(augmented), roots=problem.roots, labeling=labeling
-    )
+    witness = AugmentationWitness(in_host(base), in_host(augmented), problem.roots)
     report = check_augmentation(witness)
     if not report.ok:
         raise InternalInvariantBroken(

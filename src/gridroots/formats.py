@@ -320,14 +320,10 @@ def _branches_in_bulk(host: Graph, table: dict[str, int], branch_docs) -> dict[i
         return None
     if not host.vertices.issuperset(chain.from_iterable(vertex_lists)):
         return None
-    # Each set is built from the list and then rebuilt from that set's
-    # iteration, as the checking constructor builds it, so that it iterates
-    # in the same order: the extractor takes a branch's first vertex as a
-    # path target, and a set of colliding ints iterates in insertion order.
     # One shared empty set serves the edgeless branches: a frozenset is never
     # untracked by the cyclic GC, so every extra one costs each full collection.
     empty = frozenset()
-    branches = [Subgraph._unchecked(host, iter(frozenset(vs)), iter(frozenset(es)) if es else empty)
+    branches = [Subgraph._unchecked(host, vs, es or empty)
                 for vs, es in zip(vertex_lists, edge_lists)]
     ends = host.endpoints
     try:
@@ -452,12 +448,7 @@ def result_to_dict(res: ExtractionResult) -> dict:
         },
         "witness": {
             "roots": sorted(w.roots),
-            "labeling": {
-                "n": w.labeling.n,
-                "i0": w.labeling.i0,
-                "j0": w.labeling.j0,
-                "g": w.labeling.g,
-            },
+            "labeling": {"n": atlas.n, "i0": atlas.i0, "j0": atlas.j0, "g": atlas.g},
             "base": model_to_dict(w.base, res.problem.g),
             "augmented": model_to_dict(w.augmented, res.problem.g),
         },

@@ -130,7 +130,17 @@ class GridAtlas:
         if lo_i < 1 or lo_j < 1 or hi_i > self.n or hi_j > self.n:
             raise ValueError("window does not fit inside the grid")
 
-    # -- window layers ---------------------------------------------------
+    def cell(self, a: int, b: int) -> int:
+        """Pattern id of window cell ``(a, b)``: ``(1, 1)`` is the central
+        block's top-left corner, and ``1 - k <= a, b <= g + k``.
+
+        The g x g grid's vertex ``vertex_id(g, a, b)`` is modelled by the
+        branch of ``cell(a, b)``; every window map reads this one.
+        """
+        lo, hi = 1 - self.k, self.g + self.k
+        if not (lo <= a <= hi and lo <= b <= hi):
+            raise ValueError(f"cell ({a},{b}) outside the window")
+        return vertex_id(self.n, self.i0 + a - 1, self.j0 + b - 1)
 
     def window_vertices(self, s: int) -> frozenset[int]:
         """Vertices of the layer-``s`` window ``H_s``.
@@ -141,23 +151,13 @@ class GridAtlas:
         """
         if not (0 <= s <= self.k):
             raise ValueError(f"layer {s} outside 0..{self.k}")
-        lo_i, lo_j = self.i0 - self.k + s, self.j0 - self.k + s
-        hi_i, hi_j = self.i0 + self.g - 1 + self.k - s, self.j0 + self.g - 1 + self.k - s
-        return frozenset(
-            vertex_id(self.n, i, j)
-            for i in range(lo_i, hi_i + 1)
-            for j in range(lo_j, hi_j + 1)
-        )
+        span = range(1 - self.k + s, self.g + self.k - s + 1)
+        return frozenset(self.cell(a, b) for a in span for b in span)
 
     def root_segment(self) -> tuple[int, ...]:
-        """The k-vertex column stub the extracted subgrid hangs from.
-
-        These are the vertices ``v_{i, j0}`` for ``i0 <= i <= i0 + k - 1``:
-        the top ``k`` rows of the central block's first column.
-        """
-        return tuple(
-            vertex_id(self.n, i, self.j0) for i in range(self.i0, self.i0 + self.k)
-        )
+        """The k-vertex column stub the extracted subgrid hangs from: the
+        top ``k`` cells of the central block's first column."""
+        return tuple(self.cell(a, 1) for a in range(1, self.k + 1))
 
     def central_vertices(self) -> frozenset[int]:
         """The central ``g x g`` block ``H_k``."""
@@ -166,9 +166,6 @@ class GridAtlas:
     def window_rows(self) -> range:
         """Grid rows covered by the padded window, ascending."""
         return range(self.i0 - self.k, self.i0 + self.g + self.k)
-
-    def window_columns(self) -> range:
-        return range(self.j0 - self.k, self.j0 + self.g + self.k)
 
 
 def choose_band(n: int, g: int, k: int, forbidden: Iterable[int]) -> GridAtlas | None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import isqrt
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -258,42 +259,19 @@ def identity_grid_model(n: int) -> Pseudomodel:
 
 
 @dataclass(frozen=True)
-class GridLabeling:
-    """Identifies a ``g x g`` block of the big grid with the standard grid.
-
-    Standard grid vertex ``(a, b)`` (1-based) corresponds to the big-grid
-    vertex at row ``i0 + a - 1``, column ``j0 + b - 1``.
-    """
-
-    n: int
-    i0: int
-    j0: int
-    g: int
-
-    def big_vertex(self, a: int, b: int) -> int:
-        if not (1 <= a <= self.g and 1 <= b <= self.g):
-            raise ValueError(f"({a},{b}) outside the {self.g}x{self.g} block")
-        return vertex_id(self.n, self.i0 + a - 1, self.j0 + b - 1)
-
-    def small_vertex(self, a: int, b: int) -> int:
-        if not (1 <= a <= self.g and 1 <= b <= self.g):
-            raise ValueError(f"({a},{b}) outside the {self.g}x{self.g} block")
-        return vertex_id(self.g, a, b)
-
-
-@dataclass(frozen=True)
 class AugmentationWitness:
     """A claimed root augmentation of a grid model.
 
     ``base`` and ``augmented`` are pseudomodels of the standard
     ``g x g`` grid in the same host; ``roots`` is the vertex set the
-    first ``len(roots)`` first-column branches must capture.
+    first ``len(roots)`` first-column branches must capture.  Where the
+    block sits in the input's pattern is the result's ``GridAtlas``; the
+    check needs only the models.
     """
 
     base: Pseudomodel
     augmented: Pseudomodel
     roots: frozenset[int]
-    labeling: GridLabeling
 
 
 def _path_edges(host: Graph | WorkingGraph, path: Sequence[int]) -> list[int]:
@@ -319,13 +297,15 @@ def check_augmentation(w: AugmentationWitness) -> ValidationReport:
 
     Codes: ``aug-pattern``, ``aug-branch-changed``, ``aug-branch-shrunk``,
     ``aug-root-missing``, ``aug-edge-image`` plus everything
-    :func:`validate_model` can emit for the augmented model.
+    :func:`validate_model` can emit for the augmented model.  The side g
+    is read off the base pattern, which must be the ``g x g`` grid for
+    some g >= 1, and so must the augmented pattern.
     """
     report = ValidationReport()
-    g = w.labeling.g
+    g = isqrt(w.base.pattern.num_vertices)
     k = len(w.roots)
-    std = grid_graph(g)
-    if w.base.pattern != std or w.augmented.pattern != std:
+    std = grid_graph(g) if g else None
+    if std is None or w.base.pattern != std or w.augmented.pattern != std:
         report.add("aug-pattern", f"witness patterns must both be the standard {g}x{g} grid")
         return report
     if w.base.host != w.augmented.host:
@@ -333,7 +313,7 @@ def check_augmentation(w: AugmentationWitness) -> ValidationReport:
         return report
     for a in range(1, g + 1):
         for b in range(1, g + 1):
-            v = w.labeling.small_vertex(a, b)
+            v = vertex_id(g, a, b)
             base_br = w.base.branches.get(v)
             aug_br = w.augmented.branches.get(v)
             if base_br is None or aug_br is None:

@@ -627,7 +627,6 @@ class _RowScanner:
         """
         g, net, k = self.work, self.net, self.k
         enough = k if strict_only else k + 1  # a flow this large passes outright
-        keep = len(roots) == k and not strict_only
         starts = [2 * net.index[z] for z in sorted(roots)]
         last = len(self.rows) - 1
         ref = None  # the last row's flow (prev, nxt), from the second row on
@@ -651,8 +650,7 @@ class _RowScanner:
             elif len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
                 kind = "reducible"
             else:
-                if keep:
-                    self.states[r] = _RowState(net)
+                self.states[r] = _RowState(net)
                 continue
             return _Blocker(kind, self.rows[r], cut, frozenset(net.vertices[i] for i in heads))
         return None

@@ -16,10 +16,7 @@ The cases are grid-plus-roots and random-attachment recipes with k = 1,
 2 and 3 roots (8/1/1, 13/2/2 and 28/3/3, degree k + 1) at seeds 0-7,
 each also broken by ``detach`` and ``hang``, and the coarse 2 x 2-block
 models with n = 3, 4, 5, 7 and 8 at all four corners (n = 3 and 4 fail
-``validate_problem``; the corpus pins that rejection too).  At n = 8
-the host side is 16, so each block holds ints that collide in a set's
-table (v and v + 16) and its branch sets iterate in insertion order:
-the extractor takes a branch's first vertex as a path target.  No case
+``validate_problem``; the corpus pins that rejection too).  No case
 hits the open band-choice bug: problems that do belong to a property
 test, not to a byte corpus.  Two full-run cases reach the scale of
 CI's smoke instances: grid-plus-roots and random-attachment 36/4/3 at

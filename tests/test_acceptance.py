@@ -18,7 +18,6 @@ from gridroots import (
     EnumerationBudget,
     ExtractionProblem,
     Graph,
-    GridLabeling,
     InstanceRecipe,
     Pseudomodel,
     Subgraph,
@@ -130,14 +129,7 @@ def test_criterion_1_end_to_end_extraction(corpus, capfd):
             )
             assert validate_model(augmented).ok, run.recipe
             assert validate_model(base).ok, run.recipe
-            doc = read_json(run.out_dir / "result.json")
-            labeling = GridLabeling(**doc["witness"]["labeling"])
-            witness = AugmentationWitness(
-                base=base,
-                augmented=augmented,
-                roots=run.problem.roots,
-                labeling=labeling,
-            )
+            witness = AugmentationWitness(base=base, augmented=augmented, roots=run.problem.roots)
             assert check_augmentation(witness).ok, run.recipe
             # Z-freeness: no root vertex inside any extracted-block branch
             for pv, br in base.branches.items():

@@ -88,6 +88,20 @@ def test_gen_instance_rejects_degree_above_side(tmp_path, capsys):
     assert "degree" in json.loads(err)["message"]
 
 
+def test_gen_instance_rejects_an_explicit_zero_degree(tmp_path, capsys):
+    # --degree 0 is a degree below k, not a missing flag that defaults to k
+    code, out, err = run(
+        capsys,
+        "gen-instance",
+        "--kind", "grid-plus-roots", "--n", 13, "--g", 2, "--k", 2, "--degree", 0,
+        "--out", tmp_path / "inst",
+    )
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["message"] == "attachment degree 0 must be at least k=2"
+    assert not (tmp_path / "inst").exists()
+
+
 def test_gen_instance_rejects_more_roots_than_the_subgrid_side(tmp_path, capsys):
     code, out, err = run(
         capsys,

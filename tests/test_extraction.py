@@ -637,10 +637,7 @@ def test_augmented_witness_reuses_problem_host():
     assert result.witness.augmented.host == problem.host
     assert result.witness.base.host == problem.host
     w = AugmentationWitness(
-        base=result.witness.base,
-        augmented=result.witness.augmented,
-        roots=problem.roots,
-        labeling=result.witness.labeling,
+        base=result.witness.base, augmented=result.witness.augmented, roots=problem.roots
     )
     assert check_augmentation(w).ok
 

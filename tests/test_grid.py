@@ -96,7 +96,6 @@ def test_atlas_parameter_checks():
 def test_atlas_window_algebra():
     at = GridAtlas(8, 4, 2, 2, 1)
     assert list(at.window_rows()) == [3, 4, 5, 6]
-    assert list(at.window_columns()) == [1, 2, 3, 4]
     h0 = at.window_vertices(0)
     h1 = at.window_vertices(1)
     assert len(h0) == 16 and len(h1) == 4
@@ -109,6 +108,17 @@ def test_atlas_window_algebra():
         at.window_vertices(-1)
     with pytest.raises(ValueError):
         at.window_vertices(2)
+
+
+def test_atlas_cell_maps_window_cells():
+    at = GridAtlas(4, 2, 2, 2, 1)
+    assert at.cell(1, 1) == 6
+    assert at.cell(2, 2) == 11
+    assert at.cell(2, 1) == 10
+    assert at.cell(0, 0) == 1 and at.cell(3, 3) == 16  # the padding's corners
+    for a, b in ((4, 1), (1, -1), (-1, 1), (1, 4)):
+        with pytest.raises(ValueError):
+            at.cell(a, b)
 
 
 def test_atlas_nesting_depth():

@@ -6,7 +6,7 @@ import pytest
 from gridroots import (
     AugmentationWitness,
     Graph,
-    GridLabeling,
+    GridAtlas,
     Pseudomodel,
     Subgraph,
     ValidationReport,
@@ -17,6 +17,7 @@ from gridroots import (
     image_of_vertices,
     validate_model,
     validate_pseudomodel,
+    vertex_id,
 )
 
 
@@ -306,32 +307,21 @@ def test_image_of_vertices():
         image_of_vertices(m, [9])
 
 
-def test_grid_labeling_maps_block():
-    lab = GridLabeling(n=4, i0=2, j0=2, g=2)
-    assert lab.big_vertex(1, 1) == 6
-    assert lab.big_vertex(2, 2) == 11
-    assert lab.small_vertex(2, 1) == 3
-    with pytest.raises(ValueError):
-        lab.big_vertex(3, 1)
-    with pytest.raises(ValueError):
-        lab.small_vertex(0, 1)
-
-
 def block_base(host_n=4, i0=2, j0=2, g=2):
     """Base model: the g x g block of the host grid, singleton branches."""
     host = grid_graph(host_n)
-    lab = GridLabeling(n=host_n, i0=i0, j0=j0, g=g)
+    cell = GridAtlas(host_n, i0, j0, g, k=1).cell
     pat = grid_graph(g)
     branches = {}
     for a in range(1, g + 1):
         for b in range(1, g + 1):
-            branches[lab.small_vertex(a, b)] = Subgraph(host, {lab.big_vertex(a, b)})
+            branches[vertex_id(g, a, b)] = Subgraph(host, {cell(a, b)})
     images = {}
     for eid, u, v in pat.edges():
         coords = [divmod(x - 1, g) for x in (u, v)]
-        big = [lab.big_vertex(i + 1, j + 1) for i, j in coords]
+        big = [cell(i + 1, j + 1) for i, j in coords]
         images[eid] = grid_edge_id(host_n, big[0], big[1])
-    return host, lab, Pseudomodel(host, pat, branches, images)
+    return host, Pseudomodel(host, pat, branches, images)
 
 
 def grafted(host, base):
@@ -343,36 +333,46 @@ def grafted(host, base):
 
 
 def test_check_augmentation_accepts_valid_witness():
-    host, lab, base = block_base()
+    host, base = block_base()
     aug = grafted(host, base)
-    w = AugmentationWitness(base=base, augmented=aug, roots=frozenset({1}), labeling=lab)
+    w = AugmentationWitness(base=base, augmented=aug, roots=frozenset({1}))
     assert check_augmentation(w).ok
 
 
 def test_check_augmentation_codes():
-    host, lab, base = block_base()
+    host, base = block_base()
     aug = grafted(host, base)
 
     # pattern mismatch
-    w = AugmentationWitness(identity_grid_model(3), aug, frozenset({1}), lab)
+    w = AugmentationWitness(identity_grid_model(3), aug, frozenset({1}))
     assert "aug-pattern" in check_augmentation(w).codes()
 
+    # g is read off the base pattern: an empty one, or one that is no square
+    # grid, is no witness
+    empty = Pseudomodel(host, Graph([], []), {}, {})
+    w = AugmentationWitness(empty, empty, frozenset({1}))
+    assert check_augmentation(w).codes() == ["aug-pattern"]
+    path = Graph([1, 2, 3, 4, 5], [(1, 1, 2)])
+    odd = Pseudomodel(host, path, {v: Subgraph(host, {v}) for v in path.vertices}, {1: 1})
+    w = AugmentationWitness(odd, odd, frozenset({1}))
+    assert check_augmentation(w).codes() == ["aug-pattern"]
+
     # root never captured
-    w = AugmentationWitness(base, base, frozenset({1}), lab)
+    w = AugmentationWitness(base, base, frozenset({1}))
     assert "aug-root-missing" in check_augmentation(w).codes()
 
     # touched a branch outside the first k rows of column 1
     moved = dict(aug.branches)
     moved[4] = Subgraph(host, {11, 12}, {grid_edge_id(4, 11, 12)})
     tampered = Pseudomodel(host, aug.pattern, moved, dict(aug.edge_images))
-    w = AugmentationWitness(base, tampered, frozenset({1}), lab)
+    w = AugmentationWitness(base, tampered, frozenset({1}))
     assert "aug-branch-changed" in check_augmentation(w).codes()
 
     # augmented branch lost the base vertex
     shrunk = dict(aug.branches)
     shrunk[1] = Subgraph(host, {1})
     tampered = Pseudomodel(host, aug.pattern, shrunk, dict(aug.edge_images))
-    w = AugmentationWitness(base, tampered, frozenset({1}), lab)
+    w = AugmentationWitness(base, tampered, frozenset({1}))
     assert "aug-branch-shrunk" in check_augmentation(w).codes()
 
     # edge image rewritten
@@ -380,5 +380,5 @@ def test_check_augmentation_codes():
     first = sorted(images)[0]
     images[first] = grid_edge_id(4, 1, 2)
     tampered = Pseudomodel(host, aug.pattern, dict(aug.branches), images)
-    w = AugmentationWitness(base, tampered, frozenset({1}), lab)
+    w = AugmentationWitness(base, tampered, frozenset({1}))
     assert "aug-edge-image" in check_augmentation(w).codes()

@@ -144,6 +144,24 @@ def test_coarse_run_reaches_every_reduction_and_replays(n, corner):
     assert bundle_digest(again) == bundle_digest(res) == CASES[(n, corner)]
 
 
+@pytest.mark.parametrize("corner", sorted(CORNERS))
+def test_extraction_does_not_depend_on_branch_set_order(corner):
+    # At n = 8 the host side is 16, so each block's ids v, v + 1, v + 16 and
+    # v + 17 collide in a set's table, and a set iterates in insertion order.
+    problem = coarse_problem(8, corner)
+    model, host = problem.model, problem.host
+    reordered = {
+        pv: Subgraph(host, sorted(br.vertices, reverse=True), sorted(br.edge_ids, reverse=True))
+        for pv, br in model.branches.items()
+    }
+    assert all(list(reordered[pv].vertices) != list(br.vertices) for pv, br in model.branches.items())
+    twin = ExtractionProblem(
+        host, problem.roots, Pseudomodel(host, model.pattern, reordered, model.edge_images),
+        problem.n, problem.g, problem.k,
+    )
+    assert bundle_digest(extract(twin)) == bundle_digest(extract(problem))
+
+
 # Recipe runs with k = 2 roots, so every splice and band step grafts two
 # paths: (kind, n, g, k, seed, degree) -> (recursions, bundle sha256).
 RECIPE_CASES = {
