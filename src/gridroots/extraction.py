@@ -16,27 +16,17 @@ step appends a replayable trace record.
 
 A run copies its host once, into one mutable working graph
 (``graph.WorkingGraph``) that every recursion level shrinks in place,
-an O(degree) edge deletion or contraction at a time; before it
-recurses, a level cuts it down to the B side of its blocker.  A level
-holds its branches and roots as plain id sets, and its journal keeps
-only the endpoints of each step, ``(kind, eid, u, v)``.  The level's
-row scanner (``separations._RowScanner``) and reduction picker are
-built once on the working graph and fed every journal entry after the
-working graph applies it: the scan after a step evaluates afresh only
-the rows whose flow or sink-reach certificate the step may have
-broken, and the picker classifies again only the edges at a
-contraction's survivor.  The witness is unwound by replaying the
-contractions backwards on id sets, a certificate is lifted back through
-deletions, contractions and the frames of enclosing recursions the same
-way, and both are built once, in the caller's original graph.  A
-blocker's sides stay id sets ``(VA, EA, VB, EB)`` through the trace
-record, the subproblem and the certificate's lifting, and the splice and
-band steps graft their k paths onto id-set branches with one helper.
-A level's pattern is id sets too, a ``Subgraph`` of the input pattern.
-The splice's A side and g*, the band step's graph, are cut out of the
-working graph as fresh working graphs for the path search.  No
-``Graph``, ``Separation`` or ``Pseudomodel`` is made inside the loop; a
-run builds two graphs, the g x g grids of the witness and its check.
+one edge deletion or contraction at a time, and cuts down to the B side
+of a blocker before it recurses.  A level holds its pattern, branches,
+roots and blocker sides as id sets, and its journal keeps only the
+endpoints of each step, ``(kind, eid, u, v)``.  Its row scanner
+(``separations._RowScanner``) and reduction picker are fed every
+journal entry instead of being rebuilt, and its scans stop after k + 1
+clear rows when the pattern has more than k full columns.  The witness
+and a certificate are carried back through the journals on id sets and
+built once, in the caller's original graph.  No ``Separation`` or
+``Pseudomodel`` is made inside the loop, and a run builds two
+``Graph``s, the g x g grids of the witness and its check.
 """
 from __future__ import annotations
 
@@ -117,10 +107,8 @@ class HypothesisCheck:
 def validate_problem(problem: ExtractionProblem) -> ValidationReport:
     """Check every extraction precondition, reporting all violations.
 
-    The pattern's vertex range is one ``min``/``max`` test, walked vertex
-    by vertex only to word the first bad one, and hypothesis (i) is read
-    only at the branches that can break it: those on the pattern's
-    boundary and those of more than one vertex.
+    Hypothesis (i) is read only at the branches that can break it: those
+    on the pattern's boundary and those of more than one vertex.
     """
     report = ValidationReport()
     n, g, k = problem.n, problem.g, problem.k
@@ -227,6 +215,22 @@ def _full_rows(n: int, pattern: Graph | Subgraph) -> list[tuple[int, ...]]:
             rows.append(tuple(range(first, last + 1)))
         at = bisect_right(ids, last, at, end)
     return rows
+
+
+def _full_columns(n: int, pattern: Subgraph, rows: Sequence[tuple[int, ...]]) -> int:
+    """How many columns have every vertex and vertical edge between the first
+    and the last of ``rows``, the pattern's full rows, in the pattern.
+
+    A column's vertical edge ids step by 2n - 1 from row to row, so each
+    column is one ``issuperset`` of a range; its vertices are the ends.
+    """
+    if len(rows) < 2:
+        return n if rows else 0
+    step = 2 * n - 1
+    span = (rows[-1][0] - rows[0][0]) // n * step
+    edges = pattern.edge_ids
+    return sum(edges.issuperset(range(e, e + span, step))
+               for e in (grid_edge_id(n, u, u + n) for u in rows[0]))
 
 
 class _ReductionPicker:
@@ -592,7 +596,8 @@ class _Runner:
         branches = dict(branches)
         rows = _full_rows(n, pattern)
         journal: list[tuple] = []
-        scanner = _RowScanner(work, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k)
+        scanner = _RowScanner(work, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k,
+                              lambda: _full_columns(n, pattern, rows))
         picker = None
         while True:
             block = scanner.scan(roots)

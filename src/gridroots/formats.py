@@ -7,24 +7,20 @@ the standard library: ``canonical_json(obj)`` equals
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for every object
 ``json.dumps`` accepts (ASCII output with ``\\uXXXX`` escapes, ``NaN``
 and ``Infinity`` for non-finite floats, int, float, bool and None keys
-written as strings), and raises ``TypeError`` wherever it does; it is
-built in one recursive pass of string joins instead of the standard
-library's generator chain.  Branch maps are keyed by grid coordinate
-strings ("i,j"), pattern edges by coordinate pairs ("i,j|i',j'" with
-the row-major smaller endpoint first).
+written as strings), and raises ``TypeError`` wherever it does.
+Branch maps are keyed by grid coordinate strings ("i,j"), pattern edges
+by coordinate pairs ("i,j|i',j'" with the row-major smaller endpoint
+first).
 
-The readers check each document in bulk and build from the checked
-values without checking them again: one pass per piece (the types of
-all values, the coordinate range, the ids against the host), and one
-dict lookup per coordinate key and per edge key, in tables built from
-the listed coordinates with the grid's edge numbering.  Only when a
-bulk check fails does a per-item pass run, to name the first failing
+The readers check each document in bulk, one pass per piece (the types
+of all values, the coordinate range, the ids against the host), and
+build from the checked values without checking them again.  Only when
+a bulk check fails does a per-item pass run, to name the first failing
 item in input order with the message that item's own check gives; a
 key that is not the canonical spelling of a listed coordinate or edge
 (" 1,1", or an edge with its larger end first) is read by that pass
-too.  So a valid 36 x 36 instance costs a few passes over its values
-instead of a function call per value, and a malformed one is rejected
-with the same exception and message as by an item-by-item reader.
+too.  A malformed document is rejected with the same exception and
+message as by an item-by-item reader.
 ``read_json`` turns every file it cannot read (missing, a directory,
 not UTF-8, not JSON, nested too deeply for the parser) into
 MalformedInput.

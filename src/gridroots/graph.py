@@ -33,8 +33,7 @@ class Graph:
     duplicate id shows as a map shorter than the edge list, and one
     ``issuperset`` checks every endpoint.  Only when a check fails does
     a per-edge pass run, to raise the error of the first bad edge in
-    input order, with the message a per-edge check gives.  The cost is
-    one pass per check plus the sort that orders the incidence tuples.
+    input order, with the message a per-edge check gives.
     """
 
     __slots__ = ("_vertices", "_edges", "_incidence", "_hash")

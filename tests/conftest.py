@@ -3,8 +3,9 @@ fuzz of ``tests/test_readers.py``, ``--hypothesis-profile=cli-fuzz`` the CLI
 flag fuzz of ``tests/test_cli_fuzz.py``,
 ``--hypothesis-profile=validation-fuzz`` the bulk-against-per-item
 validation fuzz of ``tests/test_validation_fuzz.py``, and
-``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test of
-``tests/test_separations.py``, at a higher example count (as CI does)."""
+``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test and
+the stopped-against-full scan test of ``tests/test_separations.py``, at a
+higher example count (as CI does)."""
 from hypothesis import settings
 
 settings.register_profile("reader-fuzz", max_examples=2000)

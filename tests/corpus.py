@@ -18,9 +18,9 @@ each also broken by ``detach`` and ``hang``, and the coarse 2 x 2-block
 models with n = 3, 4, 5, 7 and 8 at all four corners (n = 3 and 4 fail
 ``validate_problem``; the corpus pins that rejection too).  No case
 hits the open band-choice bug: problems that do belong to a property
-test, not to a byte corpus.  Two full-run cases reach the scale of
-CI's smoke instances: grid-plus-roots and random-attachment 36/4/3 at
-seed 7, degree 4 (three recursions each), not in ``SUBSET``.
+test, not to a byte corpus.  Four full-run cases reach the scale of
+CI's smoke instances and beyond: grid-plus-roots and random-attachment
+36/4/3 and 64/4/3 at seed 7, degree 4, not in ``SUBSET``.
 
     PYTHONPATH=src python tests/corpus.py           # check every case
     PYTHONPATH=src python tests/corpus.py --write   # rewrite the digest file
@@ -70,7 +70,7 @@ RECIPE_KINDS = ("grid-plus-roots", "random-attachment")
 RECIPE_SIZES = {1: (8, 1), 2: (13, 2), 3: (28, 3)}  # k -> (n, g)
 SEEDS = range(8)
 COARSE_SIDES = (3, 4, 5, 7, 8)
-SCALE_SIZES = {36: (4, 3)}  # n -> (g, k) of the full-run cases at seed 7, degree k + 1
+SCALE_SIZES = {36: (4, 3), 64: (4, 3)}  # n -> (g, k) of the full-run cases at seed 7, degree k + 1
 
 # the cases tier-1 runs: every kind, root count, break mode and coarse side once
 SUBSET = (

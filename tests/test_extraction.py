@@ -31,12 +31,15 @@ from gridroots import (
     row_vertices,
     validate_model,
     validate_problem,
+    vertex_coord,
+    vertex_id,
 )
-from gridroots import models
-from gridroots.extraction import _full_rows, _pattern_boundary
+from gridroots import extraction, models
+from gridroots.extraction import _full_columns, _full_rows, _pattern_boundary
 from gridroots.graph import WorkingGraph, boundary, subgraph_components
 from gridroots.grid import grid_edge_id
 from gridroots.models import validate_pseudomodel
+from gridroots.separations import _RowScanner
 from gridroots.validation import ValidationReport
 
 import corpus
@@ -655,3 +658,54 @@ def test_full_rows_counts_each_rows_pattern_vertices():
             expected = [row_vertices(n, i) for i in range(1, n + 1)
                         if set(row_vertices(n, i)) <= pattern.vertices]
             assert _full_rows(n, pattern) == expected
+
+
+def test_full_columns_counts_each_columns_vertices_and_vertical_edges():
+    """The bulk count equals a cell-by-cell count between the first and the
+    last full row (every column when there is one, none when there are none)."""
+    rng = random.Random(0)
+    for n in (1, 2, 3, 5, 8):
+        grid = grid_graph(n)
+        for _ in range(60):
+            full = [i for i in range(1, n + 1) if rng.random() < 0.4]
+            vertices = {v for i in full for v in row_vertices(n, i)}
+            vertices |= set(rng.sample(sorted(grid.vertices), rng.randint(0, n * n)))
+            edges = [(e, u, v) for e, u, v in grid.edges()
+                     if u in vertices and v in vertices and rng.random() < 0.9]
+            pattern = Subgraph(grid, vertices, [e for e, _u, _v in edges])
+            rows = _full_rows(n, pattern)
+            expected = 0
+            if rows:
+                first, last = (vertex_coord(n, row[0])[0] for row in (rows[0], rows[-1]))
+                expected = sum(
+                    all(vertex_id(n, i, j) in vertices for i in range(first, last + 1))
+                    and all(grid_edge_id(n, vertex_id(n, i, j), vertex_id(n, i + 1, j))
+                            in pattern.edge_ids for i in range(first, last))
+                    for j in range(1, n + 1)
+                )
+            assert _full_columns(n, pattern, rows) == expected
+
+
+def scanner_counts(problem, monkeypatch):
+    """Total cold and reused row evaluations of the row scanners of one extract."""
+    made = []
+
+    class Recorded(_RowScanner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(extraction, "_RowScanner", Recorded)
+    extract(problem)
+    return sum(s.cold for s in made), sum(s.reused for s in made)
+
+
+def test_linked_levels_read_at_most_k_plus_1_clear_rows_a_scan(monkeypatch):
+    """A scan on a level with more than k full columns stops after k + 1
+    clear rows, so few rows are ever read: every full row of grid-plus-roots
+    36/4/3 was read cold (363 evaluations) and 1,955 rows of coarse n = 7
+    (23 cold, 1,932 reused) when every scan read every row."""
+    cold, _reused = scanner_counts(corpus.build("grid-plus-roots/n36/s7"), monkeypatch)
+    assert cold <= 60
+    cold, reused = scanner_counts(corpus.build("coarse/7/top-left"), monkeypatch)
+    assert cold + reused <= 600

@@ -1,5 +1,6 @@
 """Separations, disjoint-path search, row blockers, and tangle axioms."""
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gridroots import (
     Graph,
+    InstanceRecipe,
     MalformedInput,
     Pseudomodel,
     Separation,
@@ -15,16 +17,27 @@ from gridroots import (
     blocking_separation,
     check_tangle_axioms,
     find_row_blocking_separation,
+    generate_instance,
     grid_graph,
     grid_tangle_member,
     identity_grid_model,
     menger,
     row_vertices,
+    validate_problem,
+    vertex_id,
 )
 from gridroots.graph import WorkingGraph
-from gridroots.extraction import _apply_edge_reduction
+from gridroots.extraction import (
+    _apply_edge_reduction,
+    _derive_subproblem,
+    _full_columns,
+    _full_rows,
+    _ReductionPicker,
+)
 from gridroots.instances import _attachment_columns, _chords, grid_plus_roots_problem
 from gridroots.separations import _END, _FREE, RowBlock, _RowScanner, _separation_from_sides
+
+from test_reductions import CORNERS, coarse_problem
 
 
 def p3():
@@ -440,6 +453,84 @@ def test_scanner_fed_before_its_first_scan_follows_the_contractions(seed):
         block.kind, block.row, _separation_from_sides(g, block.sides(work, roots)))
     fresh = find_row_blocking_separation(g, roots, images, rows, k)
     assert found == (None if fresh is None else (fresh.kind, fresh.row, fresh.separation))
+
+
+def linked_level_case(seed):
+    """A seeded problem that ``validate_problem`` accepts, as the extraction
+    loop holds it: a coarse model at a random side and corner (k = 1), one
+    at side 13 with two roots, in one block half the time (k = 2), or a
+    grid-plus-roots or random-attachment recipe (k = 1 or 2)."""
+    rng = random.Random(f"linked-level:{seed}")
+    kind = rng.choice(("coarse", "coarse", "grid-plus-roots", "random-attachment"))
+    if kind == "coarse" and rng.random() < 0.2:
+        problem = coarse_problem(13, "top-left")
+        i, j = 2 * rng.randint(1, 13), 2 * rng.randint(1, 13)
+        block = [vertex_id(26, i - a, j - b) for a in (0, 1) for b in (0, 1)]
+        pool = block if rng.random() < 0.5 else sorted(problem.host.vertices)
+        roots = rng.sample(pool, 2)
+        problem = replace(problem, roots=frozenset(roots), k=2)
+    elif kind == "coarse":
+        problem = coarse_problem(rng.randint(5, 7), rng.choice(sorted(CORNERS)))
+    else:
+        k = rng.randint(1, 2)
+        n, g = (rng.randint(4, 8), 1) if k == 1 else (13, 2)
+        problem = generate_instance(InstanceRecipe(kind, n, g, k, rng.randint(0, 99), k + 1))
+    assert validate_problem(problem).ok
+    return problem, rng
+
+
+# 30 examples in the default profile, more under a higher-count one
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=max(30, settings.default.max_examples), deadline=None)
+def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
+    """On the extraction's own levels, fed its own reductions (root-root
+    branch edge deletions included, on levels reduced past every blocker)
+    and recursing into the B side as it does, the scanner that stops after
+    k + 1 clear rows gives the full scan's blocker, or None, at every step;
+    the cold per-row ``menger`` reference agrees at the first scan of each
+    level, at each blocker that ends a level and at a few random steps."""
+    problem, rng = linked_level_case(seed)
+    n, k, model = problem.n, problem.k, problem.model
+    roots = set(problem.roots)
+    pattern = Subgraph(model.pattern, model.pattern.vertices, model.pattern.edge_ids)
+    branches = {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
+    images = dict(model.edge_images)
+    work = WorkingGraph(problem.host)
+    while True:
+        rows = _full_rows(n, pattern)
+        vertex_sets = {pv: vs for pv, (vs, _es) in branches.items()}
+        stopping = _RowScanner(work, vertex_sets, rows, k, lambda: _full_columns(n, pattern, rows))
+        full = _RowScanner(work, vertex_sets, rows, k)
+        picker = _ReductionPicker(work, roots, branches, images)
+        first, past = True, rng.random() < 0.5  # reduce past every blocker at this level
+        while True:
+            block = stopping.scan(roots)
+            assert block == full.scan(roots)
+            leave = block is not None and not past
+            if first or leave or rng.random() < 0.002:
+                g = work.freeze()
+                found = None if block is None else (
+                    block.kind, block.row, _separation_from_sides(g, block.sides(work, roots)))
+                current = {pv: vs for pv, (vs, _es) in branches.items()}
+                assert found == reference_row_scan(g, roots, current, rows, k)
+            first = False
+            if leave:
+                break
+            reduction = picker.next()
+            if reduction is None:
+                return
+            entry = _apply_edge_reduction(work, roots, branches, *reduction)
+            for scanner in (stopping, full):
+                scanner.feed(entry)
+            picker.feed(work, roots, entry)
+        if block.kind == "strict":
+            return
+        sides = va, ea, vb, _eb = block.sides(work, roots)
+        for e in ea:
+            work.delete_edge(e)
+        work.vertices -= va - vb
+        roots = va & vb
+        pattern, branches, images = _derive_subproblem(pattern, branches, images, sides)
 
 
 def reference_row_cut(g, roots, images, rows, k):
