@@ -21,12 +21,12 @@ of a blocker before it recurses.  A level holds its pattern, branches,
 roots and blocker sides as id sets, and its journal keeps only the
 endpoints of each step, ``(kind, eid, u, v)``.  Its row scanner
 (``separations._RowScanner``) and reduction picker are fed every
-journal entry instead of being rebuilt, and its scans stop after k + 1
-clear rows when the pattern has more than k full columns.  The witness
-and a certificate are carried back through the journals on id sets and
-built once, in the caller's original graph.  No ``Separation`` or
-``Pseudomodel`` is made inside the loop, and a run builds two
-``Graph``s, the g x g grids of the witness and its check.
+journal entry instead of being rebuilt; the scanner reads the first
+k + 1 full rows if more than k columns are full (``_rows_to_scan``).
+The witness and a certificate are carried back through the journals
+on id sets and built once, in the caller's original graph.  No
+``Separation`` or ``Pseudomodel`` is made inside the loop, and a run
+builds two ``Graph``s, the g x g grids of the witness and its check.
 """
 from __future__ import annotations
 
@@ -219,18 +219,57 @@ def _full_rows(n: int, pattern: Graph | Subgraph) -> list[tuple[int, ...]]:
 
 def _full_columns(n: int, pattern: Subgraph, rows: Sequence[tuple[int, ...]]) -> int:
     """How many columns have every vertex and vertical edge between the first
-    and the last of ``rows``, the pattern's full rows, in the pattern.
+    and the last of ``rows`` (two or more full rows) in the pattern.
 
     A column's vertical edge ids step by 2n - 1 from row to row, so each
     column is one ``issuperset`` of a range; its vertices are the ends.
     """
-    if len(rows) < 2:
-        return n if rows else 0
     step = 2 * n - 1
     span = (rows[-1][0] - rows[0][0]) // n * step
     edges = pattern.edge_ids
     return sum(edges.issuperset(range(e, e + span, step))
                for e in (grid_edge_id(n, u, u + n) for u in rows[0]))
+
+
+def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
+    """The full rows every scan of a level reads (its pattern never
+    changes): the first k + 1 when the pattern has more than k full
+    columns, else all.  A scan of those gives the full scan's answer.
+
+    This needs what the loop keeps at every level: |Z| = k, disjoint
+    branches, each pattern edge's image joining its ends' branches, and
+    hypothesis (i): a branch that is disconnected, or whose pattern
+    vertex lacks a grid edge, has a root in every component.  Lemma: if
+    row r' blocks, with cut X (|X| <= k) and B' the vertices its image
+    reaches in G - X (no root is in B', and no edge leaves B' but into
+    X), every clear row meets X.  Row images are disjoint, so at most k
+    rows are clear, and the first blocker comes before the (k+1)-th
+    clear row.
+    - Some full column misses X.  Its branch in row r' lies in B'.  An
+      edge image leaving a branch inside B' ends in the next branch off
+      X, so in B'; that component of the next branch holds no root, so
+      the branch is connected and lies in B'.  The column lies in B'.
+    - A row r whose image misses X lies in B' the same way, walked from
+      its cell in that column: a branch inside B' holds no root, so its
+      pattern vertex has every grid edge.
+    - Then X meets every path from Z to r's image.  If |X| < k, r's flow
+      is below k.  Else X is a minimum cut, and r clear would make Z its
+      sink-side cut, with every vertex off Z reaching its image in G - Z.
+      The nodes that reach the sink lie on the sink side of every
+      minimum cut, and a root off X has its out-node on the source side
+      of X's, so X = Z.  In G - Z, r's image reaches no more than B', so
+      what blocks r' (an edge inside Z, or |Z| + |B'| < |V|) blocks r.
+    The premises hold at every level.  A plain deletion leaves branches
+    and images alone, deleting a branch edge between two roots leaves a
+    root in each piece, and a contraction keeps its piece connected and
+    any root in it.  In ``_derive_subproblem`` (roots X), a branch
+    inside B' is connected with every grid edge, whose images lie in B,
+    so it is kept whole with its edges; every other branch's pieces in B
+    reach X along the branch.  The loop runs no strict scan, and the
+    public scans read every row: their models are not validated.
+    """
+    rows = _full_rows(n, pattern)
+    return rows[:k + 1] if len(rows) > k + 1 and _full_columns(n, pattern, rows) > k else rows
 
 
 class _ReductionPicker:
@@ -594,10 +633,9 @@ class _Runner:
         n, g, k = self.n, self.g, self.k
         roots = set(roots)
         branches = dict(branches)
-        rows = _full_rows(n, pattern)
         journal: list[tuple] = []
-        scanner = _RowScanner(work, {pv: vs for pv, (vs, _es) in branches.items()}, rows, k,
-                              lambda: _full_columns(n, pattern, rows))
+        scanner = _RowScanner(work, {pv: vs for pv, (vs, _es) in branches.items()},
+                              _rows_to_scan(n, k, pattern), k)
         picker = None
         while True:
             block = scanner.scan(roots)

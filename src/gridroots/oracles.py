@@ -245,8 +245,8 @@ def brute_force_grid_model(
 
     Branch sets are enumerated as connected vertex subsets in ascending
     bitmask order, so the first model found is deterministic.  Branches
-    are taken as induced subgraphs; each pattern edge gets the least
-    host edge joining its two branches.
+    are induced subgraphs; each pattern edge gets the least host edge
+    joining its two branches.  Each branch mask tried is a search step.
     """
     budget = budget or EnumerationBudget()
     if side > budget.max_pattern_side:
@@ -274,13 +274,20 @@ def brute_force_grid_model(
 
     pattern_order = sorted(pattern.vertices)
     assigned: dict[int, int] = {}
+    steps = 0
 
     def place(pos: int, used: int) -> dict[int, int] | None:
+        nonlocal steps
         if pos == len(pattern_order):
             return dict(assigned)
         pv = pattern_order[pos]
         earlier = [w for w in pattern.neighbors(pv) if w in assigned]
         for mask in masks:
+            steps += 1
+            if steps > budget.search_steps:
+                raise BudgetExceeded(
+                    f"brute_force_grid_model: more than {budget.search_steps} search steps"
+                )
             if mask & used:
                 continue
             if all(joining_edges(mask, assigned[w]) for w in earlier):

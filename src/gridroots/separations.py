@@ -12,14 +12,14 @@ the row scan: the vertex-split network stays implicit, as arrays over
 the numbered adjacency of a ``WorkingGraph``.  ``_RowScanner`` is the
 one row scan, behind ``find_row_blocking_separation``,
 ``check_hypothesis`` (a strict scan) and the extraction loop, which
-keeps it across the reductions of one level and lets it stop early.
+keeps it across the reductions of one level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantBroken, MalformedInput
 from .graph import Graph, Subgraph, WorkingGraph, reachable_from
@@ -579,47 +579,11 @@ class _RowScanner:
     full (counted in ``cold``) and takes the rest from their states
     (``reused``).
 
-    A row with no state after the first row starts from the last row's
-    flow (its kept state's, or solved when a row first needs it) with
-    each path cut back where it first meets the row's image, and
-    augments only the shortfall.  Any feasible start gives a maximum
-    flow and the same cut.
-
-    The extraction loop passes ``full_columns``, which counts the
-    columns of its level's pattern with every vertex and vertical edge
-    between the first and the last full row.  A scan calls it once, the
-    first time it has k + 1 clear rows and more to read; with more than
-    k such columns it returns None there.  This needs what the loop
-    keeps at every level: |Z| = k, disjoint branches, each pattern
-    edge's image joining its ends' branches, and hypothesis (i): a
-    branch that is disconnected, or whose pattern vertex lacks a grid
-    edge, has a root in every component.  Lemma: if row r' blocks, with
-    cut X (|X| <= k) and B' the vertices its image reaches in G - X (no
-    root is in B', and no edge leaves B' but into X), every clear row
-    meets X.  Row images are disjoint, so at most k rows are clear, and
-    the first blocker comes before the (k+1)-th clear row.
-    - Some full column misses X.  Its branch in row r' lies in B'.  An
-      edge image leaving a branch inside B' ends in the next branch off
-      X, so in B'; that component of the next branch holds no root, so
-      the branch is connected and lies in B'.  The column lies in B'.
-    - A row r whose image misses X lies in B' the same way, walked from
-      its cell in that column: a branch inside B' holds no root, so its
-      pattern vertex has every grid edge.
-    - Then X meets every path from Z to r's image.  If |X| < k, r's flow
-      is below k.  Else X is a minimum cut, and r clear would make Z its
-      sink-side cut, with every vertex off Z reaching its image in G - Z.
-      The nodes that reach the sink lie on the sink side of every
-      minimum cut, and a root off X has its out-node on the source side
-      of X's, so X = Z.  In G - Z, r's image reaches no more than B', so
-      what blocks r' (an edge inside Z, or |Z| + |B'| < |V|) blocks r.
-    The premises hold at every level.  A plain deletion leaves branches
-    and images alone, deleting a branch edge between two roots leaves a
-    root in each piece, and a contraction keeps its piece connected and
-    any root in it.  In ``_derive_subproblem`` (roots X), a branch
-    inside B' is connected with every grid edge, whose images lie in B,
-    so it is kept whole with its edges; every other branch's pieces in B
-    reach X along the branch.  The extraction loop runs no strict scan,
-    and the public scans stay full: their models are not validated.
+    A row with no state after the first row starts from the flow of the
+    last row the scanner is given (its kept state's, or solved when a
+    row first needs it) with each path cut back where it first meets
+    the row's image, and augments only the shortfall.  Any feasible
+    start gives a maximum flow and the same cut.
     """
 
     def __init__(
@@ -628,7 +592,6 @@ class _RowScanner:
         branch_vertices: Mapping[int, AbstractSet[int]],
         rows: Sequence[Sequence[int]],
         max_order: int,
-        full_columns: Callable[[], int] | None = None,
     ):
         self.work = work
         self.net = _FlowNetwork(work)
@@ -643,8 +606,6 @@ class _RowScanner:
                     marks[index[v]] = 1
             self.marks.append(marks)
         self.states: list[_RowState | None] = [None] * len(self.rows)
-        self.full_columns = full_columns
-        self.linked: bool | None = None if full_columns else False  # more than k full columns
         self.cold = 0
         self.reused = 0
 
@@ -654,8 +615,7 @@ class _RowScanner:
         """The first row, in order, that a separation blocks; None if none does.
 
         ``roots`` are as of the last entry fed.  With ``strict_only`` a
-        row passes once its flow reaches k, and only a cut below k
-        blocks.  On a linked level the scan ends after k + 1 clear rows.
+        row passes once its flow reaches k, and only a cut below k blocks.
         """
         g, net, k = self.work, self.net, self.k
         enough = k if strict_only else k + 1  # a flow this large passes outright
@@ -663,11 +623,6 @@ class _RowScanner:
         last = len(self.rows) - 1
         ref = None  # the last row's flow (prev, nxt), once a later row needs it
         for r, marks in enumerate(self.marks):
-            if r > k:
-                if self.linked is None:
-                    self.linked = self.full_columns() > k
-                if self.linked:
-                    return None  # the r rows before this one are clear
             if self.states[r] is not None:
                 self.reused += 1
                 continue
@@ -851,11 +806,9 @@ def find_row_blocking_separation(
 
     This is where rows are checked: the images are read in row order
     before the scan, which then runs on the rows before the first bad
-    one only.  It is one full scan of a fresh ``_RowScanner`` on a
-    ``WorkingGraph`` of g: it reads every row up to its first blocker,
-    since the early stop rests on premises an unvalidated model need not
-    meet.  The extraction loop keeps a scanner for a whole recursion
-    level instead, on rows that are valid by construction.
+    one only.  It is one scan of a fresh ``_RowScanner`` on a
+    ``WorkingGraph`` of g, which reads every row it is given up to the
+    first blocker.
     """
     if max_order < (1 if strict_only else 0):
         least = "positive" if strict_only else "non-negative"

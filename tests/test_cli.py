@@ -502,17 +502,29 @@ def test_oracle_separations_and_tangles(tmp_path, capsys):
     assert json.loads(out)["found"] is True
 
 
-@pytest.mark.parametrize("side,words", [
+def _fan(path):
+    """A 12-vertex fan, apex 0 on the path 1..11: treewidth 2, so no 3x3 grid minor."""
+    ends = [(0, v) for v in range(1, 12)] + [(v, v + 1) for v in range(1, 11)]
+    edges = [[e, u, v] for e, (u, v) in enumerate(ends)]
+    path.write_text(json.dumps({"vertices": list(range(12)), "edges": edges}))
+
+
+@pytest.mark.parametrize("host,words", [
     (12, ["check-tangle", "--order", 3]),
     (3, ["oracle", "separations", "--max-order", 9]),
+    (_fan, ["oracle", "grid-model", "--side", 3]),
 ])
-def test_oracle_budget_bounds_the_work(tmp_path, capsys, side, words):
-    """The default enumeration budget (10 vertices, order 3) turns a query
-    too large for brute force away at once."""
-    grid = tmp_path / "g.json"
-    run(capsys, "gen-grid", "--n", side, "--out", grid)
+def test_oracle_budget_bounds_the_work(tmp_path, capsys, host, words):
+    """The default enumeration budget (10 vertices, order 3, 2,000,000
+    search steps) turns a query too large for brute force away within
+    seconds; ``host`` is a grid side or writes the graph."""
+    graph = tmp_path / "g.json"
+    if callable(host):
+        host(graph)
+    else:
+        run(capsys, "gen-grid", "--n", host, "--out", graph)
     start = time.perf_counter()
-    code, out, err = run(capsys, *words, "--graph", grid)
+    code, out, err = run(capsys, *words, "--graph", graph)
     assert time.perf_counter() - start < 5
     assert code == 1
     assert out == ""

@@ -662,9 +662,10 @@ def test_full_rows_counts_each_rows_pattern_vertices():
 
 def test_full_columns_counts_each_columns_vertices_and_vertical_edges():
     """The bulk count equals a cell-by-cell count between the first and the
-    last full row (every column when there is one, none when there are none)."""
+    last of two or more full rows."""
     rng = random.Random(0)
-    for n in (1, 2, 3, 5, 8):
+    checked = 0
+    for n in (2, 3, 5, 8):
         grid = grid_graph(n)
         for _ in range(60):
             full = [i for i in range(1, n + 1) if rng.random() < 0.4]
@@ -674,37 +675,78 @@ def test_full_columns_counts_each_columns_vertices_and_vertical_edges():
                      if u in vertices and v in vertices and rng.random() < 0.9]
             pattern = Subgraph(grid, vertices, [e for e, _u, _v in edges])
             rows = _full_rows(n, pattern)
-            expected = 0
-            if rows:
-                first, last = (vertex_coord(n, row[0])[0] for row in (rows[0], rows[-1]))
-                expected = sum(
-                    all(vertex_id(n, i, j) in vertices for i in range(first, last + 1))
-                    and all(grid_edge_id(n, vertex_id(n, i, j), vertex_id(n, i + 1, j))
-                            in pattern.edge_ids for i in range(first, last))
-                    for j in range(1, n + 1)
-                )
+            if len(rows) < 2:
+                continue
+            first, last = (vertex_coord(n, row[0])[0] for row in (rows[0], rows[-1]))
+            expected = sum(
+                all(vertex_id(n, i, j) in vertices for i in range(first, last + 1))
+                and all(grid_edge_id(n, vertex_id(n, i, j), vertex_id(n, i + 1, j))
+                        in pattern.edge_ids for i in range(first, last))
+                for j in range(1, n + 1)
+            )
             assert _full_columns(n, pattern, rows) == expected
+            checked += 1
+    assert checked >= 100
 
 
-def scanner_counts(problem, monkeypatch):
-    """Total cold and reused row evaluations of the row scanners of one extract."""
-    made = []
+def extract_levels(problem, monkeypatch, refuted=False):
+    """Each recursion level of one extract: its pattern and the row scanner
+    it built.  With ``refuted``, the extract must raise HypothesisViolated."""
+    patterns, scanners = [problem.model.pattern], []
+    derive = extraction._derive_subproblem
 
     class Recorded(_RowScanner):
         def __init__(self, *args):
             super().__init__(*args)
-            made.append(self)
+            scanners.append(self)
+
+    def recorded_derive(*args):
+        sub = derive(*args)
+        patterns.append(sub[0])
+        return sub
 
     monkeypatch.setattr(extraction, "_RowScanner", Recorded)
-    extract(problem)
-    return sum(s.cold for s in made), sum(s.reused for s in made)
+    monkeypatch.setattr(extraction, "_derive_subproblem", recorded_derive)
+    if refuted:
+        with pytest.raises(HypothesisViolated):
+            extract(problem)
+    else:
+        extract(problem)
+    assert len(patterns) == len(scanners)
+    return list(zip(patterns, scanners))
+
+
+def scanner_counts(problem, monkeypatch):
+    """Total cold and reused row evaluations of the row scanners of one extract."""
+    scanners = [s for _pattern, s in extract_levels(problem, monkeypatch)]
+    return sum(s.cold for s in scanners), sum(s.reused for s in scanners)
+
+
+@pytest.mark.parametrize("case", [
+    "grid-plus-roots/n36/s7", "grid-plus-roots/n36/s7/hang", "coarse/7/top-left",
+])
+def test_a_linked_level_is_given_its_first_k_plus_1_full_rows(case, monkeypatch):
+    """A level whose pattern has more than k full columns builds its scanner
+    on its first k + 1 full rows, and any other level on every full row."""
+    problem = corpus.build(case)
+    n, k = problem.n, problem.k
+    cut = 0
+    for pattern, scanner in extract_levels(problem, monkeypatch, case.endswith("/hang")):
+        rows = _full_rows(n, pattern)
+        if len(rows) > 1 and _full_columns(n, pattern, rows) > k:
+            assert scanner.rows == rows[:k + 1]
+            cut += len(rows) > k + 1
+        else:
+            assert scanner.rows == rows
+        assert len(scanner.marks) == len(scanner.rows)
+    assert cut  # some level had rows to leave out
 
 
 def test_linked_levels_read_at_most_k_plus_1_clear_rows_a_scan(monkeypatch):
-    """A scan on a level with more than k full columns stops after k + 1
-    clear rows, so few rows are ever read: every full row of grid-plus-roots
-    36/4/3 was read cold (363 evaluations) and 1,955 rows of coarse n = 7
-    (23 cold, 1,932 reused) when every scan read every row."""
+    """A linked level's scanner holds only its first k + 1 full rows, so few
+    rows are ever read: every full row of grid-plus-roots 36/4/3 was read
+    cold (363 evaluations) and 1,955 rows of coarse n = 7 (23 cold, 1,932
+    reused) when every scan read every row."""
     cold, _reused = scanner_counts(corpus.build("grid-plus-roots/n36/s7"), monkeypatch)
     assert cold <= 60
     cold, reused = scanner_counts(corpus.build("coarse/7/top-left"), monkeypatch)

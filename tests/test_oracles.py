@@ -142,6 +142,21 @@ def test_brute_force_grid_model():
         brute_force_grid_model(grid_graph(4), 2)  # 16 > 12 vertices
 
 
+def test_grid_model_search_step_budget():
+    """A 12-vertex fan (apex 0 on the path 1..11) has treewidth 2, so no
+    3x3 grid minor, and the search for one would run for minutes; the
+    step budget stops it.  The 3x3 grid finds its model in 267 tries."""
+    path = [(v, v, v + 1) for v in range(1, 11)]
+    fan = Graph(range(12), path + [(10 + v, 0, v) for v in range(1, 12)])
+    with pytest.raises(BudgetExceeded):
+        brute_force_grid_model(fan, 3, EnumerationBudget(search_steps=1000))
+    with pytest.raises(BudgetExceeded):
+        brute_force_grid_model(fan, 3)
+    assert brute_force_grid_model(grid_graph(3), 3, EnumerationBudget(search_steps=267))
+    with pytest.raises(BudgetExceeded):
+        brute_force_grid_model(grid_graph(3), 3, EnumerationBudget(search_steps=266))
+
+
 def test_brute_force_model_found_in_subdivided_grid():
     # grid 2x2 with edge 1-2 subdivided by vertex 5: branches must absorb it
     g = Graph(

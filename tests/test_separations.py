@@ -30,9 +30,9 @@ from gridroots.graph import WorkingGraph
 from gridroots.extraction import (
     _apply_edge_reduction,
     _derive_subproblem,
-    _full_columns,
     _full_rows,
     _ReductionPicker,
+    _rows_to_scan,
 )
 from gridroots.instances import _attachment_columns, _chords, grid_plus_roots_problem
 from gridroots.separations import _END, _FREE, RowBlock, _RowScanner, _separation_from_sides
@@ -485,10 +485,12 @@ def linked_level_case(seed):
 def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
     """On the extraction's own levels, fed its own reductions (root-root
     branch edge deletions included, on levels reduced past every blocker)
-    and recursing into the B side as it does, the scanner that stops after
-    k + 1 clear rows gives the full scan's blocker, or None, at every step;
-    the cold per-row ``menger`` reference agrees at the first scan of each
-    level, at each blocker that ends a level and at a few random steps."""
+    and recursing into the B side as it does, the scanner given the rows
+    ``extraction._rows_to_scan`` picks (the first k + 1 on a level with
+    more than k full columns) gives the full scan's blocker, or None, at
+    every step; the cold per-row ``menger`` reference agrees at the first
+    scan of each level, at each blocker that ends a level and at a few
+    random steps."""
     problem, rng = linked_level_case(seed)
     n, k, model = problem.n, problem.k, problem.model
     roots = set(problem.roots)
@@ -499,7 +501,7 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
     while True:
         rows = _full_rows(n, pattern)
         vertex_sets = {pv: vs for pv, (vs, _es) in branches.items()}
-        stopping = _RowScanner(work, vertex_sets, rows, k, lambda: _full_columns(n, pattern, rows))
+        stopping = _RowScanner(work, vertex_sets, _rows_to_scan(n, k, pattern), k)
         full = _RowScanner(work, vertex_sets, rows, k)
         picker = _ReductionPicker(work, roots, branches, images)
         first, past = True, rng.random() < 0.5  # reduce past every blocker at this level
