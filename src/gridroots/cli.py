@@ -227,6 +227,8 @@ def _cmd_check_tangle(args) -> int:
 
 def _cmd_oracle(args) -> int:
     host = _load_graph(args.graph)
+    if getattr(args, "max_order", None) is not None and args.max_order < 0:
+        raise MalformedInput(f"max order must be non-negative, got --max-order {args.max_order}")
     if args.oracle_kind == "separations":
         seps = enumerate_separations(host, args.max_order)  # the default budget
         doc = {"count": len(seps)}

@@ -259,14 +259,14 @@ def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
       minimum cut, and a root off X has its out-node on the source side
       of X's, so X = Z.  In G - Z, r's image reaches no more than B', so
       what blocks r' (an edge inside Z, or |Z| + |B'| < |V|) blocks r.
-    The premises hold at every level.  A plain deletion leaves branches
-    and images alone, deleting a branch edge between two roots leaves a
-    root in each piece, and a contraction keeps its piece connected and
-    any root in it.  In ``_derive_subproblem`` (roots X), a branch
-    inside B' is connected with every grid edge, whose images lie in B,
-    so it is kept whole with its edges; every other branch's pieces in B
-    reach X along the branch.  The loop runs no strict scan, and the
-    public scans read every row: their models are not validated.
+    The premises hold at every level.  A deletion (a plain edge or a
+    loop) leaves every branch connected and every image alone, and a
+    contraction keeps its piece connected and any root in it.  In
+    ``_derive_subproblem`` (roots X), a branch inside B' is connected
+    with every grid edge, whose images lie in B, so it is kept whole
+    with its edges; every other branch's pieces in B reach X along the
+    branch.  The loop runs no strict scan, and the public scans read
+    every row: their models are not validated.
     """
     rows = _full_rows(n, pattern)
     return rows[:k + 1] if len(rows) > k + 1 and _full_columns(n, pattern, rows) > k else rows
@@ -276,29 +276,34 @@ class _ReductionPicker:
     """The least-id edge reducible by deletion or contraction, kept for one level.
 
     Rule order: plain deletion (edge in no branch and no image), branch
-    edge deletion (loop, or both ends rooted), branch edge contraction
-    (everything else inside a branch).  The edge images and the branch
-    edges' owners are read once per level.  Plain edges only ever leave
-    the graph, least first, so they are a sorted list read from a
-    cursor.  A branch edge changes rule only when a contraction moves
-    one of its ends, so after each contraction only the survivor's edges
-    are classified again.
+    edge deletion (a loop), branch edge contraction (everything else
+    inside a branch).  The edge images and the branch edges' owners are
+    read once per level.  Plain edges only ever leave the graph, least
+    first, so they are a sorted list read from a cursor.  A branch edge
+    changes rule only when a contraction moves one of its ends, so after
+    each contraction only the survivor's edges are classified again.
+
+    No rule is needed for a branch edge between two roots: the picker
+    runs only after a scan returned None, and a row is clear only when
+    its sink-side cut is Z with no edge inside it.  Every level has a
+    full row (the top level by ``validate_problem``, a sub-level keeps
+    the row that blocked), so no edge then lies inside Z.
     """
 
-    def __init__(self, g: WorkingGraph, roots: set[int], branches: dict, images: dict[int, int]):
+    def __init__(self, g: WorkingGraph, branches: dict, images: dict[int, int]):
         image_set = set(images.values())
         self.owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
         self.plain = sorted(e for e in g.edge_ids if e not in image_set and e not in self.owner)
         self.cursor = 0
-        self.removable = {e for e in self.owner if self._removable(g, roots, e)}
+        self.removable = {e for e in self.owner if self._removable(g, e)}
         # a heap (sorted lists are heaps); edges that left it or became
         # removable are dropped when they reach its top
         self.contractible = sorted(e for e in self.owner if e not in self.removable)
 
     @staticmethod
-    def _removable(g: WorkingGraph, roots: set[int], e: int) -> bool:
+    def _removable(g: WorkingGraph, e: int) -> bool:
         x, y = g.endpoints(e)
-        return x == y or (x in roots and y in roots)
+        return x == y
 
     def next(self) -> tuple[str, int, int | None] | None:
         """The next reduction as ``(rule, edge, branch)``, or None when none applies."""
@@ -314,8 +319,8 @@ class _ReductionPicker:
             return ("branch-edge-contract", heap[0], self.owner[heap[0]])
         return None
 
-    def feed(self, g: WorkingGraph, roots: set[int], entry: tuple[str, int, int, int]) -> None:
-        """Account for one applied reduction; ``g`` and ``roots`` are as after it."""
+    def feed(self, g: WorkingGraph, entry: tuple[str, int, int, int]) -> None:
+        """Account for one applied reduction; ``g`` is as after it."""
         kind, eid, u, _v = entry
         if eid not in self.owner:
             self.cursor += 1
@@ -324,7 +329,7 @@ class _ReductionPicker:
         self.removable.discard(eid)
         if kind == "contract":
             for e in g.incident_edges(u):
-                if e in self.owner and self._removable(g, roots, e):
+                if e in self.owner and self._removable(g, e):
                     self.removable.add(e)
 
 
@@ -685,7 +690,7 @@ class _Runner:
                 return (atlas, small_images, _unwind_journal(journal, base),
                         _unwind_journal(journal, augmented))
             if picker is None:
-                picker = _ReductionPicker(work, roots, branches, images)
+                picker = _ReductionPicker(work, branches, images)
             reduction = picker.next()
             if reduction is None:
                 break
@@ -693,7 +698,7 @@ class _Runner:
             entry = _apply_edge_reduction(work, roots, branches, kind, eid, branch_key)
             journal.append(entry)
             scanner.feed(entry)
-            picker.feed(work, roots, entry)
+            picker.feed(work, entry)
             record = {
                 "kind": kind,
                 "depth": depth,

@@ -242,16 +242,16 @@ class _FlowNetwork:
             out.append(path)
         return out
 
-    def sink_cut(self, heads: Iterable[int]) -> tuple[frozenset[int], int]:
+    def sink_cut(self, heads: Iterable[int]) -> tuple[frozenset[int], bytearray]:
         """The sink-side minimum cut of a maximum flow, and what lies beyond it.
 
         ``heads`` are the indices of the targets.  A vertex is in the cut
         when its out-node reaches the super sink in the residual network
         and its in-node does not.  The nodes that reach the sink are the
-        same for every maximum flow, so the cut does not depend on the
-        order of augmentation.  The second value counts the vertices
-        whose in-node reaches the sink: exactly the vertices reachable
-        from the targets in the graph minus the cut.
+        same for every maximum flow (Picard and Queyranne, 1980), so the
+        cut does not depend on the order of augmentation.  The second
+        value marks, by index, the vertices whose in-node reaches the
+        sink: exactly those reachable from the targets in g minus the cut.
 
         The search runs breadth-first back from the sink and leaves
         ``level``, a certificate of what reaches it: ``level[j]`` is the
@@ -298,7 +298,7 @@ class _FlowNetwork:
                 f"min-cut extraction produced {len(cut)} vertices for flow {self.value}",
                 payload={"cut": sorted(cut)},
             )
-        return cut, in_seen.count(1)
+        return cut, in_seen
 
 
 def menger(
@@ -358,7 +358,7 @@ def _route(g: WorkingGraph, sources: AbstractSet[int], targets: AbstractSet[int]
     if net.solve([2 * g.index[z] for z in sorted(sources)], marks, k) == k:
         paths = tuple(_trim_path(p, sources, targets) for p in net.paths())
         return CutResult(paths=paths, cut=None, separation=None)
-    cut, _beyond = net.sink_cut([net.index[t] for t in targets])
+    cut, _reach = net.sink_cut([net.index[t] for t in targets])
     return CutResult(paths=None, cut=cut, separation=None)
 
 
@@ -413,26 +413,10 @@ def blocking_separation(
     target go to the B side; edges inside the cut go to A.  This makes
     B as small as possible, which is what the reducibility test needs.
     """
-    return _separation_from_sides(g, _blocking_sides(WorkingGraph(g), cut, sources, targets))
-
-
-def _blocking_sides(
-    g: WorkingGraph,
-    cut: frozenset[int],
-    sources: frozenset[int],
-    targets: frozenset[int],
-):
-    """The sides ``(VA, EA, VB, EB)`` of ``blocking_separation`` as id sets."""
-    a_only: set[int] = set()
-    seen: set[int] = set(cut)
-    for start in sorted(g.vertices - cut):
-        if start in seen:
-            continue
-        comp = reachable_from(g, [start], cut)
-        seen |= comp
-        if comp & sources or not comp & targets:
-            a_only |= comp
-    return _split_sides(g, cut, a_only)
+    work = WorkingGraph(g)
+    with_source = reachable_from(work, sources, cut)
+    b_only = reachable_from(work, targets - with_source, cut)
+    return _separation_from_sides(g, _split_sides(work, cut, work.vertices - cut - b_only))
 
 
 @dataclass(frozen=True)
@@ -446,19 +430,23 @@ class RowBlock:
 
 @dataclass(frozen=True)
 class _Blocker:
-    """A row scan's first blocker, as ids: its cut and the row's image."""
+    """A row scan's first blocker: its cut, and ``sink_cut``'s marks by
+    vertex index of what the row's image reaches in g minus the cut."""
 
     kind: str  # "strict" or "reducible", as in RowBlock
     row: tuple[int, ...]
     cut: frozenset[int]
-    image: frozenset[int]
+    reach: bytearray
 
     def sides(self, g: WorkingGraph, roots: Iterable[int]):
-        """The blocker's sides ``(VA, EA, VB, EB)`` as id sets: the cut's (as
-        ``menger`` splits) when strict, else ``blocking_separation``'s."""
+        """The blocker's sides ``(VA, EA, VB, EB)`` as id sets in g as
+        scanned: the cut's (as ``menger`` splits) when strict, else
+        ``blocking_separation``'s, whose B-only part is the marked vertices
+        (the components of g minus the cut that hold a target, none of
+        which holds a root, as the flow is maximum)."""
         if self.kind == "strict":
             return _cut_sides(g, self.cut, roots)
-        return _blocking_sides(g, self.cut, frozenset(roots), self.image)
+        return _split_sides(g, self.cut, g.vertices - self.cut - set(compress(g.order, self.reach)))
 
 
 def _branch_vertices(p) -> Mapping[int, AbstractSet[int]]:
@@ -635,16 +623,15 @@ class _RowScanner:
                 ref = flow.prev, flow.nxt
             if net.solve(starts, marks, enough, ref) >= enough:
                 continue
-            heads = list(compress(range(len(marks)), marks))
-            cut, beyond = net.sink_cut(heads)
+            cut, reach = net.sink_cut(compress(range(len(marks)), marks))
             if len(cut) < k:
                 kind = "strict"
-            elif len(cut) + beyond < g.num_vertices or _has_edge_inside(g, cut):
+            elif len(cut) + reach.count(1) < g.num_vertices or _has_edge_inside(g, cut):
                 kind = "reducible"
             else:
                 self.states[r] = _RowState(net)
                 continue
-            return _Blocker(kind, self.rows[r], cut, frozenset(net.vertices[i] for i in heads))
+            return _Blocker(kind, self.rows[r], cut, reach)
         return None
 
     # -- journal entries ----------------------------------------------------

@@ -77,6 +77,21 @@ def test_oracle_commands_reject_a_non_positive_order_or_side(tmp_path, capsys, c
     assert json.loads(err)["error"] == "malformed-input"
 
 
+@pytest.mark.parametrize("kind", ["separations", "row-property"])
+def test_oracle_commands_reject_a_negative_max_order(tmp_path, capsys, kind):
+    """A negative bound would enumerate nothing, and report a count of 0 or
+    a row property that holds over no separation."""
+    inst = tmp_path / "inst"
+    run(capsys, "gen-instance", "--kind", "identity-grid", "--n", 5, "--g", 2, "--k", 1, "--out", inst)
+    files = ["--graph", inst / "graph.json"]
+    if kind == "row-property":
+        files += ["--roots", inst / "roots.json", "--model", inst / "model.json", "--g", 2, "--k", 1]
+    code, out, err = run(capsys, "oracle", kind, *files, "--max-order", -1)
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
 def test_gen_instance_rejects_degree_above_side(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -43,6 +43,7 @@ from gridroots.separations import _RowScanner
 from gridroots.validation import ValidationReport
 
 import corpus
+from test_reductions import coarse_problem
 
 
 def test_validate_problem_parameter_codes():
@@ -751,3 +752,43 @@ def test_linked_levels_read_at_most_k_plus_1_clear_rows_a_scan(monkeypatch):
     assert cold <= 60
     cold, reused = scanner_counts(corpus.build("coarse/7/top-left"), monkeypatch)
     assert cold + reused <= 600
+
+
+def coarse_with_two_roots_in_one_block():
+    """Coarse n = 13 with k = 2 roots, the upper corners of the block of
+    pattern vertex (7, 7): the branch edge joining them lies inside Z."""
+    problem = coarse_problem(13, "top-left")
+    return replace(problem, roots=frozenset(vertex_id(26, 13, j) for j in (13, 14)), k=2)
+
+
+def applied_reductions(problem, monkeypatch):
+    """Each edge reduction one extract applies: the edge's ends just before
+    it, and the roots then."""
+    seen = []
+    apply = extraction._apply_edge_reduction
+
+    def recorded(work, roots, branches, kind, eid, branch_key):
+        seen.append((set(work.endpoints(eid)), set(roots)))
+        return apply(work, roots, branches, kind, eid, branch_key)
+
+    monkeypatch.setattr(extraction, "_apply_edge_reduction", recorded)
+    extract(problem)
+    return seen
+
+
+@pytest.mark.parametrize("case", [
+    "coarse/13/two-roots-in-a-block", "coarse/7/top-left", "grid-plus-roots/n36/s7",
+])
+def test_no_reduction_in_extract_has_both_ends_in_the_roots(case, monkeypatch):
+    """An edge with both ends in Z makes every full row a blocker, and every
+    level has a full row, so a level recurses before any reduction reaches
+    such an edge: ``_ReductionPicker`` needs no rule for a branch edge
+    between two roots, and no contraction merges two roots."""
+    if case == "coarse/13/two-roots-in-a-block":
+        problem = coarse_with_two_roots_in_one_block()
+        assert any(problem.roots <= br.vertices for br in problem.model.branches.values())
+    else:
+        problem = corpus.build(case)
+    reductions = applied_reductions(problem, monkeypatch)
+    assert reductions
+    assert not [ends for ends, roots in reductions if ends <= roots]

@@ -2,6 +2,7 @@
 
 The cold reference scans in ``test_separations`` solve every row with
 ``menger``; this cross-check takes the cut sizes from networkx instead,
+and a reducible blocker's B side from networkx's connected components,
 at the sizes the extraction runs on, and checks that a scanner kept
 across reductions answers like a fresh scan there too, with every row
 state it keeps a proof in the reduced graph.  networkx is a
@@ -66,6 +67,35 @@ def connectivity(g, roots, image):
     return len(nx.minimum_node_cut(h, "s", "t"))
 
 
+def assert_reducible_b_side_matches_networkx(g, roots, images, block):
+    """A reducible blocker's cut has k vertices, k being the connectivity,
+    and meets every path from the roots to the row's image; its B-only
+    part is the union of the components of g minus the cut that meet the
+    image and hold no root, and B's edges are those with a B-only end."""
+    sep = block.separation
+    cut = sep.separator
+    image = set().union(*(images[pv] for pv in block.row))
+    assert len(cut) == len(roots) == connectivity(g, roots, image)
+    assert not reachable_from(g, sorted(roots), cut) & image
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices - cut)
+    h.add_edges_from((u, v) for _e, u, v in g.edges() if u not in cut and v not in cut)
+    b_only = set().union(*(c for c in nx.connected_components(h) if c & image and not c & roots))
+    assert sep.b.vertices == cut | b_only
+    assert sep.b.edge_ids == {e for e, u, v in g.edges() if u in b_only or v in b_only}
+
+
+def test_reducible_first_blocks_match_networkx_components():
+    reducible = 0
+    for seed in range(12):
+        g, roots, images, rows = random_case(seed)
+        block = find_row_blocking_separation(g, roots, images, rows, len(roots))
+        if block is not None and block.kind == "reducible":
+            assert_reducible_b_side_matches_networkx(g, roots, images, block)
+            reducible += 1
+    assert reducible  # 7 of the 12 first blockers are reducible
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_strict_row_scan_matches_networkx_min_vertex_cut(seed):
     g, roots, images, rows = random_case(seed)
@@ -125,6 +155,8 @@ def test_scanner_fed_reductions_answers_like_a_fresh_scan(seed):
                 fresh.separation.a.vertices, fresh.separation.a.edge_ids,
                 fresh.separation.b.vertices, fresh.separation.b.edge_ids,
             )
+            if fresh.kind == "reducible":
+                assert_reducible_b_side_matches_networkx(frozen, roots, images, fresh)
         eid = _next_edge(rng, scanner, work, roots)
         u, v = work.endpoints(eid)
         rule = "edge-delete" if u == v or rng.random() < 0.5 else "branch-edge-contract"
