@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import formats
 from .errors import BudgetExceeded, HypothesisViolated, InternalInvariantBroken, MalformedInput
@@ -94,10 +93,8 @@ def _cmd_gen_instance(args) -> int:
         recipe = InstanceRecipe(
             args.kind, args.n, args.g, args.k, seed, args.k if args.degree is None else args.degree
         )
-    problem = generate_instance(recipe)
-    out = Path(args.out)
-    paths = formats.write_instance(problem, out)
-    write_json(out / "recipe.json", formats.recipe_to_dict(recipe))
+    paths = formats.write_instance(generate_instance(recipe), args.out)
+    write_json(paths["graph"].with_name("recipe.json"), formats.recipe_to_dict(recipe))
     _print({
         "recipe": formats.recipe_to_dict(recipe),
         "files": {name: str(path) for name, path in paths.items()},
@@ -154,16 +151,13 @@ def _cmd_extract(args) -> int:
     roots = _load_vertex_set(args.roots)
     model, n = _load_model(args.model, host)
     problem = ExtractionProblem(host, roots, model, n, args.g, args.k)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = formats.make_dir(args.out)
     try:
         result = extract(problem)
     except HypothesisViolated as exc:
         write_json(out / "certificate.json",
                    formats.certificate_to_dict(exc.separation, exc.row, exc.depth))
-        (out / "trace.jsonl").write_text(
-            formats.trace_to_jsonl(getattr(exc, "trace", ())), encoding="utf-8"
-        )
+        formats.write_text(out / "trace.jsonl", formats.trace_to_jsonl(getattr(exc, "trace", ())))
         _print_err({
             "error": "hypothesis-violated",
             "message": str(exc),
@@ -172,7 +166,7 @@ def _cmd_extract(args) -> int:
         return 2
     except InternalInvariantBroken as exc:
         trace = getattr(exc, "trace", ())
-        (out / "trace.jsonl").write_text(formats.trace_to_jsonl(trace), encoding="utf-8")
+        formats.write_text(out / "trace.jsonl", formats.trace_to_jsonl(trace))
         write_json(out / "failure.json", {
             "message": str(exc),
             "payload": exc.payload,
@@ -188,7 +182,7 @@ def _cmd_extract(args) -> int:
     write_json(out / "base-model.json", formats.model_to_dict(result.witness.base, args.g))
     write_json(out / "augmented-model.json",
                formats.model_to_dict(result.witness.augmented, args.g))
-    (out / "trace.jsonl").write_text(formats.trace_to_jsonl(result.trace), encoding="utf-8")
+    formats.write_text(out / "trace.jsonl", formats.trace_to_jsonl(result.trace))
     _print({
         "subgrid": sorted(result.atlas.central_vertices()),
         "i0": result.atlas.i0,

@@ -7,28 +7,28 @@ the standard library: ``canonical_json(obj)`` equals
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for every object
 ``json.dumps`` accepts (ASCII output with ``\\uXXXX`` escapes, ``NaN``
 and ``Infinity`` for non-finite floats, int, float, bool and None keys
-written as strings), and raises ``TypeError`` wherever it does.
-Branch maps are keyed by grid coordinate strings ("i,j"), pattern edges
-by coordinate pairs ("i,j|i',j'" with the row-major smaller endpoint
-first).
+written as strings), and raises ``TypeError`` wherever it does; a trace
+line is ``json.dumps(record, sort_keys=True)``.  Branch maps are keyed
+by grid coordinate strings ("i,j"), pattern edges by coordinate pairs
+("i,j|i',j'" with the row-major smaller endpoint first).
 
-The readers check each document in bulk, one pass per piece (the types
-of all values, the coordinate range, the ids against the host), and
-build from the checked values without checking them again.  Only when
-a bulk check fails does a per-item pass run, to name the first failing
-item in input order with the message that item's own check gives; a
-key that is not the canonical spelling of a listed coordinate or edge
-(" 1,1", or an edge with its larger end first) is read by that pass
-too.  A malformed document is rejected with the same exception and
-message as by an item-by-item reader.
+The readers check each document in bulk and build from the checked
+values.  Only when a bulk check fails, or a key is not the canonical
+spelling of a listed coordinate or edge (" 1,1"), does a per-item pass
+run, so a malformed document is rejected with the same exception and
+message, for the first failing item in input order, as by an
+item-by-item reader.
 ``read_json`` turns every file it cannot read (missing, a directory,
 not UTF-8, not JSON, nested too deeply for the parser) into
-MalformedInput.
+MalformedInput, and so do ``write_text`` and ``make_dir`` for every
+file they cannot write and directory they cannot make.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from itertools import chain
+from json.encoder import c_make_encoder as _c_make_encoder
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any
@@ -69,16 +69,8 @@ def _key_str(key: Any) -> str:
     """A dict key as ``json.dumps`` writes it: always a JSON string."""
     if isinstance(key, str):
         return _json_str(key)
-    if isinstance(key, float):
-        return _json_str(_float_str(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _json_str(_int_str(key))
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return '"' + _encode(key, "") + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
@@ -86,8 +78,11 @@ def _encode(o: Any, pad: str) -> str:
     """``o`` as JSON, its nested lines indented past ``pad`` (a newline and its indent).
 
     The type tests run in ``json.dumps``'s order, so subclasses encode
-    as it encodes them; the first test only hurries along the plain ints
-    that most documents here are made of.
+    as it encodes them.  Runs of plain ints, which most documents here
+    are made of, are joined in C: a list of ints in one ``join``, and a
+    list of equal-length rows of ints (edges, coordinates) in one ``%``
+    template.  Their guards test exact types, so a bool, an ``IntEnum``
+    or a float among the ints sends the list down the general path.
     """
     if type(o) is int:
         return _int_str(o)
@@ -107,7 +102,13 @@ def _encode(o: Any, pad: str) -> str:
         if not o:
             return "[]"
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + pad + "]"
+        sep = "," + inner
+        if _all_of(int, o):
+            return "[" + inner + sep.join(map(_int_str, o)) + pad + "]"
+        if type(o[0]) is list and o[0] and _int_rows(o, len(o[0])):
+            row = "[" + inner + "  " + (sep + "  ").join(["%d"] * len(o[0])) + inner + "]"
+            return "[" + inner + sep.join([row] * len(o)) % tuple(chain.from_iterable(o)) + pad + "]"
+        return "[" + inner + sep.join([_encode(x, inner) for x in o]) + pad + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -118,7 +119,24 @@ def _encode(o: Any, pad: str) -> str:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(canonical_json(obj), encoding="utf-8")
+    write_text(path, canonical_json(obj))
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to the file ``path``; MalformedInput when it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def make_dir(path: str | Path) -> Path:
+    """The directory ``path``, made with its parents; MalformedInput when it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MalformedInput(f"cannot create directory {path}: {exc.strerror or exc}")
+    return Path(path)
 
 
 def read_json(path: str | Path) -> Any:
@@ -223,13 +241,7 @@ def model_to_dict(m: Pseudomodel, n: int) -> dict:
         k = table.get(v)
         return _coord_key(n, v) if k is None else k
 
-    branches = {}
-    for pv in sorted(m.branches):
-        br = m.branches[pv]
-        branches[key(pv)] = {
-            "vertices": sorted(br.vertices),
-            "edges": sorted(br.edge_ids),
-        }
+    branches = {key(pv): _subgraph_to_dict(br) for pv, br in sorted(m.branches.items())}
     images = {}
     for e in sorted(m.edge_images):
         u, v = m.pattern.endpoints(e)
@@ -338,11 +350,7 @@ def _branches_one_by_one(host: Graph, n: int, table: dict[str, int], branch_docs
     for key, doc in branch_docs:
         pv = _parse_key(n, table, key)
         try:
-            branches[pv] = Subgraph(
-                host,
-                frozenset(_int(x) for x in doc["vertices"]),
-                frozenset(_int(x) for x in doc["edges"]),
-            )
+            branches[pv] = _subgraph_from_dict(doc, host)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad branch {key!r}: {exc}")
     return branches
@@ -351,26 +359,21 @@ def _branches_one_by_one(host: Graph, n: int, table: dict[str, int], branch_docs
 # -- separations and certificates -------------------------------------------
 
 
+def _subgraph_to_dict(s: Subgraph) -> dict:
+    return {"vertices": sorted(s.vertices), "edges": sorted(s.edge_ids)}
+
+
+def _subgraph_from_dict(d: Any, host: Graph) -> Subgraph:
+    return Subgraph(host, frozenset(map(_int, d["vertices"])), frozenset(map(_int, d["edges"])))
+
+
 def separation_to_dict(s: Separation) -> dict:
-    return {
-        "A": {"vertices": sorted(s.a.vertices), "edges": sorted(s.a.edge_ids)},
-        "B": {"vertices": sorted(s.b.vertices), "edges": sorted(s.b.edge_ids)},
-    }
+    return {"A": _subgraph_to_dict(s.a), "B": _subgraph_to_dict(s.b)}
 
 
 def separation_from_dict(d: Any, host: Graph) -> Separation:
     try:
-        a = Subgraph(
-            host,
-            frozenset(_int(x) for x in d["A"]["vertices"]),
-            frozenset(_int(x) for x in d["A"]["edges"]),
-        )
-        b = Subgraph(
-            host,
-            frozenset(_int(x) for x in d["B"]["vertices"]),
-            frozenset(_int(x) for x in d["B"]["edges"]),
-        )
-        return Separation(a, b)
+        return Separation(_subgraph_from_dict(d["A"], host), _subgraph_from_dict(d["B"], host))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad separation document: {exc}")
 
@@ -388,14 +391,7 @@ def certificate_to_dict(separation: Separation, row, depth: int) -> dict:
 
 
 def recipe_to_dict(r: InstanceRecipe) -> dict:
-    return {
-        "kind": r.kind,
-        "n": r.n,
-        "g": r.g,
-        "k": r.k,
-        "seed": r.seed,
-        "degree": r.degree,
-    }
+    return asdict(r)
 
 
 def recipe_from_dict(d: Any) -> InstanceRecipe:
@@ -414,8 +410,7 @@ def recipe_from_dict(d: Any) -> InstanceRecipe:
 
 def write_instance(problem: ExtractionProblem, out_dir: str | Path) -> dict[str, Path]:
     """Write graph/roots/model files for a problem; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     paths = {
         "graph": out / "graph.json",
         "roots": out / "roots.json",
@@ -452,7 +447,18 @@ def result_to_dict(res: ExtractionResult) -> dict:
 
 
 def trace_to_jsonl(trace) -> str:
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in trace)
+    """``json.dumps(record, sort_keys=True)`` and a newline per record, byte for
+    byte and with its exceptions, from one encoder per call: the C encoder
+    ``json.dumps`` makes anew per record, or a ``JSONEncoder`` without it."""
+    if _c_make_encoder is None:
+        encode = json.JSONEncoder(sort_keys=True).encode
+    else:
+        chunks = _c_make_encoder({}, json.JSONEncoder().default, _json_str, None,
+                                 ": ", ", ", True, False, True)
+
+        def encode(record):
+            return "".join(chunks(record, 0))
+    return "".join([encode(record) + "\n" for record in trace])
 
 
 def trace_from_jsonl(text: str) -> list[dict]:

@@ -2,13 +2,16 @@
 fuzz of ``tests/test_readers.py``, ``--hypothesis-profile=cli-fuzz`` the CLI
 flag fuzz of ``tests/test_cli_fuzz.py``,
 ``--hypothesis-profile=validation-fuzz`` the bulk-against-per-item
-validation fuzz of ``tests/test_validation_fuzz.py``, and
+validation fuzz of ``tests/test_validation_fuzz.py``,
 ``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test and
-the stopped-against-full scan test of ``tests/test_separations.py``, at a
-higher example count (as CI does)."""
+the stopped-against-full scan test of ``tests/test_separations.py``, and
+``--hypothesis-profile=json-fuzz`` the canonical JSON and trace writer
+tests of ``tests/test_formats.py`` against ``json.dumps``, at a higher
+example count (as CI does)."""
 from hypothesis import settings
 
 settings.register_profile("reader-fuzz", max_examples=2000)
 settings.register_profile("cli-fuzz", max_examples=1000)
 settings.register_profile("validation-fuzz", max_examples=2000)
 settings.register_profile("scanner-fuzz", max_examples=2000)
+settings.register_profile("json-fuzz", max_examples=5000)

@@ -699,6 +699,49 @@ def test_a_too_deeply_nested_file_exits_64(tmp_path):
     assert "nested too deeply" in _assert_unreadable_graph_exits_64(paths["graph"], paths["model"])
 
 
+def _assert_unwritable_out_exits_64(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "malformed-input"
+    return doc["message"]
+
+
+def test_extract_out_an_existing_file_exits_64(tmp_path, capsys):
+    paths = write_instance(identity_problem(3, 1, 1), tmp_path / "inst")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    message = _assert_unwritable_out_exits_64(
+        capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
+        "--model", paths["model"], "--g", 1, "--k", 1, "--out", taken,
+    )
+    assert message.startswith(f"cannot create directory {taken}")
+    assert taken.read_text() == ""
+
+
+def test_gen_instance_out_an_existing_file_exits_64(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    message = _assert_unwritable_out_exits_64(
+        capsys, "gen-instance", "--kind", "grid-plus-roots", "--n", 13, "--g", 2, "--k", 2,
+        "--out", taken,
+    )
+    assert message.startswith(f"cannot create directory {taken}")
+
+
+def test_gen_grid_out_a_directory_exits_64(tmp_path, capsys):
+    message = _assert_unwritable_out_exits_64(capsys, "gen-grid", "--n", 3, "--out", tmp_path)
+    assert message == f"cannot write {tmp_path}: Is a directory"
+
+
+def test_gen_grid_out_in_a_missing_directory_exits_64(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    message = _assert_unwritable_out_exits_64(capsys, "gen-grid", "--n", 3, "--out", target)
+    assert message == f"cannot write {target}: No such file or directory"
+    assert not target.parent.exists()
+
+
 def test_replayed_trace_matches_run(tmp_path, capsys):
     inst = tmp_path / "inst"
     run(

@@ -3,9 +3,10 @@ import enum
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridroots import (
@@ -36,7 +37,7 @@ from gridroots import (
     write_instance,
     write_json,
 )
-from gridroots import BREAK_MODES, break_instance
+from gridroots import BREAK_MODES, break_instance, formats
 
 
 def test_canonical_json_is_stable():
@@ -117,16 +118,82 @@ def _assert_like_json_dumps(obj):
         assert canonical_json(obj) == expected
 
 
-@given(_documents(_SCALARS))
-@settings(max_examples=400, deadline=None)
+# what may be mixed into a run of ints: none is an exact int, so each
+# must send the run down canonical_json's general path
+_NOT_PLAIN_INTS = st.booleans() | st.integers().map(_Int) | st.sampled_from(list(_Colour)) | _FLOATS
+
+
+@st.composite
+def _int_runs(draw):
+    """A list of ints, a list of int rows (of one width or ragged, empty
+    rows included) or a str-keyed dict of ints; half the time a bool, an
+    int subclass or a float is put in it (in the list, in one row or
+    among the rows, or as a dict value)."""
+    shape = draw(st.sampled_from(["list", "rows", "ragged", "dict"]))
+    if shape == "list":
+        run = draw(st.lists(st.integers(), max_size=50))
+    elif shape == "rows":
+        width = draw(st.integers(0, 4))
+        run = draw(st.lists(st.lists(st.integers(), min_size=width, max_size=width), max_size=8))
+    elif shape == "ragged":
+        run = draw(st.lists(st.lists(st.integers(), max_size=4), max_size=8))
+    else:
+        run = draw(st.dictionaries(st.text(), st.integers(), max_size=8))
+    if draw(st.booleans()):
+        odd = draw(_NOT_PLAIN_INTS)
+        if shape == "dict":
+            run[draw(st.text())] = odd
+        else:
+            row = draw(st.sampled_from([run, *run])) if shape != "list" and run else run
+            row.insert(draw(st.integers(0, len(row))), odd)
+    return run
+
+
+@given(_documents(_SCALARS | _int_runs()))
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 def test_canonical_json_equals_json_dumps(obj):
     _assert_like_json_dumps(obj)
 
 
 @given(_documents(_SCALARS | _UNENCODABLE))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 def test_canonical_json_raises_where_json_dumps_does(obj):
     _assert_like_json_dumps(obj)
+
+
+def _circular_record():
+    record = {"kind": "edge-delete"}
+    record["self"] = [record]
+    return record
+
+
+_RECORDS = st.sampled_from(_KEY_KINDS).flatmap(
+    lambda keys: st.dictionaries(keys, _documents(_SCALARS | _UNENCODABLE), max_size=3)
+)
+
+
+@given(st.lists(_RECORDS, max_size=3))
+@example([])
+@example([{"a": 1}, _circular_record()])
+@example([{"nan": math.nan, "inf": [math.inf, -math.inf]}, {1: 2, 0.5: None, True: [], None: 0}])
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+def test_trace_to_jsonl_equals_json_dumps_lines(records):
+    """One ``json.dumps(record, sort_keys=True)`` line per record, with the
+    standard library's C encoder and again without it; where json.dumps
+    raises (TypeError for an unencodable value or unsortable keys,
+    ValueError for a circular record), the same exception and message."""
+    try:
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    except (TypeError, ValueError) as exc:
+        expected = exc
+    for c_encoder in (formats._c_make_encoder, None):
+        with mock.patch.object(formats, "_c_make_encoder", c_encoder):
+            if isinstance(expected, str):
+                assert trace_to_jsonl(records) == expected
+            else:
+                with pytest.raises(type(expected)) as raised:
+                    trace_to_jsonl(records)
+                assert str(raised.value) == str(expected)
 
 
 def test_canonical_json_edge_cases():
