@@ -23,9 +23,10 @@ endpoints of each step, ``(kind, eid, u, v)``.  Its row scanner
 (``separations._RowScanner``) and reduction picker are fed every
 journal entry instead of being rebuilt; the scanner reads the first
 k + 1 full rows if more than k columns are full (``_rows_to_scan``).
-The witness and a certificate are carried back through the journals
-on id sets and built once, in the caller's original graph.  No
-``Separation`` or ``Pseudomodel`` is made inside the loop, and a run
+The witness is carried back through the journals on id sets and built
+once, in the caller's original graph.  A certificate is never carried:
+it is a cut of the input host for the blocked row (``_Runner._refutation``).
+No ``Separation`` or ``Pseudomodel`` is made inside the loop, and a run
 builds two ``Graph``s, the g x g grids of the witness and its check.
 """
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .grid import (
 from .models import (
     AugmentationWitness,
     Pseudomodel,
-    _path_edges,
     check_augmentation,
     image_of_vertices,
     validate_pseudomodel,
@@ -399,72 +399,19 @@ def _unwind_journal(journal: Sequence[tuple], branches: dict) -> dict:
     return branches
 
 
-def _lost_strictness(va: set[int], vb: set[int], k: int, step: str, f: int) -> None:
-    order = len(va & vb)
-    if order + 1 >= k:
-        raise InternalInvariantBroken(
-            f"certificate lifting over {step} lost strictness",
-            payload={"edge": f, "order": order},
-        )
-
-
-def _lift_certificate_through_journal(sides: tuple, journal: Sequence[tuple], k: int) -> tuple:
-    """Pull certificate sides ``(VA, EA, VB, EB)`` back through a journal.
-
-    Entries go newest first.  A deleted edge joins the side holding both
-    its ends; one straddling the sides takes its far end into A.  A
-    contracted edge's ends replace the survivor on every side holding
-    it, the edge going to A if the survivor is there, else to B.  Both
-    rules raise the order by one in the straddling case, which must keep
-    it below k.
-    """
-    va, ea, vb, eb = (set(side) for side in sides)
-    for kind, f, u, v in reversed(journal):
-        if kind == "delete":
-            if u in va and v in va:
-                ea.add(f)
-            elif u in vb and v in vb:
-                eb.add(f)
-            else:
-                _lost_strictness(va, vb, k, "an edge deletion", f)
-                va.add(v if u in va else u)
-                ea.add(f)
-            continue
-        in_a, in_b = u in va, u in vb
-        if in_a and in_b:
-            _lost_strictness(va, vb, k, "a contraction", f)
-        if in_a:
-            va.add(v)
-            ea.add(f)
-        if in_b:
-            vb.add(v)
-            if not in_a:
-                eb.add(f)
-    return va, ea, vb, eb
-
-
-def _lift_certificate_through_frame(sides: tuple, frame: tuple) -> tuple:
-    """Glue sub-level certificate sides onto the A side of the frame separation's sides."""
-    va, ea, vb, eb = sides
-    frame_va, frame_ea, _vb, _eb = frame
-    lifted_a = frame_va | va
-    sub_order, lifted_order = len(va & vb), len(lifted_a & vb)
-    if lifted_order != sub_order:
-        raise InternalInvariantBroken(
-            "certificate order changed while lifting through a separation",
-            payload={"sub_order": sub_order, "lifted_order": lifted_order},
-        )
-    return lifted_a, frame_ea | ea, vb, eb
-
-
-class _Pinched(Exception):
-    """A strict blocker found at ``depth``; ``sides`` are lifted level by level."""
-
-    def __init__(self, sides: tuple, row: tuple[int, ...], depth: int):
-        super().__init__()
-        self.sides = sides
-        self.row = row
-        self.depth = depth
+def _path_edges(host: WorkingGraph, path: Sequence[int]) -> list[int]:
+    """The least-id non-loop host edge joining each two consecutive path vertices."""
+    out = []
+    for a, b in zip(path, path[1:]):
+        eids = []
+        for e in host.incident_edges(a):
+            x, y = host.endpoints(e)
+            if x != y and b in (x, y):
+                eids.append(e)
+        if not eids:
+            raise InternalInvariantBroken(f"path step {a}~{b} is not a host edge")
+        out.append(min(eids))
+    return out
 
 
 def _graft_paths(
@@ -500,12 +447,7 @@ def _graft_paths(
         if terminal not in by_terminal:
             raise InternalInvariantBroken(f"no path ends at terminal {terminal}")
         path = by_terminal[terminal]
-        try:
-            edges = _path_edges(host, path)
-        except KeyError as exc:
-            a_end, b_end = exc.args[0]
-            raise InternalInvariantBroken(f"path step {a_end}~{b_end} is not a host edge") from None
-        branches[key] = (vs | set(path), es | set(edges))
+        branches[key] = (vs | set(path), es | set(_path_edges(host, path)))
     return branches
 
 
@@ -587,34 +529,65 @@ class _Runner:
     # -- the recursive procedure --------------------------------------------
 
     def start(self, problem: ExtractionProblem):
-        """Run from depth 0; a certificate is built in the problem's host and checked.
-
-        A certificate must have the roots in V(A), the input model's image
-        of its row in V(B), and order below k.
-        """
+        """Run from depth 0 on a working copy of the problem's host."""
+        self.problem = problem
         model = problem.model
         pattern = Subgraph._unchecked(model.pattern, model.pattern.vertices, model.pattern.edge_ids)
         branches = {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
         work = WorkingGraph(problem.host)
-        try:
-            return self.run(work, problem.roots, pattern, branches, model.edge_images, 0)
-        except _Pinched as exc:
-            va, _ea, vb, _eb = exc.sides
-            broken = {}
-            if not problem.roots <= va:
-                broken["roots_outside_a"] = sorted(problem.roots - va)
-            image = image_of_vertices(model, exc.row)
-            if not image <= vb:
-                broken["row_outside_b"] = sorted(image - vb)
-            if len(va & vb) >= self.k:
-                broken["order"] = len(va & vb)
-            if broken:
+        return self.run(work, problem.roots, pattern, branches, model.edge_images, 0)
+
+    def _refutation(self, row: tuple[int, ...], depth: int,
+                    sides: tuple | None) -> HypothesisViolated:
+        """The refutation for a strict blocker of ``row`` found at ``depth``,
+        certified by a separation of the problem's host.
+
+        ``sides`` are the scan's own, given only while the level's graph
+        is still the host (depth 0, nothing reduced).  Otherwise the
+        certificate is the host's sink-side cut for the row, from a strict
+        scan of that row alone.  Either way it must have the roots in V(A),
+        the input model's image of the row in V(B), and order below k.
+
+        Only a level's first scan can be strict.  Reductions run only once
+        every full row is clear, and a clear row has Z as its only minimum
+        cut: its sink-side cut is Z, and every other vertex reaches the
+        image in G - Z.  Let X' be a cut below k after one reduction.
+        - Deleting edge xy: X' + x and X' + y are cuts of G of size at most
+          k, so both are Z and x = y; deleting a loop changes nothing.
+        - Contracting xy into w: if w is in X', X' - w + {x, y} is a cut of
+          G of size at most k, so it is Z with the edge inside it, which a
+          clear row rules out; otherwise X' is already a cut of G below k.
+        So at depth 0 the scan's sides are a cut of the host.  Below a
+        recursion the level's graph is a B side, so the host's own cut for
+        the row is computed instead.
+        """
+        problem = self.problem
+        if sides is None:
+            host = WorkingGraph(problem.host)
+            branches = problem.model.branches
+            block = _RowScanner(host, {pv: branches[pv].vertices for pv in row}, [row],
+                                self.k).scan(problem.roots, strict_only=True)
+            if block is None:
                 raise InternalInvariantBroken(
-                    "delivered certificate failed its own check",
-                    payload={"row": list(exc.row), "depth": exc.depth, **broken},
-                ) from None
-            separation = _separation_from_sides(problem.host, exc.sides)
-            raise HypothesisViolated(separation, exc.row, exc.depth) from None
+                    "the input host does not cut the refuted row below k",
+                    payload={"row": list(row), "depth": depth},
+                )
+            sides = block.sides(host, problem.roots)
+        va, _ea, vb, _eb = sides
+        broken = {}
+        if not problem.roots <= va:
+            broken["roots_outside_a"] = sorted(problem.roots - va)
+        image = image_of_vertices(problem.model, row)
+        if not image <= vb:
+            broken["row_outside_b"] = sorted(image - vb)
+        if len(va & vb) >= self.k:
+            broken["order"] = len(va & vb)
+        if broken:
+            raise InternalInvariantBroken(
+                "delivered certificate failed its own check",
+                payload={"row": list(row), "depth": depth, **broken},
+            )
+        return HypothesisViolated(_separation_from_sides(problem.host, sides), row, depth)
 
     def run(
         self,
@@ -645,8 +618,8 @@ class _Runner:
         while True:
             block = scanner.scan(roots)
             if block is not None and block.kind == "strict":
-                lifted = _lift_certificate_through_journal(block.sides(work, roots), journal, k)
-                raise _Pinched(lifted, block.row, depth)
+                in_host = depth == 0 and not journal
+                raise self._refutation(block.row, depth, block.sides(work, roots) if in_host else None)
             if block is not None:
                 sides = va, ea, vb, eb = block.sides(work, roots)
                 separator = frozenset(va & vb)
@@ -670,15 +643,9 @@ class _Runner:
                 for e in ea:
                     work.delete_edge(e)
                 work.vertices -= va - vb
-                try:
-                    atlas, small_images, base, augmented = self.run(
-                        work, separator,
-                        *_derive_subproblem(pattern, branches, images, sides), depth + 1,
-                    )
-                except _Pinched as exc:
-                    framed = _lift_certificate_through_frame(exc.sides, sides)
-                    exc.sides = _lift_certificate_through_journal(framed, journal, k)
-                    raise
+                atlas, small_images, base, augmented = self.run(
+                    work, separator, *_derive_subproblem(pattern, branches, images, sides), depth + 1,
+                )
                 splice = _route(a_side, roots, separator, k)
                 if not splice.found_paths:
                     raise InternalInvariantBroken(
@@ -770,8 +737,9 @@ def extract(problem: ExtractionProblem) -> ExtractionResult:
     """Run the full extraction; see the module docstring for the contract.
 
     Raises MalformedInput when the problem invariants fail,
-    HypothesisViolated with a certificate separation when the roots can
-    be pinched off from a full row image by fewer than k vertices, and
+    HypothesisViolated with a certificate separation of the problem's
+    host when the roots can be pinched off from a full row image by fewer
+    than k vertices, and
     InternalInvariantBroken when a step the argument guarantees fails.
     """
     report = validate_problem(problem)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .graph import Graph, Subgraph, WorkingGraph, subgraph_is_connected
+from .graph import Graph, Subgraph, subgraph_is_connected
 from .grid import grid_graph, vertex_id
 from .validation import ValidationReport
 
@@ -272,24 +272,6 @@ class AugmentationWitness:
     base: Pseudomodel
     augmented: Pseudomodel
     roots: frozenset[int]
-
-
-def _path_edges(host: Graph | WorkingGraph, path: Sequence[int]) -> list[int]:
-    """The least-id non-loop host edge joining each two consecutive path vertices.
-
-    Raises KeyError with the step ``(a, b)`` when no such edge joins them.
-    """
-    out = []
-    for a, b in zip(path, path[1:]):
-        eids = []
-        for e in host.incident_edges(a):
-            x, y = host.endpoints(e)
-            if x != y and b in (x, y):
-                eids.append(e)
-        if not eids:
-            raise KeyError((a, b))
-        out.append(min(eids))
-    return out
 
 
 def check_augmentation(w: AugmentationWitness) -> ValidationReport:

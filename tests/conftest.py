@@ -3,8 +3,9 @@ fuzz of ``tests/test_readers.py``, ``--hypothesis-profile=cli-fuzz`` the CLI
 flag fuzz of ``tests/test_cli_fuzz.py``,
 ``--hypothesis-profile=validation-fuzz`` the bulk-against-per-item
 validation fuzz of ``tests/test_validation_fuzz.py``,
-``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test and
-the stopped-against-full scan test of ``tests/test_separations.py``, and
+``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test, the
+stopped-against-full scan test and the strict-blockers-from-first-scans
+test of ``tests/test_separations.py``, and
 ``--hypothesis-profile=json-fuzz`` the canonical JSON and trace writer
 tests of ``tests/test_formats.py`` against ``json.dumps``, at a higher
 example count (as CI does)."""

@@ -144,6 +144,31 @@ def test_gen_instance_rejects_unsatisfiable_recipe(tmp_path, kind, n, g, k):
     assert "Traceback" not in proc.stderr
 
 
+def test_gen_instance_exits_1_when_generation_is_exhausted(tmp_path, capsys, monkeypatch):
+    """A recipe whose every attempt is refuted is a failed run (exit 1)
+    naming the last certificate, and writes no instance."""
+    import gridroots.instances as instances
+    from gridroots import check_hypothesis
+
+    refuted = check_hypothesis(break_instance(
+        generate_instance(InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=0, degree=3)),
+        "hang", 0,
+    ))
+    monkeypatch.setattr(instances, "check_hypothesis", lambda problem: refuted)
+    code, out, err = run(
+        capsys, "gen-instance", "--kind", "grid-plus-roots", "--n", 13, "--g", 2, "--k", 2,
+        "--out", tmp_path / "inst",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "failed",
+        "message": f"instance generation exhausted {instances.GENERATION_RETRIES} retries; "
+                   f"last certificate: order 1 at row {refuted.row}",
+    }
+    assert not (tmp_path / "inst").exists()
+
+
 def test_gen_instance_then_extract_then_validate(tmp_path, capsys):
     inst = tmp_path / "inst"
     code, out, _ = run(
@@ -245,21 +270,21 @@ def test_extract_writes_failure_json_on_a_broken_invariant(tmp_path, capsys, mon
 def test_extract_checks_its_certificate(tmp_path, capsys, monkeypatch):
     """A certificate whose B side misses a vertex of the input model's
     image of its row is a broken invariant (exit 3), not a refutation."""
-    import gridroots.extraction as extraction
+    import gridroots.separations as separations
 
     broken = break_instance(
         generate_instance(InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=0, degree=3)),
         "hang", 0,
     )
     paths = write_instance(broken, tmp_path / "broken")
-    lift = extraction._lift_certificate_through_journal
+    sides = separations._Blocker.sides
     row_vertex = 5  # the refuted row is the first, whose image is {1, ..., 13}
 
-    def leaky_lift(sides, journal, k):
-        va, ea, vb, eb = lift(sides, journal, k)
+    def leaky_sides(self, g, roots):
+        va, ea, vb, eb = sides(self, g, roots)
         return va | {row_vertex}, ea, vb - {row_vertex}, eb
 
-    monkeypatch.setattr(extraction, "_lift_certificate_through_journal", leaky_lift)
+    monkeypatch.setattr(separations._Blocker, "sides", leaky_sides)
     outdir = tmp_path / "run"
     code, out, err = run(
         capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
@@ -274,6 +299,36 @@ def test_extract_checks_its_certificate(tmp_path, capsys, monkeypatch):
     assert failure["payload"] == {
         "row": list(range(1, 14)), "depth": 0, "row_outside_b": [row_vertex],
     }
+
+
+def test_extract_exits_3_when_the_host_does_not_cut_a_refuted_row(tmp_path, capsys, monkeypatch):
+    """Below a recursion a refutation is certified by a strict scan of its
+    row in the input host.  A row the host does not cut below k (here the
+    first row of an instance the hypothesis holds on, refuted at depth 1
+    by a stand-in run) is a broken invariant (exit 3), not a refutation."""
+    import gridroots.extraction as extraction
+
+    paths = write_instance(
+        generate_instance(InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=0, degree=3)),
+        tmp_path / "inst",
+    )
+
+    def refute_the_first_row(self, work, roots, pattern, branches, images, depth):
+        raise self._refutation(extraction._full_rows(self.n, pattern)[0], depth + 1, None)
+
+    monkeypatch.setattr(extraction._Runner, "run", refute_the_first_row)
+    outdir = tmp_path / "run"
+    code, out, err = run(
+        capsys, "extract", "--graph", paths["graph"], "--roots", paths["roots"],
+        "--model", paths["model"], "--g", 2, "--k", 2, "--out", outdir,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "internal-invariant"
+    assert not (outdir / "certificate.json").exists()
+    failure = read_json(outdir / "failure.json")
+    assert failure["message"] == "the input host does not cut the refuted row below k"
+    assert failure["payload"] == {"row": list(range(1, 14)), "depth": 1}
 
 
 def test_extract_reports_certificate(tmp_path, capsys):

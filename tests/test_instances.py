@@ -1,6 +1,7 @@
 """Deterministic instance generation and deliberate breakage."""
 import random
 import time
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -136,6 +137,32 @@ def test_generated_instances_satisfy_hypothesis():
             problem = generate_instance(recipe)
             assert check_hypothesis(problem).holds
             assert validate_problem(problem).ok
+
+
+def test_generation_exhausted_names_the_last_certificate(monkeypatch):
+    """A recipe refuted at every one of its GENERATION_RETRIES attempts
+    raises RuntimeError naming the last attempt's certificate."""
+    import gridroots.instances as instances
+
+    refuted = check_hypothesis(break_instance(
+        generate_instance(InstanceRecipe("grid-plus-roots", 13, 2, 2, 0, 3)), "hang", 0
+    ))
+    assert not refuted.holds and refuted.separation.order == 1
+    attempts = []
+
+    def refute(problem):
+        attempts.append(problem)
+        # the attempt's number as the row, so the message must name the last
+        return replace(refuted, row=(len(attempts),))
+
+    monkeypatch.setattr(instances, "check_hypothesis", refute)
+    with pytest.raises(RuntimeError) as exhausted:
+        generate_instance(InstanceRecipe("random-attachment", 13, 2, 2, 0, 3))
+    retries = instances.GENERATION_RETRIES
+    assert len(attempts) == retries
+    assert str(exhausted.value) == (
+        f"instance generation exhausted {retries} retries; last certificate: order 1 at row ({retries},)"
+    )
 
 
 def test_random_attachment_adds_chords():

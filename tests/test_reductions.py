@@ -9,8 +9,8 @@ unwinding or splicing that alters any delivered byte fails here.  Three
 seeded two-root recipe runs are pinned the same way, so the splice and
 band steps graft more than one path.
 
-The lifting tests below pull a certificate back through one journal
-entry or one recursion frame on hosts of at most eight vertices.
+The test at the end certifies a refutation met below a recursion in
+the input host.
 """
 import hashlib
 
@@ -18,18 +18,18 @@ import pytest
 
 from gridroots import (
     ExtractionProblem,
-    Graph,
+    HypothesisViolated,
     InstanceRecipe,
-    InternalInvariantBroken,
     Pseudomodel,
-    Separation,
     Subgraph,
+    break_instance,
     canonical_json,
     check_hypothesis,
     extract,
     generate_instance,
     grid_edge_id,
     grid_graph,
+    image_of_vertices,
     model_to_dict,
     replay,
     result_to_dict,
@@ -39,11 +39,6 @@ from gridroots import (
     vertex_id,
 )
 from gridroots import extraction
-from gridroots.extraction import (
-    _lift_certificate_through_frame,
-    _lift_certificate_through_journal,
-)
-from gridroots.graph import WorkingGraph
 
 CORNERS = {
     "top-left": lambda side: (1, 1),
@@ -208,99 +203,33 @@ def test_row_scanner_reuses_most_row_verdicts(monkeypatch):
     assert cold <= 0.10 * (cold + reused)
 
 
-# -- certificate lifting ----------------------------------------------------
+# -- refutations certify in the input host -----------------------------------
 
 
-def path5(*extra):
-    """The path 1-2-3-4-5 (edges 1..4) plus extra ``(eid, u, v)`` edges."""
-    return Graph(range(1, 6), [(1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 5), *extra])
+def test_refutation_below_a_recursion_certifies_in_the_input_host(monkeypatch):
+    """A strict blocker met below a recursion is certified by a strict scan
+    of its row in the input host.  Every run level is moved one level down,
+    so the refutation this broken instance meets at its first scan takes
+    that path: it reports depth 1, and its certificate is a separation of
+    the input host of order below k, with the roots in A and the input
+    model's image of the row in B, the one the depth-0 run delivers."""
+    problem = break_instance(
+        generate_instance(InstanceRecipe("grid-plus-roots", 13, 2, 2, 5, 3)), "detach", 5
+    )
+    with pytest.raises(HypothesisViolated) as top:
+        extract(problem)
+    run = extraction._Runner.run
 
+    def one_level_down(self, work, roots, pattern, branches, images, depth):
+        return run(self, work, roots, pattern, branches, images, depth + 1)
 
-def step(host, kind, eid):
-    """Apply one journal step to a working copy; the smaller host and the entry."""
-    work = WorkingGraph(host)
-    u, v = work.endpoints(eid)
-    (work.delete_edge if kind == "delete" else work.contract_edge)(eid)
-    return work.freeze(), [(kind, eid, u, v)]
-
-
-def lifted(host, sides, journal, k, roots=frozenset({1})):
-    """Lift ``sides`` and check the result is a separation of ``host`` with the roots on A."""
-    va, ea, vb, eb = _lift_certificate_through_journal(sides, journal, k)
-    sep = Separation(Subgraph(host, va, ea), Subgraph(host, vb, eb))
-    assert roots <= sep.a.vertices
-    return sep
-
-
-def test_lift_deletion_inside_a():
-    host = path5((5, 1, 3))
-    small, journal = step(host, "delete", 5)
-    sep = lifted(host, ({1, 2, 3}, {1, 2}, {3, 4, 5}, {3, 4}), journal, 2)
-    assert sep.order == 1
-    assert 5 in sep.a.edge_ids
-    assert small.measure == host.measure - 1
-
-
-def test_lift_deletion_inside_b():
-    host = path5((5, 3, 5))
-    _small, journal = step(host, "delete", 5)
-    sep = lifted(host, ({1, 2, 3}, {1, 2}, {3, 4, 5}, {3, 4}), journal, 2)
-    assert sep.order == 1
-    assert 5 in sep.b.edge_ids
-
-
-def test_lift_deletion_straddling_takes_far_end_into_a():
-    host = path5((5, 2, 4))
-    _small, journal = step(host, "delete", 5)
-    sides = ({1, 2, 3}, {1, 2}, {3, 4, 5}, {3, 4})
-    sep = lifted(host, sides, journal, 3)
-    assert sep.order == 2
-    assert sep.separator == {3, 4}
-    assert 5 in sep.a.edge_ids
-    with pytest.raises(InternalInvariantBroken, match="edge deletion lost strictness"):
-        _lift_certificate_through_journal(sides, journal, 2)  # order k - 1 = 1
-
-
-def test_lift_contraction_survivor_in_a_only():
-    host = path5()
-    small, journal = step(host, "contract", 1)  # 1-2 into 1
-    assert small.vertices == {1, 3, 4, 5}
-    sep = lifted(host, ({1, 3}, {2}, {3, 4, 5}, {3, 4}), journal, 2)
-    assert sep.order == 1
-    assert sep.a.vertices == {1, 2, 3} and sep.a.edge_ids == {1, 2}
-
-
-def test_lift_contraction_survivor_in_b_only():
-    host = path5()
-    small, journal = step(host, "contract", 4)  # 4-5 into 4
-    assert small.vertices == {1, 2, 3, 4}
-    sep = lifted(host, ({1, 2, 3}, {1, 2}, {3, 4}, {3}), journal, 2)
-    assert sep.order == 1
-    assert sep.b.vertices == {3, 4, 5} and sep.b.edge_ids == {3, 4}
-
-
-def test_lift_contraction_survivor_in_both():
-    host = path5((5, 3, 4))  # a parallel copy of 3-4 becomes a loop at 3
-    small, journal = step(host, "contract", 3)
-    assert small.endpoints(5) == (3, 3)
-    sides = ({1, 2, 3}, {1, 2, 5}, {3, 5}, {4})
-    sep = lifted(host, sides, journal, 3)
-    assert sep.order == 2
-    assert sep.separator == {3, 4}
-    assert 3 in sep.a.edge_ids and 5 in sep.a.edge_ids
-    with pytest.raises(InternalInvariantBroken, match="contraction lost strictness"):
-        _lift_certificate_through_journal(sides, journal, 2)
-
-
-def test_lift_through_frame_glues_the_a_side():
-    host = Graph(range(1, 7), [(e, e, e + 1) for e in range(1, 6)])  # path 1-...-6
-    frame = ({1, 2, 3}, {1, 2}, {3, 4, 5, 6}, {3, 4, 5})  # the frame separation's sides
-    # a certificate of the B side, rooted at the frame's separator {3}
-    va, ea, vb, eb = _lift_certificate_through_frame(({3, 4}, {3}, {4, 5, 6}, {4, 5}), frame)
-    sep = Separation(Subgraph(host, va, ea), Subgraph(host, vb, eb))
-    assert sep.order == 1
-    assert sep.a.vertices == {1, 2, 3, 4} and sep.b.vertices == {4, 5, 6}
-    assert 1 in sep.a.vertices
-    # a sub-certificate whose A side misses the frame's separator gains order
-    with pytest.raises(InternalInvariantBroken, match="order changed"):
-        _lift_certificate_through_frame(({5, 6}, {5}, {3, 4, 5}, {3, 4}), frame)
+    monkeypatch.setattr(extraction._Runner, "run", one_level_down)
+    with pytest.raises(HypothesisViolated) as below:
+        extract(problem)
+    cert, sep = below.value, below.value.separation
+    assert (top.value.depth, cert.depth) == (0, 1)
+    assert sep.host == problem.host
+    assert sep.order < problem.k
+    assert problem.roots <= sep.a.vertices
+    assert image_of_vertices(problem.model, cert.row) <= sep.b.vertices
+    assert (cert.row, sep) == (top.value.row, top.value.separation)

@@ -1,6 +1,7 @@
 """Separations, disjoint-path search, row blockers, and tangle axioms."""
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridroots import (
     Graph,
+    HypothesisViolated,
     InstanceRecipe,
     MalformedInput,
     Pseudomodel,
@@ -16,6 +18,7 @@ from gridroots import (
     Tangle,
     blocking_separation,
     check_tangle_axioms,
+    extract,
     find_row_blocking_separation,
     generate_instance,
     grid_graph,
@@ -27,6 +30,7 @@ from gridroots import (
     validate_problem,
     vertex_id,
 )
+from gridroots import extraction
 from gridroots.graph import WorkingGraph
 from gridroots.extraction import (
     _apply_edge_reduction,
@@ -494,6 +498,44 @@ def test_scanner_fed_before_its_first_scan_follows_the_contractions(seed):
     assert found == (None if fresh is None else (fresh.kind, fresh.row, fresh.separation))
 
 
+def test_contract_drops_a_state_whose_ends_carry_two_units(monkeypatch):
+    """Contracting an edge whose ends carry two different units of a kept
+    row's flow drops that row's state (``_merge_flow`` refuses), and the
+    next scan answers as a fresh scan of the contracted graph."""
+    # roots 1 and 2, the row's image {5, 6, 7}; the flow runs 1-3-5 and
+    # 2-4-6, and edge 5 joins 3 and 4; the detours 1-8-9-5 and 2-10-11-7
+    # leave Z the only minimum cut, so the row is clear
+    ends = [(1, 3), (3, 5), (2, 4), (4, 6), (3, 4), (1, 8), (8, 9), (9, 5),
+            (2, 10), (10, 11), (11, 7), (3, 6), (4, 7), (3, 7), (4, 5)]
+    host = Graph(range(1, 12), [(e, u, v) for e, (u, v) in enumerate(ends, 1)])
+    roots, images, rows, k = {1, 2}, {1: {5, 6, 7}}, [(1,)], 2
+    work = WorkingGraph(host)
+    scanner = _RowScanner(work, images, rows, k)
+    assert scanner.scan(roots) is None
+    state, index = scanner.states[0], scanner.net.index
+    i, j = index[3], index[4]
+    assert (state.prev[i], state.nxt[i]) == (index[1], index[5])
+    assert (state.prev[j], state.nxt[j]) == (index[2], index[6])
+    merges = []
+    merge_flow = _RowScanner._merge_flow
+
+    def recording(state, i, j):
+        merges.append(merge_flow(state, i, j))
+        return merges[-1]
+
+    monkeypatch.setattr(_RowScanner, "_merge_flow", staticmethod(recording))
+    scanner.feed(_apply_edge_reduction(work, roots, {}, "branch-edge-contract", 5, None))
+    assert merges == [False]
+    assert scanner.states == [None]
+    g = work.freeze()
+    block = scanner.scan(roots)
+    found = None if block is None else (
+        block.kind, block.row, _separation_from_sides(g, block.sides(work, roots)))
+    fresh = find_row_blocking_separation(g, roots, images, rows, k)
+    assert found == (None if fresh is None else (fresh.kind, fresh.row, fresh.separation))
+    assert scanner.cold == 2 and scanner.reused == 0
+
+
 def linked_level_case(seed):
     """A seeded problem that ``validate_problem`` accepts, as the extraction
     loop holds it: a coarse model at a random side and corner (k = 1), one
@@ -576,6 +618,72 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
         work.vertices -= va - vb
         roots = va & vb
         pattern, branches, images = _derive_subproblem(pattern, branches, images, sides)
+
+
+def plain_edges_dropped(problem, rng):
+    """``problem`` with one to four plain host edges (in no branch and no
+    edge image) deleted at random, a root's edge half the time."""
+    model, host = problem.model, problem.host
+    used = set(model.edge_images.values()).union(*(br.edge_ids for br in model.branches.values()))
+    plain = sorted(host.edge_ids - used)
+    at_roots = sorted({e for z in problem.roots for e in host.incident_edges(z)} - used)
+    for _ in range(rng.randint(1, 4)):
+        e = rng.choice(at_roots if at_roots and rng.random() < 0.5 else plain)
+        if e in host.edge_ids:
+            host = host.delete_edge(e)
+    branches = {pv: Subgraph(host, br.vertices, br.edge_ids) for pv, br in model.branches.items()}
+    model = Pseudomodel(host, model.pattern, branches, model.edge_images)
+    return replace(problem, host=host, model=model)
+
+
+def first_scan_case(seed):
+    """A seeded problem that ``validate_problem`` accepts: a coarse model at a
+    random side and corner (k = 1) or a grid-plus-roots recipe (k = 1 or 2),
+    broken more than half the time by ``plain_edges_dropped``."""
+    rng = random.Random(f"first-scan:{seed}")
+    if rng.random() < 0.4:
+        problem = coarse_problem(rng.randint(5, 7), rng.choice(sorted(CORNERS)))
+    else:
+        k = rng.randint(1, 2)
+        n, g = (rng.randint(4, 8), 1) if k == 1 else (13, 2)
+        problem = generate_instance(InstanceRecipe("grid-plus-roots", n, g, k, rng.randint(0, 99), k + 1))
+    if rng.random() < 0.6:
+        problem = plain_edges_dropped(problem, rng)
+    assert validate_problem(problem).ok
+    return problem
+
+
+# 100 examples in the default profile, more under a higher-count one
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+def test_strict_blocker_comes_only_from_a_first_scan(seed):
+    """Every strict blocker an extract meets comes from the first ``scan`` of
+    its row scanner: a level reduces only once every row is clear, and no
+    reduction of a clear row's graph leaves the row a cut below k.  A run
+    is refuted exactly when it meets one."""
+    problem = first_scan_case(seed)
+    strict = []
+
+    class Recording(_RowScanner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.scans = 0
+
+        def scan(self, *args, **kwargs):
+            self.scans += 1
+            block = super().scan(*args, **kwargs)
+            if block is not None and block.kind == "strict":
+                strict.append(self.scans)
+            return block
+
+    refuted = False
+    with mock.patch.object(extraction, "_RowScanner", Recording):
+        try:
+            extract(problem)
+        except HypothesisViolated:
+            refuted = True
+    assert set(strict) <= {1}
+    assert bool(strict) == refuted
 
 
 def reference_row_cut(g, roots, images, rows, k):
