@@ -21,8 +21,8 @@ of a blocker before it recurses.  A level holds its pattern, branches,
 roots and blocker sides as id sets, and its journal keeps only the
 endpoints of each step, ``(kind, eid, u, v)``.  Its row scanner
 (``separations._RowScanner``) and reduction picker are fed every
-journal entry instead of being rebuilt; the scanner reads the first
-k + 1 full rows if more than k columns are full (``_rows_to_scan``).
+journal entry instead of being rebuilt; the scanner reads the level's
+first k + 1 full rows (``_rows_to_scan``).
 The witness is carried back through the journals on id sets and built
 once, in the caller's original graph.  A certificate is never carried:
 it is a cut of the input host for the blocked row (``_Runner._refutation``).
@@ -48,7 +48,6 @@ from .grid import (
     grid_edge_id,
     grid_edges_among,
     grid_graph,
-    row_vertices,
     vertex_id,
 )
 from .models import (
@@ -217,38 +216,32 @@ def _full_rows(n: int, pattern: Graph | Subgraph) -> list[tuple[int, ...]]:
     return rows
 
 
-def _full_columns(n: int, pattern: Subgraph, rows: Sequence[tuple[int, ...]]) -> int:
-    """How many columns have every vertex and vertical edge between the first
-    and the last of ``rows`` (two or more full rows) in the pattern.
-
-    A column's vertical edge ids step by 2n - 1 from row to row, so each
-    column is one ``issuperset`` of a range; its vertices are the ends.
-    """
-    step = 2 * n - 1
-    span = (rows[-1][0] - rows[0][0]) // n * step
-    edges = pattern.edge_ids
-    return sum(edges.issuperset(range(e, e + span, step))
-               for e in (grid_edge_id(n, u, u + n) for u in rows[0]))
-
-
 def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
     """The full rows every scan of a level reads (its pattern never
-    changes): the first k + 1 when the pattern has more than k full
-    columns, else all.  A scan of those gives the full scan's answer.
+    changes): the first k + 1.  A scan of those gives the full scan's
+    answer.
 
     This needs what the loop keeps at every level: |Z| = k, disjoint
     branches, each pattern edge's image joining its ends' branches, and
     hypothesis (i): a branch that is disconnected, or whose pattern
-    vertex lacks a grid edge, has a root in every component.  Lemma: if
-    row r' blocks, with cut X (|X| <= k) and B' the vertices its image
-    reaches in G - X (no root is in B', and no edge leaves B' but into
-    X), every clear row meets X.  Row images are disjoint, so at most k
-    rows are clear, and the first blocker comes before the (k+1)-th
-    clear row.
-    - Some full column misses X.  Its branch in row r' lies in B'.  An
-      edge image leaving a branch inside B' ends in the next branch off
-      X, so in B'; that component of the next branch holds no root, so
-      the branch is connected and lies in B'.  The column lies in B'.
+    vertex lacks a grid edge, has a root in every component.
+    Boundary bound: |dP| <= k, where dP (``_pattern_boundary``) is the
+    set of pattern vertices that lack a grid edge, since each such
+    branch holds a root and the branches are disjoint.  Walking down a
+    column from one full row to another, the last present vertex before
+    a missing vertex or edge lies in dP, so at most k columns are not
+    full between the first and the last full row, and more than k are,
+    as n > k(g + 2k) >= 3k.
+    Lemma: if row r' blocks, with cut X (|X| <= k) and B' the vertices
+    its image reaches in G - X (no root is in B', and no edge leaves B'
+    but into X), every clear row meets X.  Row images are disjoint, so
+    at most k rows are clear, and the first blocker comes before the
+    (k+1)-th clear row.
+    - Some full column misses X, by the boundary bound.  Its branch in
+      row r' lies in B'.  An edge image leaving a branch inside B' ends
+      in the next branch off X, so in B'; that component of the next
+      branch holds no root, so the branch is connected and lies in B'.
+      The column lies in B'.
     - A row r whose image misses X lies in B' the same way, walked from
       its cell in that column: a branch inside B' holds no root, so its
       pattern vertex has every grid edge.
@@ -268,8 +261,7 @@ def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
     branch.  The loop runs no strict scan, and the public scans read
     every row: their models are not validated.
     """
-    rows = _full_rows(n, pattern)
-    return rows[:k + 1] if len(rows) > k + 1 and _full_columns(n, pattern, rows) > k else rows
+    return _full_rows(n, pattern)[:k + 1]
 
 
 class _ReductionPicker:
@@ -400,17 +392,16 @@ def _unwind_journal(journal: Sequence[tuple], branches: dict) -> dict:
 
 
 def _path_edges(host: WorkingGraph, path: Sequence[int]) -> list[int]:
-    """The least-id non-loop host edge joining each two consecutive path vertices."""
+    """The least-id host edge joining each two consecutive path vertices,
+    read off ``host``'s numbered adjacency (a flow path's consecutive
+    vertices are distinct, so a step is never a loop)."""
+    index, around = host.index, host.around
     out = []
     for a, b in zip(path, path[1:]):
-        eids = []
-        for e in host.incident_edges(a):
-            x, y = host.endpoints(e)
-            if x != y and b in (x, y):
-                eids.append(e)
-        if not eids:
+        joining = around[index[a]].get(index[b])
+        if not joining:
             raise InternalInvariantBroken(f"path step {a}~{b} is not a host edge")
-        out.append(min(eids))
+        out.append(min(joining))
     return out
 
 
@@ -459,7 +450,18 @@ def _saturated_state(
     g: int,
     k: int,
 ) -> tuple[GridAtlas, frozenset[int]]:
-    """Band selection once no reduction applies, with consequence checks."""
+    """Band selection once no reduction applies, after the checks it rests on.
+
+    Those are: every branch is a singleton or lies inside the roots, at
+    most k branches meet the roots (Z'), and dP (``_pattern_boundary``)
+    lies in Z'.  Then a row free of Z' is a full pattern row whose
+    vertices have every grid edge.  A row that mixes present and missing
+    cells has a dP vertex in it, and a row with every cell missing puts
+    a dP vertex in each of the n > k columns, the last present one on
+    the way to the level's full row.  So every cell of a band free of
+    Z' has a singleton branch (a larger one meets the roots) and all its
+    grid edges in the pattern, as the window base and g* need.
+    """
     for pv in sorted(pattern.vertices):
         vs = branches[pv][0]
         if len(vs) > 1 and not vs <= roots:
@@ -483,21 +485,6 @@ def _saturated_state(
         raise InternalInvariantBroken(
             "no clean row band exists", payload=sorted(z_prime)
         )
-    for i in atlas.window_rows():
-        row = row_vertices(n, i)
-        if not set(row) <= pattern.vertices:
-            raise InternalInvariantBroken(f"band row {i} is not fully inside the pattern")
-    window = atlas.window_vertices(0)
-    for pv in sorted(window):
-        if len(branches[pv][0]) != 1:
-            raise InternalInvariantBroken(
-                f"window branch of {pv} is not a singleton",
-                payload={"branch": sorted(branches[pv][0])},
-            )
-    pattern_edges = pattern.edge_ids
-    missing = [e for e, _u, _v in grid_edges_among(n, window) if e not in pattern_edges]
-    if missing:
-        raise InternalInvariantBroken(f"window edge {min(missing)} is missing from the pattern")
     return atlas, z_prime
 
 
@@ -538,15 +525,16 @@ class _Runner:
         return self.run(work, problem.roots, pattern, branches, model.edge_images, 0)
 
     def _refutation(self, row: tuple[int, ...], depth: int,
-                    sides: tuple | None) -> HypothesisViolated:
+                    separation: Separation | None) -> HypothesisViolated:
         """The refutation for a strict blocker of ``row`` found at ``depth``,
         certified by a separation of the problem's host.
 
-        ``sides`` are the scan's own, given only while the level's graph
-        is still the host (depth 0, nothing reduced).  Otherwise the
+        ``separation`` is the scan's own, given only while the level's
+        graph is still the host (depth 0, nothing reduced).  Otherwise the
         certificate is the host's sink-side cut for the row, from a strict
-        scan of that row alone.  Either way it must have the roots in V(A),
-        the input model's image of the row in V(B), and order below k.
+        public scan of that row alone.  Either way it must have the roots
+        in V(A), the input model's image of the row in V(B), and order
+        below k.
 
         Only a level's first scan can be strict.  Reductions run only once
         every full row is clear, and a clear row has Z as its only minimum
@@ -562,32 +550,31 @@ class _Runner:
         the row is computed instead.
         """
         problem = self.problem
-        if sides is None:
-            host = WorkingGraph(problem.host)
-            branches = problem.model.branches
-            block = _RowScanner(host, {pv: branches[pv].vertices for pv in row}, [row],
-                                self.k).scan(problem.roots, strict_only=True)
+        if separation is None:
+            block = find_row_blocking_separation(
+                problem.host, problem.roots, problem.model, [row], self.k, strict_only=True
+            )
             if block is None:
                 raise InternalInvariantBroken(
                     "the input host does not cut the refuted row below k",
                     payload={"row": list(row), "depth": depth},
                 )
-            sides = block.sides(host, problem.roots)
-        va, _ea, vb, _eb = sides
+            separation = block.separation
+        va, vb = separation.a.vertices, separation.b.vertices
         broken = {}
         if not problem.roots <= va:
             broken["roots_outside_a"] = sorted(problem.roots - va)
         image = image_of_vertices(problem.model, row)
         if not image <= vb:
             broken["row_outside_b"] = sorted(image - vb)
-        if len(va & vb) >= self.k:
-            broken["order"] = len(va & vb)
+        if separation.order >= self.k:
+            broken["order"] = separation.order
         if broken:
             raise InternalInvariantBroken(
                 "delivered certificate failed its own check",
                 payload={"row": list(row), "depth": depth, **broken},
             )
-        return HypothesisViolated(_separation_from_sides(problem.host, sides), row, depth)
+        return HypothesisViolated(separation, row, depth)
 
     def run(
         self,
@@ -618,8 +605,10 @@ class _Runner:
         while True:
             block = scanner.scan(roots)
             if block is not None and block.kind == "strict":
-                in_host = depth == 0 and not journal
-                raise self._refutation(block.row, depth, block.sides(work, roots) if in_host else None)
+                separation = None
+                if depth == 0 and not journal:  # the level's graph is still the host
+                    separation = _separation_from_sides(self.problem.host, block.sides(work, roots))
+                raise self._refutation(block.row, depth, separation)
             if block is not None:
                 sides = va, ea, vb, eb = block.sides(work, roots)
                 separator = frozenset(va & vb)

@@ -163,10 +163,6 @@ class GridAtlas:
         """The central ``g x g`` block ``H_k``."""
         return self.window_vertices(self.k)
 
-    def window_rows(self) -> range:
-        """Grid rows covered by the padded window, ascending."""
-        return range(self.i0 - self.k, self.i0 + self.g + self.k)
-
 
 def choose_band(n: int, g: int, k: int, forbidden: Iterable[int]) -> GridAtlas | None:
     """Pick the first band of ``g + 2k`` consecutive clean grid rows.

@@ -111,14 +111,6 @@ class CutResult:
         return self.paths is not None
 
 
-def _trim_path(path: Sequence[int], sources: frozenset[int], targets: frozenset[int]) -> tuple[int, ...]:
-    """Cut at the first target, then start from the last source before it."""
-    stop = next(i for i, v in enumerate(path) if v in targets)
-    head = path[: stop + 1]
-    start = max(i for i, v in enumerate(head) if v in sources)
-    return tuple(head[start:])
-
-
 _FREE = -1  # the vertex carries no flow
 _END = -2  # the flow enters from the super source / leaves to the super sink
 
@@ -229,7 +221,14 @@ class _FlowNetwork:
         return total
 
     def paths(self) -> list[list[int]]:
-        """The flow's vertex paths, in ascending order of their sources."""
+        """The flow's vertex paths, in ascending order of their sources.
+
+        A path meets the sources only at its first vertex and the targets
+        only at its last.  Every search seeds each source's in-node, so no
+        arc into it ever carries a unit and no unit runs through a source;
+        dequeuing a target's out-node ends the search, so no arc out of it
+        ever carries a unit and no unit runs through a target.
+        """
         verts, prev, nxt = self.vertices, self.prev, self.nxt
         out = []
         for i, p in enumerate(prev):
@@ -313,10 +312,10 @@ def menger(
     Vertex capacities (every vertex cuttable, sources and targets
     included) are realized by the standard vertex-splitting max-flow.
     Augmenting-path search is breadth-first with ties broken by
-    ascending node identifier, so results are deterministic.  Paths are
-    trimmed to meet the targets only at their final vertex and the
-    sources only at their first; a source that is also a target yields a
-    single-vertex path.  In the cut case the cut is the sink-side
+    ascending node identifier, so results are deterministic.  Paths meet
+    the targets only at their final vertex and the sources only at their
+    first (see ``_FlowNetwork.paths``); a source that is also a target
+    yields a single-vertex path.  In the cut case the cut is the sink-side
     minimum cut, which is the same for every maximum flow, and the
     returned separation puts the cut plus everything reachable from the
     sources on the A side.  The graph is copied once, into the working
@@ -356,7 +355,7 @@ def _route(g: WorkingGraph, sources: AbstractSet[int], targets: AbstractSet[int]
     for t in targets:
         marks[g.index[t]] = 1
     if net.solve([2 * g.index[z] for z in sorted(sources)], marks, k) == k:
-        paths = tuple(_trim_path(p, sources, targets) for p in net.paths())
+        paths = tuple(map(tuple, net.paths()))
         return CutResult(paths=paths, cut=None, separation=None)
     cut, _reach = net.sink_cut([net.index[t] for t in targets])
     return CutResult(paths=None, cut=cut, separation=None)

@@ -4,6 +4,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridroots import (
     ExtractionProblem,
@@ -35,7 +37,7 @@ from gridroots import (
     vertex_id,
 )
 from gridroots import extraction, models
-from gridroots.extraction import _full_columns, _full_rows, _pattern_boundary
+from gridroots.extraction import _full_rows, _pattern_boundary
 from gridroots.graph import WorkingGraph, boundary, subgraph_components
 from gridroots.grid import grid_edge_id
 from gridroots.models import validate_pseudomodel
@@ -44,6 +46,7 @@ from gridroots.validation import ValidationReport
 
 import corpus
 from test_reductions import coarse_problem
+from test_separations import linked_level_case
 
 
 def test_validate_problem_parameter_codes():
@@ -661,35 +664,6 @@ def test_full_rows_counts_each_rows_pattern_vertices():
             assert _full_rows(n, pattern) == expected
 
 
-def test_full_columns_counts_each_columns_vertices_and_vertical_edges():
-    """The bulk count equals a cell-by-cell count between the first and the
-    last of two or more full rows."""
-    rng = random.Random(0)
-    checked = 0
-    for n in (2, 3, 5, 8):
-        grid = grid_graph(n)
-        for _ in range(60):
-            full = [i for i in range(1, n + 1) if rng.random() < 0.4]
-            vertices = {v for i in full for v in row_vertices(n, i)}
-            vertices |= set(rng.sample(sorted(grid.vertices), rng.randint(0, n * n)))
-            edges = [(e, u, v) for e, u, v in grid.edges()
-                     if u in vertices and v in vertices and rng.random() < 0.9]
-            pattern = Subgraph(grid, vertices, [e for e, _u, _v in edges])
-            rows = _full_rows(n, pattern)
-            if len(rows) < 2:
-                continue
-            first, last = (vertex_coord(n, row[0])[0] for row in (rows[0], rows[-1]))
-            expected = sum(
-                all(vertex_id(n, i, j) in vertices for i in range(first, last + 1))
-                and all(grid_edge_id(n, vertex_id(n, i, j), vertex_id(n, i + 1, j))
-                        in pattern.edge_ids for i in range(first, last))
-                for j in range(1, n + 1)
-            )
-            assert _full_columns(n, pattern, rows) == expected
-            checked += 1
-    assert checked >= 100
-
-
 def extract_levels(problem, monkeypatch, refuted=False):
     """Each recursion level of one extract: its pattern and the row scanner
     it built.  With ``refuted``, the extract must raise HypothesisViolated."""
@@ -726,21 +700,75 @@ def scanner_counts(problem, monkeypatch):
 @pytest.mark.parametrize("case", [
     "grid-plus-roots/n36/s7", "grid-plus-roots/n36/s7/hang", "coarse/7/top-left",
 ])
-def test_a_linked_level_is_given_its_first_k_plus_1_full_rows(case, monkeypatch):
-    """A level whose pattern has more than k full columns builds its scanner
-    on its first k + 1 full rows, and any other level on every full row."""
+def test_every_level_is_given_its_first_k_plus_1_full_rows(case, monkeypatch):
+    """Every level builds its scanner on its first k + 1 full rows."""
     problem = corpus.build(case)
     n, k = problem.n, problem.k
     cut = 0
     for pattern, scanner in extract_levels(problem, monkeypatch, case.endswith("/hang")):
         rows = _full_rows(n, pattern)
-        if len(rows) > 1 and _full_columns(n, pattern, rows) > k:
-            assert scanner.rows == rows[:k + 1]
-            cut += len(rows) > k + 1
-        else:
-            assert scanner.rows == rows
+        assert scanner.rows == rows[:k + 1]
+        cut += len(rows) > k + 1
         assert len(scanner.marks) == len(scanner.rows)
     assert cut  # some level had rows to leave out
+
+
+def columns_not_full(n, pattern):
+    """The columns that miss a vertex or a vertical edge between the first
+    and the last full row of the pattern, counted cell by cell."""
+    rows = _full_rows(n, pattern)
+    first, last = (vertex_coord(n, row[0])[0] for row in (rows[0], rows[-1]))
+    return sum(
+        not (all(vertex_id(n, i, j) in pattern.vertices for i in range(first, last + 1))
+             and all(grid_edge_id(n, vertex_id(n, i, j), vertex_id(n, i + 1, j))
+                     in pattern.edge_ids for i in range(first, last)))
+        for j in range(1, n + 1)
+    )
+
+
+def levels_and_saturations(problem):
+    """Each level of one extract (its pattern and row scanner), and what
+    ``_saturated_state`` got and gave: pattern, branches, atlas and Z'."""
+    saturations = []
+    saturated = extraction._saturated_state
+
+    def recorded(roots, pattern, branches, n, g, k):
+        atlas, z_prime = saturated(roots, pattern, branches, n, g, k)
+        saturations.append((pattern, branches, atlas, z_prime))
+        return atlas, z_prime
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extraction, "_saturated_state", recorded)
+        levels = extract_levels(problem, mp)
+    return levels, saturations
+
+
+# 30 examples in the default profile, more under a higher-count one
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=max(30, settings.default.max_examples), deadline=None)
+def test_every_level_has_at_most_k_boundary_vertices_and_a_full_band(seed):
+    """Hypothesis (i) bounds the pattern's boundary at every level of an
+    extract: at most k pattern vertices lack a grid edge, so at most k
+    columns are not full between the first and the last full row
+    (``_rows_to_scan``).  At saturation every row free of Z' is a full
+    pattern row with no boundary vertex, and every window cell's branch
+    is a singleton (``_saturated_state``).  Roots anywhere in the coarse
+    side-13 case are left out: they can leave no clean band at all."""
+    problem, _rng = linked_level_case(seed, roots_anywhere=False)
+    n, k = problem.n, problem.k
+    levels, saturations = levels_and_saturations(problem)
+    for pattern, scanner in levels:
+        assert len(_pattern_boundary(n, pattern)) <= k
+        assert columns_not_full(n, pattern) <= k
+        assert scanner.rows == _full_rows(n, pattern)[:k + 1]
+    assert len(saturations) == 1  # the innermost level's
+    pattern, branches, atlas, z_prime = saturations[0]
+    bnd = _pattern_boundary(n, pattern)
+    for i in range(1, n + 1):
+        row = set(row_vertices(n, i))
+        if row.isdisjoint(z_prime):
+            assert row <= pattern.vertices and row.isdisjoint(bnd)
+    assert all(len(branches[pv][0]) == 1 for pv in atlas.window_vertices(0))
 
 
 def test_linked_levels_read_at_most_k_plus_1_clear_rows_a_scan(monkeypatch):

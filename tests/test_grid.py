@@ -95,7 +95,6 @@ def test_atlas_parameter_checks():
 
 def test_atlas_window_algebra():
     at = GridAtlas(8, 4, 2, 2, 1)
-    assert list(at.window_rows()) == [3, 4, 5, 6]
     h0 = at.window_vertices(0)
     h1 = at.window_vertices(1)
     assert len(h0) == 16 and len(h1) == 4

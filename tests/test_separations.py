@@ -141,6 +141,55 @@ def test_menger_forbidden_vertices_are_avoided():
     assert res2.cut == frozenset()
 
 
+def menger_ends_case(seed):
+    """A seeded multigraph of up to 20 vertices (a long path through all of
+    them, more edges, loops and parallel copies), up to four sources and
+    up to four targets that may meet them, a few forbidden vertices, and
+    k up to one past what both sets can carry."""
+    rng = random.Random(f"menger-ends:{seed}")
+    verts = list(range(1, rng.randint(1, 20) + 1))
+    chain = rng.sample(verts, len(verts))
+    pairs = list(zip(chain, chain[1:]))
+    for _ in range(rng.randint(0, len(verts))):
+        u = rng.choice(verts)
+        pairs.append((u, u if rng.random() < 0.15 else rng.choice(verts)))
+    for _ in range(rng.randint(0, 3) if pairs else 0):
+        pairs.append(rng.choice(pairs))  # a parallel copy
+    g = Graph(verts, [(eid, u, v) for eid, (u, v) in enumerate(pairs, 1)])
+    sources = frozenset(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+    targets = frozenset(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+    if rng.random() < 0.3:
+        targets |= {rng.choice(sorted(sources))}
+    spare = sorted(g.vertices - sources - targets)
+    forbidden = rng.sample(spare, rng.randint(0, min(3, len(spare)))) if rng.random() < 0.3 else []
+    k = rng.randint(1, min(len(sources), len(targets)) + 1)
+    return g, sources, targets, k, frozenset(forbidden)
+
+
+# 300 examples in the default profile, more under a higher-count one
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_menger_paths_meet_sources_and_targets_only_at_their_ends(seed):
+    """On seeded multigraphs with loops, parallel edges and sources that are
+    also targets, the flow's own paths meet the sources only at their first
+    vertex and the targets only at their last; they step along edges
+    between distinct vertices and share no vertex."""
+    g, sources, targets, k, forbidden = menger_ends_case(seed)
+    res = menger(g, sources, targets, k, forbidden)
+    if not res.found_paths:
+        assert len(res.cut) < k
+        return
+    assert len(res.paths) == k
+    used = set()
+    for path in res.paths:
+        assert path[0] in sources and path[-1] in targets
+        assert not set(path[1:]) & sources and not set(path[:-1]) & targets
+        assert not set(path) & (used | forbidden) and len(set(path)) == len(path)
+        used |= set(path)
+        for u, v in zip(path, path[1:]):
+            assert u != v and v in g.neighbors(u)
+
+
 def test_blocking_separation_sends_neutral_components_to_a():
     g = Graph([1, 2, 3, 4], [(1, 1, 2), (2, 2, 3), (3, 2, 4)])
     s = blocking_separation(g, frozenset({2}), frozenset({1}), frozenset({3}))
@@ -536,18 +585,22 @@ def test_contract_drops_a_state_whose_ends_carry_two_units(monkeypatch):
     assert scanner.cold == 2 and scanner.reused == 0
 
 
-def linked_level_case(seed):
+def linked_level_case(seed, roots_anywhere=True):
     """A seeded problem that ``validate_problem`` accepts, as the extraction
     loop holds it: a coarse model at a random side and corner (k = 1), one
     at side 13 with two roots, in one block half the time (k = 2), or a
-    grid-plus-roots or random-attachment recipe (k = 1 or 2)."""
+    grid-plus-roots or random-attachment recipe (k = 1 or 2).  Without
+    ``roots_anywhere`` the two roots always lie in one block: roots
+    anywhere can leave no g + 2k consecutive rows free of Z' at
+    saturation, where ``choose_band`` finds no band and ``extract``
+    raises InternalInvariantBroken (seeds 151 and 236)."""
     rng = random.Random(f"linked-level:{seed}")
     kind = rng.choice(("coarse", "coarse", "grid-plus-roots", "random-attachment"))
     if kind == "coarse" and rng.random() < 0.2:
         problem = coarse_problem(13, "top-left")
         i, j = 2 * rng.randint(1, 13), 2 * rng.randint(1, 13)
         block = [vertex_id(26, i - a, j - b) for a in (0, 1) for b in (0, 1)]
-        pool = block if rng.random() < 0.5 else sorted(problem.host.vertices)
+        pool = block if rng.random() < 0.5 or not roots_anywhere else sorted(problem.host.vertices)
         roots = rng.sample(pool, 2)
         problem = replace(problem, roots=frozenset(roots), k=2)
     elif kind == "coarse":
@@ -567,8 +620,8 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
     """On the extraction's own levels, fed its own reductions (on some
     levels past every blocker) and recursing into the B side as it does,
     the scanner given the rows ``extraction._rows_to_scan`` picks (the
-    first k + 1 on a level with more than k full columns) gives the full
-    scan's blocker, or None, at every step; the cold per-row ``menger``
+    level's first k + 1 full rows) gives the full scan's blocker, or
+    None, at every step; the cold per-row ``menger``
     reference agrees at the first scan of each level, at each blocker that
     ends a level and at a few random steps.  A level reduced past its
     blockers ends where the next reduction's edge has both ends in Z:
