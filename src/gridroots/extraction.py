@@ -22,7 +22,10 @@ roots and blocker sides as id sets, and its journal keeps only the
 endpoints of each step, ``(kind, eid, u, v)``.  Its row scanner
 (``separations._RowScanner``) and reduction picker are fed every
 journal entry instead of being rebuilt; the scanner reads the level's
-first k + 1 full rows (``_rows_to_scan``).
+first k + 1 full rows (``_rows_to_scan``), and the picker follows the
+schedule its rule order fixes: the plain edges, then the branch loops,
+then each least branch edge contracted and its parallel copies deleted
+(``_ReductionPicker``).
 The witness is carried back through the journals on id sets and built
 once, in the caller's original graph.  A certificate is never carried:
 it is a cut of the input host for the blocked row (``_Runner._refutation``).
@@ -34,7 +37,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappop
 from itertools import chain
 from math import isqrt
 from typing import Iterable, Sequence
@@ -269,11 +271,15 @@ class _ReductionPicker:
 
     Rule order: plain deletion (edge in no branch and no image), branch
     edge deletion (a loop), branch edge contraction (everything else
-    inside a branch).  The edge images and the branch edges' owners are
-    read once per level.  Plain edges only ever leave the graph, least
-    first, so they are a sorted list read from a cursor.  A branch edge
-    changes rule only when a contraction moves one of its ends, so after
-    each contraction only the survivor's edges are classified again.
+    inside a branch).  That order fixes a schedule: every plain edge,
+    ascending; then the level's branch loops, ascending; then, again and
+    again, the least branch edge still present is contracted and its
+    parallel copies, now the survivor's loops, are deleted, ascending.
+    An edge only ever leaves the graph or, when a contraction merges its
+    ends, becomes a loop.  The plain edges are gone before the first
+    contraction, and an image edge joins two disjoint branches, so a
+    contraction's parallel copies are the only loops that form, and
+    each is an edge of the contracted one's branch.
 
     No rule is needed for a branch edge between two roots: the picker
     runs only after a scan returned None, and a row is clear only when
@@ -284,45 +290,36 @@ class _ReductionPicker:
 
     def __init__(self, g: WorkingGraph, branches: dict, images: dict[int, int]):
         image_set = set(images.values())
-        self.owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
-        self.plain = sorted(e for e in g.edge_ids if e not in image_set and e not in self.owner)
-        self.cursor = 0
-        self.removable = {e for e in self.owner if self._removable(g, e)}
-        # a heap (sorted lists are heaps); edges that left it or became
-        # removable are dropped when they reach its top
-        self.contractible = sorted(e for e in self.owner if e not in self.removable)
-
-    @staticmethod
-    def _removable(g: WorkingGraph, e: int) -> bool:
-        x, y = g.endpoints(e)
-        return x == y
+        self.owner = owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
+        plain = [e for e in g.edge_ids if e not in image_set and e not in owner]
+        loops = [e for e in owner if g.endpoints(e)[0] == g.endpoints(e)[1]]
+        # stacks, least on top: the deletions due, and the branch edges
+        # (those deleted as loops are skipped when they reach the top)
+        self.due = sorted(loops, reverse=True) + sorted(plain, reverse=True)
+        self.branch = sorted(owner, reverse=True)
 
     def next(self) -> tuple[str, int, int | None] | None:
         """The next reduction as ``(rule, edge, branch)``, or None when none applies."""
-        if self.cursor < len(self.plain):
-            return ("edge-delete", self.plain[self.cursor], None)
-        if self.removable:
-            e = min(self.removable)
-            return ("branch-edge-delete", e, self.owner[e])
-        heap = self.contractible
-        while heap and (heap[0] not in self.owner or heap[0] in self.removable):
-            heappop(heap)
-        if heap:
-            return ("branch-edge-contract", heap[0], self.owner[heap[0]])
+        if self.due:
+            e = self.due[-1]
+            pv = self.owner.get(e)
+            return ("edge-delete" if pv is None else "branch-edge-delete", e, pv)
+        branch, owner = self.branch, self.owner
+        while branch and branch[-1] not in owner:
+            branch.pop()
+        if branch:
+            return ("branch-edge-contract", branch[-1], owner[branch[-1]])
         return None
 
     def feed(self, g: WorkingGraph, entry: tuple[str, int, int, int]) -> None:
-        """Account for one applied reduction; ``g`` is as after it."""
+        """Account for the reduction ``next`` gave, applied; ``g`` is as after it."""
         kind, eid, u, _v = entry
-        if eid not in self.owner:
-            self.cursor += 1
-            return
-        del self.owner[eid]
-        self.removable.discard(eid)
-        if kind == "contract":
-            for e in g.incident_edges(u):
-                if e in self.owner and self._removable(g, e):
-                    self.removable.add(e)
+        self.owner.pop(eid, None)
+        if kind == "delete":
+            self.due.pop()
+        else:
+            i = g.index[u]
+            self.due = sorted(g.around[i][i], reverse=True)
 
 
 def _apply_edge_reduction(
@@ -606,7 +603,7 @@ class _Runner:
             block = scanner.scan(roots)
             if block is not None and block.kind == "strict":
                 separation = None
-                if depth == 0 and not journal:  # the level's graph is still the host
+                if depth == 0:  # a first scan: the level's graph is still the host
                     separation = _separation_from_sides(self.problem.host, block.sides(work, roots))
                 raise self._refutation(block.row, depth, separation)
             if block is not None:

@@ -398,7 +398,8 @@ def subgraph_components(h: Subgraph) -> list[Subgraph]:
     """Maximal connected pieces of ``h``, sorted by least vertex id.
 
     The pieces partition ``h``: they are pairwise disjoint and their
-    union is ``h``.  The null subgraph yields an empty sequence.
+    union is ``h``.  The null subgraph yields an empty sequence.  The
+    work is linear in ``h``: each edge joins the piece of its ends.
     """
     host = h.host
     adj: dict[int, set[int]] = {v: set() for v in h.vertices}
@@ -407,10 +408,10 @@ def subgraph_components(h: Subgraph) -> list[Subgraph]:
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
-    seen: set[int] = set()
-    out: list[Subgraph] = []
+    piece: dict[int, int] = {}  # vertex -> the number of its piece
+    pieces: list[set[int]] = []
     for start in sorted(h.vertices):
-        if start in seen:
+        if start in piece:
             continue
         comp = {start}
         stack = [start]
@@ -422,13 +423,12 @@ def subgraph_components(h: Subgraph) -> list[Subgraph]:
                     stack.append(w)
         if len(comp) == len(h.vertices):
             return [h]  # connected: the one piece is h itself
-        seen |= comp
-        eids = [
-            e for e in h.edge_ids
-            if host.endpoints(e)[0] in comp and host.endpoints(e)[1] in comp
-        ]
-        out.append(Subgraph(host, comp, eids))
-    return out
+        piece.update(dict.fromkeys(comp, len(pieces)))
+        pieces.append(comp)
+    edges: list[list[int]] = [[] for _ in pieces]
+    for eid in h.edge_ids:
+        edges[piece[host.endpoints(eid)[0]]].append(eid)
+    return [Subgraph._unchecked(host, comp, eids) for comp, eids in zip(pieces, edges)]
 
 
 def subgraph_is_connected(h: Subgraph) -> bool:
@@ -453,23 +453,10 @@ def boundary(g: Graph, h: Subgraph) -> frozenset[int]:
 
 
 def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, sorted by least vertex."""
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+    """Connected components as vertex sets, sorted by least vertex: the
+    vertex sets of :func:`subgraph_components` of the whole graph."""
+    whole = Subgraph._unchecked(g, g.vertices, g.edge_ids)
+    return [comp.vertices for comp in subgraph_components(whole)]
 
 
 def reachable_from(

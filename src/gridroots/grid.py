@@ -43,26 +43,17 @@ def grid_graph(n: int):
 
 
 def grid_edge_id(n: int, u: int, v: int) -> int:
-    """Edge id between two adjacent grid vertices.
-
-    Recomputes the row-major numbering without building the graph: each
-    cell emits its right edge (when one exists) and then its down edge.
-    """
+    """Edge id between two adjacent grid vertices: the id
+    :func:`grid_edges_among` gives the edge between them, so the grid is
+    numbered in one place."""
     a, b = (u, v) if u < v else (v, u)
     for vid in (a, b):
         if not 1 <= vid <= n * n:
             raise ValueError(f"vertex id {vid} outside the {n}x{n} grid")
-    i, j = divmod(a - 1, n)  # 0-based row and column of a
-    right = b == a + 1 and j < n - 1
-    if not right and b != a + n:
+    edges = grid_edges_among(n, (a, b))
+    if not edges:
         raise ValueError(f"vertices {u} and {v} are not grid-adjacent")
-    # Rows above row i each emit n - 1 right edges and n down edges;
-    # earlier cells in row i emit one right edge each plus a down edge
-    # when row i is not the last row.
-    count = i * (2 * n - 1) + j * (2 if i < n - 1 else 1)
-    if right:
-        return count + 1
-    return count + (2 if j < n - 1 else 1)
+    return edges[0][0]
 
 
 def grid_edges_among(n: int, vertices) -> list[tuple[int, int, int]]:
@@ -70,9 +61,10 @@ def grid_edges_among(n: int, vertices) -> list[tuple[int, int, int]]:
     ends in ``vertices`` (grid vertex ids, any container), in the order
     ``vertices`` iterates.
 
-    The ids are :func:`grid_edge_id`'s, by its arithmetic for each cell:
+    This is the grid's one edge numbering, by arithmetic for each cell:
     the rows above it emit 2n - 1 ids each, and each earlier cell of its
-    row emits two (one in the last row).
+    row emits two (one in the last row), its right edge before its down
+    edge.
     """
     width, last = 2 * n - 1, n - 1
     out = []

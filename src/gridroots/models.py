@@ -130,14 +130,11 @@ def _pseudomodel_holds(p: Pseudomodel) -> bool:
 def _pseudomodel_findings(p: Pseudomodel) -> ValidationReport:
     """Every pseudomodel violation, found item by item, in report order.
 
+    It runs only on models that :func:`_pseudomodel_holds` rejects.
     The work is linear in the pattern, the edge images and the total
     branch size (plus the overlaps reported), and nothing compares
-    branches pairwise.  One map, a single comprehension, gives each
-    branch vertex its owner.  The branches overlap exactly when their
-    sizes sum past the map's size; only then are per-vertex owner lists
-    built, to report the overlaps and to check edge ends.  Otherwise
-    the map alone checks the ends.  Branch edges are found through an
-    edge owner map.
+    branches pairwise: per-vertex owner lists report the overlaps and
+    check the edge ends, and an edge owner map finds the branch edges.
     """
     report = ValidationReport()
     pattern = p.pattern
@@ -151,25 +148,21 @@ def _pseudomodel_findings(p: Pseudomodel) -> ValidationReport:
             report.add("branch-unknown", f"branch key {v} is not a pattern vertex")
         elif branches[v].is_null():
             report.add("branch-null", f"branch of pattern vertex {v} is null")
-    keys = sorted(v for v in branches if v in pattern_vertices)
-    owner = {x: v for v in keys for x in branches[v].vertices}
-    vertex_owners: dict[int, list[int]] | None = None
-    if sum(len(branches[v].vertices) for v in keys) > len(owner):
-        # Owners are appended in ascending key order, so each list is sorted.
-        vertex_owners = {}
-        for v in keys:
-            for x in branches[v].vertices:
-                vertex_owners.setdefault(x, []).append(v)
-        shared_by: dict[tuple[int, int], list[int]] = {}
-        for x, owners in vertex_owners.items():
-            for idx, v in enumerate(owners):
-                for w in owners[idx + 1:]:
-                    shared_by.setdefault((v, w), []).append(x)
-        for v, w in sorted(shared_by):
-            report.add(
-                "branch-overlap",
-                f"branches of {v} and {w} share vertices {sorted(shared_by[v, w])}",
-            )
+    # Owners are appended in ascending key order, so each list is sorted.
+    vertex_owners: dict[int, list[int]] = {}
+    for v in sorted(v for v in branches if v in pattern_vertices):
+        for x in branches[v].vertices:
+            vertex_owners.setdefault(x, []).append(v)
+    shared_by: dict[tuple[int, int], list[int]] = {}
+    for x, owners in vertex_owners.items():
+        for idx, v in enumerate(owners):
+            for w in owners[idx + 1:]:
+                shared_by.setdefault((v, w), []).append(x)
+    for v, w in sorted(shared_by):
+        report.add(
+            "branch-overlap",
+            f"branches of {v} and {w} share vertices {sorted(shared_by[v, w])}",
+        )
     # Every branch counts here, unknown keys included, in insertion order.
     edge_owners: dict[int, list[int]] = {}
     for v, br in branches.items():
@@ -206,13 +199,8 @@ def _pseudomodel_findings(p: Pseudomodel) -> ValidationReport:
         u, v = pattern_ends(e)
         if u not in branches or v not in branches:
             continue
-        if vertex_owners is None:
-            ox, oy = owner.get(x), owner.get(y)
-            joined = (ox == u and oy == v) or (ox == v and oy == u)
-        else:
-            ox, oy = vertex_owners.get(x, ()), vertex_owners.get(y, ())
-            joined = (u in ox and v in oy) or (v in ox and u in oy)
-        if joined:
+        ox, oy = vertex_owners.get(x, ()), vertex_owners.get(y, ())
+        if (u in ox and v in oy) or (v in ox and u in oy):
             continue
         if u == v:
             report.add(

@@ -4,8 +4,9 @@ flag fuzz of ``tests/test_cli_fuzz.py``,
 ``--hypothesis-profile=validation-fuzz`` the bulk-against-per-item
 validation fuzz of ``tests/test_validation_fuzz.py``,
 ``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test, the
-stopped-against-full scan test and the strict-blockers-from-first-scans
-test of ``tests/test_separations.py`` and the boundary-bound test of
+stopped-against-full scan test, the strict-blockers-from-first-scans
+test and the reduction picker's reference test of
+``tests/test_separations.py`` and the boundary-bound test of
 ``tests/test_extraction.py``, and
 ``--hypothesis-profile=json-fuzz`` the canonical JSON and trace writer
 tests of ``tests/test_formats.py`` against ``json.dumps``, at a higher

@@ -20,7 +20,9 @@ models with n = 3, 4, 5, 7 and 8 at all four corners (n = 3 and 4 fail
 hits the open band-choice bug: problems that do belong to a property
 test, not to a byte corpus.  Four full-run cases reach the scale of
 CI's smoke instances and beyond: grid-plus-roots and random-attachment
-36/4/3 and 64/4/3 at seed 7, degree 4, not in ``SUBSET``.
+36/4/3 and 64/4/3 at seed 7, degree 4, not in ``SUBSET``.  One case,
+``pendant-roots/13/depth1`` (``test_reductions.pendant_roots_problem``),
+is refuted below a recursion.
 
     PYTHONPATH=src python tests/corpus.py           # check every case
     PYTHONPATH=src python tests/corpus.py --write   # rewrite the digest file
@@ -63,7 +65,7 @@ from gridroots import (
 from gridroots.extraction import _full_rows
 from gridroots.separations import find_row_blocking_separation
 
-from test_reductions import CORNERS, coarse_problem
+from test_reductions import CORNERS, coarse_problem, pendant_roots_problem
 
 DIGEST_FILE = Path(__file__).with_name("corpus_digests.json")
 RECIPE_KINDS = ("grid-plus-roots", "random-attachment")
@@ -71,6 +73,7 @@ RECIPE_SIZES = {1: (8, 1), 2: (13, 2), 3: (28, 3)}  # k -> (n, g)
 SEEDS = range(8)
 COARSE_SIDES = (3, 4, 5, 7, 8)
 SCALE_SIZES = {36: (4, 3), 64: (4, 3)}  # n -> (g, k) of the full-run cases at seed 7, degree k + 1
+DEPTH_ONE = "pendant-roots/13/depth1"
 
 # the cases tier-1 runs: every kind, root count, break mode and coarse side once
 SUBSET = (
@@ -85,6 +88,7 @@ SUBSET = (
     "coarse/5/top-right",
     "coarse/7/bottom-left",
     "coarse/8/top-right",
+    DEPTH_ONE,
 )
 
 
@@ -96,10 +100,12 @@ def case_ids() -> list[str]:
                 ids += [f"{kind}/k{k}/s{seed}"] + [f"{kind}/k{k}/s{seed}/{m}" for m in BREAK_MODES]
     ids += [f"coarse/{n}/{corner}" for n in COARSE_SIDES for corner in CORNERS]
     ids += [f"{kind}/n{n}/s7" for kind in RECIPE_KINDS for n in SCALE_SIZES]
-    return ids
+    return ids + [DEPTH_ONE]
 
 
 def build(case: str) -> ExtractionProblem:
+    if case == DEPTH_ONE:
+        return pendant_roots_problem()
     parts = case.split("/")
     if parts[0] == "coarse":
         return coarse_problem(int(parts[1]), parts[2])

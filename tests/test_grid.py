@@ -172,6 +172,13 @@ def test_grid_edges_among_numbers_edges_as_grid_edge_id_does(n):
     edges = grid_edges_among(n, range(1, n * n + 1))
     assert [e for e, _, _ in edges] == list(range(1, 2 * n * (n - 1) + 1))
     assert all(e == grid_edge_id(n, u, v) and u < v for e, u, v in edges)
+    # the numbering written out: cells in row-major order, each emitting
+    # its right edge and then its down edge
+    written = []
+    for u in range(1, n * n + 1):
+        i, j = vertex_coord(n, u)
+        written += [(u, u + 1)] * (j < n) + [(u, u + n)] * (i < n)
+    assert [(u, v) for _, u, v in edges] == written
     # a vertex subset keeps exactly the edges with both ends in it
     keep = {v for v in range(1, n * n + 1) if v % 3 != 0}
     assert sorted(grid_edges_among(n, keep)) == [

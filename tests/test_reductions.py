@@ -9,7 +9,7 @@ unwinding or splicing that alters any delivered byte fails here.  Three
 seeded two-root recipe runs are pinned the same way, so the splice and
 band steps graft more than one path.
 
-The test at the end certifies a refutation met below a recursion in
+The tests at the end certify a refutation met below a recursion in
 the input host.
 """
 import hashlib
@@ -18,6 +18,7 @@ import pytest
 
 from gridroots import (
     ExtractionProblem,
+    Graph,
     HypothesisViolated,
     InstanceRecipe,
     Pseudomodel,
@@ -83,6 +84,24 @@ def coarse_problem(n: int, corner: str) -> ExtractionProblem:
     root = hv(*CORNERS[corner](side))
     model = Pseudomodel(host, pattern, branches, images)
     return ExtractionProblem(host, frozenset({root}), model, n, 2, 1)
+
+
+def pendant_roots_problem() -> ExtractionProblem:
+    """The 13 x 13 grid modelled by itself, with two pendant roots hung on
+    cell (1, 5): root 170 by edge 313, inside that cell's branch
+    ``{5, 170}``, and root 171 by the plain edge 314.  g = 2, k = 2.
+
+    Row 1 blocks reducibly at depth 0 with cut ``{5, 170}``, and the
+    sub-level, which has lost edge 313 (it lies inside the cut), finds
+    row 2 blocked strictly below k: a refutation met below a recursion.
+    """
+    grid = grid_graph(13)
+    host = Graph(sorted(grid.vertices) + [170, 171],
+                 list(grid.edges()) + [(313, 5, 170), (314, 5, 171)])
+    branches = {pv: Subgraph(host, [pv]) for pv in grid.vertices}
+    branches[5] = Subgraph(host, [5, 170], [313])
+    model = Pseudomodel(host, grid, branches, {e: e for e in grid.edge_ids})
+    return ExtractionProblem(host, frozenset({170, 171}), model, 13, 2, 2)
 
 
 def bundle_digest(res) -> str:
@@ -233,3 +252,28 @@ def test_refutation_below_a_recursion_certifies_in_the_input_host(monkeypatch):
     assert problem.roots <= sep.a.vertices
     assert image_of_vertices(problem.model, cert.row) <= sep.b.vertices
     assert (cert.row, sep) == (top.value.row, top.value.separation)
+
+
+def test_refutation_met_below_a_recursion_unaided():
+    """``pendant_roots_problem`` is refuted at depth 1 with no test hook:
+    depth 0 recurses on row 1's reducible blocker, and the sub-level's
+    first scan finds row 2 strict.  The certificate is the input host's
+    own cut for that row, the one ``check_hypothesis`` returns."""
+    problem = pendant_roots_problem()
+    assert validate_problem(problem).ok
+    verdict = check_hypothesis(problem)
+    with pytest.raises(HypothesisViolated) as raised:
+        extract(problem)
+    cert, sep = raised.value, raised.value.separation
+    (record,) = cert.trace
+    assert (record["kind"], record["depth"], record["row"]) == ("separation-recursion", 0, list(range(1, 14)))
+    assert record["separator"] == [5, 170]
+    assert set(record["aVertices"]) - set(record["bVertices"]) == {171}
+    assert 313 in record["aEdges"] and 313 not in record["bEdges"]
+    assert cert.depth == 1
+    assert cert.row == tuple(range(14, 27))
+    assert sep.host == problem.host
+    assert sep.order == 1
+    assert problem.roots <= sep.a.vertices
+    assert image_of_vertices(problem.model, cert.row) <= sep.b.vertices
+    assert (verdict.holds, verdict.row, verdict.separation) == (False, cert.row, sep)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridroots import (
+    EnumerationBudget,
     Graph,
     HypothesisViolated,
     InstanceRecipe,
@@ -18,6 +19,7 @@ from gridroots import (
     Tangle,
     blocking_separation,
     check_tangle_axioms,
+    enumerate_cuts,
     extract,
     find_row_blocking_separation,
     generate_instance,
@@ -139,6 +141,28 @@ def test_menger_forbidden_vertices_are_avoided():
     res2 = menger(g, {1, 3}, {7, 9}, 2, forbidden={4, 5, 6})
     assert not res2.found_paths
     assert res2.cut == frozenset()
+
+
+def test_menger_cancels_a_unit_whose_head_still_follows_it():
+    """The second augmenting path on this 13-vertex graph runs back along
+    an edge x -> y that carries a unit while ``nxt[x]`` is still y, so
+    ``_FlowNetwork.solve`` frees x's successor when it cancels that unit
+    (a seeded search found the input).  The two paths it returns are
+    vertex-disjoint paths of the graph, and no cut below 2 exists."""
+    g = Graph(range(1, 14), [
+        (1, 1, 12), (2, 3, 9), (3, 7, 5), (4, 11, 4), (5, 13, 9), (6, 2, 3), (7, 11, 9),
+        (8, 6, 4), (9, 13, 11), (10, 3, 8), (11, 3, 8), (12, 12, 10), (13, 5, 7),
+        (14, 4, 6), (15, 3, 7), (16, 8, 4), (17, 2, 7),
+    ])
+    sources, targets = {4, 5, 10}, {3, 9}
+    res = menger(g, sources, targets, 2)
+    assert res.found_paths
+    assert res.paths == ((4, 11, 9), (5, 7, 3))
+    assert not set(res.paths[0]) & set(res.paths[1])
+    for path in res.paths:
+        assert path[0] in sources and path[-1] in targets
+        assert all(v in g.neighbors(u) for u, v in zip(path, path[1:]))
+    assert enumerate_cuts(g, sources, targets, 1, EnumerationBudget(max_vertices=13)) == []
 
 
 def menger_ends_case(seed):
@@ -662,6 +686,67 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
             entry = _apply_edge_reduction(work, roots, branches, *reduction)
             for scanner in (stopping, full):
                 scanner.feed(entry)
+            picker.feed(work, entry)
+        if block.kind == "strict":
+            return
+        sides = va, ea, vb, _eb = block.sides(work, roots)
+        for e in ea:
+            work.delete_edge(e)
+        work.vertices -= va - vb
+        roots = va & vb
+        pattern, branches, images = _derive_subproblem(pattern, branches, images, sides)
+
+
+def reference_reduction(work, branches, images):
+    """The picker's rule order from scratch: the least plain edge still
+    present (in no branch and no image), else the least branch loop, else
+    the least branch edge, as ``(rule, edge, branch)``; None when no
+    edge is left to reduce."""
+    owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
+    image_set = set(images.values())
+    plain = [e for e in work.edge_ids if e not in owner and e not in image_set]
+    if plain:
+        return ("edge-delete", min(plain), None)
+    loops = [e for e, (x, y) in zip(owner, map(work.endpoints, owner)) if x == y]
+    for rule, edges in (("branch-edge-delete", loops), ("branch-edge-contract", owner)):
+        if edges:
+            e = min(edges)
+            return (rule, e, owner[e])
+    return None
+
+
+# 30 examples in the default profile, more under a higher-count one
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=max(30, settings.default.max_examples), deadline=None)
+def test_reduction_picker_gives_the_reference_reduction_at_every_step(seed):
+    """On the extraction's own levels, fed its own reductions (on some
+    levels past every blocker, until the next edge has both ends in Z)
+    and recursing into the B side as it does, every ``next()`` of
+    ``_ReductionPicker`` equals ``reference_reduction`` of the level as
+    it stands."""
+    problem, rng = linked_level_case(seed)
+    n, k, model = problem.n, problem.k, problem.model
+    roots = set(problem.roots)
+    pattern = Subgraph(model.pattern, model.pattern.vertices, model.pattern.edge_ids)
+    branches = {pv: (br.vertices, br.edge_ids) for pv, br in model.branches.items()}
+    images = dict(model.edge_images)
+    work = WorkingGraph(problem.host)
+    while True:
+        vertex_sets = {pv: vs for pv, (vs, _es) in branches.items()}
+        scanner = _RowScanner(work, vertex_sets, _rows_to_scan(n, k, pattern), k)
+        picker = _ReductionPicker(work, branches, images)
+        past = rng.random() < 0.5  # reduce past every blocker at this level
+        while True:
+            block = scanner.scan(roots)
+            reduction = picker.next()
+            assert reduction == reference_reduction(work, branches, images)
+            inside = reduction is not None and set(work.endpoints(reduction[1])) <= roots
+            if block is not None and (not past or inside):
+                break
+            if reduction is None:
+                return
+            entry = _apply_edge_reduction(work, roots, branches, *reduction)
+            scanner.feed(entry)
             picker.feed(work, entry)
         if block.kind == "strict":
             return
