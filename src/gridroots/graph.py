@@ -18,6 +18,7 @@ edges) is legal; branch maps use it as the "nothing left" value.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -33,7 +34,9 @@ class Graph:
     duplicate id shows as a map shorter than the edge list, and one
     ``issuperset`` checks every endpoint.  Only when a check fails does
     a per-edge pass run, to raise the error of the first bad edge in
-    input order, with the message a per-edge check gives.
+    input order, with the message a per-edge check gives.  The
+    per-vertex incidence is built the first time ``incident_edges``,
+    ``neighbors`` or ``degree`` needs it, and kept.
     """
 
     __slots__ = ("_vertices", "_edges", "_incidence", "_hash")
@@ -62,16 +65,9 @@ class Graph:
         emap = {e: (u, v) if u <= v else (v, u) for e, u, v in triples}
         if len(emap) < len(triples) or not vset.issuperset(chain.from_iterable(emap.values())):
             _raise_first_bad_edge(vset, triples)
-        incidence: dict[int, list[int]] = {v: [] for v in vset}
-        for eid, (u, v) in sorted(emap.items()):
-            incidence[u].append(eid)
-            if v != u:
-                incidence[v].append(eid)
         object.__setattr__(self, "_vertices", vset)
         object.__setattr__(self, "_edges", emap)
-        object.__setattr__(
-            self, "_incidence", {v: tuple(lst) for v, lst in incidence.items()}
-        )
+        object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -106,12 +102,21 @@ class Graph:
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Edge ids incident to ``v`` (loops listed once), ascending."""
-        return self._incidence[v]
+        incidence = self._incidence
+        if incidence is None:
+            lists: dict[int, list[int]] = {x: [] for x in self._vertices}
+            for eid, (x, y) in sorted(self._edges.items()):
+                lists[x].append(eid)
+                if y != x:
+                    lists[y].append(eid)
+            incidence = {x: tuple(lst) for x, lst in lists.items()}
+            object.__setattr__(self, "_incidence", incidence)
+        return incidence[v]
 
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbours of ``v`` other than ``v`` itself, ascending."""
         seen = set()
-        for eid in self._incidence[v]:
+        for eid in self.incident_edges(v):
             u, w = self._edges[eid]
             other = w if u == v else u
             if other != v:
@@ -121,7 +126,7 @@ class Graph:
     def degree(self, v: int) -> int:
         """Edge-endpoint count at ``v``; a loop contributes two."""
         d = 0
-        for eid in self._incidence[v]:
+        for eid in self.incident_edges(v):
             u, w = self._edges[eid]
             d += 2 if u == w else 1
         return d
@@ -220,50 +225,54 @@ class WorkingGraph:
     key goes with its edges.  A fresh build's keys and tuples ascend;
     edits may reorder them.  A vertex that leaves keeps its index, so
     every recursion level shares the first one's numbering.  One builder
-    fills the adjacency, from a ``Graph`` or, for ``induced``, from part
-    of another working graph, so both give the same numbering, key order
-    and tuples.
+    fills the adjacency from an edge map, a ``Graph``'s or, for
+    ``induced``, the part of another working graph's, so both give the
+    same numbering, key order and tuples.
     """
 
     __slots__ = ("vertices", "_edges", "order", "index", "around")
 
     def __init__(self, g: Graph):
-        self._fill(g._incidence, dict(g._edges))
+        self._fill(g._vertices, dict(g._edges))
 
     def induced(self, vertices: Iterable[int]) -> "WorkingGraph":
         """A fresh working graph of ``vertices`` and the edges among them, as
         ``WorkingGraph(Graph(...))`` of that part builds it, without the Graph."""
-        index, order, around = self.index, self.order, self.around
+        index, around, edges = self.index, self.around, self._edges
         keep = {index[v] for v in vertices}
-        incident = {
-            order[i]: sorted(e for j, joining in around[i].items() if j in keep for e in joining)
-            for i in keep
-        }
         part = object.__new__(WorkingGraph)
-        part._fill(incident, {e: self._edges[e] for mine in incident.values() for e in mine})
+        part._fill(
+            [self.order[i] for i in keep],
+            {e: edges[e] for i in keep for j, joining in around[i].items() if j in keep for e in joining},
+        )
         return part
 
-    def _fill(self, incident: Mapping[int, Iterable[int]], edges: dict) -> None:
-        """Number the vertices, the keys of ``incident``, in ascending order and
-        build ``around`` from each one's incident edge ids, ascending."""
-        self.vertices = set(incident)
+    def _fill(self, vertices: Iterable[int], edges: dict) -> None:
+        """Number ``vertices`` in ascending order and build ``around`` from
+        ``edges``, the map of every edge among them, in one pass over the
+        edges sorted by their ends."""
+        self.vertices = set(vertices)
         self._edges = edges
-        self.order = order = sorted(incident)
-        self.index = index = {v: i for i, v in enumerate(order)}
+        self.order = order = sorted(self.vertices)
+        self.index = index = dict(zip(order, range(len(order))))
         self.around = around = [{} for _ in order]
-        # key a enters every map while vertex a is read, so keys ascend;
-        # an edge joins its tuple from its smaller end, in ascending order
-        for a, v in enumerate(order):
-            mine = around[a]
-            mine[a] = ()
-            for eid in incident[v]:
-                x, y = edges[eid]
-                b = index[y if x == v else x]
-                if b < a:
-                    around[b][a] = mine[b]
-                else:
-                    near = around[b]
-                    near[a] = near.get(a, ()) + (eid,)
+        # a vertex's smaller neighbours enter its map while their own edges
+        # are read, before its self key, which enters at its first edge as
+        # the smaller end, or last when it has none; its larger neighbours
+        # follow in ascending order
+        lu = lv = None
+        for eid, (u, v) in sorted(edges.items(), key=itemgetter(1)):
+            if u != lu:
+                lu, i = u, index[u]
+                near = around[i]
+                near[i] = ()
+            elif v == lv:  # a parallel edge, met in edge map order
+                near[j] = around[j][i] = tuple(sorted((*near[j], eid)))
+                continue
+            lv, j = v, index[v]
+            near[j] = around[j][i] = (eid,)
+        for i, near in enumerate(around):
+            near.setdefault(i, ())
 
     @property
     def edge_ids(self):

@@ -9,8 +9,10 @@ test and the reduction picker's reference test of
 ``tests/test_separations.py`` and the boundary-bound test of
 ``tests/test_extraction.py``, and
 ``--hypothesis-profile=json-fuzz`` the canonical JSON and trace writer
-tests of ``tests/test_formats.py`` against ``json.dumps``, at a higher
-example count (as CI does)."""
+tests of ``tests/test_formats.py`` against ``json.dumps``, and
+``--hypothesis-profile=graph-fuzz`` the working graph's adjacency against
+its two-stage reference in ``tests/test_graph.py``, at a higher example
+count (as CI does)."""
 from hypothesis import settings
 
 settings.register_profile("reader-fuzz", max_examples=2000)
@@ -18,3 +20,4 @@ settings.register_profile("cli-fuzz", max_examples=1000)
 settings.register_profile("validation-fuzz", max_examples=2000)
 settings.register_profile("scanner-fuzz", max_examples=2000)
 settings.register_profile("json-fuzz", max_examples=5000)
+settings.register_profile("graph-fuzz", max_examples=5000)

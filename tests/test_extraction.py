@@ -820,3 +820,35 @@ def test_no_reduction_in_extract_has_both_ends_in_the_roots(case, monkeypatch):
     reductions = applied_reductions(problem, monkeypatch)
     assert reductions
     assert not [ends for ends, roots in reductions if ends <= roots]
+
+
+def identity_rooted_at(n, g, k, cells):
+    """``identity_problem(n, g, k)`` with its roots at the grid ``cells``."""
+    return replace(identity_problem(n, g, k), roots=frozenset(vertex_id(n, i, j) for i, j in cells))
+
+
+@pytest.mark.xfail(raises=InternalInvariantBroken, strict=True,
+                   reason="known defect: choose_band finds no g + 2k consecutive rows free of Z'")
+@pytest.mark.parametrize("build", [
+    lambda: identity_rooted_at(13, 2, 2, [(5, 1), (9, 1)]),
+    lambda: identity_rooted_at(4, 1, 1, [(2, 1)]),
+    lambda: identity_rooted_at(4, 1, 1, [(2, 2)]),
+    lambda: linked_level_case(151)[0],
+    lambda: linked_level_case(236)[0],
+], ids=["identity-13-2-2-at-5,1-9,1", "identity-4-1-1-at-2,1", "identity-4-1-1-at-2,2",
+        "linked-level-151", "linked-level-236"])
+def test_valid_problem_with_roots_off_every_clean_band_extracts(build):
+    """A valid problem whose hypothesis holds must extract a witness.  On
+    these five, Z' at saturation leaves no g + 2k consecutive rows free,
+    ``choose_band`` finds no band, and ``extract`` raises "no clean row
+    band exists".  The strict xfail records that known defect; the fix
+    turns each case into a pass, and strictness then asks for the
+    marker's removal."""
+    problem = build()
+    assert validate_problem(problem).ok and check_hypothesis(problem).holds
+    try:
+        result = extract(problem)
+    except InternalInvariantBroken as exc:
+        assert str(exc) == "no clean row band exists"
+        raise
+    assert check_augmentation(result.witness).ok

@@ -1,15 +1,29 @@
-"""Multigraph core and subgraph algebra."""
+"""Multigraph core and subgraph algebra.
+
+CI runs the working graph's adjacency referee again under the
+``graph-fuzz`` profile (``tests/conftest.py``)."""
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridroots import (
+    BREAK_MODES,
     Graph,
+    HypothesisViolated,
+    InstanceRecipe,
     Subgraph,
     boundary,
+    break_instance,
     components,
+    extract,
+    generate_instance,
+    graph_from_dict,
+    graph_to_dict,
+    model_from_dict,
+    model_to_dict,
     reachable_from,
     subgraph_components,
     subgraph_is_connected,
@@ -302,3 +316,108 @@ def test_edited_adjacency_equals_a_fresh_build(seed):
             w.contract_edge(eid)
         else:
             w.delete_edge(eid)
+
+
+# -- the adjacency and incidence against the two-stage build they replaced --
+
+
+def reference_incidence(g):
+    """Each vertex of ``g`` -> the ids of its edges, ascending, loops once."""
+    incidence = {v: [] for v in g.vertices}
+    for eid, u, v in g.edges():
+        incidence[u].append(eid)
+        if v != u:
+            incidence[v].append(eid)
+    return {v: tuple(lst) for v, lst in incidence.items()}
+
+
+def reference_adjacency(g):
+    """The numbering and ``around`` maps of ``g`` as a working graph once
+    built them, in two stages: the incidence tuples, then vertex by vertex
+    in ascending order, key a entering every map while vertex a is read,
+    and each edge joining its tuple from its smaller end."""
+    incidence = reference_incidence(g)
+    order = sorted(incidence)
+    index = {v: i for i, v in enumerate(order)}
+    around = [{} for _ in order]
+    for a, v in enumerate(order):
+        mine = around[a]
+        mine[a] = ()
+        for eid in incidence[v]:
+            x, y = g.endpoints(eid)
+            b = index[y if x == v else x]
+            if b < a:
+                around[b][a] = mine[b]
+            else:
+                near = around[b]
+                near[a] = near.get(a, ()) + (eid,)
+    return order, around
+
+
+@st.composite
+def multigraphs(draw):
+    """A multigraph on sparse vertex and edge ids, with loops, parallel
+    edges and isolated vertices likely, its edges listed in a drawn order."""
+    verts = draw(st.lists(st.integers(0, 10**6), max_size=10, unique=True))
+    if not verts:
+        return Graph([])
+    pool = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)), min_size=1, max_size=8))
+    pairs = draw(st.lists(st.sampled_from(pool), max_size=24))
+    eids = draw(st.lists(st.integers(0, 10**6), min_size=len(pairs), max_size=len(pairs), unique=True))
+    return Graph(verts, draw(st.permutations([(e, u, v) for e, (u, v) in zip(eids, pairs)])))
+
+
+@given(multigraphs(), st.data())
+@settings(deadline=None)
+def test_working_graph_builds_the_reference_adjacency(g, data):
+    """``WorkingGraph(g)``, and a part of it copied out by ``induced``,
+    number the vertices and list every map's keys and tuples as the
+    two-stage reference build does, whatever order the edges came in,
+    with one tuple shared by each pair of neighbours."""
+    w = WorkingGraph(g)
+    part = data.draw(st.sets(st.sampled_from(sorted(g.vertices)))) if g.vertices else set()
+    for built, want in ((w, g), (w.induced(part), g.induced(part))):
+        order, around = reference_adjacency(want)
+        assert built.order == order and built.index == {v: i for i, v in enumerate(order)}
+        assert [list(near.items()) for near in built.around] == [list(near.items()) for near in around]
+        assert all(near[j] is built.around[j][i] for i, near in enumerate(built.around) for j in near)
+        assert built._edges == dict(want.edge_map)
+
+
+QUERIES = {
+    "incident_edges": lambda g, v: g.incident_edges(v),
+    "neighbors": lambda g, v: g.neighbors(v),
+    "degree": lambda g, v: g.degree(v),
+    "boundary": lambda g, v: boundary(g, Subgraph(g, [v], [e for e in g.edge_ids if g.endpoints(e) == (v, v)])),
+    "reachable_from": lambda g, v: reachable_from(g, [v]),
+}
+
+
+@pytest.mark.parametrize("first", sorted(QUERIES))
+@given(g=multigraphs())
+@settings(deadline=None, max_examples=30)
+def test_incidence_built_on_first_use_answers_as_built_eagerly(first, g):
+    """A graph builds its incidence at its first query, whichever query
+    that is, and then answers every query as a graph whose incidence was
+    built at construction does."""
+    edges = [(e, *ends) for e, ends in g.edge_map.items()]  # in the drawn order
+    eager, lazy = Graph(g.vertices, edges), Graph(g.vertices, edges)
+    object.__setattr__(eager, "_incidence", reference_incidence(eager))
+    assert lazy._incidence is None
+    for name in (first, *QUERIES):
+        for v in sorted(g.vertices):
+            assert QUERIES[name](lazy, v) == QUERIES[name](eager, v)
+
+
+@pytest.mark.parametrize("mode", BREAK_MODES)
+def test_reading_and_refuting_leave_the_incidence_unbuilt(mode):
+    """Nothing in reading a problem's documents or in refuting it asks the
+    host or the pattern for its incidence: the working graph builds its
+    adjacency from the host's edge map, and the pattern is only checked."""
+    broken = break_instance(generate_instance(InstanceRecipe("grid-plus-roots", 13, 2, 2, 7, 3)), mode, 7)
+    host = graph_from_dict(graph_to_dict(broken.host))
+    model = model_from_dict(model_to_dict(broken.model, broken.n), host)
+    assert host._incidence is None and model.pattern._incidence is None
+    with pytest.raises(HypothesisViolated):
+        extract(replace(broken, host=host, model=model))
+    assert host._incidence is None and model.pattern._incidence is None
