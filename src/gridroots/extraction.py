@@ -109,7 +109,8 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
     """Check every extraction precondition, reporting all violations.
 
     Hypothesis (i) is read only at the branches that can break it: those
-    on the pattern's boundary and those of more than one vertex.
+    on the pattern's boundary and those of more than one vertex.  A pattern
+    whose ``_grid_side`` is n (see ``Graph``) skips the grid id and edge check.
     """
     report = ValidationReport()
     n, g, k = problem.n, problem.g, problem.k
@@ -126,16 +127,17 @@ def validate_problem(problem: ExtractionProblem) -> ValidationReport:
         report.add("model-host", "model does not live in the problem host")
         return report
     pattern = problem.model.pattern
-    vertices = pattern.vertices
-    if vertices and not (min(vertices) >= 1 and max(vertices) <= n * n):
-        for pv in sorted(vertices):
-            if not 1 <= pv <= n * n:
-                report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
-                return report
-    pe = first_off_grid_edge(n, pattern)
-    if pe is not None:
-        report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
-        return report
+    if getattr(pattern, "_grid_side", None) != n:
+        vertices = pattern.vertices
+        if vertices and not (min(vertices) >= 1 and max(vertices) <= n * n):
+            for pv in sorted(vertices):
+                if not 1 <= pv <= n * n:
+                    report.add("pattern-grid", f"pattern vertex {pv} is not an {n}x{n} grid id")
+                    return report
+        pe = first_off_grid_edge(n, pattern)
+        if pe is not None:
+            report.add("pattern-grid", f"pattern edge {pe} does not match the {n}x{n} grid")
+            return report
     if not _full_rows(n, pattern):
         report.add("pattern-row", "pattern contains no full grid row")
     sub_report = validate_pseudomodel(problem.model)

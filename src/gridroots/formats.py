@@ -281,7 +281,7 @@ def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
     if None in triples:
         triples = [t or _edge_of_key(n, table, key) for t, (key, _) in zip(triples, image_docs)]
     try:
-        pattern = Graph._of_ints(frozenset(table.values()), triples)
+        pattern = Graph._of_grid(n, frozenset(table.values()), triples)
     except ValueError as exc:
         raise MalformedInput(f"bad model pattern: {exc}")
     branches = _branches_in_bulk(host, table, branch_docs)

@@ -37,9 +37,14 @@ class Graph:
     input order, with the message a per-edge check gives.  The
     per-vertex incidence is built the first time ``incident_edges``,
     ``neighbors`` or ``degree`` needs it, and kept.
+
+    ``_grid_side`` is n only when every vertex is an n x n grid id and
+    every edge is that grid's edge with its id.  Only ``_of_grid`` sets
+    it, for ``grid_graph`` and ``formats.model_from_dict``, which build
+    their graphs from the grid's numbering.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_hash")
+    __slots__ = ("_vertices", "_edges", "_incidence", "_hash", "_grid_side")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int, int]] = ()):
         vset = frozenset(map(int, vertices))
@@ -61,6 +66,13 @@ class Graph:
         self._fill(vertices, edges)
         return self
 
+    @classmethod
+    def _of_grid(cls, n: int, vertices: frozenset[int], edges: list) -> "Graph":
+        """``_of_ints`` for n x n grid ids and edges numbered as the grid numbers them."""
+        self = cls._of_ints(vertices, edges)
+        object.__setattr__(self, "_grid_side", n)
+        return self
+
     def _fill(self, vset: frozenset[int], triples: list) -> None:
         emap = {e: (u, v) if u <= v else (v, u) for e, u, v in triples}
         if len(emap) < len(triples) or not vset.issuperset(chain.from_iterable(emap.values())):
@@ -69,6 +81,7 @@ class Graph:
         object.__setattr__(self, "_edges", emap)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_grid_side", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

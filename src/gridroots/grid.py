@@ -39,7 +39,7 @@ def grid_graph(n: int):
     if n < 1:
         raise ValueError("grid side must be at least 1")
     vertices = range(1, n * n + 1)
-    return Graph(vertices, grid_edges_among(n, vertices))
+    return Graph._of_grid(n, frozenset(vertices), grid_edges_among(n, vertices))
 
 
 def grid_edge_id(n: int, u: int, v: int) -> int:

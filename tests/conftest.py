@@ -2,7 +2,8 @@
 fuzz of ``tests/test_readers.py``, ``--hypothesis-profile=cli-fuzz`` the CLI
 flag fuzz of ``tests/test_cli_fuzz.py``,
 ``--hypothesis-profile=validation-fuzz`` the bulk-against-per-item
-validation fuzz of ``tests/test_validation_fuzz.py``,
+validation fuzz of ``tests/test_validation_fuzz.py`` and the grid side
+memo test of ``tests/test_extraction.py``,
 ``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test, the
 stopped-against-full scan test, the strict-blockers-from-first-scans
 test and the reduction picker's reference test of
@@ -12,7 +13,8 @@ test and the reduction picker's reference test of
 tests of ``tests/test_formats.py`` against ``json.dumps``, and
 ``--hypothesis-profile=graph-fuzz`` the working graph's adjacency against
 its two-stage reference in ``tests/test_graph.py``, at a higher example
-count (as CI does)."""
+count (as CI does).  ``--hypothesis-profile=mutants`` keeps no example
+database, for ``tests/mutants.py``."""
 from hypothesis import settings
 
 settings.register_profile("reader-fuzz", max_examples=2000)
@@ -21,3 +23,4 @@ settings.register_profile("validation-fuzz", max_examples=2000)
 settings.register_profile("scanner-fuzz", max_examples=2000)
 settings.register_profile("json-fuzz", max_examples=5000)
 settings.register_profile("graph-fuzz", max_examples=5000)
+settings.register_profile("mutants", database=None)

@@ -21,11 +21,15 @@ from gridroots import (
     extract,
     extract_via_tangle_statement,
     generate_instance,
+    graph_from_dict,
+    graph_to_dict,
     grid_graph,
     grid_plus_roots_problem,
     identity_grid_model,
     identity_problem,
     image_of_vertices,
+    model_from_dict,
+    model_to_dict,
     AugmentationWitness,
     BREAK_MODES,
     InstanceRecipe,
@@ -39,7 +43,7 @@ from gridroots import (
 from gridroots import extraction, models
 from gridroots.extraction import _full_rows, _pattern_boundary
 from gridroots.graph import WorkingGraph, boundary, subgraph_components
-from gridroots.grid import grid_edge_id
+from gridroots.grid import first_off_grid_edge, grid_edge_id, grid_edges_among
 from gridroots.models import validate_pseudomodel
 from gridroots.separations import _RowScanner
 from gridroots.validation import ValidationReport
@@ -330,6 +334,95 @@ def test_validate_problem_hypothesis_i():
         host=host, roots=frozenset({1}), model=model, n=5, g=2, k=1
     )
     assert "hypothesis-i" in validate_problem(problem).codes()
+
+
+@st.composite
+def grid_model_documents(draw):
+    """``(n, grid_graph(n), doc)``: a model document of a subgraph of the
+    n x n grid, each pattern vertex modelled by itself in the grid.
+
+    The coordinates are all of the grid's or a drawn part, listed in a
+    drawn order, and so are the edge keys; a key may be reversed
+    (``b|a``) or carry a zero-padded row (``01,2|1,3``), so that it
+    misses the reader's canonical key table and is parsed on its own.
+    """
+    n = draw(st.integers(1, 6))
+    grid = grid_graph(n)
+    every = sorted(grid.vertices)
+    keep = every if draw(st.booleans()) else draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    among = grid_edges_among(n, set(keep))
+    edges = among if draw(st.booleans()) else [t for t in among if draw(st.booleans())]
+
+    def key(v):
+        i, j = vertex_coord(n, v)
+        return f"{i},{j}"
+
+    images = []
+    for e, u, v in edges:
+        a, b = key(u), key(v)
+        spelling = draw(st.sampled_from(["canonical", "reversed", "padded"]))
+        if spelling == "reversed":
+            a, b = b, a
+        elif spelling == "padded":
+            a = "0" + a
+        images.append((f"{a}|{b}", e))
+    doc = {
+        "pattern": {"n": n, "coords": draw(st.permutations([list(vertex_coord(n, v)) for v in keep]))},
+        "branches": {key(v): {"vertices": [v], "edges": []} for v in draw(st.permutations(keep))},
+        "edgeImages": dict(draw(st.permutations(images))),
+    }
+    return n, grid, doc
+
+
+@given(grid_model_documents(), st.integers(-2, 2), st.data())
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+def test_grid_side_memo_changes_no_verdict(case, shift, data):
+    """A pattern marked as lying on the n-grid is one that the full check
+    passes, and ``validate_problem`` reports on a marked pattern exactly
+    what it reports on an unmarked copy, for the document's n and for
+    others, and again when asked twice."""
+    n, grid, doc = case
+    assert grid._grid_side == n and identity_grid_model(n).pattern._grid_side == n
+    read = model_from_dict(doc, grid)
+    pattern = read.pattern
+    assert pattern._grid_side == n
+    assert all(1 <= v <= n * n for v in pattern.vertices) and first_off_grid_edge(n, pattern) is None
+    unmarked = Graph(pattern.vertices, list(pattern.edges()))
+    assert unmarked._grid_side is None
+    rebuilt = Pseudomodel(grid, unmarked, read.branches, read.edge_images)
+    side = max(1, n + shift)
+    g = data.draw(st.integers(1, 2))
+    k = data.draw(st.integers(1, g))
+    roots = frozenset(data.draw(st.sets(st.sampled_from(sorted(grid.vertices)), max_size=2)))
+    reports = []
+    for model in (read, rebuilt):
+        problem = ExtractionProblem(grid, roots, model, side, g, k)
+        first = validate_problem(problem).as_dict()
+        assert validate_problem(problem).as_dict() == first
+        reports.append(first)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("mode", BREAK_MODES)
+def test_read_problems_skip_the_grid_check(mode, monkeypatch):
+    """A pattern read from its document carries the document's n, so
+    ``extract`` and ``replay`` of the read problem never number the grid."""
+    broken = break_instance(generate_instance(InstanceRecipe("grid-plus-roots", 13, 2, 2, 7, 3)), mode, 7)
+    host = graph_from_dict(graph_to_dict(broken.host))
+    doc = model_to_dict(broken.model, broken.n)
+    model = model_from_dict(doc, host)
+    assert model.pattern._grid_side == doc["pattern"]["n"]
+    problem = replace(broken, host=host, model=model)
+
+    def numbering(*args):
+        raise AssertionError("the grid was numbered again")
+
+    monkeypatch.setattr("gridroots.grid.grid_edges_among", numbering)
+    monkeypatch.setattr(extraction, "grid_edges_among", numbering)
+    with pytest.raises(HypothesisViolated) as refuted:
+        extract(problem)
+    with pytest.raises(HypothesisViolated):
+        replay(problem, refuted.value.trace)
 
 
 def test_extract_rejects_invalid_problem():

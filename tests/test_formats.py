@@ -197,7 +197,8 @@ def test_trace_to_jsonl_equals_json_dumps_lines(records):
 
 
 def test_canonical_json_edge_cases():
-    for obj in ({}, [], (), "", {"": []}, [[], {}, ()], -0.0, math.nan, {math.inf: -math.inf},
+    for obj in ({}, [], (), "", {"": []}, [[], {}, ()], [[], []], [[1, 2], [3]], [1, True],
+                -0.0, math.nan, {math.inf: -math.inf},
                 {None: None, }, {True: 1, 2: 0.5, -1.5: False}, "\x00\x1f\u00e9\u2603\U0001f600\ud800",
                 {_Int(3): _Int(4), _Colour.BLUE: [_Colour.RED]}, _Float(2.5)):
         _assert_like_json_dumps(obj)

@@ -72,6 +72,7 @@ def ref_graph(vertices, edges=()):
     object.__setattr__(g, "_edges", emap)
     object.__setattr__(g, "_incidence", None)
     object.__setattr__(g, "_hash", None)
+    object.__setattr__(g, "_grid_side", None)
     return g
 
 
