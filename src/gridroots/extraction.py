@@ -20,12 +20,12 @@ one edge deletion or contraction at a time, and cuts down to the B side
 of a blocker before it recurses.  A level holds its pattern, branches,
 roots and blocker sides as id sets, and its journal keeps only the
 endpoints of each step, ``(kind, eid, u, v)``.  Its row scanner
-(``separations._RowScanner``) and reduction picker are fed every
-journal entry instead of being rebuilt; the scanner reads the level's
-first k + 1 full rows (``_rows_to_scan``), and the picker follows the
-schedule its rule order fixes: the plain edges, then the branch loops,
-then each least branch edge contracted and its parallel copies deleted
-(``_ReductionPicker``).
+(``separations._RowScanner``) is fed every journal entry instead of
+being rebuilt and reads the level's first k + 1 full rows
+(``_rows_to_scan``).  Its reductions follow the reduction schedule
+(``_reductions``) its rule order fixes: the plain edges, then the
+branch loops, then each least branch edge contracted and its parallel
+copies deleted.
 The witness is carried back through the journals on id sets and built
 once, in the caller's original graph.  A certificate is never carried:
 it is a cut of the input host for the blocked row (``_Runner._refutation``).
@@ -268,8 +268,8 @@ def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
     return _full_rows(n, pattern)[:k + 1]
 
 
-class _ReductionPicker:
-    """The least-id edge reducible by deletion or contraction, kept for one level.
+def _reductions(work: WorkingGraph, branches: dict, images: dict[int, int]):
+    """A level's edge reductions in schedule order, as ``(rule, edge, branch)``.
 
     Rule order: plain deletion (edge in no branch and no image), branch
     edge deletion (a loop), branch edge contraction (everything else
@@ -281,47 +281,31 @@ class _ReductionPicker:
     ends, becomes a loop.  The plain edges are gone before the first
     contraction, and an image edge joins two disjoint branches, so a
     contraction's parallel copies are the only loops that form, and
-    each is an edge of the contracted one's branch.
+    each is an edge of the contracted one's branch.  The caller applies
+    each reduction (``_apply_edge_reduction``) before it asks for the
+    next, so the survivor's loops are read from ``work`` as the
+    contraction left it.
 
-    No rule is needed for a branch edge between two roots: the picker
-    runs only after a scan returned None, and a row is clear only when
-    its sink-side cut is Z with no edge inside it.  Every level has a
-    full row (the top level by ``validate_problem``, a sub-level keeps
-    the row that blocked), so no edge then lies inside Z.
+    No rule is needed for a branch edge between two roots: the schedule
+    is first advanced only after a scan returned None, and a row is
+    clear only when its sink-side cut is Z with no edge inside it.
+    Every level has a full row (the top level by ``validate_problem``, a
+    sub-level keeps the row that blocked), so no edge then lies inside Z.
     """
-
-    def __init__(self, g: WorkingGraph, branches: dict, images: dict[int, int]):
-        image_set = set(images.values())
-        self.owner = owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
-        plain = [e for e in g.edge_ids if e not in image_set and e not in owner]
-        loops = [e for e in owner if g.endpoints(e)[0] == g.endpoints(e)[1]]
-        # stacks, least on top: the deletions due, and the branch edges
-        # (those deleted as loops are skipped when they reach the top)
-        self.due = sorted(loops, reverse=True) + sorted(plain, reverse=True)
-        self.branch = sorted(owner, reverse=True)
-
-    def next(self) -> tuple[str, int, int | None] | None:
-        """The next reduction as ``(rule, edge, branch)``, or None when none applies."""
-        if self.due:
-            e = self.due[-1]
-            pv = self.owner.get(e)
-            return ("edge-delete" if pv is None else "branch-edge-delete", e, pv)
-        branch, owner = self.branch, self.owner
-        while branch and branch[-1] not in owner:
-            branch.pop()
-        if branch:
-            return ("branch-edge-contract", branch[-1], owner[branch[-1]])
-        return None
-
-    def feed(self, g: WorkingGraph, entry: tuple[str, int, int, int]) -> None:
-        """Account for the reduction ``next`` gave, applied; ``g`` is as after it."""
-        kind, eid, u, _v = entry
-        self.owner.pop(eid, None)
-        if kind == "delete":
-            self.due.pop()
-        else:
-            i = g.index[u]
-            self.due = sorted(g.around[i][i], reverse=True)
+    image_set = set(images.values())
+    owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
+    for e in sorted(e for e in work.edge_ids if e not in image_set and e not in owner):
+        yield "edge-delete", e, None
+    for e in sorted(e for e in owner if work.endpoints(e)[0] == work.endpoints(e)[1]):
+        yield "branch-edge-delete", e, owner.pop(e)
+    for e in sorted(owner):
+        if e in owner:  # not deleted as an earlier contraction's parallel copy
+            survivor = work.endpoints(e)[0]
+            yield "branch-edge-contract", e, owner.pop(e)
+            i = work.index[survivor]
+            for f in sorted(work.around[i][i]):
+                pv = owner.pop(f, None)
+                yield "edge-delete" if pv is None else "branch-edge-delete", f, pv
 
 
 def _apply_edge_reduction(
@@ -586,11 +570,12 @@ class _Runner:
     ) -> tuple[GridAtlas, dict[int, int], dict, dict]:
         """One recursion level on the run's working graph, edited in place.
 
-        The level's row scanner and reduction picker read ``work`` and are
-        fed every journal entry instead of being rebuilt.  At a reducible
-        blocker the level copies its A side out of ``work`` for the splice
-        (the one thing it keeps across the recursion), deletes it from
-        ``work`` and recurses into the B side left.
+        The level's row scanner and reduction schedule (``_reductions``)
+        read ``work``; the scanner is fed every journal entry instead of
+        being rebuilt.  At a reducible blocker the level copies its A
+        side out of ``work`` for the splice (the one thing it keeps
+        across the recursion), deletes it from ``work`` and recurses into
+        the B side left.
         Returns the atlas, the small grid's edge images and the base and
         augmented witness branch sets, unwound into ``work`` as it began.
         """
@@ -600,7 +585,7 @@ class _Runner:
         journal: list[tuple] = []
         scanner = _RowScanner(work, {pv: vs for pv, (vs, _es) in branches.items()},
                               _rows_to_scan(n, k, pattern), k)
-        picker = None
+        reductions = _reductions(work, branches, images)
         while True:
             block = scanner.scan(roots)
             if block is not None and block.kind == "strict":
@@ -626,7 +611,7 @@ class _Runner:
                 self.trace.append(record)
                 # this level scans no more: only the innermost level's row
                 # states need to stay alive during the recursion
-                del scanner, picker
+                del scanner, reductions
                 a_side = work.induced(va)  # EA is all edges among VA: every B edge has a B-only end
                 for e in ea:
                     work.delete_edge(e)
@@ -644,16 +629,13 @@ class _Runner:
                 augmented = _graft_paths(a_side, augmented, separator, splice.paths, g, k)
                 return (atlas, small_images, _unwind_journal(journal, base),
                         _unwind_journal(journal, augmented))
-            if picker is None:
-                picker = _ReductionPicker(work, branches, images)
-            reduction = picker.next()
+            reduction = next(reductions, None)
             if reduction is None:
                 break
             kind, eid, branch_key = reduction
             entry = _apply_edge_reduction(work, roots, branches, kind, eid, branch_key)
             journal.append(entry)
             scanner.feed(entry)
-            picker.feed(work, entry)
             record = {
                 "kind": kind,
                 "depth": depth,

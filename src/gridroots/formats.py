@@ -151,6 +151,8 @@ def read_json(path: str | Path) -> Any:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise MalformedInput(f"{path} cannot be read as JSON: {exc}")
     except RecursionError:
         raise MalformedInput(f"{path} is nested too deeply to read")
 
@@ -470,6 +472,8 @@ def trace_from_jsonl(text: str) -> list[dict]:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"trace line {lineno} is not valid JSON: {exc}")
+        except ValueError as exc:  # an integer longer than the interpreter converts
+            raise MalformedInput(f"trace line {lineno} cannot be read as JSON: {exc}")
         except RecursionError:
             raise MalformedInput(f"trace line {lineno} is nested too deeply to read")
     return records

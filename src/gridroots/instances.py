@@ -22,21 +22,6 @@ GENERATION_RETRIES = 32
 BREAK_MODES = ("detach", "hang")
 
 
-def _comb_up_to(n: int, r: int, cap: int) -> int:
-    """C(n, r) when it is below ``cap``, else some value from ``cap`` to C(n, r).
-
-    C(n, r) is C(n, m) for m = min(r, n - r), and C(n, i) grows with i
-    up to m, so the product stops once it reaches ``cap`` instead of
-    computing a huge C(n, r) exactly.  Needs 0 <= r <= n.
-    """
-    c = 1
-    for i in range(min(r, n - r)):
-        if c >= cap:
-            break
-        c = c * (n - i) // (i + 1)
-    return c
-
-
 @dataclass(frozen=True)
 class InstanceRecipe:
     """Parameters that fully determine one generated instance."""
@@ -65,10 +50,11 @@ class InstanceRecipe:
             )
         if self.kind == "identity-grid":
             return
-        column_sets = _comb_up_to(self.n, self.degree, self.k)
-        if column_sets < self.k:
+        # k <= degree <= n, so C(n, degree) is 1 when degree = n, else
+        # at least n > degree >= k: only the full row has too few column sets
+        if self.degree == self.n and self.k > 1:
             raise MalformedInput(
-                f"only {column_sets} distinct sets of {self.degree} row-1 columns "
+                f"only 1 distinct sets of {self.degree} row-1 columns "
                 f"exist for k={self.k} roots"
             )
         pairs = comb(self.n * self.n, 2) - 2 * self.n * (self.n - 1)

@@ -247,6 +247,7 @@ def brute_force_grid_model(
     bitmask order, so the first model found is deterministic.  Branches
     are induced subgraphs; each pattern edge gets the least host edge
     joining its two branches.  Each branch mask tried is a search step.
+    A grid of more vertices than the host has no model: None, at no step.
     """
     budget = budget or EnumerationBudget()
     if side > budget.max_pattern_side:
@@ -255,6 +256,8 @@ def brute_force_grid_model(
         )
     if g.num_vertices > 12:
         raise BudgetExceeded("brute_force_grid_model: hosts beyond 12 vertices are out of scope")
+    if side * side > g.num_vertices:  # branches are non-null and disjoint
+        return None
     pattern = grid_graph(side)
     verts = sorted(g.vertices)
     bit = {v: i for i, v in enumerate(verts)}

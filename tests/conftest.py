@@ -6,7 +6,7 @@ validation fuzz of ``tests/test_validation_fuzz.py`` and the grid side
 memo test of ``tests/test_extraction.py``,
 ``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test, the
 stopped-against-full scan test, the strict-blockers-from-first-scans
-test and the reduction picker's reference test of
+test and the reduction schedule's (``_reductions``) reference test of
 ``tests/test_separations.py`` and the boundary-bound test of
 ``tests/test_extraction.py``, and
 ``--hypothesis-profile=json-fuzz`` the canonical JSON and trace writer

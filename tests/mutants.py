@@ -69,8 +69,15 @@ MUTANTS = (
     Mutant(
         "picker-forgets-a-contractions-parallel-copies",
         "gridroots/extraction.py",
-        "self.due = sorted(g.around[i][i], reverse=True)",
-        "self.due = []",
+        "for f in sorted(work.around[i][i]):",
+        "for f in ():",
+        ("tests/test_separations.py::test_reduction_picker_gives_the_reference_reduction_at_every_step",),
+    ),
+    Mutant(
+        "schedule-contracts-the-greatest-branch-edge-first",
+        "gridroots/extraction.py",
+        "for e in sorted(owner):",
+        "for e in sorted(owner, reverse=True):",
         ("tests/test_separations.py::test_reduction_picker_gives_the_reference_reduction_at_every_step",),
     ),
     Mutant(

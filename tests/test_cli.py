@@ -571,6 +571,14 @@ def test_oracle_separations_and_tangles(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["found"] is True
 
+    # a grid of more vertices than the host's has no model: answered at once
+    for side in (4, 100000):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "oracle", "grid-model", "--graph", grid, "--side", side)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["found"] is False
+
 
 def _fan(path):
     """A 12-vertex fan, apex 0 on the path 1..11: treewidth 2, so no 3x3 grid minor."""
@@ -752,6 +760,15 @@ def test_a_too_deeply_nested_file_exits_64(tmp_path):
     paths = write_instance(identity_problem(3, 1, 1), tmp_path / "inst")
     paths["graph"].write_text("[" * 100000)
     assert "nested too deeply" in _assert_unreadable_graph_exits_64(paths["graph"], paths["model"])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length")
+def test_a_too_long_integer_exits_64(tmp_path):
+    paths = write_instance(identity_problem(3, 1, 1), tmp_path / "inst")
+    digits = sys.get_int_max_str_digits() + 1
+    paths["graph"].write_text('{"vertices": [%s], "edges": []}' % ("1" * digits))
+    assert "cannot be read as JSON" in _assert_unreadable_graph_exits_64(paths["graph"], paths["model"])
 
 
 def _assert_unwritable_out_exits_64(capsys, *argv):

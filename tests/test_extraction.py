@@ -903,8 +903,9 @@ def applied_reductions(problem, monkeypatch):
 def test_no_reduction_in_extract_has_both_ends_in_the_roots(case, monkeypatch):
     """An edge with both ends in Z makes every full row a blocker, and every
     level has a full row, so a level recurses before any reduction reaches
-    such an edge: ``_ReductionPicker`` needs no rule for a branch edge
-    between two roots, and no contraction merges two roots."""
+    such an edge: the reduction schedule (``_reductions``) needs no rule
+    for a branch edge between two roots, and no contraction merges two
+    roots."""
     if case == "coarse/13/two-roots-in-a-block":
         problem = coarse_with_two_roots_in_one_block()
         assert any(problem.roots <= br.vertices for br in problem.model.branches.values())

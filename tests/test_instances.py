@@ -21,7 +21,7 @@ from gridroots import (
     validate_problem,
 )
 from gridroots import ExtractionProblem, Graph, Pseudomodel, Subgraph, grid_graph, vertex_id
-from gridroots.instances import _chords, _comb_up_to
+from gridroots.instances import _chords
 
 
 def test_recipe_rejects_bad_fields():
@@ -73,16 +73,25 @@ def test_recipe_rejection_messages():
 
 
 def test_recipe_column_sets_are_counted_only_up_to_k():
-    """A huge attachment degree is accepted without computing C(n, degree) exactly."""
+    """A huge attachment degree is accepted without computing C(n, degree),
+    and a recipe is refused for too few column sets exactly when
+    C(n, degree) < k, over every valid (k, degree) for n <= 12."""
     start = time.perf_counter()
     InstanceRecipe("grid-plus-roots", 400_000, 1, 1, 0, 200_000)
     assert time.perf_counter() - start < 0.1
-    for n in range(13):
-        for r in range(n + 1):
-            exact = comb(n, r)
-            for cap in range(1, 800, 7):
-                got = _comb_up_to(n, r, cap)
-                assert got == exact if exact < cap else cap <= got <= exact
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for degree in range(k, n + 1):
+                message = None
+                try:
+                    InstanceRecipe("grid-plus-roots", n, k, k, 0, degree)
+                except MalformedInput as exc:
+                    message = str(exc)
+                if comb(n, degree) < k:
+                    assert message == (f"only 1 distinct sets of {degree} row-1 columns "
+                                       f"exist for k={k} roots")
+                else:
+                    assert message is None
 
 
 def test_identity_recipe_matches_direct_constructor():

@@ -16,6 +16,7 @@ again under the ``reader-fuzz`` profile (``tests/conftest.py``).
 """
 import copy
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -484,8 +485,13 @@ def test_other_readers_reject_only_with_malformed_input(doc):
     _only_malformed(recipe_from_dict, doc)
 
 
+# a line whose integer is one digit longer than the interpreter converts
+_LONG_INTEGER_LINE = "[%s]" % ("1" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1))
+
+
 @given(st.lists(st.one_of(st.text(max_size=8), JSON_VALUES.map(json.dumps),
-                          st.integers(1, 3000).map(lambda depth: "[" * depth)), max_size=4))
+                          st.integers(1, 3000).map(lambda depth: "[" * depth),
+                          st.just(_LONG_INTEGER_LINE)), max_size=4))
 @settings(deadline=None)
 def test_trace_from_jsonl_rejects_only_with_malformed_input(lines):
     _only_malformed(trace_from_jsonl, "\n".join(lines))

@@ -38,7 +38,7 @@ from gridroots.extraction import (
     _apply_edge_reduction,
     _derive_subproblem,
     _full_rows,
-    _ReductionPicker,
+    _reductions,
     _rows_to_scan,
 )
 from gridroots.instances import _attachment_columns, _chords, grid_plus_roots_problem
@@ -663,12 +663,12 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
         vertex_sets = {pv: vs for pv, (vs, _es) in branches.items()}
         stopping = _RowScanner(work, vertex_sets, _rows_to_scan(n, k, pattern), k)
         full = _RowScanner(work, vertex_sets, rows, k)
-        picker = _ReductionPicker(work, branches, images)
+        reductions = _reductions(work, branches, images)
         first, past = True, rng.random() < 0.5  # reduce past every blocker at this level
         while True:
             block = stopping.scan(roots)
             assert block == full.scan(roots)
-            reduction = picker.next()
+            reduction = next(reductions, None)
             inside = reduction is not None and set(work.endpoints(reduction[1])) <= roots
             assert block is not None or not inside
             leave = block is not None and (not past or inside)
@@ -686,7 +686,6 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
             entry = _apply_edge_reduction(work, roots, branches, *reduction)
             for scanner in (stopping, full):
                 scanner.feed(entry)
-            picker.feed(work, entry)
         if block.kind == "strict":
             return
         sides = va, ea, vb, _eb = block.sides(work, roots)
@@ -698,10 +697,10 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
 
 
 def reference_reduction(work, branches, images):
-    """The picker's rule order from scratch: the least plain edge still
-    present (in no branch and no image), else the least branch loop, else
-    the least branch edge, as ``(rule, edge, branch)``; None when no
-    edge is left to reduce."""
+    """The reduction schedule's rule order from scratch: the least plain
+    edge still present (in no branch and no image), else the least branch
+    loop, else the least branch edge, as ``(rule, edge, branch)``; None
+    when no edge is left to reduce."""
     owner = {e: pv for pv, (_vs, es) in branches.items() for e in es}
     image_set = set(images.values())
     plain = [e for e in work.edge_ids if e not in owner and e not in image_set]
@@ -721,9 +720,9 @@ def reference_reduction(work, branches, images):
 def test_reduction_picker_gives_the_reference_reduction_at_every_step(seed):
     """On the extraction's own levels, fed its own reductions (on some
     levels past every blocker, until the next edge has both ends in Z)
-    and recursing into the B side as it does, every ``next()`` of
-    ``_ReductionPicker`` equals ``reference_reduction`` of the level as
-    it stands."""
+    and recursing into the B side as it does, every reduction the
+    reduction schedule (``_reductions``) yields equals
+    ``reference_reduction`` of the level as it stands."""
     problem, rng = linked_level_case(seed)
     n, k, model = problem.n, problem.k, problem.model
     roots = set(problem.roots)
@@ -734,11 +733,11 @@ def test_reduction_picker_gives_the_reference_reduction_at_every_step(seed):
     while True:
         vertex_sets = {pv: vs for pv, (vs, _es) in branches.items()}
         scanner = _RowScanner(work, vertex_sets, _rows_to_scan(n, k, pattern), k)
-        picker = _ReductionPicker(work, branches, images)
+        reductions = _reductions(work, branches, images)
         past = rng.random() < 0.5  # reduce past every blocker at this level
         while True:
             block = scanner.scan(roots)
-            reduction = picker.next()
+            reduction = next(reductions, None)
             assert reduction == reference_reduction(work, branches, images)
             inside = reduction is not None and set(work.endpoints(reduction[1])) <= roots
             if block is not None and (not past or inside):
@@ -747,7 +746,6 @@ def test_reduction_picker_gives_the_reference_reduction_at_every_step(seed):
                 return
             entry = _apply_edge_reduction(work, roots, branches, *reduction)
             scanner.feed(entry)
-            picker.feed(work, entry)
         if block.kind == "strict":
             return
         sides = va, ea, vb, _eb = block.sides(work, roots)
