@@ -289,10 +289,8 @@ def model_from_dict(d: Any, host: Graph) -> Pseudomodel:
     branches = _branches_in_bulk(host, table, branch_docs)
     if branches is None:
         branches = _branches_one_by_one(host, n, table, branch_docs)
-    try:
-        return Pseudomodel(host, pattern, branches, dict(zip([t[0] for t in triples], images)))
-    except ValueError as exc:
-        raise MalformedInput(f"bad model: {exc}")
+    # every branch was built in host, and every image key and value is an int
+    return Pseudomodel._unchecked(host, pattern, branches, dict(zip([t[0] for t in triples], images)))
 
 
 def _parse_key(n: int, table: dict[str, int], part: str) -> int:

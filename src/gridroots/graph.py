@@ -383,12 +383,14 @@ class Subgraph:
 
         For internal callers whose vertex and edge ids come from the host
         and are incidence-closed by construction; every other caller uses
-        the checking constructor.
+        the checking constructor.  The slots are set through their
+        descriptors' setters, bound once below the class, which skips the
+        attribute lookup ``object.__setattr__`` makes per call.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "vertices", frozenset(vertices))
-        object.__setattr__(self, "edge_ids", frozenset(edge_ids))
+        _set_host(self, host)
+        _set_vertices(self, frozenset(vertices))
+        _set_edge_ids(self, frozenset(edge_ids))
         return self
 
     def __setattr__(self, name, value):
@@ -411,6 +413,11 @@ class Subgraph:
 
     def __repr__(self) -> str:
         return f"Subgraph(|V|={len(self.vertices)}, |E|={len(self.edge_ids)})"
+
+
+_set_host, _set_vertices, _set_edge_ids = (
+    Subgraph.host.__set__, Subgraph.vertices.__set__, Subgraph.edge_ids.__set__
+)
 
 
 # -- subgraph algebra ------------------------------------------------------

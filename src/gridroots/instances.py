@@ -83,7 +83,7 @@ def grid_plus_roots_problem(
 
     Root i gets id n*n+1+i and one edge per listed column; edge ids
     continue past the grid's.  Optional chords add further grid-to-grid
-    edges after the attachments.
+    edges after the attachments.  Columns and chord ends are ints.
     """
     grid = grid_graph(n)
     root_ids = [n * n + 1 + i for i in range(k)]
@@ -97,9 +97,9 @@ def grid_plus_roots_problem(
     for u, v in chords or []:
         triples.append((next_eid, u, v))
         next_eid += 1
-    host = Graph(vertices, triples)
+    host = Graph._of_ints(frozenset(vertices), triples)
     branches = {v: Subgraph._unchecked(host, (v,)) for v in grid.vertices}
-    model = Pseudomodel(host, grid, branches, {e: e for e in grid.edge_ids})
+    model = Pseudomodel._unchecked(host, grid, branches, {e: e for e in grid.edge_ids})
     return ExtractionProblem(host, frozenset(root_ids), model, n, g, k)
 
 
@@ -173,27 +173,30 @@ def break_instance(problem: ExtractionProblem, mode: str, seed: int) -> Extracti
     rng = random.Random(f"break:{mode}:{seed}")
     host = problem.host
     if mode == "detach":
-        victims = rng.sample(roots, rng.randrange(1, len(roots) + 1))
+        victims = set(rng.sample(roots, rng.randrange(1, len(roots) + 1)))
     else:
         middleman = vertex_id(n, 1, rng.randrange(1, n + 1))
-        victims = roots
+        victims = set(roots)
     # one build without the victims' edges, the graph that deleting
     # them one by one would leave
-    dropped = {e for z in victims for e in host.incident_edges(z)}
+    dropped = {e for e, (u, v) in host.edge_map.items() if u in victims or v in victims}
     if any(not br.edge_ids.isdisjoint(dropped) for br in problem.model.branches.values()):
         raise MalformedInput("break_instance would drop an edge of a branch")
-    triples = [(e, *host.endpoints(e)) for e in sorted(host.edge_ids) if e not in dropped]
+    triples = [(e, u, v) for e, (u, v) in sorted(host.edge_map.items()) if e not in dropped]
     if mode == "hang":
-        next_eid = max(host.edge_ids) + 1
+        next_eid = max(host.edge_map) + 1
         for z in roots:
             triples.append((next_eid, z, middleman))
             next_eid += 1
-    host = Graph(sorted(host.vertices), triples)
+    host = Graph._of_ints(host.vertices, triples)
     # The new host keeps every vertex and drops only root edges that no
     # branch holds, so every branch lies in it as it lay in the old one.
     branches = {
         pv: Subgraph._unchecked(host, br.vertices, br.edge_ids)
         for pv, br in problem.model.branches.items()
     }
-    model = Pseudomodel(host, problem.model.pattern, branches, problem.model.edge_images)
+    # the image map is copied, as the public constructor copies it, so the
+    # broken model shares no dict with the input's
+    images = dict(problem.model.edge_images)
+    model = Pseudomodel._unchecked(host, problem.model.pattern, branches, images)
     return ExtractionProblem(host, problem.roots, model, n, problem.g, problem.k)

@@ -31,6 +31,14 @@ class Pseudomodel:
     inputs can be diagnosed in full rather than rejected piecemeal.
     Structural requirements (branches are subgraphs of the host, maps
     are keyed by integers) are still enforced here.
+
+    ``_unchecked`` builds one from maps that already meet them: it
+    trusts that every branch lives in ``host`` and that every image key
+    and value is an int, and keeps the two dicts it is given rather than
+    copying them, so the caller must hand over dicts it made and no one
+    else changes.  Only package code that made every branch in ``host``
+    itself calls it: ``formats.model_from_dict`` after its checks, and
+    the instance generators.
     """
 
     __slots__ = ("host", "pattern", "branches", "edge_images")
@@ -49,6 +57,22 @@ class Pseudomodel:
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "branches", dict(branches))
         object.__setattr__(self, "edge_images", {int(e): int(f) for e, f in edge_images.items()})
+
+    @classmethod
+    def _unchecked(
+        cls,
+        host: Graph,
+        pattern: Graph,
+        branches: dict[int, Subgraph],
+        edge_images: dict[int, int],
+    ) -> "Pseudomodel":
+        """A pseudomodel of maps the caller built and checked, kept as given."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "edge_images", edge_images)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Pseudomodel is immutable")

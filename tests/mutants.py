@@ -159,6 +159,42 @@ MUTANTS = (
         "        self._fill(g._vertices, dict(g._edges))\n",
         ("tests/test_graph.py::test_reading_and_refuting_leave_the_incidence_unbuilt",),
     ),
+    Mutant(
+        "bulk-branches-skip-the-host-vertex-check",
+        "gridroots/formats.py",
+        "    if not host.vertices.issuperset(chain.from_iterable(vertex_lists)):\n"
+        "        return None\n",
+        "",
+        ("tests/test_readers.py::test_model_from_dict_matches_the_reference",),
+    ),
+    Mutant(
+        "break-builds-branches-in-the-old-host",
+        "gridroots/instances.py",
+        "pv: Subgraph._unchecked(host, br.vertices, br.edge_ids)",
+        "pv: Subgraph._unchecked(problem.host, br.vertices, br.edge_ids)",
+        ("tests/test_instances.py::test_break_equals_deleting_edges_one_by_one",),
+    ),
+    Mutant(
+        "break-drops-edges-by-one-end-only",
+        "gridroots/instances.py",
+        "if u in victims or v in victims}",
+        "if u in victims}",
+        ("tests/test_instances.py::test_break_equals_deleting_edges_one_by_one",),
+    ),
+    Mutant(
+        "certificate-moves-a-separator-vertex-to-b",
+        "gridroots/extraction.py",
+        "        return HypothesisViolated(separation, row, depth)\n",
+        "        for x in sorted(separation.separator)[:1]:\n"
+        "            a, b, host = separation.a, separation.b, separation.host\n"
+        "            moved = {e for e in a.edge_ids if x in host.endpoints(e)}\n"
+        "            separation = Separation(\n"
+        "                Subgraph._unchecked(host, a.vertices - {x}, a.edge_ids - moved),\n"
+        "                Subgraph._unchecked(host, b.vertices, b.edge_ids | moved),\n"
+        "            )\n"
+        "        return HypothesisViolated(separation, row, depth)\n",
+        ("tests/test_certificate_referee.py",),
+    ),
 )
 
 

@@ -413,8 +413,11 @@ def test_incidence_built_on_first_use_answers_as_built_eagerly(first, g):
 def test_reading_and_refuting_leave_the_incidence_unbuilt(mode):
     """Nothing in reading a problem's documents or in refuting it asks the
     host or the pattern for its incidence: the working graph builds its
-    adjacency from the host's edge map, and the pattern is only checked."""
-    broken = break_instance(generate_instance(InstanceRecipe("grid-plus-roots", 13, 2, 2, 7, 3)), mode, 7)
+    adjacency from the host's edge map, and the pattern is only checked.
+    Nor does breaking an instance ask its input host."""
+    problem = generate_instance(InstanceRecipe("grid-plus-roots", 13, 2, 2, 7, 3))
+    broken = break_instance(problem, mode, 7)
+    assert problem.host._incidence is None
     host = graph_from_dict(graph_to_dict(broken.host))
     model = model_from_dict(model_to_dict(broken.model, broken.n), host)
     assert host._incidence is None and model.pattern._incidence is None

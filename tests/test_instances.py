@@ -146,6 +146,7 @@ def test_generated_instances_satisfy_hypothesis():
             problem = generate_instance(recipe)
             assert check_hypothesis(problem).holds
             assert validate_problem(problem).ok
+            assert all(br.host is problem.host for br in problem.model.branches.values())
 
 
 def test_generation_exhausted_names_the_last_certificate(monkeypatch):
@@ -273,6 +274,7 @@ def test_break_equals_deleting_edges_one_by_one(mode):
             assert {pv: (br.vertices, br.edge_ids) for pv, br in broken.model.branches.items()} == {
                 pv: (br.vertices, br.edge_ids) for pv, br in problem.model.branches.items()
             }
+            assert all(br.host is broken.host for br in broken.model.branches.values())
 
 
 def test_chords_avoid_grid_edges_like_the_grid_does():
