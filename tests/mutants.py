@@ -131,6 +131,30 @@ MUTANTS = (
          "tests/test_formats.py::test_canonical_json_equals_json_dumps"),
     ),
     Mutant(
+        "json-records-without-the-shared-key-check",
+        "gridroots/formats.py",
+        "fields and all(map(fields.__eq__, map(dict.keys, records)))",
+        "fields",
+        ("tests/test_formats.py::test_canonical_json_edge_cases",
+         "tests/test_formats.py::test_canonical_json_equals_json_dumps"),
+    ),
+    Mutant(
+        "json-record-columns-with-an-isinstance-guard",
+        "gridroots/formats.py",
+        "_all_of(int, chain.from_iterable(values))",
+        "all(isinstance(x, int) for x in chain.from_iterable(values))",
+        ("tests/test_formats.py::test_canonical_json_edge_cases",
+         "tests/test_formats.py::test_canonical_json_equals_json_dumps"),
+    ),
+    Mutant(
+        "json-record-columns-without-the-empty-list-guard",
+        "gridroots/formats.py",
+        '{close}" if v else "[]" for v in values]',
+        '{close}" for v in values]',
+        ("tests/test_formats.py::test_canonical_json_edge_cases",
+         "tests/test_formats.py::test_canonical_json_equals_json_dumps"),
+    ),
+    Mutant(
         "working-graph-keys-in-edge-id-order",
         "gridroots/graph.py",
         "for eid, (u, v) in sorted(edges.items(), key=itemgetter(1)):",
@@ -165,7 +189,8 @@ MUTANTS = (
         "    if not host.vertices.issuperset(chain.from_iterable(vertex_lists)):\n"
         "        return None\n",
         "",
-        ("tests/test_readers.py::test_model_from_dict_matches_the_reference",),
+        ("tests/test_readers.py::test_the_first_failure_in_input_order_wins",
+         "tests/test_readers.py::test_model_from_dict_matches_the_reference"),
     ),
     Mutant(
         "break-builds-branches-in-the-old-host",

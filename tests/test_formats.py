@@ -37,7 +37,8 @@ from gridroots import (
     write_instance,
     write_json,
 )
-from gridroots import BREAK_MODES, break_instance, formats
+from gridroots import BREAK_MODES, Pseudomodel, Subgraph, break_instance, formats
+from gridroots.grid import grid_edges_among
 
 
 def test_canonical_json_is_stable():
@@ -123,13 +124,54 @@ def _assert_like_json_dumps(obj):
 _NOT_PLAIN_INTS = st.booleans() | st.integers().map(_Int) | st.sampled_from(list(_Colour)) | _FLOATS
 
 
+# a field of a record map: int lists (empty ones included), ints, or both
+_FIELDS = [st.lists(st.integers(), max_size=4), st.integers(), st.lists(st.integers(), max_size=4) | st.integers()]
+
+
+@st.composite
+def _record_maps(draw, unencodable=False):
+    """16-40 str-keyed records that share one field set, each field an
+    int list or an int: past canonical_json's cut-off, so it encodes them
+    a field at a time.  Half the time one odd thing is planted: a bool,
+    an int subclass or a float in one list, one record with an extra or
+    a missing key, a non-str field key in every record, a nested dict,
+    or (with ``unencodable``) a value json.dumps rejects."""
+    names = draw(st.lists(st.text() | st.sampled_from(["%", "%s", "%(x)d"]), min_size=1, max_size=3, unique=True))
+    fields = {name: draw(st.sampled_from(_FIELDS)) for name in names}
+    run = draw(st.dictionaries(st.text(), st.fixed_dictionaries(fields), min_size=16, max_size=40))
+    if draw(st.booleans()):
+        record = run[draw(st.sampled_from(sorted(run)))]
+        name = draw(st.sampled_from(names))
+        odd = draw(st.sampled_from(["int", "extra", "missing", "key", "nested", "unencodable"][:6 if unencodable else 5]))
+        if odd == "int":
+            value = record[name] if type(record[name]) is list else []
+            value.insert(draw(st.integers(0, len(value))), draw(_NOT_PLAIN_INTS))
+            record[name] = value
+        elif odd == "extra":
+            record[draw(st.text().filter(lambda key: key not in record))] = []
+        elif odd == "missing":
+            del record[name]
+        elif odd == "key":
+            key = draw(st.integers() | _FLOATS | st.booleans() | st.none())
+            for r in run.values():
+                r[key] = r.pop(name)
+        elif odd == "nested":
+            record[name] = {name: record[name]}
+        else:
+            record[name] = draw(_UNENCODABLE)
+    return run
+
+
 @st.composite
 def _int_runs(draw):
     """A list of ints, a list of int rows (of one width or ragged, empty
-    rows included) or a str-keyed dict of ints; half the time a bool, an
-    int subclass or a float is put in it (in the list, in one row or
-    among the rows, or as a dict value)."""
-    shape = draw(st.sampled_from(["list", "rows", "ragged", "dict"]))
+    rows included), a str-keyed dict of ints or a record map; half the
+    time a bool, an int subclass or a float is put in it (in the list,
+    in one row or among the rows, or as a dict value), and a record map
+    gets one of its own odd things."""
+    shape = draw(st.sampled_from(["list", "rows", "ragged", "dict", "records"]))
+    if shape == "records":
+        return draw(_record_maps())
     if shape == "list":
         run = draw(st.lists(st.integers(), max_size=50))
     elif shape == "rows":
@@ -149,13 +191,15 @@ def _int_runs(draw):
     return run
 
 
-@given(_documents(_SCALARS | _int_runs()))
+# a record map is also drawn as a whole document, so that the record
+# path's odd cases come up on every seed and not only now and then
+@given(_documents(_SCALARS | _int_runs()) | _record_maps())
 @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 def test_canonical_json_equals_json_dumps(obj):
     _assert_like_json_dumps(obj)
 
 
-@given(_documents(_SCALARS | _UNENCODABLE))
+@given(_documents(_SCALARS | _UNENCODABLE | _record_maps(unencodable=True)))
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 def test_canonical_json_raises_where_json_dumps_does(obj):
     _assert_like_json_dumps(obj)
@@ -196,11 +240,25 @@ def test_trace_to_jsonl_equals_json_dumps_lines(records):
                 assert str(raised.value) == str(expected)
 
 
+def _branch_map(size, **changed):
+    """``size`` branch-map records keyed "i,1", with the records in ``changed`` replaced."""
+    records = {f"{i},1": {"edges": [i, i + 1], "vertices": [i]} for i in range(size)}
+    return {**records, **changed}
+
+
 def test_canonical_json_edge_cases():
+    # record maps on both sides of the cut-off (15 and 16 records), and
+    # 16-record maps with True in one list, with every list empty, with one
+    # extra key ("%s", which the record template must escape) and with
+    # one key missing
+    records = (_branch_map(15), _branch_map(16), _branch_map(16, **{"3,1": {"edges": [True], "vertices": [3]}}),
+               {str(i): {"edges": [], "vertices": []} for i in range(16)},
+               _branch_map(16, **{"3,1": {"edges": [], "vertices": [3], "%s": 0}}),
+               _branch_map(16, **{"3,1": {"vertices": [3]}}))
     for obj in ({}, [], (), "", {"": []}, [[], {}, ()], [[], []], [[1, 2], [3]], [1, True],
                 -0.0, math.nan, {math.inf: -math.inf},
                 {None: None, }, {True: 1, 2: 0.5, -1.5: False}, "\x00\x1f\u00e9\u2603\U0001f600\ud800",
-                {_Int(3): _Int(4), _Colour.BLUE: [_Colour.RED]}, _Float(2.5)):
+                {_Int(3): _Int(4), _Colour.BLUE: [_Colour.RED]}, _Float(2.5), *records):
         _assert_like_json_dumps(obj)
     for obj in (object(), {"a": {1}}, {(1,): 2}, {1: 1, "a": 2}, [1, b"x"]):
         with pytest.raises(TypeError):
@@ -238,6 +296,50 @@ def test_written_instance_files_are_pinned(tmp_path, size):
             for name in ("graph", "roots", "model"):
                 digest.update(paths[name].read_bytes())
             assert digest.hexdigest() == WRITTEN_INSTANCE_SHA256[size, seed, mode], (seed, mode)
+
+
+def _model_with_a_branch_off_the_pattern(n, cells, branches, off):
+    """A model on the path host 1..40 whose pattern is ``cells`` of the
+    n-grid, with ``branches[t]`` (vertices, edges) for ``cells[t]`` and
+    the branch ``off`` (vertex id, vertices, edges) keyed by a grid vertex
+    off the pattern; pattern edge t maps to host edge 2t + 2."""
+    host = Graph(range(1, 41), [(e, e, e + 1) for e in range(1, 40)])
+    pattern = Graph(cells, list(grid_edges_among(n, cells)))
+    subgraphs = {pv: Subgraph(host, vs, es) for pv, (vs, es) in zip(cells, branches)}
+    subgraphs[off[0]] = Subgraph(host, off[1], off[2])
+    images = {e: 2 * t + 2 for t, e in enumerate(sorted(pattern.edge_ids))}
+    return Pseudomodel(host, pattern, subgraphs, images)
+
+
+def test_written_model_with_a_branch_off_the_pattern_is_pinned(tmp_path):
+    # recorded before model_to_dict and the record path of canonical_json
+    # were written: a branch key off the pattern goes through _coord_key,
+    # and multi-vertex branches carry edges, below the record cut-off
+    # (five branches) and above it (seventeen)
+    small = _model_with_a_branch_off_the_pattern(
+        4, [1, 2, 5, 6], [({1, 2, 3}, {1, 2}), ({4}, ()), ({5}, ()), ({6}, ())], (12, {7, 8}, {7}))
+    write_json(tmp_path / "small.json", model_to_dict(small, 4))
+    assert (tmp_path / "small.json").read_text() == (
+        '{\n  "branches": {\n    "1,1": {\n      "edges": [\n        1,\n        2\n      ],\n'
+        '      "vertices": [\n        1,\n        2,\n        3\n      ]\n    },\n'
+        '    "1,2": {\n      "edges": [],\n      "vertices": [\n        4\n      ]\n    },\n'
+        '    "2,1": {\n      "edges": [],\n      "vertices": [\n        5\n      ]\n    },\n'
+        '    "2,2": {\n      "edges": [],\n      "vertices": [\n        6\n      ]\n    },\n'
+        '    "3,4": {\n      "edges": [\n        7\n      ],\n      "vertices": [\n        7,\n'
+        '        8\n      ]\n    }\n  },\n  "edgeImages": {\n    "1,1|1,2": 2,\n'
+        '    "1,1|2,1": 4,\n    "1,2|2,2": 6,\n    "2,1|2,2": 8\n  },\n  "pattern": {\n'
+        '    "coords": [\n      [\n        1,\n        1\n      ],\n      [\n        1,\n'
+        '        2\n      ],\n      [\n        2,\n        1\n      ],\n      [\n        2,\n'
+        '        2\n      ]\n    ],\n    "n": 4\n  }\n}\n'
+    )
+    cells = [(i - 1) * 6 + j for i in range(1, 5) for j in range(1, 5)]
+    large = _model_with_a_branch_off_the_pattern(
+        6, cells, [({2 * t + 1, 2 * t + 2}, {2 * t + 1}) if t % 3 else ({2 * t + 1}, ()) for t in range(16)],
+        (30, {33, 34, 35}, {33, 34}))
+    write_json(tmp_path / "large.json", model_to_dict(large, 6))
+    assert hashlib.sha256((tmp_path / "large.json").read_bytes()).hexdigest() == (
+        "801a174675c1178479ddac17b037f980a7c8a2a0ef898a2ceb20f98bb22dea60"
+    )
 
 
 def test_written_recipe_is_pinned():

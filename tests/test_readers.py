@@ -417,6 +417,15 @@ def test_the_first_failure_in_input_order_wins():
     for message, doc in cases.items():
         assert outcome(graph_from_dict, doc) == outcome(ref_graph_from_dict, doc) == (
             "raised", MalformedInput, message)
+    # branches "1,2" and "1,4" each list a vertex the host lacks; the bulk
+    # reader's host-vertex check sends it to the per-branch pass
+    _, good, problem = DOCS["grid-plus-roots"]
+    doc = copy.deepcopy(good)
+    for key, v in (("1,2", 27), ("1,4", 28)):
+        doc["branches"][key]["vertices"].append(v)
+    assert max(problem.host.vertices) == 26
+    assert outcome(model_from_dict, doc, problem.host) == outcome(ref_model_from_dict, doc, problem.host) == (
+        "raised", MalformedInput, "bad branch '1,2': subgraph vertices not contained in host")
 
 
 def test_graph_constructor_matches_the_reference():
