@@ -103,84 +103,3 @@ from .separations import (
     separation_sort_key,
 )
 from .validation import Finding, ValidationReport
-
-__all__ = [
-    "AugmentationWitness",
-    "BREAK_MODES",
-    "BudgetExceeded",
-    "CutResult",
-    "EnumerationBudget",
-    "ExtractionProblem",
-    "ExtractionResult",
-    "Finding",
-    "GENERATION_RETRIES",
-    "Graph",
-    "GridAtlas",
-    "HypothesisCheck",
-    "HypothesisViolated",
-    "InstanceRecipe",
-    "InternalInvariantBroken",
-    "MalformedInput",
-    "Pseudomodel",
-    "RECIPE_KINDS",
-    "RowBlock",
-    "Separation",
-    "Subgraph",
-    "Tangle",
-    "ValidationReport",
-    "blocking_separation",
-    "boundary",
-    "break_instance",
-    "brute_force_grid_model",
-    "canonical_json",
-    "certificate_to_dict",
-    "check_augmentation",
-    "check_hypothesis",
-    "check_tangle_axioms",
-    "choose_band",
-    "components",
-    "enumerate_blocking_separations",
-    "enumerate_cuts",
-    "enumerate_separations",
-    "enumerate_tangles",
-    "extract",
-    "extract_via_tangle_statement",
-    "find_row_blocking_separation",
-    "generate_instance",
-    "graph_from_dict",
-    "graph_to_dict",
-    "grid_edge_id",
-    "grid_graph",
-    "grid_plus_roots_problem",
-    "grid_tangle_member",
-    "identity_grid_model",
-    "identity_problem",
-    "image_of_vertices",
-    "menger",
-    "model_from_dict",
-    "model_to_dict",
-    "reachable_from",
-    "read_json",
-    "recipe_from_dict",
-    "recipe_to_dict",
-    "replay",
-    "result_to_dict",
-    "row_vertices",
-    "separation_from_dict",
-    "separation_sort_key",
-    "separation_to_dict",
-    "subgraph_components",
-    "subgraph_is_connected",
-    "trace_from_jsonl",
-    "trace_to_jsonl",
-    "validate_model",
-    "validate_problem",
-    "validate_pseudomodel",
-    "verify_output_row_property",
-    "vertex_coord",
-    "vertex_id",
-    "vertex_set_from_dict",
-    "vertex_set_to_dict",
-    "write_instance",
-    "write_json",
-]

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .graph import Graph
+
 
 def vertex_id(n: int, i: int, j: int) -> int:
     """Id of grid vertex ``v_{i,j}`` in the ``n x n`` grid (1-based)."""
@@ -32,10 +34,8 @@ def vertex_coord(n: int, vid: int) -> tuple[int, int]:
     return i + 1, j + 1
 
 
-def grid_graph(n: int):
+def grid_graph(n: int) -> Graph:
     """The ``n x n`` grid graph with deterministic vertex and edge ids."""
-    from .graph import Graph
-
     if n < 1:
         raise ValueError("grid side must be at least 1")
     vertices = range(1, n * n + 1)
@@ -168,8 +168,6 @@ def choose_band(n: int, g: int, k: int, forbidden: Iterable[int]) -> GridAtlas |
     exists.
     """
     side = g + 2 * k
-    if side > n:
-        return None
     dirty_rows = set()
     for vid in forbidden:
         if 1 <= vid <= n * n:

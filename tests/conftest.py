@@ -14,13 +14,19 @@ tests of ``tests/test_formats.py`` against ``json.dumps``, and
 ``--hypothesis-profile=graph-fuzz`` the working graph's adjacency against
 its two-stage reference in ``tests/test_graph.py``, at a higher example
 count (as CI does).  ``--hypothesis-profile=mutants`` keeps no example
-database, for ``tests/mutants.py``."""
-from hypothesis import settings
+database, for ``tests/mutants.py``.
+
+The json-fuzz and mutants profiles skip the shrink and explain phases:
+their runs are read only as pass or fail, and shrinking one failing
+record map of the JSON tests can take minutes of CPU."""
+from hypothesis import Phase, settings
+
+_NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
 
 settings.register_profile("reader-fuzz", max_examples=2000)
 settings.register_profile("cli-fuzz", max_examples=1000)
 settings.register_profile("validation-fuzz", max_examples=2000)
 settings.register_profile("scanner-fuzz", max_examples=2000)
-settings.register_profile("json-fuzz", max_examples=5000)
+settings.register_profile("json-fuzz", max_examples=5000, phases=_NO_SHRINK)
 settings.register_profile("graph-fuzz", max_examples=5000)
-settings.register_profile("mutants", database=None)
+settings.register_profile("mutants", database=None, phases=_NO_SHRINK)

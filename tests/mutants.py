@@ -9,10 +9,11 @@ replacement to a fresh temporary copy of ``src/`` and runs
 (pytest exit status 1).  An entry whose old text is no longer in its
 file, or is there more than once, stops the script: a refactor that
 moves the text must update the entry.  A mutant that its tests let
-pass fails the script.  Hypothesis tests run from a fixed seed and
-with no example database (the ``mutants`` profile), so a verdict is
-the same on every run and a mutant's failing examples are not kept
-for later runs of the unchanged tests.
+pass fails the script.  Hypothesis tests run from a fixed seed, with
+no example database and no shrinking (the ``mutants`` profile), so a
+verdict is the same on every run, a mutant's failing examples are not
+kept for later runs of the unchanged tests, and a failure is reported
+as first drawn.
 
 Standard library only; pytest and hypothesis run the tests, as for
 tier-1.  Run from the repository root::
@@ -225,7 +226,8 @@ MUTANTS = (
 
 def run_tests(src: Path, tests, seed: int = SEED) -> int:
     """pytest's exit status for ``tests`` run against the package in ``src``,
-    with hypothesis drawing from ``seed`` and keeping no example database."""
+    with hypothesis drawing from ``seed``, keeping no example database and
+    not shrinking."""
     env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-profile=mutants", f"--hypothesis-seed={seed}", *tests]

@@ -584,6 +584,29 @@ def test_replay_reproduces_result():
     assert list(again.trace) == list(result.trace)
 
 
+def test_a_level_deletes_its_branch_loops_before_any_contraction():
+    """A loop inside a branch is deleted by the level-start loop of
+    ``_reductions``: no contraction precedes the first reduction record,
+    so it cannot be a contraction's parallel copy."""
+    base = identity_problem(8, 2, 1)
+    grid = base.host
+    edges = [(e, *grid.endpoints(e)) for e in sorted(grid.edge_ids)] + [(113, 64, 64)]
+    host = Graph(grid.vertices, edges)
+    branches = {pv: Subgraph(host, br.vertices, br.edge_ids)
+                for pv, br in base.model.branches.items()}
+    branches[64] = Subgraph(host, {64}, {113})
+    model = Pseudomodel(host, base.model.pattern, branches, base.model.edge_images)
+    problem = replace(base, host=host, model=model)
+    assert validate_problem(problem).ok
+    assert check_hypothesis(problem).holds
+    result = extract(problem)
+    first = result.trace[0]
+    assert (first["kind"], first["edge"], first["branch"], first["measure"]) == (
+        "branch-edge-delete", 113, 64, 176)
+    assert check_augmentation(result.witness).ok
+    assert list(replay(problem, result.trace).trace) == list(result.trace)
+
+
 def test_replay_rejects_tampered_trace():
     problem = grid_plus_roots_problem(13, 2, 2, ((1, 3), (5, 7)))
     result = extract(problem)

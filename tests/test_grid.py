@@ -154,6 +154,9 @@ def test_choose_band_exhausted():
     # forbidden vertices spread so no g+2k consecutive rows are clean
     marks = {vertex_id(9, i, 1) for i in (2, 6)}
     assert choose_band(9, 2, 1, marks) is None
+    # a band of side g + 2k = 6 does not fit a 4- or 5-grid at all
+    assert choose_band(4, 2, 2, set()) is None
+    assert choose_band(5, 2, 2, set()) is None
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())

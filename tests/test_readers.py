@@ -32,9 +32,11 @@ from gridroots import (
     generate_instance,
     graph_from_dict,
     graph_to_dict,
+    identity_problem,
     model_from_dict,
     model_to_dict,
     recipe_from_dict,
+    read_json,
     recipe_to_dict,
     separation_from_dict,
     separation_to_dict,
@@ -42,7 +44,10 @@ from gridroots import (
     trace_to_jsonl,
     vertex_set_from_dict,
     vertex_set_to_dict,
+    write_instance,
+    write_json,
 )
+from gridroots.cli import main
 from gridroots.grid import grid_edge_id, vertex_id
 from gridroots.separations import Separation
 
@@ -426,6 +431,25 @@ def test_the_first_failure_in_input_order_wins():
     assert max(problem.host.vertices) == 26
     assert outcome(model_from_dict, doc, problem.host) == outcome(ref_model_from_dict, doc, problem.host) == (
         "raised", MalformedInput, "bad branch '1,2': subgraph vertices not contained in host")
+
+
+def test_a_branch_without_a_field_is_named(tmp_path, capsys):
+    # a branch lacking "edges" or "vertices" sends the bulk reader
+    # (_branches_in_bulk) to the per-branch pass, which names the branch
+    problem = identity_problem(8, 2, 1)
+    paths = write_instance(problem, tmp_path)
+    good = read_json(paths["model"])
+    for key, field in (("1,1", "edges"), ("8,8", "vertices")):
+        doc = copy.deepcopy(good)
+        del doc["branches"][key][field]
+        assert outcome(model_from_dict, doc, problem.host) == outcome(ref_model_from_dict, doc, problem.host) == (
+            "raised", MalformedInput, f"bad branch {key!r}: {field!r}")
+        write_json(tmp_path / "bad-model.json", doc)
+        code = main(["extract", "--graph", str(paths["graph"]), "--roots", str(paths["roots"]),
+                     "--model", str(tmp_path / "bad-model.json"), "--g", "2", "--k", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 64
+        assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
 
 
 def test_graph_constructor_matches_the_reference():
