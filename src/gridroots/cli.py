@@ -14,7 +14,7 @@ import sys
 
 from . import formats
 from .errors import BudgetExceeded, HypothesisViolated, InternalInvariantBroken, MalformedInput
-from .extraction import ExtractionProblem, _full_rows, extract
+from .extraction import ExtractionProblem, _public_rows, extract
 from .formats import canonical_json, read_json, write_json
 from .grid import grid_graph
 from .instances import RECIPE_KINDS, InstanceRecipe, generate_instance
@@ -114,8 +114,10 @@ def _cmd_find_separation(args) -> int:
     host = _load_graph(args.graph)
     roots = _load_vertex_set(args.roots)
     model, n = _load_model(args.model, host)
-    rows = _full_rows(n, model.pattern)
-    block = find_row_blocking_separation(host, roots, model, rows, args.max_order)
+    # g = k is the weakest size bound validate_problem allows: n > 3k^2 >= 3k
+    k = args.max_order
+    rows = _public_rows(ExtractionProblem(host, roots, model, n, k, k))
+    block = find_row_blocking_separation(host, roots, model, rows, k)
     if block is None:
         _print({"found": False})
         return 0

@@ -220,7 +220,7 @@ def _full_rows(n: int, pattern: Graph | Subgraph) -> list[tuple[int, ...]]:
     return rows
 
 
-def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
+def _rows_to_scan(n: int, k: int, pattern: Graph | Subgraph) -> list[tuple[int, ...]]:
     """The full rows every scan of a level reads (its pattern never
     changes): the first k + 1.  A scan of those gives the full scan's
     answer.
@@ -240,7 +240,10 @@ def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
     its image reaches in G - X (no root is in B', and no edge leaves B'
     but into X), every clear row meets X.  Row images are disjoint, so
     at most k rows are clear, and the first blocker comes before the
-    (k+1)-th clear row.
+    (k+1)-th clear row.  For a strict scan, a strict cut X (|X| < k)
+    strictly blocks every row its image misses (the last point below),
+    and X meets at most k - 1 rows, so the first strict blocker lies
+    within the first k full rows.
     - Some full column misses X, by the boundary bound.  Its branch in
       row r' lies in B'.  An edge image leaving a branch inside B' ends
       in the next branch off X, so in B'; that component of the next
@@ -262,10 +265,20 @@ def _rows_to_scan(n: int, k: int, pattern: Subgraph) -> list[tuple[int, ...]]:
     ``_derive_subproblem`` (roots X), a branch inside B' is connected
     with every grid edge, whose images lie in B, so it is kept whole
     with its edges; every other branch's pieces in B reach X along the
-    branch.  The loop runs no strict scan, and the public scans read
-    every row: their models are not validated.
+    branch.  The loop runs no strict scan.  The public scans read these
+    rows only when ``validate_problem`` accepts their problem
+    (``_public_rows``).
     """
     return _full_rows(n, pattern)[:k + 1]
+
+
+def _public_rows(problem: ExtractionProblem) -> list[tuple[int, ...]]:
+    """The full rows a public scan of ``problem`` reads: ``_rows_to_scan``'s
+    when ``validate_problem`` accepts the problem, else every full row."""
+    pattern = problem.model.pattern
+    if validate_problem(problem).ok:
+        return _rows_to_scan(problem.n, problem.k, pattern)
+    return _full_rows(problem.n, pattern)
 
 
 def _reductions(work: WorkingGraph, branches: dict, images: dict[int, int]):
@@ -776,12 +789,14 @@ def check_hypothesis(problem: ExtractionProblem) -> HypothesisCheck:
 
     This is one strict scan of ``find_row_blocking_separation``, which
     checks the row images at its boundary: rows are scanned top to
-    bottom and a row holds once k disjoint paths reach it.
+    bottom and a row holds once k disjoint paths reach it.  It reads the
+    rows of ``_public_rows``: on a problem ``validate_problem`` accepts, the
+    first k + 1 full rows, which hold the first strict blocker by the lemma
+    of ``_rows_to_scan``, and otherwise every full row.
     """
     model = problem.model
-    rows = _full_rows(problem.n, model.pattern)
     block = find_row_blocking_separation(
-        problem.host, problem.roots, model, rows, problem.k, strict_only=True
+        problem.host, problem.roots, model, _public_rows(problem), problem.k, strict_only=True
     )
     if block is None:
         return HypothesisCheck(True, None, None)

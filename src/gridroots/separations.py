@@ -142,26 +142,19 @@ class _FlowNetwork:
         self.value = 0
         self.level: list[int] = []
 
-    def solve(
-        self, starts: Sequence[int], marks: bytearray, limit: int,
-        ref: tuple[list[int], list[int]] | None = None,
-    ) -> int:
-        """A flow to the marked vertices, augmented until its value reaches
-        ``limit`` or is maximum; its value.
+    def solve(self, starts: Sequence[int], marks: bytearray, limit: int) -> int:
+        """A flow to the marked vertices, augmented from nothing until its
+        value reaches ``limit`` or is maximum; its value.
 
         ``starts`` are the in-nodes of the sources and ``marks`` marks the
-        targets by vertex index.  The flow starts from ``ref``, a flow's
-        ``prev`` and ``nxt``, cut back at the targets, else from nothing.
-        The value never exceeds the number of sources or of targets, so
-        reaching either also ends the search.  Each augmenting path is a
-        shortest one in the residual network, ties broken by ascending
-        node id while no edit has reordered the working graph's neighbour
-        maps, which fixes the flow and with it the paths.
+        targets by vertex index.  The value never exceeds the number of
+        sources or of targets, so reaching either also ends the search.
+        Each augmenting path is a shortest one in the residual network,
+        ties broken by ascending node id while no edit has reordered the
+        working graph's neighbour maps, which fixes the flow and with it
+        the paths.
         """
-        if ref is None:
-            prev, nxt, total = [_FREE] * len(marks), [_FREE] * len(marks), 0
-        else:
-            prev, nxt, total = _cut_back(*ref, starts, marks)
+        prev, nxt, total = [_FREE] * len(marks), [_FREE] * len(marks), 0
         self.prev, self.nxt = prev, nxt
         limit = min(limit, len(starts), marks.count(1))
         around = self.around
@@ -473,34 +466,6 @@ def _has_edge_inside(g: WorkingGraph, cut: AbstractSet[int]) -> bool:
     return any(edges and j in inside for i in inside for j, edges in g.around[i].items())
 
 
-def _cut_back(
-    prev: list[int], nxt: list[int], starts: Sequence[int], marks: bytearray
-) -> tuple[list[int], list[int], int]:
-    """The flow ``prev``, ``nxt`` with its paths cut back at the first vertex
-    each meets in ``marks``, the rest dropped: ``prev``, ``nxt`` and value of
-    a valid flow to the marked vertices.  ``starts`` are the sources' in-nodes."""
-    nv = len(prev)
-    new_prev, new_nxt = [_FREE] * nv, [_FREE] * nv
-    value = 0
-    for s in starts:
-        z = s >> 1
-        if prev[z] != _END:
-            continue
-        w = z
-        while w >= 0 and not marks[w]:
-            w = nxt[w]
-        if w < 0:
-            continue  # the path misses the marked vertices
-        new_prev[z] = _END
-        while z != w:
-            new_nxt[z] = y = nxt[z]
-            new_prev[y] = z
-            z = y
-        new_nxt[w] = _END
-        value += 1
-    return new_prev, new_nxt, value
-
-
 class _RowState:
     """The proof that one row is no blocker.
 
@@ -565,12 +530,6 @@ class _RowScanner:
     for it.  A scan evaluates each row it reads that has no state in
     full (counted in ``cold``) and takes the rest from their states
     (``reused``).
-
-    A row with no state after the first row starts from the flow of the
-    last row the scanner is given (its kept state's, or solved when a
-    row first needs it) with each path cut back where it first meets
-    the row's image, and augments only the shortfall.  Any feasible
-    start gives a maximum flow and the same cut.
     """
 
     def __init__(
@@ -607,20 +566,12 @@ class _RowScanner:
         g, net, k = self.work, self.net, self.k
         enough = k if strict_only else k + 1  # a flow this large passes outright
         starts = [2 * net.index[z] for z in sorted(roots)]
-        last = len(self.rows) - 1
-        ref = None  # the last row's flow (prev, nxt), once a later row needs it
         for r, marks in enumerate(self.marks):
             if self.states[r] is not None:
                 self.reused += 1
                 continue
             self.cold += 1
-            if ref is None and 0 < r < last:
-                flow = self.states[last]  # the first row holds: take the last one's flow
-                if flow is None:
-                    net.solve(starts, self.marks[last], enough)
-                    flow = net
-                ref = flow.prev, flow.nxt
-            if net.solve(starts, marks, enough, ref) >= enough:
+            if net.solve(starts, marks, enough) >= enough:
                 continue
             cut, reach = net.sink_cut(compress(range(len(marks)), marks))
             if len(cut) < k:

@@ -5,10 +5,10 @@ flag fuzz of ``tests/test_cli_fuzz.py``,
 validation fuzz of ``tests/test_validation_fuzz.py`` and the grid side
 memo test of ``tests/test_extraction.py``,
 ``--hypothesis-profile=scanner-fuzz`` the scanner-fed reduction test, the
-stopped-against-full scan test, the strict-blockers-from-first-scans
-test and the reduction schedule's (``_reductions``) reference test of
-``tests/test_separations.py`` and the boundary-bound test of
-``tests/test_extraction.py``, and
+stopped-against-full scan test, the public row choice's agreement test,
+the strict-blockers-from-first-scans test and the reduction schedule's
+(``_reductions``) reference test of ``tests/test_separations.py`` and
+the boundary-bound test of ``tests/test_extraction.py``, and
 ``--hypothesis-profile=json-fuzz`` the canonical JSON and trace writer
 tests of ``tests/test_formats.py`` against ``json.dumps``, and
 ``--hypothesis-profile=graph-fuzz`` the working graph's adjacency against

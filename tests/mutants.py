@@ -82,6 +82,13 @@ MUTANTS = (
         ("tests/test_separations.py::test_reduction_picker_gives_the_reference_reduction_at_every_step",),
     ),
     Mutant(
+        "public-scan-reads-k-minus-1-rows",
+        "gridroots/extraction.py",
+        "        return _rows_to_scan(problem.n, problem.k, pattern)\n",
+        "        return _full_rows(problem.n, pattern)[:problem.k - 1]\n",
+        ("tests/test_separations.py::test_public_row_choice_equals_the_scan_of_every_full_row",),
+    ),
+    Mutant(
         "flow-seeds-only-the-least-free-source",
         "gridroots/separations.py",
         "            for u in starts:\n"

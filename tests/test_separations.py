@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridroots import (
+    BREAK_MODES,
     EnumerationBudget,
+    ExtractionProblem,
     Graph,
     HypothesisViolated,
     InstanceRecipe,
@@ -18,6 +20,8 @@ from gridroots import (
     Subgraph,
     Tangle,
     blocking_separation,
+    break_instance,
+    check_hypothesis,
     check_tangle_axioms,
     enumerate_cuts,
     extract,
@@ -38,6 +42,7 @@ from gridroots.extraction import (
     _apply_edge_reduction,
     _derive_subproblem,
     _full_rows,
+    _public_rows,
     _reductions,
     _rows_to_scan,
 )
@@ -696,6 +701,89 @@ def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
         pattern, branches, images = _derive_subproblem(pattern, branches, images, sides)
 
 
+def pinched_second_row_problem(k, column):
+    """The identity model of the 13 x 13 grid, g = k, with the branch of the
+    first row's cell at ``column`` grown by a pendant vertex y on its grid
+    vertex x.  With k = 1 the root is joined to x and y: the first row is
+    clear and the second blocked by {x}.  With k = 2 one root is joined to
+    x and the other to y: the first row has two paths, and {x} cuts the
+    second below k.  Either way the blocker is not the first full row."""
+    n = 13
+    grid = grid_graph(n)
+    x, y, roots = vertex_id(n, 1, column), n * n + 1, [n * n + 2, n * n + 3][:k]
+    ends = [(x, y)] + ([(roots[0], x), (roots[0], y)] if k == 1 else list(zip(roots, (x, y))))
+    first = grid.num_edges + 1
+    triples = [(e, *grid.endpoints(e)) for e in sorted(grid.edge_ids)]
+    triples += [(first + i, u, v) for i, (u, v) in enumerate(ends)]
+    host = Graph(sorted(grid.vertices) + [y, *roots], triples)
+    branches = {v: Subgraph(host, {v}) for v in grid.vertices}
+    branches[x] = Subgraph(host, {x, y}, {first})
+    model = Pseudomodel(host, grid, branches, {e: e for e in grid.edge_ids})
+    return ExtractionProblem(host, frozenset(roots), model, n, k, k)
+
+
+def public_rows_case(seed):
+    """A seeded problem that ``validate_problem`` accepts: a
+    ``linked_level_case`` (split branches, roots anywhere) half the time, a
+    ``pinched_second_row_problem`` now and then, else a grid-plus-roots or
+    random-attachment recipe with k = 1-3 and n = k(g + 2k) + 1 to + 6,
+    unbroken or broken by either mode."""
+    rng = random.Random(f"public-rows:{seed}")
+    if rng.random() < 0.5:
+        return linked_level_case(rng.randint(0, 10**6))[0]
+    if rng.random() < 0.2:
+        return pinched_second_row_problem(rng.randint(1, 2), rng.randint(1, 13))
+    k = rng.randint(1, 3)
+    g = rng.randint(k, 3)
+    n = k * (g + 2 * k) + rng.randint(1, 6)
+    kind = rng.choice(("grid-plus-roots", "random-attachment"))
+    problem = generate_instance(InstanceRecipe(kind, n, g, k, rng.randint(0, 99), rng.randint(k, k + 1)))
+    mode = rng.choice((None, *BREAK_MODES))
+    if mode is not None:
+        problem = break_instance(problem, mode, rng.randint(0, 99))
+    assert validate_problem(problem).ok
+    return problem
+
+
+# 100 examples in the default profile, more under a higher-count one
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+def test_public_row_choice_equals_the_scan_of_every_full_row(seed):
+    """On validated problems, ``check_hypothesis`` gives the strict scan of
+    every full row, and the rows ``find-separation`` picks
+    (``_public_rows`` of the problem with g = k) give the non-strict scan
+    of every full row: the same verdict, row and separation."""
+    problem = public_rows_case(seed)
+    host, roots, model, k = problem.host, problem.roots, problem.model, problem.k
+    rows = _full_rows(problem.n, model.pattern)
+    strict = find_row_blocking_separation(host, roots, model, rows, k, strict_only=True)
+    verdict = check_hypothesis(problem)
+    expected = (True, None, None) if strict is None else (False, strict.separation, strict.row)
+    assert (verdict.holds, verdict.separation, verdict.row) == expected
+    picked = _public_rows(replace(problem, g=k))
+    block = find_row_blocking_separation(host, roots, model, picked, k)
+    assert block == find_row_blocking_separation(host, roots, model, rows, k)
+
+
+def test_check_hypothesis_reads_k_plus_1_rows_of_a_valid_problem_only(monkeypatch):
+    """``check_hypothesis`` hands the row scan the first k + 1 full rows of a
+    problem ``validate_problem`` accepts, and every full row of the same
+    problem with one root too many, which it rejects."""
+    problem = generate_instance(InstanceRecipe("grid-plus-roots", 64, 4, 3, 7, 4))
+    crowded = replace(problem, roots=problem.roots | {vertex_id(64, 1, 1)})
+    assert validate_problem(problem).ok and not validate_problem(crowded).ok
+    handed = []
+
+    def spy(g, roots, p, rows, *args, **kwargs):
+        handed.append(list(rows))
+        return find_row_blocking_separation(g, roots, p, rows, *args, **kwargs)
+
+    monkeypatch.setattr(extraction, "find_row_blocking_separation", spy)
+    assert check_hypothesis(problem).holds and check_hypothesis(crowded).holds
+    rows = _full_rows(64, problem.model.pattern)
+    assert handed == [rows[:problem.k + 1], rows] and len(rows) == 64
+
+
 def reference_reduction(work, branches, images):
     """The reduction schedule's rule order from scratch: the least plain
     edge still present (in no branch and no image), else the least branch
@@ -873,10 +961,11 @@ def random_row_cut_case(seed):
 
 
 def test_row_cut_matches_per_row_cold_reference():
-    """Warm-started rows give the row and separation of a cold scan, on
-    1,000 seeded instances and on random multigraphs; on the seeded
-    instances the full scan gives the cold full verdicts too, many of them
-    with the last row blocked as well as the row returned."""
+    """The strict scan gives the row and separation of the per-row cold
+    ``menger`` reference, on 1,000 seeded instances and on random
+    multigraphs; on the seeded instances the full scan gives the
+    reference's full verdicts too, many of them with the last row blocked
+    as well as the row returned."""
     failed = reducible = last_too = 0
     for seed in range(1000):
         host, roots, images, rows, k = random_row_cut_case(seed)
@@ -971,8 +1060,8 @@ def test_row_scan_of_no_rows_finds_nothing(strict_only):
 
 @pytest.mark.parametrize("strict_only", [False, True])
 def test_row_scan_returns_a_middle_blocker_before_the_blocked_last_row(strict_only):
-    """The last row is solved right after the first, yet a blocked row
-    between them is still the one returned."""
+    """With the last row blocked too, the first blocked row in the order
+    given, between the first row and the last, is the one returned."""
     _host, cut_host, roots, images, rows, k = split_grid_case(bridges=(1,))
     for order, first in (([rows[0], rows[3], rows[4]], rows[3]),
                          ([rows[0], rows[1], rows[4], rows[3]], rows[4])):
