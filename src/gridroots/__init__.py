@@ -64,7 +64,6 @@ from .formats import (
 )
 from .instances import (
     BREAK_MODES,
-    GENERATION_RETRIES,
     RECIPE_KINDS,
     InstanceRecipe,
     break_instance,

@@ -12,11 +12,11 @@ line is ``json.dumps(record, sort_keys=True)``.  Branch maps are keyed
 by grid coordinate strings ("i,j"), pattern edges by coordinate pairs
 ("i,j|i',j'" with the row-major smaller endpoint first).
 
-The encoder pays Python per container, not per value: runs of plain
-ints are joined in C, and a dict of at least ``_RECORDS_FROM`` records
-of one shape (a model's branch map: one ``{"edges": [...], "vertices":
-[...]}`` per pattern vertex) is encoded a field at a time, each record
-then filled into one ``%`` template.
+The encoder writes containers and plain ints and hands every other
+value to ``json.dumps``.  Runs of plain ints are joined in C, and a dict
+of at least ``_RECORDS_FROM`` records of one shape (a model's branch
+map: one ``{"edges": [...], "vertices": [...]}`` per pattern vertex) is
+encoded a field at a time, each record then filled into one ``%`` template.
 
 The readers check each document in bulk and build from the checked
 values.  Only when a bulk check fails, or a key is not the canonical
@@ -58,17 +58,6 @@ def canonical_json(obj: Any) -> str:
 
 
 _int_str = int.__repr__
-_INF = float("inf")
-
-
-def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _key_str(key: Any) -> str:
@@ -83,8 +72,10 @@ def _key_str(key: Any) -> str:
 def _encode(o: Any, pad: str) -> str:
     """``o`` as JSON, its nested lines indented past ``pad`` (a newline and its indent).
 
-    The type tests run in ``json.dumps``'s order, so subclasses encode
-    as it encodes them.  Runs of plain ints, which most documents here
+    Any object but a plain int, a list, a tuple or a dict goes to
+    ``json.dumps``, which writes every scalar and raises TypeError for
+    the rest (no class is both a container and a scalar, so the order of
+    the tests cannot matter).  Runs of plain ints, which most documents here
     are made of, are joined in C: a list of ints in one ``join``, and a
     list of equal-length rows of ints (edges, coordinates) in one ``%``
     template.  Their guards test exact types, so a bool, an ``IntEnum``
@@ -98,18 +89,6 @@ def _encode(o: Any, pad: str) -> str:
     """
     if type(o) is int:
         return _int_str(o)
-    if isinstance(o, str):
-        return _json_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int_str(o)
-    if isinstance(o, float):
-        return _float_str(o)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -132,7 +111,7 @@ def _encode(o: Any, pad: str) -> str:
                 return "{" + inner + records + pad + "}"
         items = [_key_str(k) + ": " + _encode(v, inner) for k, v in items]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    return json.dumps(o)
 
 
 # The record path needs about four branch records to beat the general

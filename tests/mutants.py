@@ -163,6 +163,13 @@ MUTANTS = (
          "tests/test_formats.py::test_canonical_json_equals_json_dumps"),
     ),
     Mutant(
+        "canonical-json-scalar-by-str",
+        "gridroots/formats.py",
+        "    return json.dumps(o)\n",
+        "    return str(o)\n",
+        ("tests/test_formats.py::test_canonical_json_edge_cases",),
+    ),
+    Mutant(
         "working-graph-keys-in-edge-id-order",
         "gridroots/graph.py",
         "for eid, (u, v) in sorted(edges.items(), key=itemgetter(1)):",

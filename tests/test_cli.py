@@ -144,9 +144,9 @@ def test_gen_instance_rejects_unsatisfiable_recipe(tmp_path, kind, n, g, k):
     assert "Traceback" not in proc.stderr
 
 
-def test_gen_instance_exits_1_when_generation_is_exhausted(tmp_path, capsys, monkeypatch):
-    """A recipe whose every attempt is refuted is a failed run (exit 1)
-    naming the last certificate, and writes no instance."""
+def test_gen_instance_exits_3_when_a_build_is_refuted(tmp_path, capsys, monkeypatch):
+    """A random build the hypothesis check refutes is a bug (exit 3)
+    naming the certificate, and writes no instance."""
     import gridroots.instances as instances
     from gridroots import check_hypothesis
 
@@ -154,17 +154,18 @@ def test_gen_instance_exits_1_when_generation_is_exhausted(tmp_path, capsys, mon
         generate_instance(InstanceRecipe(kind="grid-plus-roots", n=13, g=2, k=2, seed=0, degree=3)),
         "hang", 0,
     ))
-    monkeypatch.setattr(instances, "check_hypothesis", lambda problem: refuted)
+    checked = []
+    monkeypatch.setattr(instances, "check_hypothesis", lambda problem: checked.append(problem) or refuted)
     code, out, err = run(
         capsys, "gen-instance", "--kind", "grid-plus-roots", "--n", 13, "--g", 2, "--k", 2,
         "--out", tmp_path / "inst",
     )
-    assert code == 1
+    assert code == 3
+    assert len(checked) == 1
     assert out == ""
     assert json.loads(err) == {
-        "error": "failed",
-        "message": f"instance generation exhausted {instances.GENERATION_RETRIES} retries; "
-                   f"last certificate: order 1 at row {refuted.row}",
+        "error": "internal-invariant",
+        "message": f"generated instance refuted: order 1 at row {refuted.row}",
     }
     assert not (tmp_path / "inst").exists()
 

@@ -859,7 +859,7 @@ def levels_and_saturations(problem):
     return levels, saturations
 
 
-# 30 examples in the default profile, more under a higher-count one
+# the default profile's 100 examples (never fewer than 30), more under a higher-count one
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=max(30, settings.default.max_examples), deadline=None)
 def test_every_level_has_at_most_k_boundary_vertices_and_a_full_band(seed):

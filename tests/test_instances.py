@@ -1,14 +1,16 @@
 """Deterministic instance generation and deliberate breakage."""
 import random
 import time
-from dataclasses import replace
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridroots import (
     BREAK_MODES,
     InstanceRecipe,
+    InternalInvariantBroken,
     MalformedInput,
     RECIPE_KINDS,
     break_instance,
@@ -139,40 +141,50 @@ def test_distinct_seeds_give_distinct_attachments():
     assert len(hosts) >= 5  # seeds shuffle the attachment columns
 
 
-def test_generated_instances_satisfy_hypothesis():
-    for kind in ("grid-plus-roots", "random-attachment"):
-        for seed in range(3):
-            recipe = InstanceRecipe(kind=kind, n=13, g=2, k=2, seed=seed, degree=2)
-            problem = generate_instance(recipe)
-            assert check_hypothesis(problem).holds
-            assert validate_problem(problem).ok
-            assert all(br.host is problem.host for br in problem.model.branches.values())
+@st.composite
+def _random_recipes(draw):
+    """A valid random-kind recipe with g = k: n 1-14, k 1-4, degree k..n."""
+    kind = draw(st.sampled_from(("grid-plus-roots", "random-attachment")))
+    n = draw(st.integers(min_value=1 if kind == "grid-plus-roots" else 2, max_value=14))
+    k = draw(st.integers(min_value=1, max_value=min(4, n - 1) if n > 1 else 1))
+    # k > 1 roots need distinct column sets, so degree < n
+    degree = draw(st.integers(min_value=k, max_value=n if k == 1 else n - 1))
+    return InstanceRecipe(kind, n, k, k, draw(st.integers(min_value=0, max_value=10**6)), degree)
 
 
-def test_generation_exhausted_names_the_last_certificate(monkeypatch):
-    """A recipe refuted at every one of its GENERATION_RETRIES attempts
-    raises RuntimeError naming the last attempt's certificate."""
+@given(_random_recipes())
+@settings(deadline=None)
+def test_generated_instances_satisfy_hypothesis(recipe):
+    """Every random build holds the hypothesis at its first sub-seed, so
+    generation never retries; the size bound is the only precondition a
+    small grid can miss."""
+    problem = generate_instance(recipe)
+    assert check_hypothesis(problem).holds
+    n, k = recipe.n, recipe.k
+    assert validate_problem(problem).codes() == ([] if n > 3 * k * k else ["params"])
+    assert all(br.host is problem.host for br in problem.model.branches.values())
+
+
+def test_refuted_generation_is_an_internal_invariant(monkeypatch):
+    """A random build is checked once; a refuted one is a bug
+    (InternalInvariantBroken) naming the certificate, not a retry."""
     import gridroots.instances as instances
 
     refuted = check_hypothesis(break_instance(
         generate_instance(InstanceRecipe("grid-plus-roots", 13, 2, 2, 0, 3)), "hang", 0
     ))
     assert not refuted.holds and refuted.separation.order == 1
-    attempts = []
+    checked = []
 
     def refute(problem):
-        attempts.append(problem)
-        # the attempt's number as the row, so the message must name the last
-        return replace(refuted, row=(len(attempts),))
+        checked.append(problem)
+        return refuted
 
     monkeypatch.setattr(instances, "check_hypothesis", refute)
-    with pytest.raises(RuntimeError) as exhausted:
+    with pytest.raises(InternalInvariantBroken) as broken:
         generate_instance(InstanceRecipe("random-attachment", 13, 2, 2, 0, 3))
-    retries = instances.GENERATION_RETRIES
-    assert len(attempts) == retries
-    assert str(exhausted.value) == (
-        f"instance generation exhausted {retries} retries; last certificate: order 1 at row ({retries},)"
-    )
+    assert len(checked) == 1
+    assert str(broken.value) == f"generated instance refuted: order 1 at row {refuted.row}"
 
 
 def test_random_attachment_adds_chords():

@@ -357,6 +357,13 @@ def test_check_augmentation_codes():
     w = AugmentationWitness(odd, odd, frozenset({1}))
     assert check_augmentation(w).codes() == ["aug-pattern"]
 
+    # the same 2x2 pattern, modelled in another host
+    _, elsewhere = block_base(host_n=5)
+    w = AugmentationWitness(base, elsewhere, frozenset({1}))
+    report = check_augmentation(w)
+    assert report.codes() == ["aug-pattern"]
+    assert report.findings[0].message == "base and augmented models live in different hosts"
+
     # root never captured
     w = AugmentationWitness(base, base, frozenset({1}))
     assert "aug-root-missing" in check_augmentation(w).codes()
@@ -367,6 +374,15 @@ def test_check_augmentation_codes():
     tampered = Pseudomodel(host, aug.pattern, moved, dict(aug.edge_images))
     w = AugmentationWitness(base, tampered, frozenset({1}))
     assert "aug-branch-changed" in check_augmentation(w).codes()
+
+    # a branch missing from either side
+    missing = dict(aug.branches)
+    del missing[4]
+    tampered = Pseudomodel(host, aug.pattern, missing, dict(aug.edge_images))
+    for w in (AugmentationWitness(base, tampered, frozenset({1})),
+              AugmentationWitness(tampered, aug, frozenset({1}))):
+        changed = [f.message for f in check_augmentation(w).findings if f.code == "aug-branch-changed"]
+        assert changed == ["branch of (2,2) missing from a side"]
 
     # augmented branch lost the base vertex
     shrunk = dict(aug.branches)

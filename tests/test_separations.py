@@ -642,7 +642,7 @@ def linked_level_case(seed, roots_anywhere=True):
     return problem, rng
 
 
-# 30 examples in the default profile, more under a higher-count one
+# the default profile's 100 examples (never fewer than 30), more under a higher-count one
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=max(30, settings.default.max_examples), deadline=None)
 def test_scan_stopped_after_k_plus_1_clear_rows_equals_the_full_scan(seed):
@@ -802,7 +802,7 @@ def reference_reduction(work, branches, images):
     return None
 
 
-# 30 examples in the default profile, more under a higher-count one
+# the default profile's 100 examples (never fewer than 30), more under a higher-count one
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=max(30, settings.default.max_examples), deadline=None)
 def test_reduction_picker_gives_the_reference_reduction_at_every_step(seed):
